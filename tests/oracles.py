@@ -145,3 +145,39 @@ def rk4_lti_response(a: np.ndarray, b: np.ndarray, u, state0, dt: float, n_steps
         s = s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out.append(s.copy())
     return np.array(out)
+
+
+def general_flow_run(x0, nu0, lam, c, psi, grad, dt, n_steps, rk4):
+    """Fixed-step Euler (rk4 False) or classical RK4 (rk4 True) on the
+    general flow from mu = zeta = 0 at t = 0, using general_rhs.
+
+    Step k runs from t = k*dt to t = (k+1)*dt; RK4 evaluates its middle
+    stages at k*dt + dt/2. Returns the list of (x, mu, zeta, nu) tuples
+    after each step, starting with the initial state.
+    """
+    x = np.asarray(x0, dtype=float)
+    s = (x, np.zeros_like(x), np.zeros_like(x), np.asarray(nu0, dtype=float))
+    out = [s]
+
+    def f(s, t):
+        dmu, dzeta, dnu, dx = general_rhs(s[0], s[1], s[2], s[3], t, lam, c, psi, grad)
+        return dx, dmu, dzeta, dnu
+
+    def shift(s, h, d):
+        return tuple(a + h * b for a, b in zip(s, d))
+
+    for k in range(n_steps):
+        t = k * dt
+        if rk4:
+            k1 = f(s, t)
+            k2 = f(shift(s, 0.5 * dt, k1), t + 0.5 * dt)
+            k3 = f(shift(s, 0.5 * dt, k2), t + 0.5 * dt)
+            k4 = f(shift(s, dt, k3), (k + 1) * dt)
+            s = tuple(
+                a + (dt / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+                for a, d1, d2, d3, d4 in zip(s, k1, k2, k3, k4)
+            )
+        else:
+            s = shift(s, dt, f(s, t))
+        out.append(s)
+    return out

@@ -20,6 +20,7 @@ from ssmopt import (
     integrate_euler,
     integrate_reference,
     make_flow_problem,
+    make_logistic,
     make_quadratic,
     make_rosenbrock,
     map_preset_to_general,
@@ -28,9 +29,29 @@ from ssmopt import (
 )
 from ssmopt.core import make_psi
 from conftest import random_valid_adamssm_preset, random_valid_params
-from oracles import adam_rhs, general_rhs
+from oracles import adam_rhs, general_flow_run, general_rhs
 
 ADAMSSM = PresetParams(b3=0.02)
+FIVE_PRESETS = [
+    (PresetKind.GADAGRAD, PresetParams()),
+    (PresetKind.ADAM, PresetParams()),
+    (PresetKind.ADABELIEF, PresetParams()),
+    (PresetKind.ADAMSSM, ADAMSSM),
+    (PresetKind.ADABELIEFSSM, ADAMSSM),
+]
+ORACLE_PSI = {
+    PsiKind.SQUARED_GRADIENT: lambda g, mu: g * g,
+    PsiKind.BELIEF: lambda g, mu: (g - mu) * (g - mu),
+}
+
+
+def flow_objective(name: str):
+    """One of the three shipped objectives with a starting point off its minimum."""
+    if name == "quadratic":
+        return make_quadratic(2, 100.0), np.ones(2)
+    if name == "rosenbrock":
+        return make_rosenbrock(2), np.array([-1.2, 1.0])
+    return make_logistic(5, 40, 0), np.zeros(5)
 
 
 def lam_dict(p: OptimizerParams) -> dict:
@@ -220,6 +241,26 @@ class TestIntegrators:
             make_flow_problem(obj, params, np.ones(3), np.ones(3))
         with pytest.raises(DomainError):
             make_flow_problem(obj, params, np.ones(2), np.zeros(2))
+
+
+@pytest.mark.parametrize("objective", ["quadratic", "rosenbrock", "logistic"])
+@pytest.mark.parametrize("integrate, rk4", [(integrate_euler, False), (integrate_reference, True)])
+def test_integrators_match_oracle_bitwise(objective, integrate, rk4):
+    obj, x0 = flow_objective(objective)
+    nu0 = np.full(obj.dim, 1.0)
+    dt, n_steps, stride = 0.01, 100, 3
+    for kind, preset in FIVE_PRESETS:
+        problem = preset_flow(kind, preset, obj, x0, nu0)
+        p = problem.params
+        expected = general_flow_run(
+            x0, nu0, lam_dict(p), p.c, ORACLE_PSI[p.psi_kind], obj.eval_grad, dt, n_steps, rk4
+        )
+        traj = integrate(problem, dt, n_steps * dt, record_stride=stride)
+        steps = list(range(0, n_steps, stride)) + [n_steps]
+        assert list(traj.times) == [k * dt if k else 0.0 for k in steps], kind
+        for k, state in zip(steps, traj.states):
+            for got, want in zip((state.x, state.mu, state.zeta, state.nu), expected[k]):
+                assert np.array_equal(got, want), (kind, k)
 
 
 class TestTrajectoryCsv:
