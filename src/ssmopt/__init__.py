@@ -63,12 +63,15 @@ from .flow import (
     PresetMismatch,
     StepFailure,
     Trajectory,
+    euler_step,
     gadagrad_energy_residual,
+    integrate_batch,
     integrate_euler,
     integrate_reference,
     make_flow_problem,
     preset_flow,
     rhs_general,
+    rk4_step,
 )
 from .harness import (
     ExperimentConfig,
@@ -115,12 +118,15 @@ __all__ = [
     "PresetMismatch",
     "StepFailure",
     "Trajectory",
+    "euler_step",
     "gadagrad_energy_residual",
+    "integrate_batch",
     "integrate_euler",
     "integrate_reference",
     "make_flow_problem",
     "preset_flow",
     "rhs_general",
+    "rk4_step",
     # discrete
     "BIAS_MODES",
     "InstabilityError",

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .analysis import SecondMomentLTI, adamssm_tf, dc_gain, poles_zeros, stability_quantity_p
@@ -62,8 +63,13 @@ def _cmd_flow(args) -> int:
     if not args.dt > 0:
         print("error: --dt must be positive", file=sys.stderr)
         return 1
-    if args.t_end < args.dt:
+    if not args.t_end >= args.dt:
         print("error: --t-end must be at least --dt", file=sys.stderr)
+        return 1
+    # the condition flow._check_grid enforces, named by the options
+    n_steps = args.t_end / args.dt
+    if not (math.isfinite(n_steps) and abs(round(n_steps) * args.dt - args.t_end) <= 1e-9 * args.t_end):
+        print("error: --t-end must be a whole number of --dt steps", file=sys.stderr)
         return 1
     config = load_config(args.config)
     out = resolve_out_dir(config)
@@ -77,6 +83,9 @@ def _cmd_flow(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    if not (math.isfinite(args.b2) and math.isfinite(args.b3)):
+        print("error: --b2 and --b3 must be finite", file=sys.stderr)
+        return 1
     tf = adamssm_tf(args.b2, args.b3)
     poles, zeros = poles_zeros(tf)
     lti = SecondMomentLTI(lambda3=args.b2, lambda4=args.b3, lambda5=args.b2 + args.b3)
@@ -86,7 +95,7 @@ def _cmd_analyze(args) -> int:
         "p": stability_quantity_p(lti),
         "dc_gain": dc_gain(tf),
     }
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(payload, indent=2, allow_nan=False))
     return 0
 
 

@@ -220,13 +220,16 @@ def validate_preset(preset: PresetParams, kind: PresetKind) -> PresetParams:
 
     adam/adabelief need 0 < b2 < b1 < 1; the ...ssm variants additionally
     b3 > 0 and b2 + b3 < 4*b1; gadagrad only needs 0 < c < 1. All kinds need
-    delta > 0 and epsilon > 0. Strict inequalities are checked exactly.
+    delta > 0, epsilon > 0 and eta > 0. Strict inequalities are checked
+    exactly, so NaN fails every one of them.
     """
     v: list[str] = []
     if not preset.delta > 0:
         v.append("delta > 0")
     if not preset.epsilon > 0:
         v.append("epsilon > 0")
+    if not preset.eta > 0:
+        v.append("eta > 0")
     if kind is PresetKind.GADAGRAD:
         if not 0.0 < preset.c < 1.0:
             v.append("0 < c < 1")

@@ -1,12 +1,14 @@
 """Continuous-time optimizer flows: the generic right-hand side, named preset
 flows, fixed-step integrators, and the accumulator energy-balance diagnostic.
 
-Integration of one trajectory is strictly sequential; distinct problems may be
-integrated concurrently since objective evaluation is side-effect free.
+Integration of one trajectory is strictly sequential; flows on one objective
+are integrated together as one packed batch, each row bitwise equal to its
+solo run.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -21,7 +23,6 @@ from .core import (
     PsiFunction,
     PsiKind,
     alpha_g,
-    initial_flow_state,
     make_psi,
     map_preset_to_general,
     validate_params,
@@ -95,6 +96,76 @@ class StateDeriv(NamedTuple):
     dx: np.ndarray
 
 
+class _LeftDomain(DomainError):
+    """Rows of a batch (a boolean mask) have a nonpositive nu component."""
+
+    def __init__(self, rows: np.ndarray, t: float):
+        self.rows = rows
+        super().__init__(f"nu must be positive componentwise at t={t:g}")
+
+
+class _Batch:
+    """Flows on one objective, integrated together as a packed (R, 4, d)
+    state whose rows are x, mu, zeta and nu.
+
+    The rates are (R, 1) columns, so every row goes through exactly the
+    scalar arithmetic of its own flow and matches its solo run bitwise. Two
+    factors stay per row: alpha_g, which is scalar Python arithmetic, and
+    nu ** c, applied with a scalar c per group of rows sharing it, because
+    numpy computes nu ** 0.5 as sqrt(nu) but an exponent array as pow.
+    """
+
+    def __init__(self, problems: list[FlowProblem]):
+        self.params = [p.params for p in problems]
+        self.grad = problems[0].objective.eval_grad if problems else None
+
+        def column(values):
+            return np.array(values, dtype=float)[:, None]
+
+        ps = self.params
+        self.neg_l1 = column([-p.lambda1 for p in ps])
+        self.l2 = column([p.lambda2 for p in ps])
+        self.neg_l3 = column([-p.lambda3 for p in ps])
+        self.l3 = column([p.lambda3 for p in ps])
+        self.l4 = column([p.lambda4 for p in ps])
+        self.l5 = column([p.lambda5 for p in ps])
+        self.l6 = column([p.lambda6 for p in ps])
+        self.l7 = column([p.lambda7 for p in ps])
+        self.l8 = column([p.lambda8 for p in ps])
+        belief = [p.psi.kind is PsiKind.BELIEF for p in problems]
+        self.belief = np.array(belief)[:, None] if any(belief) else None
+        groups: dict[float, list[int]] = {}
+        for i, p in enumerate(ps):
+            groups.setdefault(p.c, []).append(i)
+        self.c_groups = [(c, np.array(rows)) for c, rows in groups.items()]
+
+    def nu_pow_c(self, nu: np.ndarray) -> np.ndarray:
+        if len(self.c_groups) == 1:
+            return nu ** self.c_groups[0][0]
+        out = np.empty_like(nu)
+        for c, rows in self.c_groups:
+            out[rows] = nu[rows] ** c
+        return out
+
+    def deriv(self, s: np.ndarray, t: float) -> np.ndarray:
+        """Right-hand side of every row at time t, shaped like s.
+
+        Raises _LeftDomain, before any arithmetic, when a row has nu <= 0.
+        """
+        x, mu, zeta, nu = s[:, 0], s[:, 1], s[:, 2], s[:, 3]
+        if (nu <= 0).any():
+            raise _LeftDomain(np.any(nu <= 0, axis=1), t)
+        g = self.grad(x)
+        r = g if self.belief is None else np.where(self.belief, g - mu, g)
+        alpha = np.array([alpha_g(t, p) for p in self.params])[:, None]
+        d = np.empty_like(s)
+        d[:, 0] = -(self.l7 * mu + self.l8 * g) / (alpha * self.nu_pow_c(nu))
+        d[:, 1] = self.neg_l1 * mu + self.l2 * g
+        d[:, 2] = self.neg_l3 * zeta + self.l3 * nu
+        d[:, 3] = self.l4 * zeta - self.l5 * nu + self.l6 * (r * r)
+        return d
+
+
 def rhs_general(state: FlowState, t: float, problem: FlowProblem) -> StateDeriv:
     """Right-hand side of the generic optimizer flow.
 
@@ -103,16 +174,11 @@ def rhs_general(state: FlowState, t: float, problem: FlowProblem) -> StateDeriv:
         dnu   = lambda4*zeta - lambda5*nu + lambda6*psi(grad, mu)
         dx    = -(lambda7*mu + lambda8*grad) / (alpha_g(t) * nu**c)
 
-    Requires nu > 0 componentwise.
+    psi is the shipped input function of problem.psi.kind. Requires nu > 0
+    componentwise (DomainError otherwise).
     """
-    if np.any(state.nu <= 0):
-        raise DomainError(f"nu must be positive componentwise at t={t:g}")
-    p = problem.params
-    g = problem.objective.eval_grad(state.x)
-    dmu = -p.lambda1 * state.mu + p.lambda2 * g
-    dzeta = -p.lambda3 * state.zeta + p.lambda3 * state.nu
-    dnu = p.lambda4 * state.zeta - p.lambda5 * state.nu + p.lambda6 * problem.psi(g, state.mu)
-    dx = -(p.lambda7 * state.mu + p.lambda8 * g) / (alpha_g(t, p) * state.nu ** p.c)
+    s = np.stack([state.x, state.mu, state.zeta, state.nu])[None]
+    dx, dmu, dzeta, dnu = _Batch([problem]).deriv(s, t)[0]
     return StateDeriv(dmu=dmu, dzeta=dzeta, dnu=dnu, dx=dx)
 
 
@@ -197,11 +263,93 @@ class _Recorder:
 
 
 def _check_grid(dt: float, t_end: float) -> int:
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
-    if t_end < dt:
+    if not t_end >= dt:
         raise ValueError("t_end must be at least dt")
-    return int(round(t_end / dt))
+    n_steps = t_end / dt
+    if not (math.isfinite(n_steps) and abs(round(n_steps) * dt - t_end) <= 1e-9 * t_end):
+        raise ValueError("t_end must be a whole number of dt steps")
+    return round(n_steps)
+
+
+def euler_step(batch: _Batch, s: np.ndarray, k: int, dt: float) -> np.ndarray:
+    """Forward Euler step from t = k*dt to (k+1)*dt."""
+    return s + dt * batch.deriv(s, k * dt)
+
+
+def rk4_step(batch: _Batch, s: np.ndarray, k: int, dt: float) -> np.ndarray:
+    """Classical fourth-order Runge-Kutta step from t = k*dt to (k+1)*dt."""
+    t0 = k * dt
+    h = 0.5 * dt
+    k1 = batch.deriv(s, t0)
+    k2 = batch.deriv(s + h * k1, t0 + h)
+    k3 = batch.deriv(s + h * k2, t0 + h)
+    k4 = batch.deriv(s + dt * k3, (k + 1) * dt)
+    return s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _row_state(s: np.ndarray, i: int, t: float) -> FlowState:
+    return FlowState(x=s[i, 0], mu=s[i, 1], zeta=s[i, 2], nu=s[i, 3], t=t)
+
+
+def integrate_batch(
+    problems: list[FlowProblem], step, dt: float, t_end: float, record_stride: int = 1
+) -> list:
+    """Integrate flows on one shared objective together on a fixed grid from
+    t = 0, with the step rule euler_step or rk4_step.
+
+    Returns, in the order of problems, each flow's Trajectory or the
+    StepFailure its solo run raises. Every row is recorded like a solo run:
+    the initial state, every record_stride-th step and the final step. A row
+    whose nu leaves the positive domain, at an RK4 stage or after a step, is
+    taken out of the batch before any arithmetic on it; the other rows go on
+    unchanged.
+    """
+    n_steps = _check_grid(dt, t_end)
+    if any(p.objective is not problems[0].objective for p in problems):
+        raise ValueError("a batch integrates flows on one objective")
+    results: list = [None] * len(problems)
+    recorders = [_Recorder(p) for p in problems]
+    live = list(range(len(problems)))
+    batch = _Batch(problems)
+    s = np.array([[p.x0, np.zeros_like(p.x0), np.zeros_like(p.x0), p.nu0] for p in problems])
+
+    def drop(bad: np.ndarray, t: float, message: str = "") -> None:
+        nonlocal live, batch, s
+        for i in np.flatnonzero(bad):
+            results[live[i]] = StepFailure(t, _row_state(s, i, t), message)
+        live = [r for r, failed in zip(live, bad) if not failed]
+        batch = _Batch([problems[r] for r in live])
+        s = s[~bad]
+
+    for i, r in enumerate(live):
+        recorders[r].record(_row_state(s, i, 0.0))
+    k = 0
+    while k < n_steps and live:
+        try:
+            s_new = step(batch, s, k, dt)
+        except _LeftDomain as exc:
+            # retry the step without the rows that failed a stage
+            drop(exc.rows, k * dt, f"stage evaluation left the domain: {exc}")
+            continue
+        k += 1
+        s = s_new
+        if (s[:, 3] <= 0).any():
+            drop(np.any(s[:, 3] <= 0, axis=1), k * dt)
+        if k % record_stride == 0 or k == n_steps:
+            for i, r in enumerate(live):
+                recorders[r].record(_row_state(s, i, k * dt))
+    for r in live:
+        results[r] = recorders[r].build()
+    return results
+
+
+def _integrate_one(problem: FlowProblem, step, dt: float, t_end: float, record_stride: int) -> Trajectory:
+    (result,) = integrate_batch([problem], step, dt, t_end, record_stride)
+    if isinstance(result, StepFailure):
+        raise result
+    return result
 
 
 def integrate_euler(
@@ -213,25 +361,7 @@ def integrate_euler(
     step. Raises StepFailure carrying the offending state if any nu component
     becomes nonpositive.
     """
-    n_steps = _check_grid(dt, t_end)
-    state = initial_flow_state(problem.x0, problem.nu0)
-    rec = _Recorder(problem)
-    rec.record(state)
-    for k in range(n_steps):
-        d = rhs_general(state, state.t, problem)
-        t_new = (k + 1) * dt
-        state = FlowState(
-            x=state.x + dt * d.dx,
-            mu=state.mu + dt * d.dmu,
-            zeta=state.zeta + dt * d.dzeta,
-            nu=state.nu + dt * d.dnu,
-            t=t_new,
-        )
-        if np.any(state.nu <= 0):
-            raise StepFailure(t_new, state)
-        if (k + 1) % record_stride == 0 or k + 1 == n_steps:
-            rec.record(state)
-    return rec.build()
+    return _integrate_one(problem, euler_step, dt, t_end, record_stride)
 
 
 def integrate_reference(
@@ -243,43 +373,7 @@ def integrate_reference(
     on smooth problems is fourth order in dt. Raises StepFailure if a stage
     or a step leaves the nu > 0 domain.
     """
-    n_steps = _check_grid(dt, t_end)
-    state = initial_flow_state(problem.x0, problem.nu0)
-    rec = _Recorder(problem)
-    rec.record(state)
-
-    def at(base: FlowState, scale: float, d: StateDeriv, t: float) -> FlowState:
-        return FlowState(
-            x=base.x + scale * d.dx,
-            mu=base.mu + scale * d.dmu,
-            zeta=base.zeta + scale * d.dzeta,
-            nu=base.nu + scale * d.dnu,
-            t=t,
-        )
-
-    for k in range(n_steps):
-        t0 = state.t
-        t_half = t0 + 0.5 * dt
-        t_new = (k + 1) * dt
-        try:
-            k1 = rhs_general(state, t0, problem)
-            k2 = rhs_general(at(state, 0.5 * dt, k1, t_half), t_half, problem)
-            k3 = rhs_general(at(state, 0.5 * dt, k2, t_half), t_half, problem)
-            k4 = rhs_general(at(state, dt, k3, t_new), t_new, problem)
-        except DomainError as exc:
-            raise StepFailure(t0, state, f"stage evaluation left the domain: {exc}") from exc
-        state = FlowState(
-            x=state.x + (dt / 6.0) * (k1.dx + 2.0 * k2.dx + 2.0 * k3.dx + k4.dx),
-            mu=state.mu + (dt / 6.0) * (k1.dmu + 2.0 * k2.dmu + 2.0 * k3.dmu + k4.dmu),
-            zeta=state.zeta + (dt / 6.0) * (k1.dzeta + 2.0 * k2.dzeta + 2.0 * k3.dzeta + k4.dzeta),
-            nu=state.nu + (dt / 6.0) * (k1.dnu + 2.0 * k2.dnu + 2.0 * k3.dnu + k4.dnu),
-            t=t_new,
-        )
-        if np.any(state.nu <= 0):
-            raise StepFailure(t_new, state)
-        if (k + 1) % record_stride == 0 or k + 1 == n_steps:
-            rec.record(state)
-    return rec.build()
+    return _integrate_one(problem, rk4_step, dt, t_end, record_stride)
 
 
 _ACCUMULATOR_PATTERN = dict(lambda4=0.0, lambda5=0.0, lambda6=1.0, lambda7=0.0, lambda8=1.0)

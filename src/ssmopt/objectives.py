@@ -23,6 +23,10 @@ class Objective:
     hessian_bounded_hint flag marks objectives whose curvature is bounded on
     the test box [-box, box]^dim; convergence assertions should be restricted
     to trajectories staying inside that box.
+
+    eval_grad also takes a batch of points shaped (R, dim) and returns their
+    gradients row by row, each bitwise equal to the gradient of that point
+    alone.
     """
 
     dim: int
@@ -75,11 +79,16 @@ def make_rosenbrock(d: int) -> Objective:
 
     def grad(x):
         x = np.asarray(x, dtype=float)
+        # A batch (R, d) is computed as (d, R), so coordinates index the first
+        # axis either way: x[..., 1:] would cost every 1-D call extra.
+        batch = x.ndim > 1
+        if batch:
+            x = x.T
         g = np.zeros_like(x)
         r = x[1:] - x[:-1] ** 2
         g[:-1] = -400.0 * x[:-1] * r - 2.0 * (1.0 - x[:-1])
         g[1:] += 200.0 * r
-        return g
+        return g.T if batch else g
 
     return Objective(
         dim=d, eval_f=f, eval_grad=grad,
@@ -128,6 +137,9 @@ def make_logistic(d: int, n_samples: int, seed: int) -> Objective:
 
     def grad(w):
         w = np.asarray(w, dtype=float)
+        if w.ndim > 1:
+            # row by row: one matrix product over the batch would reorder sums
+            return np.stack([grad(row) for row in w])
         margins = y * (X @ w)
         # sigmoid(-m) computed as exp(-log(1+exp(m))), stable for any margin
         s = np.exp(-np.logaddexp(0.0, margins))

@@ -209,6 +209,13 @@ class TestValidatePreset:
             validate_preset(PresetParams(delta=0.0, epsilon=0.0), PresetKind.ADAM)
         assert err.value.violations == ["delta > 0", "epsilon > 0"]
 
+    def test_learning_rate_must_be_positive(self):
+        for eta in (-0.05, 0.0, float("nan"), -float("inf")):
+            for kind in PresetKind:
+                with pytest.raises(ValidationError) as err:
+                    validate_preset(PresetParams(b3=0.02, eta=eta), kind)
+                assert err.value.violations == ["eta > 0"], (kind, eta)
+
     def test_coupling_budget(self):
         with pytest.raises(ValidationError) as err:
             validate_preset(PresetParams(b3=4.0 * 0.67), PresetKind.ADAMSSM)

@@ -28,6 +28,7 @@ from ssmopt import (
     rhs_general,
 )
 from ssmopt.core import make_psi
+from ssmopt.flow import euler_step, integrate_batch, rk4_step
 from conftest import random_valid_adamssm_preset, random_valid_params
 from oracles import adam_rhs, general_flow_run, general_rhs
 
@@ -221,6 +222,9 @@ class TestIntegrators:
             integrate_euler(problem, dt=0.0, t_end=1.0)
         with pytest.raises(ValueError):
             integrate_reference(problem, dt=1.0, t_end=0.5)
+        for integrate in (integrate_euler, integrate_reference):
+            with pytest.raises(ValueError, match="t_end must be a whole number of dt steps"):
+                integrate(problem, dt=0.3, t_end=1.0)
 
     def test_reference_keeps_second_moment_positive(self):
         obj = make_quadratic(2, 100.0)
@@ -261,6 +265,61 @@ def test_integrators_match_oracle_bitwise(objective, integrate, rk4):
         for k, state in zip(steps, traj.states):
             for got, want in zip((state.x, state.mu, state.zeta, state.nu), expected[k]):
                 assert np.array_equal(got, want), (kind, k)
+
+
+def assert_same_trajectory(got: Trajectory, want: Trajectory):
+    assert list(got.times) == list(want.times)
+    for name in ("f_values", "grad_norms", "alpha_values"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert len(got.states) == len(want.states)
+    for a, b in zip(got.states, want.states):
+        assert a.t == b.t
+        for field in ("x", "mu", "zeta", "nu"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+class TestIntegrateBatch:
+    @pytest.mark.parametrize("objective", ["quadratic", "rosenbrock", "logistic"])
+    @pytest.mark.parametrize("integrate, step", [(integrate_euler, euler_step), (integrate_reference, rk4_step)])
+    def test_rows_equal_solo_runs(self, objective, integrate, step):
+        # the extra gadagrad row gives the batch a second exponent c
+        obj, x0 = flow_objective(objective)
+        rows = FIVE_PRESETS + [(PresetKind.GADAGRAD, PresetParams(c=0.3))]
+        problems = [preset_flow(kind, preset, obj, x0, np.ones(obj.dim)) for kind, preset in rows]
+        results = integrate_batch(problems, step, dt=0.01, t_end=1.0, record_stride=7)
+        assert len(results) == len(problems)
+        for problem, got in zip(problems, results):
+            assert_same_trajectory(got, integrate(problem, 0.01, 1.0, record_stride=7))
+
+    @pytest.mark.parametrize(
+        "integrate, step, dt", [(integrate_euler, euler_step, 50.0), (integrate_reference, rk4_step, 100.0)]
+    )
+    def test_failed_row_leaves_the_batch(self, integrate, step, dt):
+        # zero gradient: nu only decays, and one huge step takes the ssm row's
+        # nu below zero (after an Euler step, inside an RK4 stage)
+        obj = make_quadratic(1, 1.0)
+        gadagrad, adamssm = (
+            preset_flow(kind, preset, obj, np.array([0.0]), np.array([1.0]))
+            for kind, preset in [(PresetKind.GADAGRAD, PresetParams()), (PresetKind.ADAMSSM, ADAMSSM)]
+        )
+        kept, failure = integrate_batch([gadagrad, adamssm], step, dt, t_end=100.0)
+        assert_same_trajectory(kept, integrate(gadagrad, dt, 100.0))
+        with pytest.raises(StepFailure) as solo:
+            integrate(adamssm, dt, 100.0)
+        assert isinstance(failure, StepFailure)
+        assert str(failure) == str(solo.value)
+        assert failure.t == solo.value.t
+        for field in ("x", "mu", "zeta", "nu"):
+            assert np.array_equal(getattr(failure.state, field), getattr(solo.value.state, field))
+
+    def test_batch_shares_one_objective(self):
+        problems = [
+            preset_flow(PresetKind.ADAM, PresetParams(), make_quadratic(2, 10.0), np.ones(2), np.ones(2))
+            for _ in range(2)
+        ]
+        with pytest.raises(ValueError, match="one objective"):
+            integrate_batch(problems, rk4_step, 0.1, 1.0)
+        assert integrate_batch([], rk4_step, 0.1, 1.0) == []
 
 
 class TestTrajectoryCsv:

@@ -166,6 +166,22 @@ class TestLoadConfig:
         with pytest.raises(ParseError, match="objective.x0: expected a list of numbers"):
             load_config(write_config(tmp_path, payload))
 
+    def test_non_finite_numbers_rejected(self, tmp_path):
+        path = tmp_path / "config.json"
+        for objective, optimizer in [
+            ('"x0": [NaN, 1]', ""),
+            ("", ', "eta": Infinity'),
+            ('"cond": -Infinity', ""),
+            ("", ', "b1": 1e999'),
+        ]:
+            sep = ", " if objective else ""
+            path.write_text(
+                f'{{"objective": {{"kind": "quadratic"{sep}{objective}}}, '
+                f'"optimizers": [{{"kind": "adam"{optimizer}}}]}}'
+            )
+            with pytest.raises(ParseError, match="non-finite number"):
+                load_config(path)
+
     def test_objective_keys_scoped_by_kind(self, tmp_path):
         payload = base_payload()
         payload["objective"] = {"kind": "rosenbrock", "cond": 10.0}
@@ -419,6 +435,21 @@ class TestRunFlows:
             assert 0 <= report.epoch_of_best <= 100
 
 
+    def test_failed_flow_keeps_its_solo_error(self, tmp_path):
+        payload = base_payload()
+        payload["objective"]["x0"] = [0.0, 0.0]
+        payload["optimizers"] = [{"kind": "adamssm", "b3": 0.02}, {"kind": "gadagrad"}]
+        config = load_config(write_config(tmp_path, payload))
+        failed, kept = run_flows(config, dt=50.0, t_end=100.0, out_dir=tmp_path / "out")
+        assert failed.diagnostics == {
+            "error": "StepFailure: stage evaluation left the domain: "
+            "nu must be positive componentwise at t=50"
+        }
+        assert "error" not in kept.diagnostics
+        assert not (tmp_path / "out" / "flow_00_adamssm.csv").exists()
+        assert (tmp_path / "out" / "flow_01_gadagrad.csv").exists()
+
+
 class TestCli:
     def test_analyze_prints_pole_payload(self, capsys):
         rc = cli.main(["analyze", "--b2", "0.0067", "--b3", "0.02"])
@@ -436,6 +467,14 @@ class TestCli:
         rc = cli.main(["analyze", "--b2", "0"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_analyze_rejects_non_finite_rates(self, capsys):
+        for rates in (["--b2", "inf"], ["--b2", "0.0067", "--b3", "inf"], ["--b2", "nan"]):
+            rc = cli.main(["analyze", *rates])
+            assert rc == 1, rates
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error:")
 
     def test_run_with_missing_config_fails_validation_exit(self, capsys, tmp_path):
         rc = cli.main(["run", str(tmp_path / "nope.json")])
@@ -487,6 +526,9 @@ class TestCli:
         rc = cli.main(["flow", str(tmp_path / "nope.json"), "--dt", "0.01", "--t-end", "0.005"])
         assert rc == 1
         assert "--t-end must be at least --dt" in capsys.readouterr().err
+        rc = cli.main(["flow", str(tmp_path / "nope.json"), "--dt", "0.3", "--t-end", "1.0"])
+        assert rc == 1
+        assert "--t-end must be a whole number of --dt steps" in capsys.readouterr().err
 
     def test_flow_happy_path(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("SSMOPT_OUT_DIR", str(tmp_path / "out"))
