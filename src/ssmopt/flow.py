@@ -295,7 +295,7 @@ def _row_state(s: np.ndarray, i: int, t: float) -> FlowState:
 
 def integrate_batch(
     problems: list[FlowProblem], step, dt: float, t_end: float, record_stride: int = 1
-) -> list:
+) -> list[Trajectory | StepFailure]:
     """Integrate flows on one shared objective together on a fixed grid from
     t = 0, with the step rule euler_step or rk4_step.
 
@@ -309,7 +309,7 @@ def integrate_batch(
     n_steps = _check_grid(dt, t_end)
     if any(p.objective is not problems[0].objective for p in problems):
         raise ValueError("a batch integrates flows on one objective")
-    results: list = [None] * len(problems)
+    results: list[Trajectory | StepFailure] = [None] * len(problems)
     recorders = [_Recorder(p) for p in problems]
     live = list(range(len(problems)))
     batch = _Batch(problems)

@@ -135,15 +135,20 @@ def make_logistic(d: int, n_samples: int, seed: int) -> Objective:
         margins = y * (X @ w)
         return float(np.mean(np.logaddexp(0.0, -margins)) + 0.5 * reg * np.dot(w, w))
 
-    def grad(w):
-        w = np.asarray(w, dtype=float)
-        if w.ndim > 1:
-            # row by row: one matrix product over the batch would reorder sums
-            return np.stack([grad(row) for row in w])
+    def grad_one(w):
         margins = y * (X @ w)
         # sigmoid(-m) computed as exp(-log(1+exp(m))), stable for any margin
         s = np.exp(-np.logaddexp(0.0, margins))
         return -(X.T @ (y * s)) / n_samples + reg * w
+
+    def grad(w):
+        # grad_one is separate so that grad does not refer to itself: that
+        # cycle would keep the dataset alive until the garbage collector runs
+        w = np.asarray(w, dtype=float)
+        if w.ndim > 1:
+            # row by row: one matrix product over the batch would reorder sums
+            return np.stack([grad_one(row) for row in w])
+        return grad_one(w)
 
     return Objective(
         dim=d, eval_f=f, eval_grad=grad,

@@ -108,6 +108,20 @@ class TestLogistic:
             make_logistic(3, 0, seed=0)
 
 
+@pytest.mark.parametrize(
+    "obj", [make_quadratic(3, 50.0), make_rosenbrock(4), make_logistic(5, 40, 0)], ids=lambda o: o.name
+)
+def test_batched_gradient_rows_equal_single_points(obj, rng):
+    xs = rng.uniform(-obj.box, obj.box, (6, obj.dim))
+    batch = obj.eval_grad(xs)
+    assert batch.shape == xs.shape
+    for x, g in zip(xs, batch):
+        assert np.array_equal(g, obj.eval_grad(x))
+    # a strided view, as the flow integrator passes it
+    packed = np.stack([xs, -xs], axis=1)
+    assert np.array_equal(obj.eval_grad(packed[:, 0]), batch)
+
+
 class TestFiniteDiff:
     def test_near_exact_on_quadratic(self):
         obj = make_quadratic(2, 100.0)
