@@ -305,6 +305,23 @@ class TestRunExperiment:
         assert records[1]["best_f"] is not None
         assert "wall_time" not in (out / "report.json").read_text()
 
+    def test_report_summarizes_every_iteration_not_only_records(self, tmp_path):
+        payload = base_payload()
+        payload.update(iterations=300, threshold=1e-2)
+        payload["optimizers"] = [{"kind": "adam", "eta": 0.05}, {"kind": "sgd_momentum", "eta": 0.05}]
+        summaries = {}
+        for stride in (1, 7):
+            payload["record_stride"] = stride
+            config = load_config(write_config(tmp_path, payload, f"stride{stride}.json"))
+            reports = run_experiment(config, out_dir=tmp_path / f"out{stride}")
+            summaries[stride] = [
+                (r.best_f, r.epoch_of_best, r.iters_to_threshold, r.final_grad_norm) for r in reports
+            ]
+        assert summaries[7] == summaries[1]
+        # the best and the threshold iterations fall between records at stride 7
+        for _, best, below, _ in summaries[7]:
+            assert best % 7 and below % 7
+
     def test_env_var_overrides_output_dir(self, tmp_path, monkeypatch):
         payload = base_payload()
         payload["output_dir"] = str(tmp_path / "from_config")
@@ -434,6 +451,26 @@ class TestRunFlows:
             assert isinstance(report.epoch_of_best, int)
             assert 0 <= report.epoch_of_best <= 100
 
+
+    def test_report_epochs_count_steps_at_record_stride(self, tmp_path):
+        payload = base_payload()
+        payload["threshold"] = 1e-2
+        payload["optimizers"] = [{"kind": "gadagrad", "eta": 0.5, "c": 0.5}, {"kind": "adam", "eta": 0.05}]
+        reports = {}
+        for stride in (1, 7):
+            payload["record_stride"] = stride
+            config = load_config(write_config(tmp_path, payload, f"stride{stride}.json"))
+            reports[stride] = run_flows(config, dt=0.05, t_end=20.0, out_dir=tmp_path / f"out{stride}")
+        for i, (report, name) in enumerate(zip(reports[7], ("gadagrad", "adam"))):
+            rows = np.loadtxt(tmp_path / "out1" / f"flow_{i:02d}_{name}.csv", delimiter=",", skiprows=1)
+            # the rows a stride-7 run records: every 7th step and the final one
+            steps = np.unique(np.r_[np.arange(0, 401, 7), 400])
+            f, grad_norm = rows[steps, 1], rows[steps, 2]
+            assert report.best_f == f.min()
+            assert report.epoch_of_best == steps[np.argmin(f)]
+            assert report.iters_to_threshold == steps[np.argmax(grad_norm < 1e-2)]
+            assert report.final_grad_norm == reports[1][i].final_grad_norm
+            assert report.iters_to_threshold > len(steps)
 
     def test_failed_flow_keeps_its_solo_error(self, tmp_path):
         payload = base_payload()
