@@ -32,12 +32,9 @@ from .core import (
     OptimizerParams,
     PresetKind,
     PresetParams,
-    PsiFunction,
     PsiKind,
     ValidationError,
     alpha_g,
-    initial_flow_state,
-    make_psi,
     map_preset_to_general,
     validate_params,
     validate_preset,
@@ -47,7 +44,6 @@ from .discrete import (
     InstabilityError,
     LrSchedule,
     RunReport,
-    StepperState,
     bias_alpha,
     bias_denominators,
     initial_stepper_state,
@@ -95,82 +91,3 @@ from .objectives import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    # core
-    "DomainError",
-    "FlowState",
-    "OptimizerParams",
-    "PresetKind",
-    "PresetParams",
-    "PsiFunction",
-    "PsiKind",
-    "ValidationError",
-    "alpha_g",
-    "initial_flow_state",
-    "make_psi",
-    "map_preset_to_general",
-    "validate_params",
-    "validate_preset",
-    # flow
-    "FlowProblem",
-    "PresetMismatch",
-    "StepFailure",
-    "Trajectory",
-    "euler_step",
-    "gadagrad_energy_residual",
-    "integrate_batch",
-    "integrate_euler",
-    "integrate_reference",
-    "make_flow_problem",
-    "preset_flow",
-    "rhs_general",
-    "rk4_step",
-    # discrete
-    "BIAS_MODES",
-    "InstabilityError",
-    "LrSchedule",
-    "RunReport",
-    "StepperState",
-    "bias_alpha",
-    "bias_denominators",
-    "initial_stepper_state",
-    "run_discrete",
-    "step_adabelief",
-    "step_adam",
-    "step_adamssm",
-    "step_gadagrad",
-    "step_sgd_momentum",
-    # analysis
-    "DegreeError",
-    "RationalTF",
-    "SecondMomentLTI",
-    "adamssm_tf",
-    "dc_gain",
-    "impulse_response",
-    "poles_zeros",
-    "second_moment_response",
-    "stability_quantity_p",
-    "state_transition_entries",
-    "state_transition_matrix",
-    "step_response",
-    # objectives
-    "Objective",
-    "finite_diff_grad",
-    "make_logistic",
-    "make_quadratic",
-    "make_rosenbrock",
-    # harness
-    "ExperimentConfig",
-    "ObjectiveSpec",
-    "OptimizerSpec",
-    "ParseError",
-    "build_objective",
-    "default_x0",
-    "emit_summary",
-    "load_config",
-    "run_compare",
-    "run_experiment",
-    "run_flows",
-]

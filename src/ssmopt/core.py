@@ -1,5 +1,5 @@
-"""Domain types, second-moment input functions, bias correction, and parameter
-validation for the state-space family of adaptive gradient optimizers.
+"""Domain types, bias correction, and parameter validation for the
+state-space family of adaptive gradient optimizers.
 
 The framework describes an optimizer by nine scalar rates (lambda1..lambda8 and
 an exponent c) driving four coupled states per coordinate: the iterate x, a
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
@@ -44,40 +43,6 @@ class PsiKind(Enum):
 
     SQUARED_GRADIENT = "squared_gradient"
     BELIEF = "belief"
-
-
-def psi_squared_gradient(g, mu):
-    """Squared gradient g**2 (mu is ignored)."""
-    g = np.asarray(g, dtype=float)
-    return g * g
-
-
-def psi_belief(g, mu):
-    """Squared deviation (g - mu)**2 of the gradient from its running mean."""
-    g = np.asarray(g, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    r = g - mu
-    return r * r
-
-
-@dataclass(frozen=True)
-class PsiFunction:
-    """Nonnegative input function (g, mu) -> drive for the second moment."""
-
-    kind: PsiKind
-    evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-    def __call__(self, g, mu):
-        return self.evaluator(g, mu)
-
-
-def make_psi(kind: PsiKind) -> PsiFunction:
-    """Build one of the two shipped input functions."""
-    if kind is PsiKind.SQUARED_GRADIENT:
-        return PsiFunction(kind, psi_squared_gradient)
-    if kind is PsiKind.BELIEF:
-        return PsiFunction(kind, psi_belief)
-    raise ValueError(f"unknown psi kind: {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -286,7 +251,8 @@ def map_preset_to_general(preset: PresetParams, kind: PresetKind) -> OptimizerPa
 
 @dataclass(frozen=True)
 class FlowState:
-    """Optimizer state at one time instant.
+    """Optimizer state at one time instant: physical time for a flow, the
+    iteration count for a discrete run.
 
     Arrays are not defensively copied; treat them as read-only.
     """
@@ -302,14 +268,3 @@ class FlowState:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         object.__setattr__(self, "t", float(self.t))
 
-
-def initial_flow_state(x0, nu0) -> FlowState:
-    """State at t = 0: mu and zeta start at zero, nu must be positive."""
-    x0 = np.asarray(x0, dtype=float)
-    nu0 = np.asarray(nu0, dtype=float)
-    if x0.shape != nu0.shape:
-        raise ValueError(f"x0 shape {x0.shape} != nu0 shape {nu0.shape}")
-    if np.any(nu0 <= 0):
-        raise DomainError("nu0 must be positive componentwise")
-    zero = np.zeros_like(x0)
-    return FlowState(x=x0, mu=zero, zeta=zero.copy(), nu=nu0, t=0.0)

@@ -8,15 +8,15 @@ with independent states.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .core import PresetParams, ValidationError
-from .flow import Trajectory
-from .core import FlowState
+from .core import FlowState, PresetParams, ValidationError
+from .flow import Trajectory, _Recorder
 
 BIAS_MODES = ("paper", "beta", "continuous")
 
@@ -28,33 +28,15 @@ class InstabilityError(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class StepperState:
-    """Discrete optimizer state after `iter` steps.
-
-    Arrays are not defensive copies; treat them as read-only.
-    """
-
-    x: np.ndarray
-    mu: np.ndarray
-    zeta: np.ndarray
-    nu: np.ndarray
-    iter: int = 0
-
-    def __post_init__(self):
-        for name in ("x", "mu", "zeta", "nu"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        object.__setattr__(self, "iter", int(self.iter))
-
-
-def initial_stepper_state(x0, nu0=None) -> StepperState:
-    """State before the first step: moments start at zero unless nu0 is given."""
+def initial_stepper_state(x0, nu0=None) -> FlowState:
+    """State before the first step, at t = 0: moments start at zero unless nu0
+    is given. A stepper advances t by one, so t counts the iterations."""
     x0 = np.asarray(x0, dtype=float)
     zero = np.zeros_like(x0)
     nu = zero.copy() if nu0 is None else np.asarray(nu0, dtype=float)
     if nu.shape != x0.shape:
         raise ValueError(f"nu0 shape {nu.shape} != x0 shape {x0.shape}")
-    return StepperState(x=x0, mu=zero, zeta=zero.copy(), nu=nu, iter=0)
+    return FlowState(x=x0, mu=zero, zeta=zero.copy(), nu=nu, t=0.0)
 
 
 @dataclass(frozen=True)
@@ -119,14 +101,14 @@ def bias_alpha(preset: PresetParams, iteration: int, bias_mode: str, c: float = 
 
 
 def _moment_step(
-    state: StepperState,
+    state: FlowState,
     grad,
     preset: PresetParams,
     schedule: Optional[LrSchedule],
     b3: float,
     belief: bool,
     bias_mode: str,
-) -> StepperState:
+) -> FlowState:
     """Shared update kernel of the adam-family steppers.
 
     Moment updates come first, then the x update uses the post-update,
@@ -141,7 +123,7 @@ def _moment_step(
             f"(delta={delta:g}, b2={preset.b2:g}, b3={b3:g})"
         )
     g = np.asarray(grad, dtype=float)
-    k = state.iter
+    k = int(state.t)
     mu_new = (1.0 - delta * preset.b1) * state.mu + (delta * preset.b1) * g
     zeta_new = (1.0 - delta * preset.b2) * state.zeta + (delta * preset.b2) * state.nu
     if belief:
@@ -158,16 +140,16 @@ def _moment_step(
     nu_hat = nu_new / b2_corr
     eta_k = _schedule_or_default(schedule, preset).eta_at(k)
     x_new = state.x - eta_k * (mu_hat / (np.sqrt(nu_hat) + preset.epsilon))
-    return StepperState(x=x_new, mu=mu_new, zeta=zeta_new, nu=nu_new, iter=k + 1)
+    return FlowState(x=x_new, mu=mu_new, zeta=zeta_new, nu=nu_new, t=k + 1)
 
 
 def step_adamssm(
-    state: StepperState,
+    state: FlowState,
     grad,
     preset: PresetParams,
     schedule: Optional[LrSchedule] = None,
     bias_mode: str = "paper",
-) -> StepperState:
+) -> FlowState:
     """One step of the two-state second-moment optimizer.
 
         mu'   = (1 - delta*b1)*mu + delta*b1*g
@@ -182,24 +164,24 @@ def step_adamssm(
 
 
 def step_adam(
-    state: StepperState,
+    state: FlowState,
     grad,
     preset: PresetParams,
     schedule: Optional[LrSchedule] = None,
     bias_mode: str = "paper",
-) -> StepperState:
+) -> FlowState:
     """One step with b3 forced to zero: zeta is carried but inert, and the
     second moment is the usual one-state exponential average of g^2."""
     return _moment_step(state, grad, preset, schedule, 0.0, False, bias_mode)
 
 
 def step_adabelief(
-    state: StepperState,
+    state: FlowState,
     grad,
     preset: PresetParams,
     schedule: Optional[LrSchedule] = None,
     bias_mode: str = "paper",
-) -> StepperState:
+) -> FlowState:
     """One step driving the second moment with (g - mu')^2, the squared
     deviation from the post-update first moment. preset.b3 = 0 gives the
     one-state variant; b3 > 0 the two-state variant."""
@@ -207,13 +189,13 @@ def step_adabelief(
 
 
 def step_gadagrad(
-    state: StepperState,
+    state: FlowState,
     grad,
     c: float,
     eta: float,
     epsilon: float,
     delta: float = 1.0,
-) -> StepperState:
+) -> FlowState:
     """One accumulator step: nu' = nu + delta*g^2, x' = x - delta*eta*g/(nu'^c + epsilon).
 
     No bias correction. The additive epsilon guard only matters when the
@@ -227,10 +209,10 @@ def step_gadagrad(
     denom = nu_new ** c + epsilon
     direction = np.divide(g, denom, out=np.zeros_like(g), where=denom > 0)
     x_new = state.x - (delta * eta) * direction
-    return StepperState(x=x_new, mu=state.mu, zeta=state.zeta, nu=nu_new, iter=state.iter + 1)
+    return FlowState(x=x_new, mu=state.mu, zeta=state.zeta, nu=nu_new, t=state.t + 1)
 
 
-def step_sgd_momentum(state: StepperState, grad, beta: float, eta: float) -> StepperState:
+def step_sgd_momentum(state: FlowState, grad, beta: float, eta: float) -> FlowState:
     """Classical heavy-ball step: m' = beta*m + g, x' = x - eta*m'.
 
     The momentum buffer lives in the mu slot; beta = 0 is plain gradient
@@ -241,7 +223,7 @@ def step_sgd_momentum(state: StepperState, grad, beta: float, eta: float) -> Ste
     g = np.asarray(grad, dtype=float)
     m_new = beta * state.mu + g
     x_new = state.x - eta * m_new
-    return StepperState(x=x_new, mu=m_new, zeta=state.zeta, nu=state.nu, iter=state.iter + 1)
+    return FlowState(x=x_new, mu=m_new, zeta=state.zeta, nu=state.nu, t=state.t + 1)
 
 
 @dataclass
@@ -261,8 +243,71 @@ class RunReport:
     wall_time_s: float = 0.0
     diagnostics: dict = field(default_factory=dict)
 
+    @classmethod
+    def failure(cls, name: str, error: str, wall_time_s: float = 0.0, **diagnostics) -> RunReport:
+        """Report of a failed run: NaN metrics, the error in its diagnostics."""
+        return cls(name, math.nan, 0, math.nan, None, wall_time_s, {"error": error, **diagnostics})
 
-Stepper = Callable[[StepperState, np.ndarray, Optional[LrSchedule]], StepperState]
+
+class RunSummary:
+    """The report of one run, flow or discrete, built from its rows one step
+    at a time.
+
+    Tracks the best f and the first step that reached it, the first step
+    whose gradient norm fell below threshold, the final gradient norm, and
+    whether nu stayed nonnegative and x inside the box (when there is one).
+    A non-finite f or gradient norm means the run diverged: the summary ends
+    there and its report is a failure naming the step.
+    """
+
+    def __init__(self, threshold: float, box: Optional[float] = None):
+        self.threshold = threshold
+        self.box = box
+        self.best_f = math.inf
+        self.epoch_of_best = 0
+        self.iters_to_threshold: Optional[int] = None
+        self.final_grad_norm = math.nan
+        self.nu_nonnegative = True
+        self.stayed_in_box = True
+        self.diverged_at: Optional[int] = None
+
+    def add(self, step: int, state: FlowState, f: float, grad_norm: float) -> bool:
+        """Fold in the row of one step; False once the run has diverged."""
+        if not (math.isfinite(f) and math.isfinite(grad_norm)):
+            self.diverged_at = step
+            return False
+        if f < self.best_f:
+            self.best_f = f
+            self.epoch_of_best = step
+        if self.iters_to_threshold is None and grad_norm < self.threshold:
+            self.iters_to_threshold = step
+        self.final_grad_norm = grad_norm
+        if self.nu_nonnegative and (state.nu < 0).any():
+            self.nu_nonnegative = False
+        if self.stayed_in_box and self.box is not None and not (np.abs(state.x) <= self.box).all():
+            self.stayed_in_box = False
+        return True
+
+    def report(self, name: str, wall_time_s: float = 0.0) -> RunReport:
+        k = self.diverged_at
+        if k is not None:
+            error = f"diverged at iteration {k}: f or the gradient norm is not finite"
+            return RunReport.failure(name, error, wall_time_s, diverged_at=k)
+        diagnostics = {"nu_nonnegative": self.nu_nonnegative}
+        if self.box is not None:
+            diagnostics["stayed_in_box"] = self.stayed_in_box
+        return RunReport(
+            optimizer=name,
+            best_f=float(self.best_f),
+            epoch_of_best=self.epoch_of_best,
+            final_grad_norm=float(self.final_grad_norm),
+            iters_to_threshold=self.iters_to_threshold,
+            wall_time_s=wall_time_s,
+            diagnostics=diagnostics,
+        )
+
+
+Stepper = Callable[[FlowState, np.ndarray, Optional[LrSchedule]], FlowState]
 
 
 def run_discrete(
@@ -281,71 +326,24 @@ def run_discrete(
 
     The trajectory's time column is the iteration count. alpha_fn, when given,
     supplies the recorded bias factor per iteration (1.0 otherwise). The
-    report tracks the best objective value, the iteration that first achieved
-    it, the final gradient norm, and the first iteration whose gradient norm
-    fell below threshold.
+    report summarizes every iteration, recorded or not (see RunSummary). A
+    run that diverges stops at the first non-finite f or gradient norm; that
+    iteration is recorded last and the report is a failure.
     """
     if num_iters < 0:
         raise ValueError("num_iters must be nonnegative")
     t_start = time.perf_counter()
     state = initial_stepper_state(x0, nu0)
-
-    times: list[float] = []
-    states: list[FlowState] = []
-    f_values: list[float] = []
-    grad_norms: list[float] = []
-    alpha_values: list[float] = []
-
-    best_f = np.inf
-    epoch_of_best = 0
-    iters_to_threshold: Optional[int] = None
-    nu_nonnegative = True
-    stayed_in_box = True
-    box = getattr(objective, "box", None)
-    final_grad_norm = np.nan
-
+    recorder = _Recorder()
+    summary = RunSummary(threshold, getattr(objective, "box", None))
     for k in range(num_iters + 1):
         f_k = objective.eval_f(state.x)
         g_k = objective.eval_grad(state.x)
         gnorm = float(np.linalg.norm(g_k))
-        if f_k < best_f:
-            best_f = f_k
-            epoch_of_best = k
-        if iters_to_threshold is None and gnorm < threshold:
-            iters_to_threshold = k
-        if np.any(state.nu < 0):
-            nu_nonnegative = False
-        if box is not None and np.any(np.abs(state.x) > box):
-            stayed_in_box = False
-        if k % record_stride == 0 or k == num_iters:
-            times.append(float(k))
-            states.append(
-                FlowState(x=state.x, mu=state.mu, zeta=state.zeta, nu=state.nu, t=float(k))
-            )
-            f_values.append(f_k)
-            grad_norms.append(gnorm)
-            alpha_values.append(1.0 if alpha_fn is None else float(alpha_fn(k)))
-        final_grad_norm = gnorm
-        if k < num_iters:
-            state = stepper(state, g_k, schedule)
-
-    traj = Trajectory(
-        times=np.array(times),
-        states=states,
-        f_values=np.array(f_values),
-        grad_norms=np.array(grad_norms),
-        alpha_values=np.array(alpha_values),
-    )
-    diagnostics = {"nu_nonnegative": nu_nonnegative}
-    if box is not None:
-        diagnostics["stayed_in_box"] = stayed_in_box
-    report = RunReport(
-        optimizer=name,
-        best_f=float(best_f),
-        epoch_of_best=int(epoch_of_best),
-        final_grad_norm=float(final_grad_norm),
-        iters_to_threshold=iters_to_threshold,
-        wall_time_s=time.perf_counter() - t_start,
-        diagnostics=diagnostics,
-    )
-    return traj, report
+        finite = summary.add(k, state, f_k, gnorm)
+        if k % record_stride == 0 or k == num_iters or not finite:
+            recorder.record(state, f_k, gnorm, 1.0 if alpha_fn is None else float(alpha_fn(k)))
+        if k == num_iters or not finite:
+            break
+        state = stepper(state, g_k, schedule)
+    return recorder.build(), summary.report(name, time.perf_counter() - t_start)

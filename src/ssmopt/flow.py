@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,10 +20,8 @@ from .core import (
     OptimizerParams,
     PresetKind,
     PresetParams,
-    PsiFunction,
     PsiKind,
     alpha_g,
-    make_psi,
     map_preset_to_general,
     validate_params,
     validate_preset,
@@ -55,7 +53,6 @@ class FlowProblem:
 
     objective: Objective
     params: OptimizerParams
-    psi: PsiFunction
     x0: np.ndarray
     nu0: np.ndarray
 
@@ -74,17 +71,9 @@ class FlowProblem:
         object.__setattr__(self, "nu0", nu0)
 
 
-def make_flow_problem(
-    objective: Objective,
-    params: OptimizerParams,
-    x0,
-    nu0,
-    psi: Optional[PsiFunction] = None,
-) -> FlowProblem:
-    """Assemble a FlowProblem, deriving psi from the params when not given."""
-    if psi is None:
-        psi = make_psi(params.psi_kind)
-    return FlowProblem(objective=objective, params=params, psi=psi, x0=x0, nu0=nu0)
+def make_flow_problem(objective: Objective, params: OptimizerParams, x0, nu0) -> FlowProblem:
+    """Assemble a FlowProblem; params.psi_kind selects the input function."""
+    return FlowProblem(objective=objective, params=params, x0=x0, nu0=nu0)
 
 
 class StateDeriv(NamedTuple):
@@ -132,7 +121,7 @@ class _Batch:
         self.l6 = column([p.lambda6 for p in ps])
         self.l7 = column([p.lambda7 for p in ps])
         self.l8 = column([p.lambda8 for p in ps])
-        belief = [p.psi.kind is PsiKind.BELIEF for p in problems]
+        belief = [p.psi_kind is PsiKind.BELIEF for p in ps]
         self.belief = np.array(belief)[:, None] if any(belief) else None
         groups: dict[float, list[int]] = {}
         for i, p in enumerate(ps):
@@ -174,8 +163,9 @@ def rhs_general(state: FlowState, t: float, problem: FlowProblem) -> StateDeriv:
         dnu   = lambda4*zeta - lambda5*nu + lambda6*psi(grad, mu)
         dx    = -(lambda7*mu + lambda8*grad) / (alpha_g(t) * nu**c)
 
-    psi is the shipped input function of problem.psi.kind. Requires nu > 0
-    componentwise (DomainError otherwise).
+    psi is (grad - mu)**2 for the belief input and grad**2 otherwise, as
+    problem.params.psi_kind selects. Requires nu > 0 componentwise
+    (DomainError otherwise).
     """
     s = np.stack([state.x, state.mu, state.zeta, state.nu])[None]
     dx, dmu, dzeta, dnu = _Batch([problem]).deriv(s, t)[0]
@@ -234,27 +224,24 @@ class Trajectory:
 
 
 class _Recorder:
-    """Accumulates trajectory records during integration."""
+    """Accumulates the recorded rows of one run, flow or discrete; the time
+    column is the recorded states' t."""
 
-    def __init__(self, problem: FlowProblem):
-        self.problem = problem
-        self.times: list[float] = []
+    def __init__(self):
         self.states: list[FlowState] = []
         self.f_values: list[float] = []
         self.grad_norms: list[float] = []
         self.alpha_values: list[float] = []
 
-    def record(self, state: FlowState) -> None:
-        obj = self.problem.objective
-        self.times.append(state.t)
+    def record(self, state: FlowState, f: float, grad_norm: float, alpha: float) -> None:
         self.states.append(state)
-        self.f_values.append(obj.eval_f(state.x))
-        self.grad_norms.append(float(np.linalg.norm(obj.eval_grad(state.x))))
-        self.alpha_values.append(alpha_g(state.t, self.problem.params))
+        self.f_values.append(f)
+        self.grad_norms.append(grad_norm)
+        self.alpha_values.append(alpha)
 
     def build(self) -> Trajectory:
         return Trajectory(
-            times=np.array(self.times),
+            times=np.array([s.t for s in self.states]),
             states=self.states,
             f_values=np.array(self.f_values),
             grad_norms=np.array(self.grad_norms),
@@ -293,6 +280,7 @@ def _row_state(s: np.ndarray, i: int, t: float) -> FlowState:
     return FlowState(x=s[i, 0], mu=s[i, 1], zeta=s[i, 2], nu=s[i, 3], t=t)
 
 
+
 def integrate_batch(
     problems: list[FlowProblem], step, dt: float, t_end: float, record_stride: int = 1
 ) -> list[Trajectory | StepFailure]:
@@ -310,7 +298,7 @@ def integrate_batch(
     if any(p.objective is not problems[0].objective for p in problems):
         raise ValueError("a batch integrates flows on one objective")
     results: list[Trajectory | StepFailure] = [None] * len(problems)
-    recorders = [_Recorder(p) for p in problems]
+    recorders = [_Recorder() for _ in problems]
     live = list(range(len(problems)))
     batch = _Batch(problems)
     s = np.array([[p.x0, np.zeros_like(p.x0), np.zeros_like(p.x0), p.nu0] for p in problems])
@@ -323,8 +311,14 @@ def integrate_batch(
         batch = _Batch([problems[r] for r in live])
         s = s[~bad]
 
-    for i, r in enumerate(live):
-        recorders[r].record(_row_state(s, i, 0.0))
+    def record(t: float) -> None:
+        for i, r in enumerate(live):
+            state, p = _row_state(s, i, t), problems[r]
+            f = p.objective.eval_f(state.x)
+            grad_norm = float(np.linalg.norm(p.objective.eval_grad(state.x)))
+            recorders[r].record(state, f, grad_norm, alpha_g(t, p.params))
+
+    record(0.0)
     k = 0
     while k < n_steps and live:
         try:
@@ -338,8 +332,7 @@ def integrate_batch(
         if (s[:, 3] <= 0).any():
             drop(np.any(s[:, 3] <= 0, axis=1), k * dt)
         if k % record_stride == 0 or k == n_steps:
-            for i, r in enumerate(live):
-                recorders[r].record(_row_state(s, i, k * dt))
+            record(k * dt)
     for r in live:
         results[r] = recorders[r].build()
     return results

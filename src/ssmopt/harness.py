@@ -62,6 +62,7 @@ from .discrete import (
     BIAS_MODES,
     LrSchedule,
     RunReport,
+    RunSummary,
     bias_alpha,
     run_discrete,
     step_adabelief,
@@ -70,7 +71,7 @@ from .discrete import (
     step_gadagrad,
     step_sgd_momentum,
 )
-from .flow import Trajectory, gadagrad_energy_residual, integrate_batch, preset_flow, rk4_step
+from .flow import gadagrad_energy_residual, integrate_batch, preset_flow, rk4_step
 from .objectives import Objective, make_logistic, make_quadratic, make_rosenbrock
 
 __all__ = [
@@ -166,11 +167,19 @@ def _check_keys(mapping: dict, allowed: tuple[str, ...], required: tuple[str, ..
             raise ParseError(f"missing required key '{where}'")
 
 
+def _as_float(value, where: str) -> float:
+    # json.loads keeps integer literals exact, so one can exceed every float
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError(f"{where}: number too large for a float") from None
+
+
 def _get_number(mapping: dict, key: str, default: float, path: str) -> float:
     value = mapping.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{path}.{key}: expected a number, got {type(value).__name__}")
-    return float(value)
+    return _as_float(value, f"{path}.{key}")
 
 
 def _get_int(mapping: dict, key: str, default: int, path: str) -> int:
@@ -209,7 +218,7 @@ def _parse_objective(raw: dict) -> ObjectiveSpec:
             raise ParseError(f"{path}.x0: expected a list of numbers")
         if len(seq) != dim:
             raise ParseError(f"{path}.x0: expected {dim} entries, got {len(seq)}")
-        x0 = tuple(float(v) for v in seq)
+        x0 = tuple(_as_float(v, f"{path}.x0") for v in seq)
     return ObjectiveSpec(
         kind=kind,
         dim=dim,
@@ -281,7 +290,7 @@ def _parse_milestones(raw: dict) -> tuple[tuple[int, float], ...]:
         )
         if not ok:
             raise ParseError(f"{path}.milestones[{i}]: expected an [iteration, multiplier] pair")
-        out.append((pair[0], float(pair[1])))
+        out.append((pair[0], _as_float(pair[1], f"{path}.milestones[{i}]")))
     return tuple(out)
 
 
@@ -414,14 +423,14 @@ def _make_stepper(spec: OptimizerSpec):
     if spec.kind == "sgd_momentum":
 
         def sgd(state, grad, schedule):
-            eta = preset.eta if schedule is None else schedule.eta_at(state.iter)
+            eta = preset.eta if schedule is None else schedule.eta_at(state.t)
             return step_sgd_momentum(state, grad, spec.beta, eta)
 
         return sgd, None
     if spec.kind == "gadagrad":
 
         def gadagrad(state, grad, schedule):
-            eta = preset.eta if schedule is None else schedule.eta_at(state.iter)
+            eta = preset.eta if schedule is None else schedule.eta_at(state.t)
             return step_gadagrad(state, grad, preset.c, eta, preset.epsilon, preset.delta)
 
         return gadagrad, None
@@ -435,14 +444,7 @@ def _make_stepper(spec: OptimizerSpec):
 
 
 def _error_report(name: str, exc: Exception) -> RunReport:
-    return RunReport(
-        optimizer=name,
-        best_f=float("nan"),
-        epoch_of_best=0,
-        final_grad_norm=float("nan"),
-        iters_to_threshold=None,
-        diagnostics={"error": f"{type(exc).__name__}: {exc}"},
-    )
+    return RunReport.failure(name, f"{type(exc).__name__}: {exc}")
 
 
 def _safe_name(name: str) -> str:
@@ -482,7 +484,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> list[RunReport]:
     writes traj_{index:02d}_{name}.csv into the output directory; the full
     report list lands in report.json (declaration order). A failed run yields
     a report with NaN metrics and the error message in its diagnostics, and
-    the remaining runs still execute.
+    the remaining runs still execute; a run that diverges is one of them.
     """
     out = Path(out_dir) if out_dir is not None else resolve_out_dir(config)
     out.mkdir(parents=True, exist_ok=True)
@@ -539,9 +541,10 @@ def run_flows(config: ExperimentConfig, dt: float, t_end: float, out_dir=None) -
     its solo run bitwise. sgd_momentum entries have no counterpart in this
     family and are skipped with a note on stderr. The time column of
     flow_{index:02d}_{name}.csv is physical time; report epochs count
-    integrator steps. G-AdaGrad entries get an energy_residual_max_abs
-    diagnostic; every report flags whether the recorded iterates stayed
-    inside the objective's test box.
+    integrator steps, and a report summarizes the recorded rows (see
+    RunSummary): a non-finite one fails the flow. G-AdaGrad entries get an
+    energy_residual_max_abs diagnostic; every report flags whether the
+    recorded iterates stayed inside the objective's test box.
     """
     out = Path(out_dir) if out_dir is not None else resolve_out_dir(config)
     out.mkdir(parents=True, exist_ok=True)
@@ -564,7 +567,8 @@ def run_flows(config: ExperimentConfig, dt: float, t_end: float, out_dir=None) -
         except Exception as exc:
             outcomes[i] = exc
     try:
-        batch = integrate_batch(list(problems.values()), rk4_step, dt, t_end, config.record_stride)
+        with np.errstate(over="ignore", invalid="ignore"):
+            batch = integrate_batch(list(problems.values()), rk4_step, dt, t_end, config.record_stride)
         outcomes.update(zip(problems, batch))
     except Exception as exc:
         outcomes.update(dict.fromkeys(problems, exc))
@@ -576,8 +580,12 @@ def run_flows(config: ExperimentConfig, dt: float, t_end: float, out_dir=None) -
             if isinstance(traj, Exception):
                 raise traj
             traj.to_csv(out / f"flow_{i:02d}_{_safe_name(spec.name)}.csv")
-            report = _flow_report(spec.name, traj, dt, config.threshold, objective.box)
-            if spec.kind == "gadagrad":
+            summary = RunSummary(config.threshold, objective.box)
+            for t, state, f, grad_norm in zip(traj.times, traj.states, traj.f_values, traj.grad_norms):
+                if not summary.add(int(round(t / dt)), state, f, grad_norm):
+                    break
+            report = summary.report(spec.name)
+            if spec.kind == "gadagrad" and summary.diverged_at is None:
                 residual = gadagrad_energy_residual(traj, problems[i])
                 report.diagnostics["energy_residual_max_abs"] = float(np.max(np.abs(residual)))
         except Exception as exc:
@@ -585,27 +593,6 @@ def run_flows(config: ExperimentConfig, dt: float, t_end: float, out_dir=None) -
         reports.append(report)
     _write_report_json(reports, out / "flow_report.json")
     return reports
-
-
-def _flow_report(name: str, traj: Trajectory, dt: float, threshold: float, box: float) -> RunReport:
-    best = int(np.argmin(traj.f_values))
-    below = np.nonzero(traj.grad_norms < threshold)[0]
-    first_below = int(below[0]) if below.size else None
-
-    def to_step(idx: int) -> int:
-        return int(round(traj.times[idx] / dt))
-
-    return RunReport(
-        optimizer=name,
-        best_f=float(traj.f_values[best]),
-        epoch_of_best=to_step(best),
-        final_grad_norm=float(traj.grad_norms[-1]),
-        iters_to_threshold=None if first_below is None else to_step(first_below),
-        diagnostics={
-            "nu_nonnegative": True,
-            "stayed_in_box": bool(np.all(np.abs(traj.x_matrix()) <= box)),
-        },
-    )
 
 
 def _rank_reports(reports: list[RunReport]) -> list[RunReport]:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_valid_adamssm_preset
+from samplers import random_valid_adamssm_preset
 from oracles import algorithm_flow_run, algorithm_paper_run, taylor_expm
 from ssmopt import (
     OptimizerParams,
@@ -84,12 +84,12 @@ def test_c01_zero_coupling_reduction_identity(rng):
     for _ in range(100):
         preset = replace(random_valid_adamssm_preset(rng), b3=0.0)
         state = initial_stepper_state(rng.uniform(-2, 2, 3), rng.uniform(0.1, 2.0, 3))
-        state = replace(state, iter=int(rng.integers(0, 200)))
+        state = replace(state, t=float(rng.integers(0, 200)))
         grad = rng.standard_normal(3)
         mode = BIAS_MODES[rng.integers(0, len(BIAS_MODES))]
         a = step_adamssm(state, grad, preset, None, mode)
         b = step_adam(state, grad, preset, None, mode)
-        assert a.iter == b.iter
+        assert a.t == b.t
         for field in ("x", "mu", "zeta", "nu"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
 

@@ -28,7 +28,7 @@ from ssmopt import (
 )
 from ssmopt.analysis import alpha_decay_condition
 from ssmopt.core import alpha_g, map_preset_to_general
-from conftest import random_valid_adamssm_preset
+from samplers import random_valid_adamssm_preset
 from oracles import rk4_lti_response, taylor_expm
 
 B2, B3 = 0.0067, 0.02

@@ -1,8 +1,10 @@
-"""Unit tests for the domain types, input functions, bias correction, and
-parameter validation."""
+"""Unit tests for the domain types, bias correction, and parameter
+validation."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssmopt import (
     DomainError,
@@ -12,14 +14,14 @@ from ssmopt import (
     PsiKind,
     ValidationError,
     alpha_g,
-    initial_flow_state,
-    make_psi,
+    initial_stepper_state,
+    make_flow_problem,
+    make_quadratic,
     map_preset_to_general,
     validate_params,
     validate_preset,
 )
-from ssmopt.core import psi_belief, psi_squared_gradient
-from conftest import random_valid_adamssm_preset, random_valid_params
+from samplers import random_valid_adamssm_preset, random_valid_params
 
 ADAM_DEFAULTS = PresetParams()
 ADAMSSM_DEFAULTS = PresetParams(b3=0.02)
@@ -27,37 +29,6 @@ ADAMSSM_DEFAULTS = PresetParams(b3=0.02)
 
 def adam_params() -> OptimizerParams:
     return map_preset_to_general(ADAM_DEFAULTS, PresetKind.ADAM)
-
-
-class TestPsi:
-    def test_squared_gradient_values(self):
-        g = np.array([-2.0, 0.0, 3.0])
-        out = psi_squared_gradient(g, np.zeros(3))
-        assert np.array_equal(out, np.array([4.0, 0.0, 9.0]))
-
-    def test_belief_values(self):
-        g = np.array([1.0, -1.0])
-        mu = np.array([0.5, 0.5])
-        assert np.array_equal(psi_belief(g, mu), np.array([0.25, 2.25]))
-
-    def test_belief_zero_when_tracking(self):
-        g = np.linspace(-3, 3, 7)
-        assert np.array_equal(psi_belief(g, g), np.zeros(7))
-
-    def test_nonnegative_on_large_random_input(self, rng):
-        g = rng.standard_normal(1_000_000) * 100.0
-        mu = rng.standard_normal(1_000_000) * 100.0
-        assert np.all(psi_squared_gradient(g, mu) >= 0.0)
-        assert np.all(psi_belief(g, mu) >= 0.0)
-
-    def test_make_psi_dispatch(self):
-        sq = make_psi(PsiKind.SQUARED_GRADIENT)
-        be = make_psi(PsiKind.BELIEF)
-        assert sq.kind is PsiKind.SQUARED_GRADIENT
-        assert be.kind is PsiKind.BELIEF
-        g = np.array([2.0])
-        assert sq(g, np.array([9.0]))[0] == 4.0
-        assert be(g, np.array([1.0]))[0] == 1.0
 
 
 class TestAlphaG:
@@ -263,20 +234,40 @@ class TestPresetMapping:
             validate_params(map_preset_to_general(preset, kind))
 
 
+# any float, or one in (0, 1) where every rate condition can hold
+RATES = st.floats() | st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(
+    kind=st.sampled_from(PresetKind),
+    b1=RATES, b2=RATES, b3=RATES | st.just(0.0), c=RATES,
+    delta=RATES, epsilon=RATES, eta=RATES,
+)
+def test_valid_preset_maps_to_valid_params(kind, b1, b2, b3, c, delta, epsilon, eta):
+    preset = PresetParams(b1=b1, b2=b2, b3=b3, delta=delta, epsilon=epsilon, eta=eta, c=c)
+    try:
+        validate_preset(preset, kind)
+    except ValidationError:
+        return
+    validate_params(map_preset_to_general(preset, kind))
+
+
 class TestInitialFlowState:
     def test_moments_start_at_zero(self):
-        state = initial_flow_state([1.0, -2.0], [0.5, 0.5])
+        state = initial_stepper_state([1.0, -2.0], [0.5, 0.5])
         assert np.array_equal(state.mu, np.zeros(2))
         assert np.array_equal(state.zeta, np.zeros(2))
         assert np.array_equal(state.nu, np.array([0.5, 0.5]))
         assert state.t == 0.0
 
     def test_nonpositive_nu0_rejected(self):
+        # flows need nu0 > 0; discrete runs may start at nu0 = 0
         with pytest.raises(DomainError):
-            initial_flow_state([1.0], [0.0])
+            make_flow_problem(make_quadratic(1, 1.0), adam_params(), [1.0], [0.0])
         with pytest.raises(DomainError):
-            initial_flow_state([1.0, 1.0], [1.0, -1.0])
+            make_flow_problem(make_quadratic(2, 1.0), adam_params(), [1.0, 1.0], [1.0, -1.0])
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            initial_flow_state([1.0, 2.0], [1.0])
+            initial_stepper_state([1.0, 2.0], [1.0])

@@ -1,6 +1,8 @@
 """Unit tests for the discrete steppers, schedules, and the recording run
 loop."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -39,7 +41,7 @@ class TestAdamssmStep:
         assert new.zeta[0] == 0.0
         assert new.nu[0] == 0.15 * 0.0067
         assert new.x[0] == 0.9996127016753793
-        assert new.iter == 1
+        assert new.t == 1
 
     def test_zero_gradient_leaves_iterate_fixed(self):
         state = initial_stepper_state(np.array([3.0, -2.0]))
@@ -280,6 +282,25 @@ class TestRunDiscrete:
         _, report = run_discrete(diverging, obj, np.ones(2), 30)
         assert report.diagnostics["stayed_in_box"] is False
         assert report.best_f <= obj.eval_f(np.ones(2))
+
+    def test_non_finite_value_ends_the_run_as_a_failure(self):
+        obj = make_quadratic(2, 100.0)
+
+        def diverging(state, grad, schedule):
+            return step_sgd_momentum(state, grad, beta=0.9, eta=0.5)
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj, report = run_discrete(diverging, obj, np.ones(2), 200, record_stride=10, name="sgd")
+        k = report.diagnostics["diverged_at"]
+        assert report.diagnostics == {
+            "error": f"diverged at iteration {k}: f or the gradient norm is not finite",
+            "diverged_at": k,
+        }
+        assert report.optimizer == "sgd"
+        assert math.isnan(report.best_f) and math.isnan(report.final_grad_norm)
+        # recorded up to and including the first non-finite iteration
+        assert k % 10 and traj.times[-1] == k and traj.times[-2] == k - k % 10
+        assert not np.isfinite(traj.grad_norms[-1])
 
     def test_initial_second_moment_shape_checked(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ from ssmopt import (
     Trajectory,
     ValidationError,
     gadagrad_energy_residual,
-    initial_flow_state,
+    initial_stepper_state,
     integrate_euler,
     integrate_reference,
     make_flow_problem,
@@ -27,9 +27,8 @@ from ssmopt import (
     preset_flow,
     rhs_general,
 )
-from ssmopt.core import make_psi
 from ssmopt.flow import euler_step, integrate_batch, rk4_step
-from conftest import random_valid_adamssm_preset, random_valid_params
+from samplers import random_valid_adamssm_preset, random_valid_params
 from oracles import adam_rhs, general_flow_run, general_rhs
 
 ADAMSSM = PresetParams(b3=0.02)
@@ -109,13 +108,12 @@ class TestRhsGeneral:
         obj = make_rosenbrock(3)
         for _ in range(50):
             params = random_valid_params(rng)
-            psi = make_psi(params.psi_kind)
             problem = make_flow_problem(obj, params, np.ones(3), np.ones(3))
             state = random_flow_state(rng, 3)
             d = rhs_general(state, state.t, problem)
             dmu, dzeta, dnu, dx = general_rhs(
                 state.x, state.mu, state.zeta, state.nu, state.t,
-                lam_dict(params), params.c, psi, obj.eval_grad,
+                lam_dict(params), params.c, ORACLE_PSI[params.psi_kind], obj.eval_grad,
             )
             assert np.allclose(d.dmu, dmu, rtol=1e-12, atol=0.0)
             assert np.allclose(d.dzeta, dzeta, rtol=1e-12, atol=0.0)
@@ -450,7 +448,7 @@ class TestEnergyResidual:
 
 class TestInitialState:
     def test_moments_zeroed(self):
-        state = initial_flow_state(np.array([1.0, 2.0]), np.array([0.5, 0.5]))
+        state = initial_stepper_state(np.array([1.0, 2.0]), np.array([0.5, 0.5]))
         assert state.t == 0.0
         assert np.array_equal(state.mu, np.zeros(2))
 

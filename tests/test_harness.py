@@ -3,13 +3,18 @@ command-line interface."""
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssmopt import RunReport, ValidationError, cli
+from ssmopt.discrete import BIAS_MODES
 from ssmopt.harness import (
+    PRESET_OPTIMIZER_KINDS,
     SUMMARY_COLUMNS,
     ExperimentConfig,
     ObjectiveSpec,
@@ -182,6 +187,20 @@ class TestLoadConfig:
             with pytest.raises(ParseError, match="non-finite number"):
                 load_config(path)
 
+    def test_integers_too_large_for_a_float_rejected(self, tmp_path):
+        huge = 10 ** 400
+        for where, edit in [
+            ("optimizers[0].eta", lambda p: p["optimizers"][0].update(eta=huge)),
+            ("objective.x0", lambda p: p["objective"].update(x0=[1.0, -huge])),
+            ("schedule.milestones[1]", lambda p: p.update(schedule={"milestones": [[5, 0.5], [9, huge]]})),
+        ]:
+            payload = base_payload()
+            edit(payload)
+            path = write_config(tmp_path, payload)
+            with pytest.raises(ParseError, match=f"{re.escape(where)}: number too large for a float"):
+                load_config(path)
+        assert cli.main(["run", str(path)]) == 1
+
     def test_objective_keys_scoped_by_kind(self, tmp_path):
         payload = base_payload()
         payload["objective"] = {"kind": "rosenbrock", "cond": 10.0}
@@ -232,6 +251,69 @@ class TestLoadConfig:
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(ParseError, match="cannot read config file"):
             load_config(tmp_path / "missing.json")
+
+
+def config_payloads():
+    """Configs whose every number may be any float or an integer too large
+    for one, and where now and then any value stands for a field or the
+    whole document."""
+    too_large = st.integers(min_value=2 ** 1024, max_value=10 ** 400).map(lambda n: n * (-1) ** n)
+    numbers = st.one_of(
+        st.integers(),
+        too_large,
+        too_large,
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+    anything = st.recursive(
+        st.none() | st.booleans() | numbers | st.text(max_size=3),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        max_leaves=6,
+    )
+
+    def mostly(strategy):
+        return st.one_of(strategy, strategy, strategy, anything)
+
+    def entry(required, keys, **special):
+        optional = {key: mostly(special.get(key, numbers)) for key in keys}
+        return st.fixed_dictionaries(required, optional=optional)
+
+    shape = {"dim": st.integers(1, 3), "x0": st.lists(numbers, min_size=1, max_size=3)}
+    objective = st.one_of(
+        entry({"kind": st.just("quadratic")}, ("dim", "cond", "x0"), **shape),
+        entry({"kind": st.just("rosenbrock")}, ("dim", "x0"), **shape),
+        entry({"kind": st.just("logistic")}, ("dim", "n_samples", "seed", "x0"), **shape),
+    )
+    optimizer = st.one_of(
+        entry(
+            {"kind": st.sampled_from(PRESET_OPTIMIZER_KINDS)},
+            ("name", "b1", "b2", "b3", "delta", "epsilon", "eta", "c", "bias_mode"),
+            name=st.text(max_size=3),
+            bias_mode=st.sampled_from(BIAS_MODES),
+        ),
+        entry({"kind": st.just("sgd_momentum")}, ("name", "eta", "beta"), name=st.text(max_size=3)),
+    )
+    milestone = st.tuples(st.integers(), numbers).map(list)
+    config = entry(
+        {"objective": mostly(objective), "optimizers": mostly(st.lists(optimizer, min_size=1, max_size=3))},
+        ("iterations", "record_stride", "threshold", "schedule", "output_dir"),
+        iterations=st.integers(),
+        record_stride=st.integers(),
+        schedule=st.fixed_dictionaries({"milestones": st.lists(mostly(milestone), max_size=3)}),
+        output_dir=st.text(max_size=3),
+    )
+    return mostly(config)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(payload=config_payloads())
+def test_load_config_raises_only_parse_or_validation_errors(payload, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "property_config.json"
+    path.write_text(json.dumps(payload))
+    try:
+        load_config(path)
+    except (ParseError, ValidationError):
+        pass
 
 
 class TestObjectiveSetup:
@@ -472,6 +554,19 @@ class TestRunFlows:
             assert report.final_grad_norm == reports[1][i].final_grad_norm
             assert report.iters_to_threshold > len(steps)
 
+    def test_non_finite_record_fails_the_flow(self, tmp_path):
+        payload = base_payload()
+        payload["objective"]["x0"] = [1e200, 1e200]
+        payload["optimizers"] = [{"kind": "gadagrad"}, {"kind": "adam"}]
+        payload["record_stride"] = 3
+        config = load_config(write_config(tmp_path, payload))
+        for report in run_flows(config, dt=0.01, t_end=0.1, out_dir=tmp_path / "out"):
+            assert math.isnan(report.best_f)
+            assert report.diagnostics == {
+                "error": "diverged at iteration 0: f or the gradient norm is not finite",
+                "diverged_at": 0,
+            }
+
     def test_failed_flow_keeps_its_solo_error(self, tmp_path):
         payload = base_payload()
         payload["objective"]["x0"] = [0.0, 0.0]
@@ -555,6 +650,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert "failed runs: unstable" in err
         assert "report.json" in err
+
+    def test_compare_fails_a_diverging_run_with_exit_2(self, capsys, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        monkeypatch.setenv("SSMOPT_OUT_DIR", str(out))
+        payload = {
+            "objective": {"kind": "quadratic", "dim": 2, "cond": 100.0},
+            "optimizers": [{"kind": "sgd_momentum", "eta": 0.5, "name": "diverging"}],
+            "iterations": 200,
+        }
+        rc = cli.main(["compare", str(write_config(tmp_path, payload))])
+        assert rc == 2
+        assert "failed runs: diverging" in capsys.readouterr().err
+        (record,) = json.loads((out / "report.json").read_text())
+        k = record["diagnostics"]["diverged_at"]
+        assert record["diagnostics"]["error"] == (
+            f"diverged at iteration {k}: f or the gradient norm is not finite"
+        )
+        assert record["best_f"] is None and record["final_grad_norm"] is None
+        # the trajectory ends at the first non-finite row
+        rows = np.loadtxt(out / "traj_00_diverging.csv", delimiter=",", skiprows=1)
+        assert rows[-1, 0] == k < 200
+        assert not np.isfinite(rows[-1, :3]).all()
+        assert np.isfinite(rows[:-1, :3]).all()
 
     def test_flow_argument_checks_precede_config_loading(self, capsys, tmp_path):
         rc = cli.main(["flow", str(tmp_path / "nope.json"), "--dt", "0", "--t-end", "1"])
