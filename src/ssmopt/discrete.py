@@ -1,9 +1,10 @@
 """Discrete-time optimizers sharing one update kernel, plus a heavy-ball
-baseline, learning-rate schedules, and a recording run loop.
+baseline, learning-rate schedules, a recording run loop, and the run summary
+that reports discrete runs and flows alike.
 
 Steppers are pure state transitions: they take a state and a gradient and
-return a new state. One run is sequential; many runs may execute concurrently
-with independent states.
+return a new state, one iteration later. One run is sequential; many runs may
+execute concurrently with independent states.
 """
 
 from __future__ import annotations
