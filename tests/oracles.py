@@ -181,3 +181,89 @@ def general_flow_run(x0, nu0, lam, c, psi, grad, dt, n_steps, rk4):
             s = shift(s, dt, f(s, t))
         out.append(s)
     return out
+
+
+def discrete_entry_run(entry, grad, x0, num_iters, milestones):
+    """Sequential transcription of the discrete update of one config entry,
+    from x0 with zero moments, under the milestone learning-rate schedule.
+
+    entry is a config optimizer entry with every rate spelled out (kind, eta,
+    and b1, b2, b3, delta, epsilon, bias_mode or c, delta, epsilon or beta).
+    The updates, at iteration k with eta_k = eta times every multiplier whose
+    milestone is at or before k:
+
+      adam family (b3 = 0 for adam and adabelief):
+        mu'   = (1 - delta*b1)*mu + delta*b1*g
+        zeta' = (1 - delta*b2)*zeta + delta*b2*nu
+        nu'   = delta*b3*zeta + (1 - delta*b2 - delta*b3)*nu + delta*b2*psi
+        psi   = (g - mu')^2 for the belief kinds, g^2 otherwise
+        x'    = x - eta_k * (mu'/B1) / (sqrt(nu'/B2) + epsilon)
+        with  B = 1 - (1 - b)^(k+1)              (paper)
+              B = 1 - (1 - delta*b)^(k+1)        (beta)
+              B = 1 - (1 - b)^(k*delta + 1)      (continuous)
+        and the recorded bias factor B1 / B2^(1/2);
+      gadagrad:
+        nu' = nu + delta*g^2,  x' = x - delta*eta_k * g / (nu'^c + epsilon)
+        (a zero denominator gives a zero step);
+      sgd_momentum:
+        mu' = beta*mu + g,     x' = x - eta_k * mu'.
+
+    Returns one (alpha, x, mu, zeta, nu) tuple per iteration 0..num_iters,
+    alpha being the bias factor at that iteration (1 for the kinds without
+    bias correction).
+    """
+    kind = entry["kind"]
+    x = np.asarray(x0, dtype=float).copy()
+    mu = np.zeros_like(x)
+    zeta = np.zeros_like(x)
+    nu = np.zeros_like(x)
+
+    def eta_at(k):
+        eta = entry["eta"]
+        for it, m in milestones:
+            if k >= it:
+                eta = eta * m
+        return eta
+
+    def bias(k):
+        b1, b2, delta = entry["b1"], entry["b2"], entry["delta"]
+        mode = entry["bias_mode"]
+        if mode == "paper":
+            return 1.0 - (1.0 - b1) ** (k + 1), 1.0 - (1.0 - b2) ** (k + 1)
+        if mode == "beta":
+            return 1.0 - (1.0 - delta * b1) ** (k + 1), 1.0 - (1.0 - delta * b2) ** (k + 1)
+        e = k * delta + 1.0
+        return 1.0 - (1.0 - b1) ** e, 1.0 - (1.0 - b2) ** e
+
+    moments = kind in ("adam", "adabelief", "adamssm", "adabeliefssm")
+    rows = []
+    for k in range(num_iters + 1):
+        if moments:
+            b1_corr, b2_corr = bias(k)
+            alpha = b1_corr / b2_corr ** 0.5
+        else:
+            alpha = 1.0
+        rows.append((alpha, x.copy(), mu.copy(), zeta.copy(), nu.copy()))
+        if k == num_iters:
+            break
+        g = grad(x)
+        eta = eta_at(k)
+        if kind == "sgd_momentum":
+            mu = entry["beta"] * mu + g
+            x = x - eta * mu
+        elif kind == "gadagrad":
+            delta = entry["delta"]
+            nu = nu + delta * (g * g)
+            denom = nu ** entry["c"] + entry["epsilon"]
+            direction = np.divide(g, denom, out=np.zeros_like(g), where=denom > 0)
+            x = x - (delta * eta) * direction
+        else:
+            b1, b2, delta = entry["b1"], entry["b2"], entry["delta"]
+            b3 = entry["b3"] if kind in ("adamssm", "adabeliefssm") else 0.0
+            mu = (1.0 - delta * b1) * mu + (delta * b1) * g
+            zeta_new = (1.0 - delta * b2) * zeta + (delta * b2) * nu
+            psi = (g - mu) ** 2 if kind in ("adabelief", "adabeliefssm") else g ** 2
+            nu = (delta * b3) * zeta + (1.0 - delta * b2 - delta * b3) * nu + (delta * b2) * psi
+            zeta = zeta_new
+            x = x - eta * ((mu / b1_corr) / (np.sqrt(nu / b2_corr) + entry["epsilon"]))
+    return rows

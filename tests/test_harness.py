@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import discrete_entry_run
 from ssmopt import RunReport, ValidationError, cli
 from ssmopt.discrete import BIAS_MODES
 from ssmopt.harness import (
@@ -423,6 +424,40 @@ class TestRunExperiment:
         out = tmp_path / "out"
         run_experiment(config, out_dir=out)
         assert (out / "traj_00_weird_name_1.csv").exists()
+
+    def test_every_row_matches_the_discrete_oracle_bitwise(self, tmp_path):
+        moment_rates = {"b1": 0.67, "b2": 0.0067, "delta": 0.15, "epsilon": 1e-8, "eta": 0.05}
+        entries = [{"kind": "gadagrad", "c": 0.5, "delta": 0.15, "epsilon": 1e-8, "eta": 0.5}]
+        for kind in ("adam", "adabelief", "adamssm", "adabeliefssm"):
+            for mode in BIAS_MODES:
+                entry = {"kind": kind, "name": f"{kind}-{mode}", "bias_mode": mode, **moment_rates}
+                if kind.endswith("ssm"):
+                    entry["b3"] = 0.02
+                entries.append(entry)
+        entries.append({"kind": "sgd_momentum", "beta": 0.9, "eta": 0.01})
+        milestones = [[20, 0.5], [40, 0.1]]
+        payload = {
+            "objective": {"kind": "quadratic", "dim": 3, "cond": 10.0},
+            "optimizers": entries,
+            "iterations": 60,
+            "record_stride": 1,
+            "schedule": {"milestones": milestones},
+        }
+        config = load_config(write_config(tmp_path, payload))
+        out = tmp_path / "out"
+        reports = run_experiment(config, out_dir=out)
+        assert all("error" not in r.diagnostics for r in reports)
+        objective = build_objective(config.objective)
+        x0 = default_x0(config.objective)
+        for i, entry in enumerate(entries):
+            (path,) = out.glob(f"traj_{i:02d}_*.csv")
+            lines = path.read_text().splitlines()[1:]
+            expected = discrete_entry_run(entry, objective.eval_grad, x0, 60, milestones)
+            assert len(lines) == len(expected) == 61
+            for k, (line, (alpha, *state)) in enumerate(zip(lines, expected)):
+                got = np.array([float(v) for v in line.split(",")[3:]])
+                want = np.concatenate([[alpha], *state])
+                assert got.tobytes() == want.tobytes(), f"{path.name} row {k}"
 
 
 class TestEmitSummary:
