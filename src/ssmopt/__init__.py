@@ -4,8 +4,8 @@ The package has three layers:
 
 - continuous time: a nine-parameter family of optimizer flows (core, flow)
   with validation of the convergence conditions and fixed-step integrators;
-- discrete time: the matching steppers (discrete), including the two-state
-  second-moment methods and classical baselines;
+- discrete time: one stepper for the named presets, keyed by PresetKind
+  like their flows, and a heavy-ball baseline (discrete);
 - analysis and tooling: transfer-function/pole-zero analysis of the
   second-moment dynamic (analysis), synthetic objectives with gradient
   oracles (objectives), and a JSON-config experiment harness with a CLI
@@ -48,10 +48,7 @@ from .discrete import (
     bias_denominators,
     initial_stepper_state,
     run_discrete,
-    step_adabelief,
-    step_adam,
-    step_adamssm,
-    step_gadagrad,
+    step_preset,
     step_sgd_momentum,
 )
 from .flow import (

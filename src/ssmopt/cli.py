@@ -31,14 +31,10 @@ def _complex_pairs(roots) -> list[list[float]]:
     return [[z.real, z.imag] for z in roots]
 
 
-def _failed_runs(reports) -> list[str]:
-    return [r.optimizer for r in reports if "error" in r.diagnostics]
-
-
-def _finish(reports, out_dir) -> int:
-    failed = _failed_runs(reports)
+def _finish(reports, report_path) -> int:
+    failed = [r.optimizer for r in reports if "error" in r.diagnostics]
     if failed:
-        print(f"failed runs: {', '.join(failed)} (see {out_dir}/report.json)", file=sys.stderr)
+        print(f"failed runs: {', '.join(failed)} (see {report_path})", file=sys.stderr)
         return 2
     return 0
 
@@ -48,7 +44,7 @@ def _cmd_run(args) -> int:
     out = resolve_out_dir(config)
     reports = run_experiment(config)
     print(f"wrote {len(reports)} trajectories and report.json to {out}")
-    return _finish(reports, out)
+    return _finish(reports, out / "report.json")
 
 
 def _cmd_compare(args) -> int:
@@ -56,7 +52,7 @@ def _cmd_compare(args) -> int:
     out = resolve_out_dir(config)
     reports = run_compare(config)
     print((out / "summary.csv").read_text(), end="")
-    return _finish(reports, out)
+    return _finish(reports, out / "report.json")
 
 
 def _cmd_flow(args) -> int:
@@ -75,11 +71,7 @@ def _cmd_flow(args) -> int:
     out = resolve_out_dir(config)
     reports = run_flows(config, args.dt, args.t_end)
     print(f"wrote {len(reports)} flow trajectories and flow_report.json to {out}")
-    failed = _failed_runs(reports)
-    if failed:
-        print(f"failed runs: {', '.join(failed)} (see {out}/flow_report.json)", file=sys.stderr)
-        return 2
-    return 0
+    return _finish(reports, out / "flow_report.json")
 
 
 def _cmd_analyze(args) -> int:

@@ -78,6 +78,13 @@ class OptimizerParams:
         return self.lambda7 > 0
 
 
+def moment_bias(t: float, rate1: float, rate2: float) -> tuple[float, float]:
+    """Bias of the first and second moment estimates at time t: the share
+    1 - (1 - rate)^(t+1) of its input that an estimate started at zero has
+    gathered, for each of the two rates."""
+    return 1.0 - (1.0 - rate1) ** (t + 1), 1.0 - (1.0 - rate2) ** (t + 1)
+
+
 def alpha_g(t: float, params: OptimizerParams) -> float:
     """Bias-correction factor at time t.
 
@@ -88,10 +95,8 @@ def alpha_g(t: float, params: OptimizerParams) -> float:
     """
     if params.lambda7 == 0:
         return 1.0
-    t = float(t)
-    num = 1.0 - (1.0 - params.lambda2) ** (t + 1.0)
-    den = (1.0 - (1.0 - params.lambda6) ** (t + 1.0)) ** params.c
-    return num / den
+    num, den = moment_bias(float(t), params.lambda2, params.lambda6)
+    return num / den ** params.c
 
 
 def validate_params(raw: OptimizerParams) -> OptimizerParams:

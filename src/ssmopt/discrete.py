@@ -1,9 +1,9 @@
-"""Discrete-time optimizers sharing one update kernel, plus a heavy-ball
-baseline, learning-rate schedules, a recording run loop, and the run summary
-that reports discrete runs and flows alike.
+"""Discrete-time optimizers: one stepper for the named presets, keyed by
+PresetKind, plus a heavy-ball baseline, learning-rate schedules, a recording
+run loop, and the run summary that reports discrete runs and flows alike.
 
-Steppers are pure state transitions: they take a state and a gradient and
-return a new state, one iteration later. One run is sequential; many runs may
+Steppers are pure state transitions: they take a state, a gradient and a
+learning rate and return a new state, one iteration later. One run is sequential; many runs may
 execute concurrently with independent states.
 """
 
@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import FlowState, PresetParams, ValidationError
+from .core import FlowState, PresetKind, PresetParams, ValidationError, moment_bias
 from .flow import Trajectory, _Recorder
 
 BIAS_MODES = ("paper", "beta", "continuous")
@@ -69,151 +69,96 @@ class LrSchedule:
         return eta
 
 
-def _schedule_or_default(schedule: Optional[LrSchedule], preset: PresetParams) -> LrSchedule:
-    return schedule if schedule is not None else LrSchedule(base_eta=preset.eta)
-
-
 def bias_denominators(preset: PresetParams, iteration: int, bias_mode: str) -> tuple[float, float]:
-    """Bias-correction denominators for the moment estimates at one iteration.
+    """Bias-correction denominators for the moment estimates at one iteration,
+    core.moment_bias at
 
-    paper:      1 - (1 - b1)^(k+1)          and 1 - (1 - b2)^(k+1)
-    beta:       1 - (1 - delta*b1)^(k+1)    and 1 - (1 - delta*b2)^(k+1)
-    continuous: 1 - (1 - b1)^(k*delta + 1)  and 1 - (1 - b2)^(k*delta + 1),
-                the flow's bias factor sampled at physical time k*delta.
+    paper:      t = k with the rates b1 and b2,
+    beta:       t = k with the rates delta*b1 and delta*b2,
+    continuous: t = k*delta with the rates b1 and b2, the flow's bias factor
+                sampled at physical time k*delta.
     """
     k = iteration
     if bias_mode == "paper":
-        return 1.0 - (1.0 - preset.b1) ** (k + 1), 1.0 - (1.0 - preset.b2) ** (k + 1)
+        return moment_bias(k, preset.b1, preset.b2)
     if bias_mode == "beta":
-        return (
-            1.0 - (1.0 - preset.delta * preset.b1) ** (k + 1),
-            1.0 - (1.0 - preset.delta * preset.b2) ** (k + 1),
-        )
+        return moment_bias(k, preset.delta * preset.b1, preset.delta * preset.b2)
     if bias_mode == "continuous":
-        e = k * preset.delta + 1.0
-        return 1.0 - (1.0 - preset.b1) ** e, 1.0 - (1.0 - preset.b2) ** e
+        return moment_bias(k * preset.delta, preset.b1, preset.b2)
     raise ValueError(f"bias_mode must be one of {BIAS_MODES}, got {bias_mode!r}")
 
 
-def bias_alpha(preset: PresetParams, iteration: int, bias_mode: str, c: float = 0.5) -> float:
-    """Effective bias factor B1/B2^c applied to the x update at one iteration."""
+def bias_alpha(preset: PresetParams, iteration: int, bias_mode: str) -> float:
+    """Effective bias factor B1/B2^(1/2) applied to the x update at one iteration."""
     b1_corr, b2_corr = bias_denominators(preset, iteration, bias_mode)
-    return b1_corr / b2_corr ** c
+    return b1_corr / b2_corr ** 0.5
 
 
-def _moment_step(
+def step_preset(
     state: FlowState,
     grad,
+    eta: float,
+    kind: PresetKind,
     preset: PresetParams,
-    schedule: Optional[LrSchedule],
-    b3: float,
-    belief: bool,
-    bias_mode: str,
+    bias_mode: str = "paper",
 ) -> FlowState:
-    """Shared update kernel of the adam-family steppers.
+    """One step of a named optimizer with learning rate eta; the kind alone
+    decides the update, as map_preset_to_general decides its flow.
 
-    Moment updates come first, then the x update uses the post-update,
-    bias-corrected moments. The same code path serves all family members so
-    that members that only differ by an inert parameter produce bitwise
-    identical results.
+    gadagrad accumulates, without bias correction:
+
+        nu' = nu + delta*g^2
+        x'  = x - delta*eta * g / (nu'^c + epsilon)
+
+    where a zero denominator gives a zero step. The other kinds update the
+    moments first, then x from the post-update, bias-corrected moments:
+
+        mu'   = (1 - delta*b1)*mu + delta*b1*g
+        zeta' = (1 - delta*b2)*zeta + delta*b2*nu
+        nu'   = delta*b3*zeta + (1 - delta*b2 - delta*b3)*nu + delta*b2*psi
+        x'    = x - eta * mu_hat / (sqrt(nu_hat) + epsilon)
+
+    with b3 forced to 0 for adam and adabelief, psi = (g - mu')^2 for the
+    belief kinds and g^2 otherwise, and mu_hat, nu_hat corrected by
+    bias_denominators under bias_mode. One code path serves every moment
+    kind, so kinds that differ only by an inert parameter agree bitwise.
     """
     delta = preset.delta
+    g = np.asarray(grad, dtype=float)
+    k = int(state.t)
+    if kind is PresetKind.GADAGRAD:
+        if not 0.0 < preset.c < 1.0:
+            raise ValidationError(["0 < c < 1"])
+        nu_new = state.nu + delta * (g * g)
+        denom = nu_new ** preset.c + preset.epsilon
+        direction = np.divide(g, denom, out=np.zeros_like(g), where=denom > 0)
+        x_new = state.x - (delta * eta) * direction
+        return FlowState(x=x_new, mu=state.mu, zeta=state.zeta, nu=nu_new, t=k + 1)
+    b3 = preset.b3 if kind in (PresetKind.ADAMSSM, PresetKind.ADABELIEFSSM) else 0.0
     if 1.0 - delta * preset.b2 - delta * b3 < 0.0:
         raise InstabilityError(
             "1 - delta*b2 - delta*b3 >= 0 required "
             f"(delta={delta:g}, b2={preset.b2:g}, b3={b3:g})"
         )
-    g = np.asarray(grad, dtype=float)
-    k = int(state.t)
     mu_new = (1.0 - delta * preset.b1) * state.mu + (delta * preset.b1) * g
     zeta_new = (1.0 - delta * preset.b2) * state.zeta + (delta * preset.b2) * state.nu
-    if belief:
-        drive = (g - mu_new) ** 2
+    if kind in (PresetKind.ADABELIEF, PresetKind.ADABELIEFSSM):
+        psi = (g - mu_new) ** 2
     else:
-        drive = g ** 2
+        psi = g ** 2
     nu_new = (
         (delta * b3) * state.zeta
         + (1.0 - delta * preset.b2 - delta * b3) * state.nu
-        + (delta * preset.b2) * drive
+        + (delta * preset.b2) * psi
     )
     b1_corr, b2_corr = bias_denominators(preset, k, bias_mode)
     mu_hat = mu_new / b1_corr
     nu_hat = nu_new / b2_corr
-    eta_k = _schedule_or_default(schedule, preset).eta_at(k)
-    x_new = state.x - eta_k * (mu_hat / (np.sqrt(nu_hat) + preset.epsilon))
+    x_new = state.x - eta * (mu_hat / (np.sqrt(nu_hat) + preset.epsilon))
     return FlowState(x=x_new, mu=mu_new, zeta=zeta_new, nu=nu_new, t=k + 1)
 
 
-def step_adamssm(
-    state: FlowState,
-    grad,
-    preset: PresetParams,
-    schedule: Optional[LrSchedule] = None,
-    bias_mode: str = "paper",
-) -> FlowState:
-    """One step of the two-state second-moment optimizer.
-
-        mu'   = (1 - delta*b1)*mu + delta*b1*g
-        zeta' = (1 - delta*b2)*zeta + delta*b2*nu
-        nu'   = delta*b3*zeta + (1 - delta*b2 - delta*b3)*nu + delta*b2*g^2
-        x'    = x - eta(k) * mu_hat / (sqrt(nu_hat) + epsilon)
-
-    with mu_hat, nu_hat the bias-corrected moments (see bias_denominators for
-    the three correction conventions; default "paper").
-    """
-    return _moment_step(state, grad, preset, schedule, preset.b3, False, bias_mode)
-
-
-def step_adam(
-    state: FlowState,
-    grad,
-    preset: PresetParams,
-    schedule: Optional[LrSchedule] = None,
-    bias_mode: str = "paper",
-) -> FlowState:
-    """One step with b3 forced to zero: zeta is carried but inert, and the
-    second moment is the usual one-state exponential average of g^2."""
-    return _moment_step(state, grad, preset, schedule, 0.0, False, bias_mode)
-
-
-def step_adabelief(
-    state: FlowState,
-    grad,
-    preset: PresetParams,
-    schedule: Optional[LrSchedule] = None,
-    bias_mode: str = "paper",
-) -> FlowState:
-    """One step driving the second moment with (g - mu')^2, the squared
-    deviation from the post-update first moment. preset.b3 = 0 gives the
-    one-state variant; b3 > 0 the two-state variant."""
-    return _moment_step(state, grad, preset, schedule, preset.b3, True, bias_mode)
-
-
-def step_gadagrad(
-    state: FlowState,
-    grad,
-    c: float,
-    eta: float,
-    epsilon: float,
-    delta: float = 1.0,
-) -> FlowState:
-    """One accumulator step: nu' = nu + delta*g^2, x' = x - delta*eta*g/(nu'^c + epsilon).
-
-    No bias correction. The additive epsilon guard only matters when the
-    accumulator is still zero and the gradient is zero; coordinates with a
-    zero denominator take a zero step.
-    """
-    if not 0.0 < c < 1.0:
-        raise ValidationError(["0 < c < 1"])
-    g = np.asarray(grad, dtype=float)
-    nu_new = state.nu + delta * (g * g)
-    denom = nu_new ** c + epsilon
-    direction = np.divide(g, denom, out=np.zeros_like(g), where=denom > 0)
-    x_new = state.x - (delta * eta) * direction
-    return FlowState(x=x_new, mu=state.mu, zeta=state.zeta, nu=nu_new, t=state.t + 1)
-
-
-def step_sgd_momentum(state: FlowState, grad, beta: float, eta: float) -> FlowState:
+def step_sgd_momentum(state: FlowState, grad, eta: float, beta: float) -> FlowState:
     """Classical heavy-ball step: m' = beta*m + g, x' = x - eta*m'.
 
     The momentum buffer lives in the mu slot; beta = 0 is plain gradient
@@ -308,7 +253,7 @@ class RunSummary:
         )
 
 
-Stepper = Callable[[FlowState, np.ndarray, Optional[LrSchedule]], FlowState]
+Stepper = Callable[[FlowState, np.ndarray, float], FlowState]
 
 
 def run_discrete(
@@ -316,7 +261,7 @@ def run_discrete(
     objective,
     x0,
     num_iters: int,
-    schedule: Optional[LrSchedule] = None,
+    schedule: LrSchedule,
     threshold: float = 1e-4,
     record_stride: int = 1,
     nu0=None,
@@ -325,7 +270,9 @@ def run_discrete(
 ) -> tuple[Trajectory, RunReport]:
     """Iterate a stepper, recording the trajectory and summarizing the run.
 
-    The trajectory's time column is the iteration count. alpha_fn, when given,
+    Iteration k calls stepper(state, grad, schedule.eta_at(k)), for example
+    a functools.partial of step_preset or step_sgd_momentum. The trajectory's
+    time column is the iteration count. alpha_fn, when given,
     supplies the recorded bias factor per iteration (1.0 otherwise). The
     report summarizes every iteration, recorded or not (see RunSummary). A
     run that diverges stops at the first non-finite f or gradient norm; that
@@ -346,5 +293,5 @@ def run_discrete(
             recorder.record(state, f_k, gnorm, 1.0 if alpha_fn is None else float(alpha_fn(k)))
         if k == num_iters or not finite:
             break
-        state = stepper(state, g_k, schedule)
+        state = stepper(state, g_k, schedule.eta_at(k))
     return recorder.build(), summary.report(name, time.perf_counter() - t_start)

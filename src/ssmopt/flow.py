@@ -280,7 +280,6 @@ def _row_state(s: np.ndarray, i: int, t: float) -> FlowState:
     return FlowState(x=s[i, 0], mu=s[i, 1], zeta=s[i, 2], nu=s[i, 3], t=t)
 
 
-
 def integrate_batch(
     problems: list[FlowProblem], step, dt: float, t_end: float, record_stride: int = 1
 ) -> list[Trajectory | StepFailure]:
@@ -291,8 +290,10 @@ def integrate_batch(
     StepFailure its solo run raises. Every row is recorded like a solo run:
     the initial state, every record_stride-th step and the final step. A row
     whose nu leaves the positive domain, at an RK4 stage or after a step, is
-    taken out of the batch before any arithmetic on it; the other rows go on
-    unchanged.
+    taken out of the batch before any arithmetic on it; a row whose state
+    turns non-finite is recorded at that step, on stride or not, and leaves
+    the batch with its Trajectory, as a discrete run ends when it diverges.
+    The other rows go on unchanged.
     """
     n_steps = _check_grid(dt, t_end)
     if any(p.objective is not problems[0].objective for p in problems):
@@ -303,22 +304,26 @@ def integrate_batch(
     batch = _Batch(problems)
     s = np.array([[p.x0, np.zeros_like(p.x0), np.zeros_like(p.x0), p.nu0] for p in problems])
 
-    def drop(bad: np.ndarray, t: float, message: str = "") -> None:
+    def remove(gone: np.ndarray) -> None:
         nonlocal live, batch, s
+        live = [r for r, out in zip(live, gone) if not out]
+        batch = _Batch([problems[r] for r in live])
+        s = s[~gone]
+
+    def drop(bad: np.ndarray, t: float, message: str = "") -> None:
         for i in np.flatnonzero(bad):
             results[live[i]] = StepFailure(t, _row_state(s, i, t), message)
-        live = [r for r, failed in zip(live, bad) if not failed]
-        batch = _Batch([problems[r] for r in live])
-        s = s[~bad]
+        remove(bad)
 
-    def record(t: float) -> None:
-        for i, r in enumerate(live):
+    def record(t: float, rows: np.ndarray) -> None:
+        for i in np.flatnonzero(rows):
+            r = live[i]
             state, p = _row_state(s, i, t), problems[r]
             f = p.objective.eval_f(state.x)
             grad_norm = float(np.linalg.norm(p.objective.eval_grad(state.x)))
             recorders[r].record(state, f, grad_norm, alpha_g(t, p.params))
 
-    record(0.0)
+    record(0.0, np.ones(len(live), dtype=bool))
     k = 0
     while k < n_steps and live:
         try:
@@ -331,8 +336,12 @@ def integrate_batch(
         s = s_new
         if (s[:, 3] <= 0).any():
             drop(np.any(s[:, 3] <= 0, axis=1), k * dt)
-        if k % record_stride == 0 or k == n_steps:
-            record(k * dt)
+        diverged = ~np.isfinite(s).all(axis=(1, 2))
+        record(k * dt, diverged | (k % record_stride == 0 or k == n_steps))
+        if diverged.any():
+            for i in np.flatnonzero(diverged):
+                results[live[i]] = recorders[live[i]].build()
+            remove(diverged)
     for r in live:
         results[r] = recorders[r].build()
     return results

@@ -20,6 +20,7 @@ errors):
                   | "adabeliefssm" | "sgd_momentum",        required
           "name": str,             default: the kind
           "b1", "b2", "b3", "delta", "epsilon", "eta", "c": floats,
+                                   b3 not on adam or adabelief entries
           "bias_mode": "paper" | "beta" | "continuous",     default "paper"
           "beta": float            sgd_momentum only, default 0.9
         }
@@ -47,6 +48,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -65,30 +67,11 @@ from .discrete import (
     RunSummary,
     bias_alpha,
     run_discrete,
-    step_adabelief,
-    step_adam,
-    step_adamssm,
-    step_gadagrad,
+    step_preset,
     step_sgd_momentum,
 )
 from .flow import gadagrad_energy_residual, integrate_batch, preset_flow, rk4_step
 from .objectives import Objective, make_logistic, make_quadratic, make_rosenbrock
-
-__all__ = [
-    "ParseError",
-    "ObjectiveSpec",
-    "OptimizerSpec",
-    "ExperimentConfig",
-    "RunReport",
-    "load_config",
-    "build_objective",
-    "default_x0",
-    "run_experiment",
-    "run_compare",
-    "run_flows",
-    "emit_summary",
-    "resolve_out_dir",
-]
 
 SUMMARY_COLUMNS = ("optimizer", "best_f", "epoch_of_best", "final_grad_norm", "iters_to_threshold")
 
@@ -99,12 +82,6 @@ OPTIMIZER_KINDS = PRESET_OPTIMIZER_KINDS + ("sgd_momentum",)
 # nu(0) used when integrating the continuous-time counterpart of an entry.
 # The discrete steppers start at nu = 0, but the flows require nu(0) > 0.
 FLOW_NU0 = 1.0
-FLOW_FAMILY_STEPPERS = {
-    "adamssm": step_adamssm,
-    "adam": step_adam,
-    "adabelief": step_adabelief,
-    "adabeliefssm": step_adabelief,
-}
 
 
 class ParseError(ValueError):
@@ -247,6 +224,8 @@ def _parse_optimizer(raw: dict, index: int) -> OptimizerSpec:
                 raise ParseError(f"{path}.{key}: not valid for sgd_momentum")
     elif "beta" in raw:
         raise ParseError(f"{path}.beta: only valid for sgd_momentum")
+    if kind in ("adam", "adabelief") and "b3" in raw:
+        raise ParseError(f"{path}.b3: only valid for adamssm and adabeliefssm")
     preset = PresetParams(
         b1=_get_number(raw, "b1", _PRESET_FIELD_DEFAULTS.b1, path),
         b2=_get_number(raw, "b2", _PRESET_FIELD_DEFAULTS.b2, path),
@@ -417,30 +396,15 @@ def build_objective(spec: ObjectiveSpec) -> Objective:
 
 
 def _make_stepper(spec: OptimizerSpec):
-    """Adapter turning an OptimizerSpec into run_discrete's stepper callable
-    plus the recorded bias-factor function (None when there is none)."""
-    preset = spec.preset
+    """run_discrete's stepper for an entry, plus the recorded bias-factor
+    function (None for the kinds without bias correction)."""
     if spec.kind == "sgd_momentum":
-
-        def sgd(state, grad, schedule):
-            eta = preset.eta if schedule is None else schedule.eta_at(state.t)
-            return step_sgd_momentum(state, grad, spec.beta, eta)
-
-        return sgd, None
-    if spec.kind == "gadagrad":
-
-        def gadagrad(state, grad, schedule):
-            eta = preset.eta if schedule is None else schedule.eta_at(state.t)
-            return step_gadagrad(state, grad, preset.c, eta, preset.epsilon, preset.delta)
-
-        return gadagrad, None
-    family_step = FLOW_FAMILY_STEPPERS[spec.kind]
-
-    def adaptive(state, grad, schedule):
-        return family_step(state, grad, preset, schedule, spec.bias_mode)
-
-    exponent = 0.5
-    return adaptive, lambda k: bias_alpha(preset, k, spec.bias_mode, exponent)
+        return partial(step_sgd_momentum, beta=spec.beta), None
+    kind = PresetKind(spec.kind)
+    stepper = partial(step_preset, kind=kind, preset=spec.preset, bias_mode=spec.bias_mode)
+    if kind is PresetKind.GADAGRAD:
+        return stepper, None
+    return stepper, partial(bias_alpha, spec.preset, bias_mode=spec.bias_mode)
 
 
 def _error_report(name: str, exc: Exception) -> RunReport:

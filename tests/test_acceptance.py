@@ -39,8 +39,7 @@ from ssmopt import (
     preset_flow,
     rhs_general,
     state_transition_entries,
-    step_adam,
-    step_adamssm,
+    step_preset,
     validate_params,
     validate_preset,
 )
@@ -87,8 +86,8 @@ def test_c01_zero_coupling_reduction_identity(rng):
         state = replace(state, t=float(rng.integers(0, 200)))
         grad = rng.standard_normal(3)
         mode = BIAS_MODES[rng.integers(0, len(BIAS_MODES))]
-        a = step_adamssm(state, grad, preset, None, mode)
-        b = step_adam(state, grad, preset, None, mode)
+        a = step_preset(state, grad, preset.eta, PresetKind.ADAMSSM, preset, mode)
+        b = step_preset(state, grad, preset.eta, PresetKind.ADAM, preset, mode)
         assert a.t == b.t
         for field in ("x", "mu", "zeta", "nu"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
@@ -200,7 +199,8 @@ def test_c06_discrete_steppers_track_the_flow():
         state = initial_stepper_state(np.ones(2), np.ones(2))
         assert np.array_equal(state.x, xs[0])
         for k in range(50):
-            state = step_adamssm(state, obj.eval_grad(state.x), preset, None, mode)
+            grad = obj.eval_grad(state.x)
+            state = step_preset(state, grad, preset.eta, PresetKind.ADAMSSM, preset, mode)
             assert np.array_equal(state.x, xs[k + 1])
             for got, want in zip((state.mu, state.zeta, state.nu), moments[k + 1]):
                 assert np.array_equal(got, want)
@@ -218,7 +218,9 @@ def test_c06_discrete_steppers_track_the_flow():
             preset = PresetParams(b3=b3, delta=delta, eta=delta, epsilon=0.0)
             state = initial_stepper_state(np.ones(2), np.ones(2))
             for _ in range(int(round(t_end / delta))):
-                state = step_adamssm(state, obj.eval_grad(state.x), preset, None, "continuous")
+                state = step_preset(
+                    state, obj.eval_grad(state.x), preset.eta, PresetKind.ADAMSSM, preset, "continuous"
+                )
             errors.append(float(np.max(np.abs(full_state(state) - ref_final))))
         slopes[label] = fit_slope(deltas, errors)
         assert 0.7 < slopes[label] < 1.3

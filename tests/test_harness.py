@@ -151,6 +151,15 @@ class TestLoadConfig:
         with pytest.raises(ParseError, match="optimizers\\[0\\].beta: only valid for sgd_momentum"):
             load_config(write_config(tmp_path, payload))
 
+    def test_coupling_rate_rejected_for_one_state_kinds(self, tmp_path):
+        for kind in ("adam", "adabelief"):
+            payload = base_payload()
+            payload["optimizers"] = [{"kind": "adamssm", "b3": 0.02}, {"kind": kind, "b3": 0.02}]
+            with pytest.raises(
+                ParseError, match="optimizers\\[1\\].b3: only valid for adamssm and adabeliefssm"
+            ):
+                load_config(write_config(tmp_path, payload))
+
     def test_zero_coupling_rate_canonicalized_to_one_state_kind(self, tmp_path):
         payload = base_payload()
         payload["optimizers"] = [
@@ -601,6 +610,11 @@ class TestRunFlows:
                 "error": "diverged at iteration 0: f or the gradient norm is not finite",
                 "diverged_at": 0,
             }
+        # the state turns non-finite in the first step: that step, off the
+        # record stride, is the flow's last row
+        for name in ("flow_00_gadagrad.csv", "flow_01_adam.csv"):
+            rows = np.loadtxt(tmp_path / "out" / name, delimiter=",", skiprows=1)
+            assert rows[:, 0].tolist() == [0.0, 0.01]
 
     def test_failed_flow_keeps_its_solo_error(self, tmp_path):
         payload = base_payload()
