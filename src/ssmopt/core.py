@@ -82,7 +82,8 @@ def moment_bias(t: float, rate1: float, rate2: float) -> tuple[float, float]:
     """Bias of the first and second moment estimates at time t: the share
     1 - (1 - rate)^(t+1) of its input that an estimate started at zero has
     gathered, for each of the two rates."""
-    return 1.0 - (1.0 - rate1) ** (t + 1), 1.0 - (1.0 - rate2) ** (t + 1)
+    e = t + 1
+    return 1.0 - (1.0 - rate1) ** e, 1.0 - (1.0 - rate2) ** e
 
 
 def alpha_g(t: float, params: OptimizerParams) -> float:

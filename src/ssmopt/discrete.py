@@ -3,8 +3,8 @@ PresetKind, plus a heavy-ball baseline, learning-rate schedules, a recording
 run loop, and the run summary that reports discrete runs and flows alike.
 
 Steppers are pure state transitions: they take a state, a gradient and a
-learning rate and return a new state, one iteration later. One run is sequential; many runs may
-execute concurrently with independent states.
+learning rate and return a new state, one iteration later. One run is
+sequential; many runs may execute concurrently with independent states.
 """
 
 from __future__ import annotations
@@ -20,6 +20,9 @@ from .core import FlowState, PresetKind, PresetParams, ValidationError, moment_b
 from .flow import Trajectory, _Recorder
 
 BIAS_MODES = ("paper", "beta", "continuous")
+# the kinds whose nu update reads b3, and those whose nu is driven by (g - mu')^2
+_COUPLED_KINDS = (PresetKind.ADAMSSM, PresetKind.ADABELIEFSSM)
+_BELIEF_KINDS = (PresetKind.ADABELIEF, PresetKind.ADABELIEFSSM)
 
 
 class InstabilityError(ValueError):
@@ -134,7 +137,7 @@ def step_preset(
         direction = np.divide(g, denom, out=np.zeros_like(g), where=denom > 0)
         x_new = state.x - (delta * eta) * direction
         return FlowState(x=x_new, mu=state.mu, zeta=state.zeta, nu=nu_new, t=k + 1)
-    b3 = preset.b3 if kind in (PresetKind.ADAMSSM, PresetKind.ADABELIEFSSM) else 0.0
+    b3 = preset.b3 if kind in _COUPLED_KINDS else 0.0
     if 1.0 - delta * preset.b2 - delta * b3 < 0.0:
         raise InstabilityError(
             "1 - delta*b2 - delta*b3 >= 0 required "
@@ -142,7 +145,7 @@ def step_preset(
         )
     mu_new = (1.0 - delta * preset.b1) * state.mu + (delta * preset.b1) * g
     zeta_new = (1.0 - delta * preset.b2) * state.zeta + (delta * preset.b2) * state.nu
-    if kind in (PresetKind.ADABELIEF, PresetKind.ADABELIEFSSM):
+    if kind in _BELIEF_KINDS:
         psi = (g - mu_new) ** 2
     else:
         psi = g ** 2
@@ -271,8 +274,8 @@ def run_discrete(
     """Iterate a stepper, recording the trajectory and summarizing the run.
 
     Iteration k calls stepper(state, grad, schedule.eta_at(k)), for example
-    a functools.partial of step_preset or step_sgd_momentum. The trajectory's
-    time column is the iteration count. alpha_fn, when given,
+    a functools.partial of step_preset or step_sgd_momentum. The
+    trajectory's time column is the iteration count. alpha_fn, when given,
     supplies the recorded bias factor per iteration (1.0 otherwise). The
     report summarizes every iteration, recorded or not (see RunSummary). A
     run that diverges stops at the first non-finite f or gradient norm; that

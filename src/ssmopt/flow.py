@@ -315,15 +315,15 @@ def integrate_batch(
             results[live[i]] = StepFailure(t, _row_state(s, i, t), message)
         remove(bad)
 
-    def record(t: float, rows: np.ndarray) -> None:
-        for i in np.flatnonzero(rows):
+    def record(t: float, rows: np.ndarray | None = None) -> None:
+        for i in range(len(live)) if rows is None else np.flatnonzero(rows):
             r = live[i]
             state, p = _row_state(s, i, t), problems[r]
             f = p.objective.eval_f(state.x)
             grad_norm = float(np.linalg.norm(p.objective.eval_grad(state.x)))
             recorders[r].record(state, f, grad_norm, alpha_g(t, p.params))
 
-    record(0.0, np.ones(len(live), dtype=bool))
+    record(0.0)
     k = 0
     while k < n_steps and live:
         try:
@@ -336,9 +336,13 @@ def integrate_batch(
         s = s_new
         if (s[:, 3] <= 0).any():
             drop(np.any(s[:, 3] <= 0, axis=1), k * dt)
-        diverged = ~np.isfinite(s).all(axis=(1, 2))
-        record(k * dt, diverged | (k % record_stride == 0 or k == n_steps))
-        if diverged.any():
+        on_stride = k % record_stride == 0 or k == n_steps
+        if on_stride:
+            record(k * dt)
+        if not np.isfinite(s).all():
+            diverged = ~np.isfinite(s).all(axis=(1, 2))
+            if not on_stride:
+                record(k * dt, diverged)
             for i in np.flatnonzero(diverged):
                 results[live[i]] = recorders[live[i]].build()
             remove(diverged)
