@@ -335,12 +335,23 @@ class TestTrajectoryCsv:
         )
 
     def test_exact_layout(self, tmp_path):
+        # the third row pins repr of a signed zero, a tiny value near the
+        # underflow range, a large integral float and an inexact sum
+        traj = self.small_trajectory()
+        traj.times = np.array([0.0, 1.0, 2.0])
+        traj.states.append(
+            FlowState(x=[-0.0, 1e-300], mu=[1.5e16, 0.1 + 0.2], zeta=[0.0, -0.0], nu=[1e-300, 0.0], t=2.0)
+        )
+        traj.f_values = np.array([1.5, 0.75, 0.1 + 0.2])
+        traj.grad_norms = np.array([2.0, 1.0, 1.5e16])
+        traj.alpha_values = np.array([1.0, 0.9, -0.0])
         path = tmp_path / "traj.csv"
-        self.small_trajectory().to_csv(path)
+        traj.to_csv(path)
         expected = (
             "t,f,grad_norm,alpha,x_0,x_1,mu_0,mu_1,zeta_0,zeta_1,nu_0,nu_1\n"
             "0.0,1.5,2.0,1.0,1.0,2.0,0.0,0.0,0.0,0.0,0.5,0.25\n"
             "1.0,0.75,1.0,0.9,0.5,-1.5,0.1,0.2,0.01,0.02,0.3,0.125\n"
+            "2.0,0.30000000000000004,1.5e+16,-0.0,-0.0,1e-300,1.5e+16,0.30000000000000004,0.0,-0.0,1e-300,0.0\n"
         )
         assert path.read_text() == expected
 
