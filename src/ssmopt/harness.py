@@ -20,9 +20,8 @@ errors):
                   | "adabeliefssm" | "sgd_momentum",        required
           "name": str,             default: the kind
           "b1", "b2", "b3", "delta", "epsilon", "eta", "c": floats,
-                                   b3 not on adam or adabelief entries
           "bias_mode": "paper" | "beta" | "continuous",     default "paper"
-          "beta": float            sgd_momentum only, default 0.9
+          "beta": float            default 0.9
         }
       ],
       "iterations": int,           default 1000
@@ -31,6 +30,11 @@ errors):
       "schedule": {"milestones": [[iteration, multiplier], ...]},
       "output_dir": str            default "runs"; SSMOPT_OUT_DIR overrides
     }
+
+An entry takes only the keys its kind reads, besides kind and name:
+gadagrad delta, epsilon, eta and c; adam and adabelief b1, b2, delta,
+epsilon, eta and bias_mode; adamssm and adabeliefssm those and b3;
+sgd_momentum eta and beta. Any other key is a ParseError.
 
 An ssm-kind entry with b3 exactly 0 is canonicalized to the matching
 non-ssm kind before validation: the dynamics coincide exactly at b3 = 0, so
@@ -78,6 +82,17 @@ SUMMARY_COLUMNS = ("optimizer", "best_f", "epoch_of_best", "final_grad_norm", "i
 OBJECTIVE_KINDS = ("quadratic", "rosenbrock", "logistic")
 PRESET_OPTIMIZER_KINDS = ("gadagrad", "adam", "adabelief", "adamssm", "adabeliefssm")
 OPTIMIZER_KINDS = PRESET_OPTIMIZER_KINDS + ("sgd_momentum",)
+
+# the keys each optimizer kind reads, besides "kind" and "name"
+_MOMENT_KEYS = ("b1", "b2", "delta", "epsilon", "eta", "bias_mode")
+_KIND_KEYS = {
+    "gadagrad": ("delta", "epsilon", "eta", "c"),
+    "adam": _MOMENT_KEYS,
+    "adabelief": _MOMENT_KEYS,
+    "adamssm": _MOMENT_KEYS + ("b3",),
+    "adabeliefssm": _MOMENT_KEYS + ("b3",),
+    "sgd_momentum": ("eta", "beta"),
+}
 
 # nu(0) used when integrating the continuous-time counterpart of an entry.
 # The discrete steppers start at nu = 0, but the flows require nu(0) > 0.
@@ -218,14 +233,9 @@ def _parse_optimizer(raw: dict, index: int) -> OptimizerSpec:
         path,
     )
     kind = _get_str(raw, "kind", "", path, OPTIMIZER_KINDS)
-    if kind == "sgd_momentum":
-        for key in ("b1", "b2", "b3", "delta", "epsilon", "c", "bias_mode"):
-            if key in raw:
-                raise ParseError(f"{path}.{key}: not valid for sgd_momentum")
-    elif "beta" in raw:
-        raise ParseError(f"{path}.beta: only valid for sgd_momentum")
-    if kind in ("adam", "adabelief") and "b3" in raw:
-        raise ParseError(f"{path}.b3: only valid for adamssm and adabeliefssm")
+    for key in raw:
+        if key not in ("kind", "name") and key not in _KIND_KEYS[kind]:
+            raise ParseError(f"{path}.{key}: not valid for {kind}")
     preset = PresetParams(
         b1=_get_number(raw, "b1", _PRESET_FIELD_DEFAULTS.b1, path),
         b2=_get_number(raw, "b2", _PRESET_FIELD_DEFAULTS.b2, path),

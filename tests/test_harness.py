@@ -148,17 +148,34 @@ class TestLoadConfig:
     def test_momentum_key_rejected_for_adaptive_kinds(self, tmp_path):
         payload = base_payload()
         payload["optimizers"] = [{"kind": "adam", "beta": 0.9}]
-        with pytest.raises(ParseError, match="optimizers\\[0\\].beta: only valid for sgd_momentum"):
+        with pytest.raises(ParseError, match="optimizers\\[0\\].beta: not valid for adam"):
             load_config(write_config(tmp_path, payload))
 
     def test_coupling_rate_rejected_for_one_state_kinds(self, tmp_path):
         for kind in ("adam", "adabelief"):
             payload = base_payload()
             payload["optimizers"] = [{"kind": "adamssm", "b3": 0.02}, {"kind": kind, "b3": 0.02}]
-            with pytest.raises(
-                ParseError, match="optimizers\\[1\\].b3: only valid for adamssm and adabeliefssm"
-            ):
+            with pytest.raises(ParseError, match=f"optimizers\\[1\\].b3: not valid for {kind}"):
                 load_config(write_config(tmp_path, payload))
+
+    @pytest.mark.parametrize(
+        "entry, key",
+        [
+            ({"kind": "gadagrad", "b1": 0.5}, "b1"),
+            ({"kind": "gadagrad", "b2": 0.005}, "b2"),
+            ({"kind": "gadagrad", "b3": 0.5}, "b3"),
+            ({"kind": "gadagrad", "bias_mode": "beta"}, "bias_mode"),
+            ({"kind": "adam", "c": 0.3}, "c"),
+            ({"kind": "adabeliefssm", "b3": 0.02, "c": 0.3}, "c"),
+            ({"kind": "sgd_momentum", "b1": 0.5}, "b1"),
+        ],
+    )
+    def test_keys_the_kind_does_not_read_rejected(self, tmp_path, entry, key):
+        payload = base_payload()
+        payload["optimizers"] = [{"kind": "adam"}, entry]
+        kind = entry["kind"]
+        with pytest.raises(ParseError, match=f"optimizers\\[1\\].{key}: not valid for {kind}"):
+            load_config(write_config(tmp_path, payload))
 
     def test_zero_coupling_rate_canonicalized_to_one_state_kind(self, tmp_path):
         payload = base_payload()
