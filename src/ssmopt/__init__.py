@@ -61,7 +61,6 @@ from .flow import (
     integrate_batch,
     integrate_euler,
     integrate_reference,
-    make_flow_problem,
     preset_flow,
     rhs_general,
     rk4_step,

@@ -71,11 +71,6 @@ class FlowProblem:
         object.__setattr__(self, "nu0", nu0)
 
 
-def make_flow_problem(objective: Objective, params: OptimizerParams, x0, nu0) -> FlowProblem:
-    """Assemble a FlowProblem; params.psi_kind selects the input function."""
-    return FlowProblem(objective=objective, params=params, x0=x0, nu0=nu0)
-
-
 class StateDeriv(NamedTuple):
     """Time derivative of a FlowState, in (mu, zeta, nu, x) order."""
 
@@ -433,4 +428,4 @@ def preset_flow(kind: PresetKind, preset: PresetParams, objective: Objective, x0
     """
     validate_preset(preset, kind)
     params = validate_params(map_preset_to_general(preset, kind))
-    return make_flow_problem(objective, params, x0, nu0)
+    return FlowProblem(objective, params, x0, nu0)

@@ -17,6 +17,7 @@ import pytest
 from samplers import random_valid_adamssm_preset
 from oracles import algorithm_flow_run, algorithm_paper_run, taylor_expm
 from ssmopt import (
+    FlowProblem,
     OptimizerParams,
     PresetKind,
     PresetParams,
@@ -30,7 +31,6 @@ from ssmopt import (
     initial_stepper_state,
     integrate_euler,
     integrate_reference,
-    make_flow_problem,
     make_logistic,
     make_quadratic,
     make_rosenbrock,
@@ -105,8 +105,8 @@ def test_c01_zero_coupling_reduction_identity(rng):
             nu=rng.uniform(0.1, 2.0, 3),
             t=float(rng.uniform(0, 10)),
         )
-        d_two = rhs_general(flow_state, flow_state.t, make_flow_problem(obj, params_two, np.ones(3), np.ones(3)))
-        d_one = rhs_general(flow_state, flow_state.t, make_flow_problem(obj, params_one, np.ones(3), np.ones(3)))
+        d_two = rhs_general(flow_state, flow_state.t, FlowProblem(obj, params_two, np.ones(3), np.ones(3)))
+        d_one = rhs_general(flow_state, flow_state.t, FlowProblem(obj, params_one, np.ones(3), np.ones(3)))
         for got, want in zip(d_two, d_one):
             assert np.array_equal(got, want)
     print("criterion 1 (zero-coupling reduction identity): PASS")

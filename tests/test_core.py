@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ssmopt import (
     DomainError,
+    FlowProblem,
     OptimizerParams,
     PresetKind,
     PresetParams,
@@ -15,7 +16,6 @@ from ssmopt import (
     ValidationError,
     alpha_g,
     initial_stepper_state,
-    make_flow_problem,
     make_quadratic,
     map_preset_to_general,
     validate_params,
@@ -264,9 +264,9 @@ class TestInitialFlowState:
     def test_nonpositive_nu0_rejected(self):
         # flows need nu0 > 0; discrete runs may start at nu0 = 0
         with pytest.raises(DomainError):
-            make_flow_problem(make_quadratic(1, 1.0), adam_params(), [1.0], [0.0])
+            FlowProblem(make_quadratic(1, 1.0), adam_params(), [1.0], [0.0])
         with pytest.raises(DomainError):
-            make_flow_problem(make_quadratic(2, 1.0), adam_params(), [1.0, 1.0], [1.0, -1.0])
+            FlowProblem(make_quadratic(2, 1.0), adam_params(), [1.0, 1.0], [1.0, -1.0])
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):

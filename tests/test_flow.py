@@ -6,6 +6,7 @@ import pytest
 
 from ssmopt import (
     DomainError,
+    FlowProblem,
     FlowState,
     OptimizerParams,
     PresetKind,
@@ -19,7 +20,6 @@ from ssmopt import (
     initial_stepper_state,
     integrate_euler,
     integrate_reference,
-    make_flow_problem,
     make_logistic,
     make_quadratic,
     make_rosenbrock,
@@ -72,7 +72,7 @@ class TestRhsGeneral:
     def test_equilibrium_at_critical_point(self):
         obj = make_quadratic(2, 10.0)
         params = map_preset_to_general(ADAMSSM, PresetKind.ADAMSSM)
-        problem = make_flow_problem(obj, params, np.zeros(2), np.ones(2))
+        problem = FlowProblem(obj, params, np.zeros(2), np.ones(2))
         # zeta = nu makes the auxiliary state stationary as well
         state = FlowState(x=np.zeros(2), mu=np.zeros(2), zeta=np.ones(2), nu=np.ones(2), t=0.0)
         d = rhs_general(state, 0.0, problem)
@@ -84,7 +84,7 @@ class TestRhsGeneral:
     def test_accumulator_flow_hand_values(self):
         obj = make_quadratic(1, 1.0)
         params = map_preset_to_general(PresetParams(c=0.5), PresetKind.GADAGRAD)
-        problem = make_flow_problem(obj, params, np.array([2.0]), np.array([1.0]))
+        problem = FlowProblem(obj, params, np.array([2.0]), np.array([1.0]))
         state = FlowState(x=[2.0], mu=[0.0], zeta=[0.0], nu=[1.0], t=0.0)
         d = rhs_general(state, 0.0, problem)
         assert d.dnu[0] == 4.0
@@ -93,7 +93,7 @@ class TestRhsGeneral:
     def test_one_state_mapping_matches_oracle(self, rng):
         obj = make_quadratic(3, 30.0)
         params = map_preset_to_general(PresetParams(), PresetKind.ADAM)
-        problem = make_flow_problem(obj, params, np.ones(3), np.ones(3))
+        problem = FlowProblem(obj, params, np.ones(3), np.ones(3))
         for _ in range(30):
             state = random_flow_state(rng, 3)
             d = rhs_general(state, state.t, problem)
@@ -108,7 +108,7 @@ class TestRhsGeneral:
         obj = make_rosenbrock(3)
         for _ in range(50):
             params = random_valid_params(rng)
-            problem = make_flow_problem(obj, params, np.ones(3), np.ones(3))
+            problem = FlowProblem(obj, params, np.ones(3), np.ones(3))
             state = random_flow_state(rng, 3)
             d = rhs_general(state, state.t, problem)
             dmu, dzeta, dnu, dx = general_rhs(
@@ -126,8 +126,8 @@ class TestRhsGeneral:
         params_two_state = map_preset_to_general(preset, PresetKind.ADAMSSM)
         params_one_state = map_preset_to_general(preset, PresetKind.ADAM)
         assert params_two_state == params_one_state
-        pa = make_flow_problem(obj, params_two_state, np.ones(2), np.ones(2))
-        pb = make_flow_problem(obj, params_one_state, np.ones(2), np.ones(2))
+        pa = FlowProblem(obj, params_two_state, np.ones(2), np.ones(2))
+        pb = FlowProblem(obj, params_one_state, np.ones(2), np.ones(2))
         for _ in range(100):
             state = random_flow_state(rng, 2)
             da = rhs_general(state, state.t, pa)
@@ -138,7 +138,7 @@ class TestRhsGeneral:
     def test_domain_guard(self):
         obj = make_quadratic(1, 1.0)
         params = map_preset_to_general(PresetParams(), PresetKind.ADAM)
-        problem = make_flow_problem(obj, params, np.array([1.0]), np.array([1.0]))
+        problem = FlowProblem(obj, params, np.array([1.0]), np.array([1.0]))
         bad = FlowState(x=[1.0], mu=[0.0], zeta=[0.0], nu=[0.0], t=0.0)
         with pytest.raises(DomainError):
             rhs_general(bad, 0.0, problem)
@@ -240,9 +240,9 @@ class TestIntegrators:
         obj = make_quadratic(2, 10.0)
         params = map_preset_to_general(PresetParams(), PresetKind.ADAM)
         with pytest.raises(ValueError):
-            make_flow_problem(obj, params, np.ones(3), np.ones(3))
+            FlowProblem(obj, params, np.ones(3), np.ones(3))
         with pytest.raises(DomainError):
-            make_flow_problem(obj, params, np.ones(2), np.zeros(2))
+            FlowProblem(obj, params, np.ones(2), np.zeros(2))
 
 
 @pytest.mark.parametrize("objective", ["quadratic", "rosenbrock", "logistic"])
@@ -429,7 +429,7 @@ class TestEnergyResidual:
     def test_requires_accumulator_pattern(self):
         obj = make_quadratic(1, 1.0)
         adam_params = map_preset_to_general(PresetParams(), PresetKind.ADAM)
-        problem = make_flow_problem(obj, adam_params, np.array([1.0]), np.array([1.0]))
+        problem = FlowProblem(obj, adam_params, np.array([1.0]), np.array([1.0]))
         traj = integrate_reference(problem, dt=0.1, t_end=1.0)
         with pytest.raises(PresetMismatch):
             gadagrad_energy_residual(traj, problem)
@@ -440,7 +440,7 @@ class TestEnergyResidual:
             lambda1=1.0, lambda2=1.0, lambda3=1.0, lambda4=0.0, lambda5=0.0,
             lambda6=1.0, lambda7=0.0, lambda8=1.0, c=0.5, psi_kind=PsiKind.BELIEF,
         )
-        problem = make_flow_problem(obj, params, np.array([1.0]), np.array([1.0]))
+        problem = FlowProblem(obj, params, np.array([1.0]), np.array([1.0]))
         traj = integrate_euler(problem, dt=0.1, t_end=1.0)
         with pytest.raises(PresetMismatch):
             gadagrad_energy_residual(traj, problem)
@@ -451,7 +451,7 @@ class TestEnergyResidual:
             lambda1=1.0, lambda2=1.0, lambda3=1.0, lambda4=0.0, lambda5=0.0,
             lambda6=1.0, lambda7=0.0, lambda8=1.0, c=1.0,
         )
-        problem = make_flow_problem(obj, params, np.array([1.0]), np.array([1.0]))
+        problem = FlowProblem(obj, params, np.array([1.0]), np.array([1.0]))
         traj = integrate_euler(problem, dt=0.1, t_end=1.0)
         with pytest.raises(PresetMismatch):
             gadagrad_energy_residual(traj, problem)
