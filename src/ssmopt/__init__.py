@@ -28,7 +28,6 @@ from .analysis import (
 )
 from .core import (
     DomainError,
-    FlowState,
     OptimizerParams,
     PresetKind,
     PresetParams,

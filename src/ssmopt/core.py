@@ -8,6 +8,11 @@ nu. Named optimizers (gadagrad, adam, adabelief, adamssm, adabeliefssm) are
 presets that map a small set of hyperparameters (b1, b2, b3) onto the general
 parameterization.
 
+A state is one float array with rows x, mu, zeta and nu: shaped (4, d) for
+one state, (R, 4, d) for a batch of R flows and (N, 4, d) for a trajectory
+of N records. Its time (physical time for a flow, the iteration count for a
+discrete run) travels beside it.
+
 All types here are immutable after construction and safe to share between
 concurrently running experiments.
 """
@@ -16,8 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 
 class ValidationError(ValueError):
@@ -253,24 +256,3 @@ def map_preset_to_general(preset: PresetParams, kind: PresetKind) -> OptimizerPa
             c=0.5, psi_kind=psi,
         )
     raise ValueError(f"unknown preset kind: {kind!r}")
-
-
-@dataclass(frozen=True)
-class FlowState:
-    """Optimizer state at one time instant: physical time for a flow, the
-    iteration count for a discrete run.
-
-    Arrays are not defensively copied; treat them as read-only.
-    """
-
-    x: np.ndarray
-    mu: np.ndarray
-    zeta: np.ndarray
-    nu: np.ndarray
-    t: float
-
-    def __post_init__(self):
-        for name in ("x", "mu", "zeta", "nu"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        object.__setattr__(self, "t", float(self.t))
-

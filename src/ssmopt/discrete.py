@@ -2,9 +2,10 @@
 PresetKind, plus a heavy-ball baseline, learning-rate schedules, a recording
 run loop, and the run summary that reports discrete runs and flows alike.
 
-Steppers are pure state transitions: they take a state, a gradient and a
-learning rate and return a new state, one iteration later. One run is
-sequential; many runs may execute concurrently with independent states.
+Steppers are pure state transitions: they take a (4, d) state with rows x,
+mu, zeta and nu, a gradient, a learning rate and the iteration count k, and
+return a new (4, d) state, one iteration later. One run is sequential; many
+runs may execute concurrently with independent states.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import FlowState, PresetKind, PresetParams, ValidationError, moment_bias
+from .core import PresetKind, PresetParams, ValidationError, moment_bias
 from .flow import Trajectory, _Recorder
 
 BIAS_MODES = ("paper", "beta", "continuous")
@@ -32,15 +33,15 @@ class InstabilityError(ValueError):
     """
 
 
-def initial_stepper_state(x0, nu0=None) -> FlowState:
-    """State before the first step, at t = 0: moments start at zero unless nu0
-    is given. A stepper advances t by one, so t counts the iterations."""
+def initial_stepper_state(x0, nu0=None) -> np.ndarray:
+    """State before the first step, as a (4, d) array with rows x, mu, zeta
+    and nu: the moments start at zero unless nu0 is given."""
     x0 = np.asarray(x0, dtype=float)
     zero = np.zeros_like(x0)
-    nu = zero.copy() if nu0 is None else np.asarray(nu0, dtype=float)
+    nu = zero if nu0 is None else np.asarray(nu0, dtype=float)
     if nu.shape != x0.shape:
         raise ValueError(f"nu0 shape {nu.shape} != x0 shape {x0.shape}")
-    return FlowState(x=x0, mu=zero, zeta=zero.copy(), nu=nu, t=0.0)
+    return np.array((x0, zero, zero, nu))
 
 
 @dataclass(frozen=True)
@@ -98,14 +99,15 @@ def bias_alpha(preset: PresetParams, iteration: int, bias_mode: str) -> float:
 
 
 def step_preset(
-    state: FlowState,
+    state: np.ndarray,
     grad,
     eta: float,
+    k: int,
     kind: PresetKind,
     preset: PresetParams,
     bias_mode: str = "paper",
-) -> FlowState:
-    """One step of a named optimizer with learning rate eta; the kind alone
+) -> np.ndarray:
+    """Iteration k of a named optimizer with learning rate eta; the kind alone
     decides the update, as map_preset_to_general decides its flow.
 
     gadagrad accumulates, without bias correction:
@@ -123,56 +125,58 @@ def step_preset(
 
     with b3 forced to 0 for adam and adabelief, psi = (g - mu')^2 for the
     belief kinds and g^2 otherwise, and mu_hat, nu_hat corrected by
-    bias_denominators under bias_mode. One code path serves every moment
-    kind, so kinds that differ only by an inert parameter agree bitwise.
+    bias_denominators at iteration k under bias_mode. One code path serves
+    every moment kind, so kinds that differ only by an inert parameter agree
+    bitwise.
     """
     delta = preset.delta
     g = np.asarray(grad, dtype=float)
-    k = int(state.t)
+    x, mu, zeta, nu = state[0], state[1], state[2], state[3]
     if kind is PresetKind.GADAGRAD:
         if not 0.0 < preset.c < 1.0:
             raise ValidationError(["0 < c < 1"])
-        nu_new = state.nu + delta * (g * g)
+        nu_new = nu + delta * (g * g)
         denom = nu_new ** preset.c + preset.epsilon
         direction = np.divide(g, denom, out=np.zeros_like(g), where=denom > 0)
-        x_new = state.x - (delta * eta) * direction
-        return FlowState(x=x_new, mu=state.mu, zeta=state.zeta, nu=nu_new, t=k + 1)
+        x_new = x - (delta * eta) * direction
+        return np.array((x_new, mu, zeta, nu_new))
     b3 = preset.b3 if kind in _COUPLED_KINDS else 0.0
     if 1.0 - delta * preset.b2 - delta * b3 < 0.0:
         raise InstabilityError(
             "1 - delta*b2 - delta*b3 >= 0 required "
             f"(delta={delta:g}, b2={preset.b2:g}, b3={b3:g})"
         )
-    mu_new = (1.0 - delta * preset.b1) * state.mu + (delta * preset.b1) * g
-    zeta_new = (1.0 - delta * preset.b2) * state.zeta + (delta * preset.b2) * state.nu
+    mu_new = (1.0 - delta * preset.b1) * mu + (delta * preset.b1) * g
+    zeta_new = (1.0 - delta * preset.b2) * zeta + (delta * preset.b2) * nu
     if kind in _BELIEF_KINDS:
         psi = (g - mu_new) ** 2
     else:
         psi = g ** 2
     nu_new = (
-        (delta * b3) * state.zeta
-        + (1.0 - delta * preset.b2 - delta * b3) * state.nu
+        (delta * b3) * zeta
+        + (1.0 - delta * preset.b2 - delta * b3) * nu
         + (delta * preset.b2) * psi
     )
     b1_corr, b2_corr = bias_denominators(preset, k, bias_mode)
     mu_hat = mu_new / b1_corr
     nu_hat = nu_new / b2_corr
-    x_new = state.x - eta * (mu_hat / (np.sqrt(nu_hat) + preset.epsilon))
-    return FlowState(x=x_new, mu=mu_new, zeta=zeta_new, nu=nu_new, t=k + 1)
+    x_new = x - eta * (mu_hat / (np.sqrt(nu_hat) + preset.epsilon))
+    return np.array((x_new, mu_new, zeta_new, nu_new))
 
 
-def step_sgd_momentum(state: FlowState, grad, eta: float, beta: float) -> FlowState:
-    """Classical heavy-ball step: m' = beta*m + g, x' = x - eta*m'.
+def step_sgd_momentum(state: np.ndarray, grad, eta: float, k: int, beta: float) -> np.ndarray:
+    """Classical heavy-ball step: m' = beta*m + g, x' = x - eta*m'; the same
+    at every iteration k.
 
-    The momentum buffer lives in the mu slot; beta = 0 is plain gradient
+    The momentum buffer lives in the mu row; beta = 0 is plain gradient
     descent.
     """
     if not 0.0 <= beta < 1.0:
         raise ValidationError(["0 <= beta < 1"])
     g = np.asarray(grad, dtype=float)
-    m_new = beta * state.mu + g
-    x_new = state.x - eta * m_new
-    return FlowState(x=x_new, mu=m_new, zeta=state.zeta, nu=state.nu, t=state.t + 1)
+    m_new = beta * state[1] + g
+    x_new = state[0] - eta * m_new
+    return np.array((x_new, m_new, state[2], state[3]))
 
 
 @dataclass
@@ -220,8 +224,9 @@ class RunSummary:
         self.stayed_in_box = True
         self.diverged_at: Optional[int] = None
 
-    def add(self, step: int, state: FlowState, f: float, grad_norm: float) -> bool:
-        """Fold in the row of one step; False once the run has diverged."""
+    def add(self, step: int, state: np.ndarray, f: float, grad_norm: float) -> bool:
+        """Fold in one step: its (4, d) state, f and gradient norm; False
+        once the run has diverged."""
         if not (math.isfinite(f) and math.isfinite(grad_norm)):
             self.diverged_at = step
             return False
@@ -231,9 +236,9 @@ class RunSummary:
         if self.iters_to_threshold is None and grad_norm < self.threshold:
             self.iters_to_threshold = step
         self.final_grad_norm = grad_norm
-        if self.nu_nonnegative and (state.nu < 0).any():
+        if self.nu_nonnegative and (state[3] < 0).any():
             self.nu_nonnegative = False
-        if self.stayed_in_box and self.box is not None and not (np.abs(state.x) <= self.box).all():
+        if self.stayed_in_box and self.box is not None and not (np.abs(state[0]) <= self.box).all():
             self.stayed_in_box = False
         return True
 
@@ -256,7 +261,7 @@ class RunSummary:
         )
 
 
-Stepper = Callable[[FlowState, np.ndarray, float], FlowState]
+Stepper = Callable[[np.ndarray, np.ndarray, float, int], np.ndarray]
 
 
 def run_discrete(
@@ -273,8 +278,8 @@ def run_discrete(
 ) -> tuple[Trajectory, RunReport]:
     """Iterate a stepper, recording the trajectory and summarizing the run.
 
-    Iteration k calls stepper(state, grad, schedule.eta_at(k)), for example
-    a functools.partial of step_preset or step_sgd_momentum. The
+    Iteration k calls stepper(state, grad, schedule.eta_at(k), k), for
+    example a functools.partial of step_preset or step_sgd_momentum. The
     trajectory's time column is the iteration count. alpha_fn, when given,
     supplies the recorded bias factor per iteration (1.0 otherwise). The
     report summarizes every iteration, recorded or not (see RunSummary). A
@@ -288,13 +293,13 @@ def run_discrete(
     recorder = _Recorder()
     summary = RunSummary(threshold, getattr(objective, "box", None))
     for k in range(num_iters + 1):
-        f_k = objective.eval_f(state.x)
-        g_k = objective.eval_grad(state.x)
+        f_k = objective.eval_f(state[0])
+        g_k = objective.eval_grad(state[0])
         gnorm = float(np.linalg.norm(g_k))
         finite = summary.add(k, state, f_k, gnorm)
         if k % record_stride == 0 or k == num_iters or not finite:
-            recorder.record(state, f_k, gnorm, 1.0 if alpha_fn is None else float(alpha_fn(k)))
+            recorder.record(k, state, f_k, gnorm, 1.0 if alpha_fn is None else float(alpha_fn(k)))
         if k == num_iters or not finite:
             break
-        state = stepper(state, g_k, schedule.eta_at(k))
+        state = stepper(state, g_k, schedule.eta_at(k), k)
     return recorder.build(), summary.report(name, time.perf_counter() - t_start)

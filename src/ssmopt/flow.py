@@ -1,22 +1,21 @@
 """Continuous-time optimizer flows: the generic right-hand side, named preset
 flows, fixed-step integrators, and the accumulator energy-balance diagnostic.
 
-Integration of one trajectory is strictly sequential; flows on one objective
-are integrated together as one packed batch, each row bitwise equal to its
-solo run.
+A state is a (4, d) array with rows x, mu, zeta and nu, as in core. Flows on
+one objective are integrated together as one packed (R, 4, d) batch, each
+row bitwise equal to its solo run; integration of one trajectory is strictly
+sequential, and a Trajectory keeps its records as one (N, 4, d) array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .core import (
     DomainError,
-    FlowState,
     OptimizerParams,
     PresetKind,
     PresetParams,
@@ -37,7 +36,7 @@ class StepFailure(RuntimeError):
     misconfiguration.
     """
 
-    def __init__(self, t: float, state: FlowState, message: str = ""):
+    def __init__(self, t: float, state: np.ndarray, message: str = ""):
         self.t = t
         self.state = state
         super().__init__(message or f"integration failed at t={t:g}: nu lost positivity")
@@ -69,15 +68,6 @@ class FlowProblem:
             raise DomainError("nu0 must be positive componentwise")
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "nu0", nu0)
-
-
-class StateDeriv(NamedTuple):
-    """Time derivative of a FlowState, in (mu, zeta, nu, x) order."""
-
-    dmu: np.ndarray
-    dzeta: np.ndarray
-    dnu: np.ndarray
-    dx: np.ndarray
 
 
 class _LeftDomain(DomainError):
@@ -150,35 +140,35 @@ class _Batch:
         return d
 
 
-def rhs_general(state: FlowState, t: float, problem: FlowProblem) -> StateDeriv:
-    """Right-hand side of the generic optimizer flow.
+def rhs_general(state: np.ndarray, t: float, problem: FlowProblem) -> np.ndarray:
+    """Right-hand side of the generic optimizer flow at a (4, d) state, in
+    the state's row order:
 
+        dx    = -(lambda7*mu + lambda8*grad) / (alpha_g(t) * nu**c)
         dmu   = -lambda1*mu + lambda2*grad
         dzeta = -lambda3*zeta + lambda3*nu
         dnu   = lambda4*zeta - lambda5*nu + lambda6*psi(grad, mu)
-        dx    = -(lambda7*mu + lambda8*grad) / (alpha_g(t) * nu**c)
 
     psi is (grad - mu)**2 for the belief input and grad**2 otherwise, as
     problem.params.psi_kind selects. Requires nu > 0 componentwise
     (DomainError otherwise).
     """
-    s = np.stack([state.x, state.mu, state.zeta, state.nu])[None]
-    dx, dmu, dzeta, dnu = _Batch([problem]).deriv(s, t)[0]
-    return StateDeriv(dmu=dmu, dzeta=dzeta, dnu=dnu, dx=dx)
+    return _Batch([problem]).deriv(np.asarray(state, dtype=float)[None], t)[0]
 
 
 @dataclass
 class Trajectory:
     """Time-ordered states with aligned scalar series.
 
-    times are strictly increasing; f_values, grad_norms, and alpha_values all
-    share their length; every recorded state has nu >= 0 componentwise. Flow
+    states is one (N, 4, d) array with rows x, mu, zeta and nu; times are
+    strictly increasing; times, f_values, grad_norms, and alpha_values all
+    have length N; every recorded state has nu >= 0 componentwise. Flow
     integrators additionally keep nu strictly positive step by step; discrete
     runs start at nu = 0, so the shared writer checks nonnegativity.
     """
 
     times: np.ndarray
-    states: list[FlowState]
+    states: np.ndarray
     f_values: np.ndarray
     grad_norms: np.ndarray
     alpha_values: np.ndarray
@@ -187,48 +177,46 @@ class Trajectory:
         return len(self.times)
 
     def x_matrix(self) -> np.ndarray:
-        return np.stack([s.x for s in self.states])
+        return self.states[:, 0]
 
     def to_csv(self, path) -> None:
         """Write the trajectory with columns
         t, f, grad_norm, alpha, x_0.., mu_0.., zeta_0.., nu_0..
 
-        Re-validates the time ordering and nu nonnegativity before writing.
+        Re-validates the time ordering and nu nonnegativity before writing,
+        then writes one row at a time, each float in repr form.
         """
         times = np.asarray(self.times, dtype=float)
         if len(times) != len(self.states):
             raise ValueError("times and states lengths differ")
         if np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing")
-        d = len(self.states[0].x) if self.states else 0
+        negative = np.flatnonzero((self.states[:, 3] < 0).any(axis=1))
+        if negative.size:
+            raise ValueError(f"recorded state {negative[0]} has negative nu")
         header = ["t", "f", "grad_norm", "alpha"]
         for tag in ("x", "mu", "zeta", "nu"):
-            header.extend(f"{tag}_{i}" for i in range(d))
-        lines = [",".join(header)]
-        for k, s in enumerate(self.states):
-            if np.any(s.nu < 0):
-                raise ValueError(f"recorded state {k} has negative nu")
-            row = [times[k], self.f_values[k], self.grad_norms[k], self.alpha_values[k]]
-            row.extend(s.x)
-            row.extend(s.mu)
-            row.extend(s.zeta)
-            row.extend(s.nu)
-            lines.append(",".join(repr(float(v)) for v in row))
+            header.extend(f"{tag}_{i}" for i in range(self.states.shape[2]))
+        series = zip(times.tolist(), self.f_values, self.grad_norms, self.alpha_values, self.states)
         with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(",".join(header) + "\n")
+            for t, f, grad_norm, alpha, s in series:
+                row = [t, float(f), float(grad_norm), float(alpha), *s.ravel().tolist()]
+                fh.write(",".join(map(repr, row)) + "\n")
 
 
 class _Recorder:
-    """Accumulates the recorded rows of one run, flow or discrete; the time
-    column is the recorded states' t."""
+    """Accumulates the recorded rows of one run, flow or discrete."""
 
     def __init__(self):
-        self.states: list[FlowState] = []
+        self.times: list[float] = []
+        self.states: list[np.ndarray] = []
         self.f_values: list[float] = []
         self.grad_norms: list[float] = []
         self.alpha_values: list[float] = []
 
-    def record(self, state: FlowState, f: float, grad_norm: float, alpha: float) -> None:
+    def record(self, t: float, state: np.ndarray, f: float, grad_norm: float, alpha: float) -> None:
+        self.times.append(t)
         self.states.append(state)
         self.f_values.append(f)
         self.grad_norms.append(grad_norm)
@@ -236,8 +224,8 @@ class _Recorder:
 
     def build(self) -> Trajectory:
         return Trajectory(
-            times=np.array([s.t for s in self.states]),
-            states=self.states,
+            times=np.array(self.times, dtype=float),
+            states=np.array(self.states),
             f_values=np.array(self.f_values),
             grad_norms=np.array(self.grad_norms),
             alpha_values=np.array(self.alpha_values),
@@ -269,10 +257,6 @@ def rk4_step(batch: _Batch, s: np.ndarray, k: int, dt: float) -> np.ndarray:
     k3 = batch.deriv(s + h * k2, t0 + h)
     k4 = batch.deriv(s + dt * k3, (k + 1) * dt)
     return s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _row_state(s: np.ndarray, i: int, t: float) -> FlowState:
-    return FlowState(x=s[i, 0], mu=s[i, 1], zeta=s[i, 2], nu=s[i, 3], t=t)
 
 
 def integrate_batch(
@@ -307,16 +291,16 @@ def integrate_batch(
 
     def drop(bad: np.ndarray, t: float, message: str = "") -> None:
         for i in np.flatnonzero(bad):
-            results[live[i]] = StepFailure(t, _row_state(s, i, t), message)
+            results[live[i]] = StepFailure(t, s[i], message)
         remove(bad)
 
     def record(t: float, rows: np.ndarray | None = None) -> None:
         for i in range(len(live)) if rows is None else np.flatnonzero(rows):
             r = live[i]
-            state, p = _row_state(s, i, t), problems[r]
-            f = p.objective.eval_f(state.x)
-            grad_norm = float(np.linalg.norm(p.objective.eval_grad(state.x)))
-            recorders[r].record(state, f, grad_norm, alpha_g(t, p.params))
+            p = problems[r]
+            f = p.objective.eval_f(s[i, 0])
+            grad_norm = float(np.linalg.norm(p.objective.eval_grad(s[i, 0])))
+            recorders[r].record(t, s[i], f, grad_norm, alpha_g(t, p.params))
 
     record(0.0)
     k = 0
@@ -405,10 +389,8 @@ def gadagrad_energy_residual(traj: Trajectory, problem: FlowProblem) -> np.ndarr
         raise PresetMismatch("energy residual needs c in (0, 1)")
 
     times = np.asarray(traj.times, dtype=float)
-    grads_sq = np.stack(
-        [problem.objective.eval_grad(s.x) ** 2 for s in traj.states]
-    )
-    nu0 = traj.states[0].nu
+    grads_sq = np.stack([problem.objective.eval_grad(x) ** 2 for x in traj.x_matrix()])
+    nu0 = traj.states[0, 3]
     # per-coordinate cumulative trapezoid of grad^2 over the recorded grid
     dt_seg = np.diff(times)[:, None]
     increments = 0.5 * dt_seg * (grads_sq[1:] + grads_sq[:-1])

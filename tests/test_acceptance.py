@@ -43,7 +43,6 @@ from ssmopt import (
     validate_params,
     validate_preset,
 )
-from ssmopt.core import FlowState
 from ssmopt.discrete import BIAS_MODES
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -69,7 +68,7 @@ ADAM_BASE = map_preset_to_general(PresetParams(), PresetKind.ADAM)
 
 
 def full_state(s) -> np.ndarray:
-    return np.concatenate([np.atleast_1d(s.x), s.mu, s.zeta, s.nu])
+    return s.ravel()
 
 
 def fit_slope(dts, errors) -> float:
@@ -83,14 +82,14 @@ def test_c01_zero_coupling_reduction_identity(rng):
     for _ in range(100):
         preset = replace(random_valid_adamssm_preset(rng), b3=0.0)
         state = initial_stepper_state(rng.uniform(-2, 2, 3), rng.uniform(0.1, 2.0, 3))
-        state = replace(state, t=float(rng.integers(0, 200)))
+        k = int(rng.integers(0, 200))
         grad = rng.standard_normal(3)
         mode = BIAS_MODES[rng.integers(0, len(BIAS_MODES))]
-        a = step_preset(state, grad, preset.eta, PresetKind.ADAMSSM, preset, mode)
-        b = step_preset(state, grad, preset.eta, PresetKind.ADAM, preset, mode)
-        assert a.t == b.t
-        for field in ("x", "mu", "zeta", "nu"):
-            assert np.array_equal(getattr(a, field), getattr(b, field))
+        a = step_preset(state, grad, preset.eta, k, PresetKind.ADAMSSM, preset, mode)
+        b = step_preset(state, grad, preset.eta, k, PresetKind.ADAM, preset, mode)
+        assert a.shape == b.shape == (4, 3)
+        for row in range(4):
+            assert np.array_equal(a[row], b[row])
 
         params_two = map_preset_to_general(preset, PresetKind.ADAMSSM)
         params_one = map_preset_to_general(preset, PresetKind.ADAM)
@@ -98,15 +97,15 @@ def test_c01_zero_coupling_reduction_identity(rng):
         assert map_preset_to_general(preset, PresetKind.ADABELIEFSSM) == map_preset_to_general(
             preset, PresetKind.ADABELIEF
         )
-        flow_state = FlowState(
-            x=rng.uniform(-2, 2, 3),
-            mu=rng.standard_normal(3),
-            zeta=rng.uniform(0, 1, 3),
-            nu=rng.uniform(0.1, 2.0, 3),
-            t=float(rng.uniform(0, 10)),
-        )
-        d_two = rhs_general(flow_state, flow_state.t, FlowProblem(obj, params_two, np.ones(3), np.ones(3)))
-        d_one = rhs_general(flow_state, flow_state.t, FlowProblem(obj, params_one, np.ones(3), np.ones(3)))
+        flow_state = np.array((
+            rng.uniform(-2, 2, 3),
+            rng.standard_normal(3),
+            rng.uniform(0, 1, 3),
+            rng.uniform(0.1, 2.0, 3),
+        ))
+        t = float(rng.uniform(0, 10))
+        d_two = rhs_general(flow_state, t, FlowProblem(obj, params_two, np.ones(3), np.ones(3)))
+        d_one = rhs_general(flow_state, t, FlowProblem(obj, params_one, np.ones(3), np.ones(3)))
         for got, want in zip(d_two, d_one):
             assert np.array_equal(got, want)
     print("criterion 1 (zero-coupling reduction identity): PASS")
@@ -197,12 +196,12 @@ def test_c06_discrete_steppers_track_the_flow():
             np.ones(2), np.ones(2), 0.67, 0.0067, b3, 0.15, 0.01, 0.0, obj.eval_grad, 50
         )
         state = initial_stepper_state(np.ones(2), np.ones(2))
-        assert np.array_equal(state.x, xs[0])
+        assert np.array_equal(state[0], xs[0])
         for k in range(50):
-            grad = obj.eval_grad(state.x)
-            state = step_preset(state, grad, preset.eta, PresetKind.ADAMSSM, preset, mode)
-            assert np.array_equal(state.x, xs[k + 1])
-            for got, want in zip((state.mu, state.zeta, state.nu), moments[k + 1]):
+            grad = obj.eval_grad(state[0])
+            state = step_preset(state, grad, preset.eta, k, PresetKind.ADAMSSM, preset, mode)
+            assert np.array_equal(state[0], xs[k + 1])
+            for got, want in zip(state[1:], moments[k + 1]):
                 assert np.array_equal(got, want)
 
     t_end = 10.0
@@ -217,9 +216,9 @@ def test_c06_discrete_steppers_track_the_flow():
         for delta in deltas:
             preset = PresetParams(b3=b3, delta=delta, eta=delta, epsilon=0.0)
             state = initial_stepper_state(np.ones(2), np.ones(2))
-            for _ in range(int(round(t_end / delta))):
+            for k in range(int(round(t_end / delta))):
                 state = step_preset(
-                    state, obj.eval_grad(state.x), preset.eta, PresetKind.ADAMSSM, preset, "continuous"
+                    state, obj.eval_grad(state[0]), preset.eta, k, PresetKind.ADAMSSM, preset, "continuous"
                 )
             errors.append(float(np.max(np.abs(full_state(state) - ref_final))))
         slopes[label] = fit_slope(deltas, errors)
@@ -259,7 +258,7 @@ def test_c07_flows_converge_within_budget():
         traj = integrate_reference(problem, dt, t_end, record_stride=10)
         label = f"{kind.value} on {obj.name}"
         assert float(np.min(traj.grad_norms)) < 1e-4, label
-        nu_records = np.array([s.nu for s in traj.states])
+        nu_records = traj.states[:, 3]
         assert np.all(nu_records > 0), label
     print("criterion 7 (convergence budgets, 15 flows): PASS")
 

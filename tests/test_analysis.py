@@ -261,7 +261,7 @@ class TestSecondMomentResponse:
         traj = integrate_reference(problem, dt=dt, t_end=20.0)
         u = traj.x_matrix()[:, 0] ** 2
         predicted = second_moment_response(self.lti(), B2, u, dt, nu_init=1.0)
-        recorded = np.array([s.nu[0] for s in traj.states])
+        recorded = traj.states[:, 3, 0]
         assert float(np.max(np.abs(predicted - recorded))) < 1e-6
 
     def test_reconstruction_error_is_second_order_in_dt(self):
@@ -273,7 +273,7 @@ class TestSecondMomentResponse:
             traj = integrate_reference(problem, dt=dt, t_end=20.0)
             u = traj.x_matrix()[:, 0] ** 2
             predicted = second_moment_response(self.lti(), B2, u, dt, nu_init=1.0)
-            recorded = np.array([s.nu[0] for s in traj.states])
+            recorded = traj.states[:, 3, 0]
             errors.append(float(np.max(np.abs(predicted - recorded))))
         assert 2.5 < errors[0] / errors[1] < 6.0
 

@@ -256,10 +256,10 @@ def test_valid_preset_maps_to_valid_params(kind, b1, b2, b3, c, delta, epsilon, 
 class TestInitialFlowState:
     def test_moments_start_at_zero(self):
         state = initial_stepper_state([1.0, -2.0], [0.5, 0.5])
-        assert np.array_equal(state.mu, np.zeros(2))
-        assert np.array_equal(state.zeta, np.zeros(2))
-        assert np.array_equal(state.nu, np.array([0.5, 0.5]))
-        assert state.t == 0.0
+        assert np.array_equal(state[1], np.zeros(2))
+        assert np.array_equal(state[2], np.zeros(2))
+        assert np.array_equal(state[3], np.array([0.5, 0.5]))
+        assert state.shape == (4, 2)
 
     def test_nonpositive_nu0_rejected(self):
         # flows need nu0 > 0; discrete runs may start at nu0 = 0

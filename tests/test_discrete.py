@@ -29,67 +29,67 @@ def preset_stepper(kind, preset):
     return partial(step_preset, kind=kind, preset=preset)
 
 
-def gadagrad_step(state, grad, c, eta, epsilon, delta):
+def gadagrad_step(state, grad, k, c, eta, epsilon, delta):
     return step_preset(
-        state, grad, eta, PresetKind.GADAGRAD, PresetParams(c=c, epsilon=epsilon, delta=delta)
+        state, grad, eta, k, PresetKind.GADAGRAD, PresetParams(c=c, epsilon=epsilon, delta=delta)
     )
 
 
 class TestAdamssmStep:
     def test_single_step_hand_values(self):
         state = initial_stepper_state(np.array([1.0]))
-        new = step_preset(state, np.array([1.0]), ADAMSSM.eta, PresetKind.ADAMSSM, ADAMSSM)
-        assert new.mu[0] == 0.15 * 0.67
-        assert new.zeta[0] == 0.0
-        assert new.nu[0] == 0.15 * 0.0067
-        assert new.x[0] == 0.9996127016753793
-        assert new.t == 1
+        new = step_preset(state, np.array([1.0]), ADAMSSM.eta, 0, PresetKind.ADAMSSM, ADAMSSM)
+        assert new[1, 0] == 0.15 * 0.67
+        assert new[2, 0] == 0.0
+        assert new[3, 0] == 0.15 * 0.0067
+        assert new[0, 0] == 0.9996127016753793
+        assert new.shape == (4, 1)
 
     def test_zero_gradient_leaves_iterate_fixed(self):
         state = initial_stepper_state(np.array([3.0, -2.0]))
-        new = step_preset(state, np.zeros(2), ADAMSSM.eta, PresetKind.ADAMSSM, ADAMSSM)
-        assert np.array_equal(new.x, state.x)
-        assert np.array_equal(new.mu, np.zeros(2))
-        assert np.array_equal(new.nu, np.zeros(2))
+        new = step_preset(state, np.zeros(2), ADAMSSM.eta, 0, PresetKind.ADAMSSM, ADAMSSM)
+        assert np.array_equal(new[0], state[0])
+        assert np.array_equal(new[1], np.zeros(2))
+        assert np.array_equal(new[3], np.zeros(2))
 
     def test_zero_coupling_matches_one_state_step_bitwise(self, rng):
         preset = PresetParams(b3=0.0)
         a = initial_stepper_state(np.ones(3))
         b = initial_stepper_state(np.ones(3))
-        for _ in range(50):
+        for k in range(50):
             g = rng.standard_normal(3)
-            a = step_preset(a, g, preset.eta, PresetKind.ADAMSSM, preset)
-            b = step_preset(b, g, preset.eta, PresetKind.ADAM, preset)
-            for field in ("x", "mu", "zeta", "nu"):
-                assert np.array_equal(getattr(a, field), getattr(b, field))
+            a = step_preset(a, g, preset.eta, k, PresetKind.ADAMSSM, preset)
+            b = step_preset(b, g, preset.eta, k, PresetKind.ADAM, preset)
+            for row in range(4):
+                assert np.array_equal(a[row], b[row])
 
     def test_small_coupling_stays_close_to_zero_coupling(self):
         near = PresetParams(b3=1e-12)
         exact = PresetParams(b3=0.0)
         a = initial_stepper_state(np.array([1.0]))
         b = initial_stepper_state(np.array([1.0]))
-        for _ in range(5):
-            a = step_preset(a, np.array([1.0]), near.eta, PresetKind.ADAMSSM, near)
-            b = step_preset(b, np.array([1.0]), exact.eta, PresetKind.ADAMSSM, exact)
-        assert np.allclose(a.x, b.x, rtol=1e-9)
-        assert np.allclose(a.nu, b.nu, rtol=1e-9)
+        for k in range(5):
+            a = step_preset(a, np.array([1.0]), near.eta, k, PresetKind.ADAMSSM, near)
+            b = step_preset(b, np.array([1.0]), exact.eta, k, PresetKind.ADAMSSM, exact)
+        assert np.allclose(a[0], b[0], rtol=1e-9)
+        assert np.allclose(a[3], b[3], rtol=1e-9)
 
     def test_first_step_size_independent_of_gradient_scale(self):
         preset = PresetParams(b3=0.02, epsilon=0.0)
         base = initial_stepper_state(np.array([0.0]))
-        small = step_preset(base, np.array([1.0]), preset.eta, PresetKind.ADAMSSM, preset)
-        large = step_preset(base, np.array([1e6]), preset.eta, PresetKind.ADAMSSM, preset)
-        flipped = step_preset(base, np.array([-1.0]), preset.eta, PresetKind.ADAMSSM, preset)
-        assert np.isclose(small.x[0], large.x[0], rtol=1e-12)
-        assert flipped.x[0] == -small.x[0]
+        small = step_preset(base, np.array([1.0]), preset.eta, 0, PresetKind.ADAMSSM, preset)
+        large = step_preset(base, np.array([1e6]), preset.eta, 0, PresetKind.ADAMSSM, preset)
+        flipped = step_preset(base, np.array([-1.0]), preset.eta, 0, PresetKind.ADAMSSM, preset)
+        assert np.isclose(small[0, 0], large[0, 0], rtol=1e-12)
+        assert flipped[0, 0] == -small[0, 0]
 
     def test_sampling_time_guard(self):
         bad = PresetParams(b3=0.02, delta=100.0)
         state = initial_stepper_state(np.array([1.0]))
         with pytest.raises(InstabilityError, match="1 - delta\\*b2 - delta\\*b3"):
-            step_preset(state, np.array([1.0]), bad.eta, PresetKind.ADAMSSM, bad)
+            step_preset(state, np.array([1.0]), bad.eta, 0, PresetKind.ADAMSSM, bad)
         # the one-state member ignores the coupling rate and stays stable here
-        step_preset(state, np.array([1.0]), bad.eta, PresetKind.ADAM, bad)
+        step_preset(state, np.array([1.0]), bad.eta, 0, PresetKind.ADAM, bad)
 
 
 class TestAdabeliefStep:
@@ -97,71 +97,71 @@ class TestAdabeliefStep:
         preset = PresetParams(b3=0.0)
         g = np.array([2.0, -3.0])
         state = initial_stepper_state(np.zeros(2))
-        new = step_preset(state, g, preset.eta, PresetKind.ADABELIEF, preset)
+        new = step_preset(state, g, preset.eta, 0, PresetKind.ADABELIEF, preset)
         mu_expected = (0.15 * 0.67) * g
         drive = (g - mu_expected) ** 2
-        assert np.array_equal(new.mu, mu_expected)
-        assert np.array_equal(new.nu, (0.15 * 0.0067) * drive)
+        assert np.array_equal(new[1], mu_expected)
+        assert np.array_equal(new[3], (0.15 * 0.0067) * drive)
 
     def test_constant_gradient_drives_second_moment_to_zero(self):
         preset = PresetParams(b3=0.0)
         state = initial_stepper_state(np.array([0.0]))
         g = np.array([1.0])
-        for _ in range(10_000):
-            state = step_preset(state, g, preset.eta, PresetKind.ADABELIEF, preset)
-        assert state.nu[0] < 1e-6
-        assert abs(state.mu[0] - 1.0) < 1e-9
+        for k in range(10_000):
+            state = step_preset(state, g, preset.eta, k, PresetKind.ADABELIEF, preset)
+        assert state[3, 0] < 1e-6
+        assert abs(state[1, 0] - 1.0) < 1e-9
 
     def test_zero_gradient_no_motion(self):
         preset = PresetParams(b3=0.02)
         state = initial_stepper_state(np.array([5.0]))
-        new = step_preset(state, np.zeros(1), preset.eta, PresetKind.ADABELIEFSSM, preset)
-        assert new.x[0] == 5.0
+        new = step_preset(state, np.zeros(1), preset.eta, 0, PresetKind.ADABELIEFSSM, preset)
+        assert new[0, 0] == 5.0
 
     def test_one_state_kind_ignores_the_coupling_rate_bitwise(self, rng):
         coupled = PresetParams(b3=0.02)
         start = initial_stepper_state(rng.uniform(-2, 2, 3), rng.uniform(0.1, 2.0, 3))
         a = b = two_state = start
-        for _ in range(50):
+        for k in range(50):
             g = rng.standard_normal(3)
-            a = step_preset(a, g, 1e-3, PresetKind.ADABELIEF, coupled)
-            b = step_preset(b, g, 1e-3, PresetKind.ADABELIEF, PresetParams(b3=0.0))
-            two_state = step_preset(two_state, g, 1e-3, PresetKind.ADABELIEFSSM, coupled)
-            for field in ("x", "mu", "zeta", "nu"):
-                assert np.array_equal(getattr(a, field), getattr(b, field))
-        assert not np.array_equal(a.nu, two_state.nu)
+            a = step_preset(a, g, 1e-3, k, PresetKind.ADABELIEF, coupled)
+            b = step_preset(b, g, 1e-3, k, PresetKind.ADABELIEF, PresetParams(b3=0.0))
+            two_state = step_preset(two_state, g, 1e-3, k, PresetKind.ADABELIEFSSM, coupled)
+            for row in range(4):
+                assert np.array_equal(a[row], b[row])
+        assert not np.array_equal(a[3], two_state[3])
 
 
 class TestGadagradStep:
     def test_two_step_hand_values(self):
         state = initial_stepper_state(np.array([2.0]))
         g = np.array([1.0])
-        state = gadagrad_step(state, g, c=0.5, eta=1.0, epsilon=0.0, delta=1.0)
-        assert state.nu[0] == 1.0
-        assert state.x[0] == 1.0
-        state = gadagrad_step(state, g, c=0.5, eta=1.0, epsilon=0.0, delta=1.0)
-        assert state.nu[0] == 2.0
-        assert state.x[0] == 0.29289321881345254
+        state = gadagrad_step(state, g, 0, c=0.5, eta=1.0, epsilon=0.0, delta=1.0)
+        assert state[3, 0] == 1.0
+        assert state[0, 0] == 1.0
+        state = gadagrad_step(state, g, 1, c=0.5, eta=1.0, epsilon=0.0, delta=1.0)
+        assert state[3, 0] == 2.0
+        assert state[0, 0] == 0.29289321881345254
 
     def test_accumulator_never_decreases(self, rng):
         state = initial_stepper_state(np.zeros(4))
-        prev = state.nu.copy()
-        for _ in range(100):
+        prev = state[3].copy()
+        for k in range(100):
             g = rng.standard_normal(4) * 3.0
-            state = gadagrad_step(state, g, c=0.3, eta=0.1, epsilon=1e-8, delta=0.5)
-            assert np.all(state.nu >= prev)
-            prev = state.nu.copy()
+            state = gadagrad_step(state, g, k, c=0.3, eta=0.1, epsilon=1e-8, delta=0.5)
+            assert np.all(state[3] >= prev)
+            prev = state[3].copy()
 
     def test_zero_gradient_zero_accumulator_takes_zero_step(self):
         state = initial_stepper_state(np.array([1.0]))
-        new = gadagrad_step(state, np.zeros(1), c=0.5, eta=1.0, epsilon=0.0, delta=1.0)
-        assert new.x[0] == 1.0
+        new = gadagrad_step(state, np.zeros(1), 0, c=0.5, eta=1.0, epsilon=0.0, delta=1.0)
+        assert new[0, 0] == 1.0
 
     def test_exponent_validated(self):
         state = initial_stepper_state(np.array([1.0]))
         for bad_c in (0.0, 1.0, -0.5):
             with pytest.raises(ValidationError) as err:
-                gadagrad_step(state, np.array([1.0]), c=bad_c, eta=1.0, epsilon=0.0, delta=1.0)
+                gadagrad_step(state, np.array([1.0]), 0, c=bad_c, eta=1.0, epsilon=0.0, delta=1.0)
             assert err.value.violations == ["0 < c < 1"]
 
 
@@ -169,20 +169,20 @@ class TestSgdMomentumStep:
     def test_zero_momentum_is_gradient_descent(self):
         state = initial_stepper_state(np.array([1.0, 2.0]))
         g = np.array([0.5, -0.5])
-        new = step_sgd_momentum(state, g, beta=0.0, eta=0.1)
-        assert np.array_equal(new.x, state.x - 0.1 * g)
+        new = step_sgd_momentum(state, g, k=0, beta=0.0, eta=0.1)
+        assert np.array_equal(new[0], state[0] - 0.1 * g)
 
     def test_momentum_accumulates(self):
         state = initial_stepper_state(np.array([0.0]))
-        state = step_sgd_momentum(state, np.array([1.0]), beta=0.5, eta=1.0)
-        state = step_sgd_momentum(state, np.array([2.0]), beta=0.5, eta=1.0)
-        assert state.mu[0] == 0.5 * 1.0 + 2.0
+        state = step_sgd_momentum(state, np.array([1.0]), k=0, beta=0.5, eta=1.0)
+        state = step_sgd_momentum(state, np.array([2.0]), k=1, beta=0.5, eta=1.0)
+        assert state[1, 0] == 0.5 * 1.0 + 2.0
 
     def test_momentum_factor_validated(self):
         state = initial_stepper_state(np.array([1.0]))
         for bad in (1.0, -0.1):
             with pytest.raises(ValidationError) as err:
-                step_sgd_momentum(state, np.array([1.0]), beta=bad, eta=0.1)
+                step_sgd_momentum(state, np.array([1.0]), k=0, beta=bad, eta=0.1)
             assert err.value.violations == ["0 <= beta < 1"]
 
 
@@ -238,11 +238,11 @@ class TestLrSchedule:
     def test_schedule_reaches_stepper(self):
         sched = LrSchedule(base_eta=1.0, milestones=((1, 0.0001),))
         state = initial_stepper_state(np.array([0.0]))
-        state = step_preset(state, np.array([1.0]), sched.eta_at(0), PresetKind.ADAMSSM, ADAMSSM)
-        first_move = abs(state.x[0])
-        x_before = state.x[0]
-        state = step_preset(state, np.array([1.0]), sched.eta_at(1), PresetKind.ADAMSSM, ADAMSSM)
-        assert abs(state.x[0] - x_before) < 0.01 * first_move
+        state = step_preset(state, np.array([1.0]), sched.eta_at(0), 0, PresetKind.ADAMSSM, ADAMSSM)
+        first_move = abs(state[0, 0])
+        x_before = state[0, 0]
+        state = step_preset(state, np.array([1.0]), sched.eta_at(1), 1, PresetKind.ADAMSSM, ADAMSSM)
+        assert abs(state[0, 0] - x_before) < 0.01 * first_move
 
 
 class TestRunDiscrete:
@@ -343,14 +343,14 @@ class TestNonnegativity:
         for stepper in steppers:
             for _ in range(10):
                 state = initial_stepper_state(rng.uniform(-2, 2, 3))
-                for _ in range(200):
+                for k in range(200):
                     g = rng.uniform(-10.0, 10.0, 3)
-                    state = stepper(state, g, 1e-3)
-                    assert np.all(state.nu >= 0.0)
+                    state = stepper(state, g, 1e-3, k)
+                    assert np.all(state[3] >= 0.0)
 
     def test_accumulator_stepper_nonnegative(self, rng):
         state = initial_stepper_state(np.zeros(3))
-        for _ in range(500):
+        for k in range(500):
             g = rng.standard_normal(3) * 5.0
-            state = gadagrad_step(state, g, c=0.5, eta=0.01, epsilon=1e-8, delta=1.0)
-            assert np.all(state.nu >= 0.0)
+            state = gadagrad_step(state, g, k, c=0.5, eta=0.01, epsilon=1e-8, delta=1.0)
+            assert np.all(state[3] >= 0.0)

@@ -7,7 +7,6 @@ import pytest
 from ssmopt import (
     DomainError,
     FlowProblem,
-    FlowState,
     OptimizerParams,
     PresetKind,
     PresetParams,
@@ -58,14 +57,15 @@ def lam_dict(p: OptimizerParams) -> dict:
     return {i: getattr(p, f"lambda{i}") for i in range(1, 9)}
 
 
-def random_flow_state(rng, dim: int, t_max: float = 20.0) -> FlowState:
-    return FlowState(
-        x=rng.uniform(-2.0, 2.0, dim),
-        mu=rng.uniform(-1.0, 1.0, dim),
-        zeta=rng.uniform(0.0, 1.0, dim),
-        nu=rng.uniform(0.1, 2.0, dim),
-        t=rng.uniform(0.0, t_max),
-    )
+def random_flow_state(rng, dim: int, t_max: float = 20.0) -> tuple[np.ndarray, float]:
+    """A random (4, d) state with nu > 0, and a random time."""
+    state = np.array((
+        rng.uniform(-2.0, 2.0, dim),
+        rng.uniform(-1.0, 1.0, dim),
+        rng.uniform(0.0, 1.0, dim),
+        rng.uniform(0.1, 2.0, dim),
+    ))
+    return state, float(rng.uniform(0.0, t_max))
 
 
 class TestRhsGeneral:
@@ -74,51 +74,47 @@ class TestRhsGeneral:
         params = map_preset_to_general(ADAMSSM, PresetKind.ADAMSSM)
         problem = FlowProblem(obj, params, np.zeros(2), np.ones(2))
         # zeta = nu makes the auxiliary state stationary as well
-        state = FlowState(x=np.zeros(2), mu=np.zeros(2), zeta=np.ones(2), nu=np.ones(2), t=0.0)
-        d = rhs_general(state, 0.0, problem)
-        assert np.array_equal(d.dx, np.zeros(2))
-        assert np.array_equal(d.dmu, np.zeros(2))
-        assert np.array_equal(d.dzeta, np.zeros(2))
-        assert np.array_equal(d.dnu, 0.02 * np.ones(2) - 0.0267 * np.ones(2))
+        state = np.array((np.zeros(2), np.zeros(2), np.ones(2), np.ones(2)))
+        dx, dmu, dzeta, dnu = rhs_general(state, 0.0, problem)
+        assert np.array_equal(dx, np.zeros(2))
+        assert np.array_equal(dmu, np.zeros(2))
+        assert np.array_equal(dzeta, np.zeros(2))
+        assert np.array_equal(dnu, 0.02 * np.ones(2) - 0.0267 * np.ones(2))
 
     def test_accumulator_flow_hand_values(self):
         obj = make_quadratic(1, 1.0)
         params = map_preset_to_general(PresetParams(c=0.5), PresetKind.GADAGRAD)
         problem = FlowProblem(obj, params, np.array([2.0]), np.array([1.0]))
-        state = FlowState(x=[2.0], mu=[0.0], zeta=[0.0], nu=[1.0], t=0.0)
-        d = rhs_general(state, 0.0, problem)
-        assert d.dnu[0] == 4.0
-        assert d.dx[0] == -2.0
+        dx, _, _, dnu = rhs_general([[2.0], [0.0], [0.0], [1.0]], 0.0, problem)
+        assert dnu[0] == 4.0
+        assert dx[0] == -2.0
 
     def test_one_state_mapping_matches_oracle(self, rng):
         obj = make_quadratic(3, 30.0)
         params = map_preset_to_general(PresetParams(), PresetKind.ADAM)
         problem = FlowProblem(obj, params, np.ones(3), np.ones(3))
         for _ in range(30):
-            state = random_flow_state(rng, 3)
-            d = rhs_general(state, state.t, problem)
-            dmu, dnu, dx = adam_rhs(
-                state.x, state.mu, state.nu, state.t, 0.67, 0.0067, obj.eval_grad
-            )
-            assert np.allclose(d.dmu, dmu, rtol=1e-13, atol=0.0)
-            assert np.allclose(d.dnu, dnu, rtol=1e-13, atol=0.0)
-            assert np.allclose(d.dx, dx, rtol=1e-12, atol=0.0)
+            state, t = random_flow_state(rng, 3)
+            d = rhs_general(state, t, problem)
+            dmu, dnu, dx = adam_rhs(state[0], state[1], state[3], t, 0.67, 0.0067, obj.eval_grad)
+            assert np.allclose(d[1], dmu, rtol=1e-13, atol=0.0)
+            assert np.allclose(d[3], dnu, rtol=1e-13, atol=0.0)
+            assert np.allclose(d[0], dx, rtol=1e-12, atol=0.0)
 
     def test_general_form_matches_oracle(self, rng):
         obj = make_rosenbrock(3)
         for _ in range(50):
             params = random_valid_params(rng)
             problem = FlowProblem(obj, params, np.ones(3), np.ones(3))
-            state = random_flow_state(rng, 3)
-            d = rhs_general(state, state.t, problem)
+            state, t = random_flow_state(rng, 3)
+            d = rhs_general(state, t, problem)
             dmu, dzeta, dnu, dx = general_rhs(
-                state.x, state.mu, state.zeta, state.nu, state.t,
-                lam_dict(params), params.c, ORACLE_PSI[params.psi_kind], obj.eval_grad,
+                *state, t, lam_dict(params), params.c, ORACLE_PSI[params.psi_kind], obj.eval_grad,
             )
-            assert np.allclose(d.dmu, dmu, rtol=1e-12, atol=0.0)
-            assert np.allclose(d.dzeta, dzeta, rtol=1e-12, atol=0.0)
-            assert np.allclose(d.dnu, dnu, rtol=1e-12, atol=1e-300)
-            assert np.allclose(d.dx, dx, rtol=1e-12, atol=0.0)
+            assert np.allclose(d[1], dmu, rtol=1e-12, atol=0.0)
+            assert np.allclose(d[2], dzeta, rtol=1e-12, atol=0.0)
+            assert np.allclose(d[3], dnu, rtol=1e-12, atol=1e-300)
+            assert np.allclose(d[0], dx, rtol=1e-12, atol=0.0)
 
     def test_zero_coupling_reduction_is_bitwise(self, rng):
         obj = make_rosenbrock(2)
@@ -129,9 +125,9 @@ class TestRhsGeneral:
         pa = FlowProblem(obj, params_two_state, np.ones(2), np.ones(2))
         pb = FlowProblem(obj, params_one_state, np.ones(2), np.ones(2))
         for _ in range(100):
-            state = random_flow_state(rng, 2)
-            da = rhs_general(state, state.t, pa)
-            db = rhs_general(state, state.t, pb)
+            state, t = random_flow_state(rng, 2)
+            da = rhs_general(state, t, pa)
+            db = rhs_general(state, t, pb)
             for a, b in zip(da, db):
                 assert np.array_equal(a, b)
 
@@ -139,7 +135,7 @@ class TestRhsGeneral:
         obj = make_quadratic(1, 1.0)
         params = map_preset_to_general(PresetParams(), PresetKind.ADAM)
         problem = FlowProblem(obj, params, np.array([1.0]), np.array([1.0]))
-        bad = FlowState(x=[1.0], mu=[0.0], zeta=[0.0], nu=[0.0], t=0.0)
+        bad = np.array(([1.0], [0.0], [0.0], [0.0]))
         with pytest.raises(DomainError):
             rhs_general(bad, 0.0, problem)
 
@@ -150,18 +146,17 @@ class TestIntegrators:
         return preset_flow(PresetKind.ADAM, PresetParams(), obj, np.ones(dim), np.ones(dim))
 
     def final_state_vector(self, traj: Trajectory) -> np.ndarray:
-        s = traj.states[-1]
-        return np.concatenate([s.x, s.mu, s.zeta, s.nu])
+        return traj.states[-1].ravel()
 
     def test_iterate_constant_at_critical_start(self):
         obj = make_quadratic(2, 10.0)
         problem = preset_flow(PresetKind.ADAM, PresetParams(), obj, np.zeros(2), np.ones(2))
         traj = integrate_euler(problem, dt=0.1, t_end=5.0)
-        for s in traj.states:
-            assert np.array_equal(s.x, np.zeros(2))
+        for x in traj.x_matrix():
+            assert np.array_equal(x, np.zeros(2))
         traj = integrate_reference(problem, dt=0.1, t_end=5.0)
-        for s in traj.states:
-            assert np.array_equal(s.x, np.zeros(2))
+        for x in traj.x_matrix():
+            assert np.array_equal(x, np.zeros(2))
 
     def test_accumulator_flow_descends(self):
         obj = make_quadratic(1, 1.0)
@@ -205,7 +200,7 @@ class TestIntegrators:
         with pytest.raises(StepFailure) as err:
             integrate_euler(problem, dt=50.0, t_end=100.0)
         assert err.value.t == 50.0
-        assert np.any(err.value.state.nu < 0)
+        assert np.any(err.value.state[3] < 0)
 
     def test_positivity_stop_in_reference_stage(self):
         obj = make_quadratic(1, 1.0)
@@ -229,7 +224,7 @@ class TestIntegrators:
         problem = preset_flow(PresetKind.ADAMSSM, ADAMSSM, obj, np.ones(2), np.ones(2))
         traj = integrate_reference(problem, dt=0.01, t_end=20.0, record_stride=50)
         for s in traj.states:
-            assert np.all(s.nu > 0.0)
+            assert np.all(s[3] > 0.0)
 
     def test_preset_flow_validates(self):
         obj = make_quadratic(2, 10.0)
@@ -261,7 +256,7 @@ def test_integrators_match_oracle_bitwise(objective, integrate, rk4):
         steps = list(range(0, n_steps, stride)) + [n_steps]
         assert list(traj.times) == [k * dt if k else 0.0 for k in steps], kind
         for k, state in zip(steps, traj.states):
-            for got, want in zip((state.x, state.mu, state.zeta, state.nu), expected[k]):
+            for got, want in zip(state, expected[k]):
                 assert np.array_equal(got, want), (kind, k)
 
 
@@ -271,9 +266,8 @@ def assert_same_trajectory(got: Trajectory, want: Trajectory):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert len(got.states) == len(want.states)
     for a, b in zip(got.states, want.states):
-        assert a.t == b.t
-        for field in ("x", "mu", "zeta", "nu"):
-            assert np.array_equal(getattr(a, field), getattr(b, field)), field
+        for row in range(4):
+            assert np.array_equal(a[row], b[row]), row
 
 
 class TestIntegrateBatch:
@@ -307,8 +301,8 @@ class TestIntegrateBatch:
         assert isinstance(failure, StepFailure)
         assert str(failure) == str(solo.value)
         assert failure.t == solo.value.t
-        for field in ("x", "mu", "zeta", "nu"):
-            assert np.array_equal(getattr(failure.state, field), getattr(solo.value.state, field))
+        for row in range(4):
+            assert np.array_equal(failure.state[row], solo.value.state[row])
 
     def test_batch_shares_one_objective(self):
         problems = [
@@ -322,10 +316,10 @@ class TestIntegrateBatch:
 
 class TestTrajectoryCsv:
     def small_trajectory(self) -> Trajectory:
-        states = [
-            FlowState(x=[1.0, 2.0], mu=[0.0, 0.0], zeta=[0.0, 0.0], nu=[0.5, 0.25], t=0.0),
-            FlowState(x=[0.5, -1.5], mu=[0.1, 0.2], zeta=[0.01, 0.02], nu=[0.3, 0.125], t=1.0),
-        ]
+        states = np.array([
+            [[1.0, 2.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.25]],
+            [[0.5, -1.5], [0.1, 0.2], [0.01, 0.02], [0.3, 0.125]],
+        ])
         return Trajectory(
             times=np.array([0.0, 1.0]),
             states=states,
@@ -339,8 +333,8 @@ class TestTrajectoryCsv:
         # underflow range, a large integral float and an inexact sum
         traj = self.small_trajectory()
         traj.times = np.array([0.0, 1.0, 2.0])
-        traj.states.append(
-            FlowState(x=[-0.0, 1e-300], mu=[1.5e16, 0.1 + 0.2], zeta=[0.0, -0.0], nu=[1e-300, 0.0], t=2.0)
+        traj.states = np.append(
+            traj.states, [[[-0.0, 1e-300], [1.5e16, 0.1 + 0.2], [0.0, -0.0], [1e-300, 0.0]]], axis=0
         )
         traj.f_values = np.array([1.5, 0.75, 0.1 + 0.2])
         traj.grad_norms = np.array([2.0, 1.0, 1.5e16])
@@ -367,18 +361,14 @@ class TestTrajectoryCsv:
 
     def test_negative_nu_rejected(self, tmp_path):
         traj = self.small_trajectory()
-        traj.states[1] = FlowState(
-            x=[0.5, -1.5], mu=[0.1, 0.2], zeta=[0.01, 0.02], nu=[-0.3, 0.125], t=1.0
-        )
+        traj.states[1] = [[0.5, -1.5], [0.1, 0.2], [0.01, 0.02], [-0.3, 0.125]]
         with pytest.raises(ValueError, match="negative nu"):
             traj.to_csv(tmp_path / "bad.csv")
 
     def test_zero_nu_accepted(self, tmp_path):
         # discrete runs legitimately start from a zero second moment
         traj = self.small_trajectory()
-        traj.states[0] = FlowState(
-            x=[1.0, 2.0], mu=[0.0, 0.0], zeta=[0.0, 0.0], nu=[0.0, 0.0], t=0.0
-        )
+        traj.states[0] = [[1.0, 2.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
         traj.to_csv(tmp_path / "ok.csv")
 
     def test_time_ordering_enforced(self, tmp_path):
@@ -460,8 +450,8 @@ class TestEnergyResidual:
 class TestInitialState:
     def test_moments_zeroed(self):
         state = initial_stepper_state(np.array([1.0, 2.0]), np.array([0.5, 0.5]))
-        assert state.t == 0.0
-        assert np.array_equal(state.mu, np.zeros(2))
+        assert state.shape == (4, 2)
+        assert np.array_equal(state[1], np.zeros(2))
 
     def test_random_presets_integrate_cleanly(self, rng):
         obj = make_quadratic(2, 10.0)
