@@ -183,12 +183,14 @@ class Trajectory:
         """Write the trajectory with columns
         t, f, grad_norm, alpha, x_0.., mu_0.., zeta_0.., nu_0..
 
-        Re-validates the time ordering and nu nonnegativity before writing,
-        then writes one row at a time, each float in repr form.
+        Re-validates the series lengths, the time ordering and nu
+        nonnegativity before writing, then writes one row at a time, each
+        float in repr form.
         """
         times = np.asarray(self.times, dtype=float)
-        if len(times) != len(self.states):
-            raise ValueError("times and states lengths differ")
+        series_lengths = {len(times), len(self.f_values), len(self.grad_norms), len(self.alpha_values)}
+        if series_lengths != {len(self.states)}:
+            raise ValueError("times, states and value series lengths differ")
         if np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing")
         negative = np.flatnonzero((self.states[:, 3] < 0).any(axis=1))

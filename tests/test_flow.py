@@ -382,6 +382,10 @@ class TestTrajectoryCsv:
         traj.times = np.array([0.0, 1.0, 2.0])
         with pytest.raises(ValueError, match="lengths differ"):
             traj.to_csv(tmp_path / "bad.csv")
+        traj = self.small_trajectory()
+        traj.f_values = np.array([1.5])
+        with pytest.raises(ValueError, match="lengths differ"):
+            traj.to_csv(tmp_path / "bad.csv")
 
     def test_helpers(self):
         traj = self.small_trajectory()
