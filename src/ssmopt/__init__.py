@@ -4,12 +4,16 @@ The package has three layers:
 
 - continuous time: a nine-parameter family of optimizer flows (core, flow)
   with validation of the convergence conditions and fixed-step integrators;
-- discrete time: one stepper for the named presets, keyed by PresetKind
-  like their flows, and a heavy-ball baseline (discrete);
+- discrete time: one batched update for the named presets, keyed by their
+  kind like their flows, and a heavy-ball baseline (discrete);
 - analysis and tooling: transfer-function/pole-zero analysis of the
   second-moment dynamic (analysis), synthetic objectives with gradient
   oracles (objectives), and a JSON-config experiment harness with a CLI
   (harness, cli).
+
+Flows and discrete runs share one run loop (flow), which advances many runs
+on one objective as a packed (R, 4, d) batch, and one recorder, summary and
+report.
 """
 
 from .analysis import (
@@ -42,7 +46,7 @@ from .discrete import (
     BIAS_MODES,
     InstabilityError,
     LrSchedule,
-    RunReport,
+    OptimizerSpec,
     bias_alpha,
     bias_denominators,
     initial_stepper_state,
@@ -53,6 +57,7 @@ from .discrete import (
 from .flow import (
     FlowProblem,
     PresetMismatch,
+    RunReport,
     StepFailure,
     Trajectory,
     euler_step,
@@ -67,7 +72,6 @@ from .flow import (
 from .harness import (
     ExperimentConfig,
     ObjectiveSpec,
-    OptimizerSpec,
     ParseError,
     build_objective,
     default_x0,

@@ -1,29 +1,27 @@
-"""Discrete-time optimizers: one stepper for the named presets, keyed by
-PresetKind, plus a heavy-ball baseline, learning-rate schedules, a recording
-run loop, and the run summary that reports discrete runs and flows alike.
+"""Discrete-time optimizers: the one update of the named presets and of the
+heavy-ball baseline, learning-rate schedules, and discrete runs.
 
-Steppers are pure state transitions: they take a (4, d) state with rows x,
-mu, zeta and nu, a gradient, a learning rate and the iteration count k, and
-return a new (4, d) state, one iteration later. One run is sequential; many
-runs may execute concurrently with independent states.
+An entry is an OptimizerSpec. Runs on one objective step together as one
+packed (R, 4, d) state with rows x, mu, zeta and nu, driven by the run loop
+of flow: the update is one rule over the batch, each row bitwise equal to
+its solo run. step_preset, step_sgd_momentum and run_discrete are the batch
+of one.
 """
 
 from __future__ import annotations
 
-import math
-import time
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import PresetKind, PresetParams, ValidationError, moment_bias
-from .flow import Trajectory, _Recorder
+from .flow import RunReport, Trajectory, _column, _only, _pow_rows, _RowsLeave, _run_rows
 
 BIAS_MODES = ("paper", "beta", "continuous")
+_MOMENT_KINDS = ("adam", "adabelief", "adamssm", "adabeliefssm")
 # the kinds whose nu update reads b3, and those whose nu is driven by (g - mu')^2
-_COUPLED_KINDS = (PresetKind.ADAMSSM, PresetKind.ADABELIEFSSM)
-_BELIEF_KINDS = (PresetKind.ADABELIEF, PresetKind.ADABELIEFSSM)
+_COUPLED_KINDS = ("adamssm", "adabeliefssm")
+_BELIEF_KINDS = ("adabelief", "adabeliefssm")
 
 
 class InstabilityError(ValueError):
@@ -45,12 +43,29 @@ def initial_stepper_state(x0, nu0=None) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class OptimizerSpec:
+    """One optimizer entry: a kind, display name, and its hyperparameters.
+
+    kind is a PresetKind value or "sgd_momentum". preset carries the rates
+    for the adaptive kinds and the base learning rate eta of every kind;
+    beta is the heavy-ball momentum factor.
+    """
+
+    kind: str
+    name: str
+    preset: PresetParams
+    bias_mode: str = "paper"
+    beta: float = 0.9
+
+
+@dataclass(frozen=True)
 class LrSchedule:
     """Base learning rate scaled by multipliers from given iterations onward.
 
     milestones is a sequence of (iteration, multiplier) pairs with strictly
-    increasing iterations and positive multipliers; all milestones at or
-    before the current iteration apply cumulatively.
+    increasing, nonnegative iterations and positive multipliers; all
+    milestones at or before the current iteration apply cumulatively.
+    base_eta is a float, or an (R, 1) column of them for a batch of runs.
     """
 
     base_eta: float
@@ -60,10 +75,15 @@ class LrSchedule:
         ms = tuple((int(it), float(m)) for it, m in self.milestones)
         object.__setattr__(self, "milestones", ms)
         iters = [it for it, _ in ms]
+        violations = []
         if any(b <= a for a, b in zip(iters, iters[1:])):
-            raise ValidationError(["milestone iterations strictly increasing"])
+            violations.append("milestone iterations strictly increasing")
+        if any(it < 0 for it in iters):
+            violations.append("milestone iterations nonnegative")
         if any(m <= 0 for _, m in ms):
-            raise ValidationError(["milestone multipliers positive"])
+            violations.append("milestone multipliers positive")
+        if violations:
+            raise ValidationError(violations)
 
     def eta_at(self, iteration: int) -> float:
         eta = self.base_eta
@@ -98,6 +118,121 @@ def bias_alpha(preset: PresetParams, iteration: int, bias_mode: str) -> float:
     return b1_corr / b2_corr ** 0.5
 
 
+def _b3(spec: OptimizerSpec) -> float:
+    return spec.preset.b3 if spec.kind in _COUPLED_KINDS else 0.0
+
+
+def _first_step_error(spec: OptimizerSpec) -> Exception | None:
+    """The error the entry's first step raises, if any."""
+    p = spec.preset
+    if spec.kind == "sgd_momentum":
+        return None if 0.0 <= spec.beta < 1.0 else ValidationError(["0 <= beta < 1"])
+    if spec.kind == "gadagrad":
+        return None if 0.0 < p.c < 1.0 else ValidationError(["0 < c < 1"])
+    if spec.kind not in _MOMENT_KINDS:
+        return ValueError(f"unknown optimizer kind {spec.kind!r}")
+    if 1.0 - p.delta * p.b2 - p.delta * _b3(spec) < 0.0:
+        return InstabilityError(
+            f"1 - delta*b2 - delta*b3 >= 0 required (delta={p.delta:g}, b2={p.b2:g}, b3={_b3(spec):g})"
+        )
+    return None
+
+
+class _DiscreteBatch:
+    """Discrete runs stepped together as a packed (R, 4, d) state whose rows
+    are x, mu, zeta and nu: the discrete rule of flow._run_rows.
+
+    The rows fall into three masked groups, the moment kinds, gadagrad and
+    sgd_momentum, each with its rates as (R, 1) columns, so every row goes
+    through exactly the arithmetic of its solo run. The bias denominators
+    are per-row Python scalars, and nu ** c is applied per group of rows
+    sharing c. A row whose first step raises keeps that error in errors.
+    """
+
+    dt = 1
+    every_step = True
+
+    def __init__(self, specs: list[OptimizerSpec], milestones=()):
+        self.specs = specs
+        self.schedule = LrSchedule(_column(spec.preset.eta for spec in specs), milestones)
+        self.errors = {i: e for i, e in enumerate(map(_first_step_error, specs)) if e is not None}
+
+        def group(kinds):
+            # all rows as a slice, so that a batch of one kind reads views
+            index = [i for i, spec in enumerate(specs) if spec.kind in kinds]
+            rows = slice(None) if len(index) == len(specs) else np.array(index, dtype=int)
+            return (rows if index else None), [specs[i] for i in index]
+
+        self.moment, self.moment_specs = group(_MOMENT_KINDS)
+        ps = [(spec.preset, _b3(spec)) for spec in self.moment_specs]
+        self.keep1 = _column(1.0 - p.delta * p.b1 for p, _ in ps)
+        self.gain1 = _column(p.delta * p.b1 for p, _ in ps)
+        self.keep2 = _column(1.0 - p.delta * p.b2 for p, _ in ps)
+        self.gain2 = _column(p.delta * p.b2 for p, _ in ps)
+        self.couple = _column(p.delta * b3 for p, b3 in ps)
+        self.keep_nu = _column(1.0 - p.delta * p.b2 - p.delta * b3 for p, b3 in ps)
+        self.moment_epsilon = _column(p.epsilon for p, _ in ps)
+        belief = [spec.kind in _BELIEF_KINDS for spec in self.moment_specs]
+        self.belief = np.array(belief)[:, None] if any(belief) else None
+        self.accumulate, accumulators = group(("gadagrad",))
+        self.acc_delta = _column(spec.preset.delta for spec in accumulators)
+        self.acc_epsilon = _column(spec.preset.epsilon for spec in accumulators)
+        self.acc_c = [spec.preset.c for spec in accumulators]
+        self.heavy_ball, heavy_balls = group(("sgd_momentum",))
+        self.beta = _column(spec.beta for spec in heavy_balls)
+
+    def select(self, keep: np.ndarray) -> _DiscreteBatch:
+        return _DiscreteBatch([spec for spec, kept in zip(self.specs, keep) if kept], self.schedule.milestones)
+
+    def alpha(self, i: int, k: int) -> float:
+        spec = self.specs[i]
+        return bias_alpha(spec.preset, k, spec.bias_mode) if spec.kind in _MOMENT_KINDS else 1.0
+
+    def step(self, s: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
+        if self.errors:
+            raise _RowsLeave(np.isin(np.arange(len(s)), list(self.errors)), list(self.errors.values()))
+        return self.update(s, g, self.schedule.eta_at(k), k)
+
+    def update(self, s: np.ndarray, g: np.ndarray, eta: np.ndarray, k: int) -> np.ndarray:
+        """Iteration k of every row from its gradient g, with the learning
+        rates eta as an (R, 1) column (see step_preset, step_sgd_momentum)."""
+        out = s.copy()
+        rows = self.moment
+        if rows is not None:
+            x, mu, zeta, nu, gm = s[rows, 0], s[rows, 1], s[rows, 2], s[rows, 3], g[rows]
+            mu_new = self.keep1 * mu + self.gain1 * gm
+            zeta_new = self.keep2 * zeta + self.gain2 * nu
+            psi = gm ** 2 if self.belief is None else np.where(self.belief, (gm - mu_new) ** 2, gm ** 2)
+            nu_new = self.couple * zeta + self.keep_nu * nu + self.gain2 * psi
+            bias = np.array([bias_denominators(q.preset, k, q.bias_mode) for q in self.moment_specs])
+            mu_hat = mu_new / bias[:, :1]
+            nu_hat = nu_new / bias[:, 1:]
+            out[rows, 0] = x - eta[rows] * (mu_hat / (np.sqrt(nu_hat) + self.moment_epsilon))
+            out[rows, 1], out[rows, 2], out[rows, 3] = mu_new, zeta_new, nu_new
+        rows = self.accumulate
+        if rows is not None:
+            ga = g[rows]
+            nu_new = s[rows, 3] + self.acc_delta * (ga * ga)
+            denom = _pow_rows(nu_new, self.acc_c) + self.acc_epsilon
+            direction = np.divide(ga, denom, out=np.zeros_like(ga), where=denom > 0)
+            out[rows, 0] = s[rows, 0] - (self.acc_delta * eta[rows]) * direction
+            out[rows, 3] = nu_new
+        rows = self.heavy_ball
+        if rows is not None:
+            m_new = self.beta * s[rows, 1] + g[rows]
+            out[rows, 0] = s[rows, 0] - eta[rows] * m_new
+            out[rows, 1] = m_new
+        return out
+
+
+def _step_one(spec: OptimizerSpec, state: np.ndarray, grad, eta: float, k: int) -> np.ndarray:
+    batch = _DiscreteBatch([spec])
+    if batch.errors:
+        raise batch.errors[0]
+    g = np.asarray(grad, dtype=float)
+    return batch.update(np.asarray(state, dtype=float)[None], g[None], np.full((1, 1), eta), k)[0]
+
+
 def step_preset(
     state: np.ndarray,
     grad,
@@ -127,41 +262,9 @@ def step_preset(
     belief kinds and g^2 otherwise, and mu_hat, nu_hat corrected by
     bias_denominators at iteration k under bias_mode. One code path serves
     every moment kind, so kinds that differ only by an inert parameter agree
-    bitwise.
+    bitwise. Raises InstabilityError when 1 - delta*b2 - delta*b3 < 0.
     """
-    delta = preset.delta
-    g = np.asarray(grad, dtype=float)
-    x, mu, zeta, nu = state[0], state[1], state[2], state[3]
-    if kind is PresetKind.GADAGRAD:
-        if not 0.0 < preset.c < 1.0:
-            raise ValidationError(["0 < c < 1"])
-        nu_new = nu + delta * (g * g)
-        denom = nu_new ** preset.c + preset.epsilon
-        direction = np.divide(g, denom, out=np.zeros_like(g), where=denom > 0)
-        x_new = x - (delta * eta) * direction
-        return np.array((x_new, mu, zeta, nu_new))
-    b3 = preset.b3 if kind in _COUPLED_KINDS else 0.0
-    if 1.0 - delta * preset.b2 - delta * b3 < 0.0:
-        raise InstabilityError(
-            "1 - delta*b2 - delta*b3 >= 0 required "
-            f"(delta={delta:g}, b2={preset.b2:g}, b3={b3:g})"
-        )
-    mu_new = (1.0 - delta * preset.b1) * mu + (delta * preset.b1) * g
-    zeta_new = (1.0 - delta * preset.b2) * zeta + (delta * preset.b2) * nu
-    if kind in _BELIEF_KINDS:
-        psi = (g - mu_new) ** 2
-    else:
-        psi = g ** 2
-    nu_new = (
-        (delta * b3) * zeta
-        + (1.0 - delta * preset.b2 - delta * b3) * nu
-        + (delta * preset.b2) * psi
-    )
-    b1_corr, b2_corr = bias_denominators(preset, k, bias_mode)
-    mu_hat = mu_new / b1_corr
-    nu_hat = nu_new / b2_corr
-    x_new = x - eta * (mu_hat / (np.sqrt(nu_hat) + preset.epsilon))
-    return np.array((x_new, mu_new, zeta_new, nu_new))
+    return _step_one(OptimizerSpec(kind.value, kind.value, preset, bias_mode), state, grad, eta, k)
 
 
 def step_sgd_momentum(state: np.ndarray, grad, eta: float, k: int, beta: float) -> np.ndarray:
@@ -171,135 +274,45 @@ def step_sgd_momentum(state: np.ndarray, grad, eta: float, k: int, beta: float) 
     The momentum buffer lives in the mu row; beta = 0 is plain gradient
     descent.
     """
-    if not 0.0 <= beta < 1.0:
-        raise ValidationError(["0 <= beta < 1"])
-    g = np.asarray(grad, dtype=float)
-    m_new = beta * state[1] + g
-    x_new = state[0] - eta * m_new
-    return np.array((x_new, m_new, state[2], state[3]))
+    spec = OptimizerSpec("sgd_momentum", "sgd_momentum", PresetParams(), beta=beta)
+    return _step_one(spec, state, grad, eta, k)
 
 
-@dataclass
-class RunReport:
-    """Summary of one optimization run.
+def _discrete_rows(specs: list[OptimizerSpec], objective, x0, num_iters, milestones, threshold, record_stride):
+    """flow._run_rows on discrete runs from x0: each row's (_Recorder,
+    RunSummary) or the exception its solo run raises."""
+    if num_iters < 0:
+        raise ValueError("num_iters must be nonnegative")
+    s = np.array([initial_stepper_state(x0)] * len(specs))
+    return _run_rows(_DiscreteBatch(specs, milestones), s, objective, num_iters, record_stride, threshold)
 
-    iters_to_threshold is None when the gradient-norm threshold was never
-    reached. wall_time_s is measured but excluded from emitted artifacts so
-    repeated runs stay byte-identical.
+
+def run_discrete_batch(
+    specs: list[OptimizerSpec], objective, x0, num_iters: int, milestones=(), threshold=1e-4, record_stride=1
+) -> list[tuple[Trajectory, RunReport] | Exception]:
+    """Run the entries together from x0 with zero moments, each with its own
+    eta under the shared milestones.
+
+    Returns, in the order of specs, each run's Trajectory and RunReport
+    (named spec.name), or the exception its solo run raises: a row whose
+    first step is unstable or invalid leaves the batch with that error after
+    its iteration-0 evaluation. The time column is the iteration count; rows
+    are recorded at iteration 0, every record_stride-th iteration and the
+    last one. A report summarizes every iteration, recorded or not (see
+    RunSummary). A run that diverges stops at the first non-finite f or
+    gradient norm, recorded last, and its report is a failure. The other
+    rows go on unchanged.
     """
-
-    optimizer: str
-    best_f: float
-    epoch_of_best: int
-    final_grad_norm: float
-    iters_to_threshold: Optional[int]
-    wall_time_s: float = 0.0
-    diagnostics: dict = field(default_factory=dict)
-
-    @classmethod
-    def failure(cls, name: str, error: str, wall_time_s: float = 0.0, **diagnostics) -> RunReport:
-        """Report of a failed run: NaN metrics, the error in its diagnostics."""
-        return cls(name, math.nan, 0, math.nan, None, wall_time_s, {"error": error, **diagnostics})
-
-
-class RunSummary:
-    """The report of one run, flow or discrete, built from its rows one step
-    at a time.
-
-    Tracks the best f and the first step that reached it, the first step
-    whose gradient norm fell below threshold, the final gradient norm, and
-    whether nu stayed nonnegative and x inside the box (when there is one).
-    A non-finite f or gradient norm means the run diverged: the summary ends
-    there and its report is a failure naming the step.
-    """
-
-    def __init__(self, threshold: float, box: Optional[float] = None):
-        self.threshold = threshold
-        self.box = box
-        self.best_f = math.inf
-        self.epoch_of_best = 0
-        self.iters_to_threshold: Optional[int] = None
-        self.final_grad_norm = math.nan
-        self.nu_nonnegative = True
-        self.stayed_in_box = True
-        self.diverged_at: Optional[int] = None
-
-    def add(self, step: int, state: np.ndarray, f: float, grad_norm: float) -> bool:
-        """Fold in one step: its (4, d) state, f and gradient norm; False
-        once the run has diverged."""
-        if not (math.isfinite(f) and math.isfinite(grad_norm)):
-            self.diverged_at = step
-            return False
-        if f < self.best_f:
-            self.best_f = f
-            self.epoch_of_best = step
-        if self.iters_to_threshold is None and grad_norm < self.threshold:
-            self.iters_to_threshold = step
-        self.final_grad_norm = grad_norm
-        if self.nu_nonnegative and (state[3] < 0).any():
-            self.nu_nonnegative = False
-        if self.stayed_in_box and self.box is not None and not (np.abs(state[0]) <= self.box).all():
-            self.stayed_in_box = False
-        return True
-
-    def report(self, name: str, wall_time_s: float = 0.0) -> RunReport:
-        k = self.diverged_at
-        if k is not None:
-            error = f"diverged at iteration {k}: f or the gradient norm is not finite"
-            return RunReport.failure(name, error, wall_time_s, diverged_at=k)
-        diagnostics = {"nu_nonnegative": self.nu_nonnegative}
-        if self.box is not None:
-            diagnostics["stayed_in_box"] = self.stayed_in_box
-        return RunReport(
-            optimizer=name,
-            best_f=float(self.best_f),
-            epoch_of_best=self.epoch_of_best,
-            final_grad_norm=float(self.final_grad_norm),
-            iters_to_threshold=self.iters_to_threshold,
-            wall_time_s=wall_time_s,
-            diagnostics=diagnostics,
-        )
-
-
-Stepper = Callable[[np.ndarray, np.ndarray, float, int], np.ndarray]
+    outcomes = _discrete_rows(specs, objective, x0, num_iters, milestones, threshold, record_stride)
+    return [
+        out if isinstance(out, Exception) else (out[0].build(), out[1].report(spec.name))
+        for spec, out in zip(specs, outcomes)
+    ]
 
 
 def run_discrete(
-    stepper: Stepper,
-    objective,
-    x0,
-    num_iters: int,
-    schedule: LrSchedule,
-    threshold: float = 1e-4,
-    record_stride: int = 1,
-    nu0=None,
-    alpha_fn: Optional[Callable[[int], float]] = None,
-    name: str = "run",
+    spec: OptimizerSpec, objective, x0, num_iters: int, milestones=(), threshold=1e-4, record_stride=1
 ) -> tuple[Trajectory, RunReport]:
-    """Iterate a stepper, recording the trajectory and summarizing the run.
-
-    Iteration k calls stepper(state, grad, schedule.eta_at(k), k), for
-    example a functools.partial of step_preset or step_sgd_momentum. The
-    trajectory's time column is the iteration count. alpha_fn, when given,
-    supplies the recorded bias factor per iteration (1.0 otherwise). The
-    report summarizes every iteration, recorded or not (see RunSummary). A
-    run that diverges stops at the first non-finite f or gradient norm; that
-    iteration is recorded last and the report is a failure.
-    """
-    if num_iters < 0:
-        raise ValueError("num_iters must be nonnegative")
-    t_start = time.perf_counter()
-    state = initial_stepper_state(x0, nu0)
-    recorder = _Recorder()
-    summary = RunSummary(threshold, getattr(objective, "box", None))
-    for k in range(num_iters + 1):
-        f_k = objective.eval_f(state[0])
-        g_k = objective.eval_grad(state[0])
-        gnorm = float(np.linalg.norm(g_k))
-        finite = summary.add(k, state, f_k, gnorm)
-        if k % record_stride == 0 or k == num_iters or not finite:
-            recorder.record(k, state, f_k, gnorm, 1.0 if alpha_fn is None else float(alpha_fn(k)))
-        if k == num_iters or not finite:
-            break
-        state = stepper(state, g_k, schedule.eta_at(k), k)
-    return recorder.build(), summary.report(name, time.perf_counter() - t_start)
+    """One entry alone: run_discrete_batch of one, raising the error of a
+    run that leaves it with one."""
+    return _only(run_discrete_batch([spec], objective, x0, num_iters, milestones, threshold, record_stride))

@@ -1,16 +1,18 @@
-"""Continuous-time optimizer flows: the generic right-hand side, named preset
-flows, fixed-step integrators, and the accumulator energy-balance diagnostic.
+"""Continuous-time optimizer flows and the run loop of the whole family.
 
-A state is a (4, d) array with rows x, mu, zeta and nu, as in core. Flows on
-one objective are integrated together as one packed (R, 4, d) batch, each
-row bitwise equal to its solo run; integration of one trajectory is strictly
-sequential, and a Trajectory keeps its records as one (N, 4, d) array.
+A state is a (4, d) array with rows x, mu, zeta and nu, as in core. Runs on
+one objective, flows or discrete runs (see discrete), advance together as
+one packed (R, 4, d) batch through one loop, _run_rows, which records,
+summarizes and reports every row like its solo run; a solo run is the
+batch of one. Here also: the generic right-hand side, named preset flows, the
+fixed-step schemes and the accumulator energy-balance diagnostic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -80,46 +82,56 @@ class _LeftDomain(DomainError):
 
 class _Batch:
     """Flows on one objective, integrated together as a packed (R, 4, d)
-    state whose rows are x, mu, zeta and nu.
+    state whose rows are x, mu, zeta and nu: the flow rule of _run_rows.
 
     The rates are (R, 1) columns, so every row goes through exactly the
     scalar arithmetic of its own flow and matches its solo run bitwise. Two
     factors stay per row: alpha_g, which is scalar Python arithmetic, and
-    nu ** c, applied with a scalar c per group of rows sharing it, because
-    numpy computes nu ** 0.5 as sqrt(nu) but an exponent array as pow.
+    nu ** c, applied with a scalar c per group of rows sharing it.
     """
 
-    def __init__(self, problems: list[FlowProblem]):
+    every_step = False
+
+    def __init__(self, problems: list[FlowProblem], scheme=None, dt: float = 1.0):
+        self.problems = problems
+        self.scheme = scheme
+        self.dt = dt
         self.params = [p.params for p in problems]
         self.grad = problems[0].objective.eval_grad if problems else None
-
-        def column(values):
-            return np.array(values, dtype=float)[:, None]
-
         ps = self.params
-        self.neg_l1 = column([-p.lambda1 for p in ps])
-        self.l2 = column([p.lambda2 for p in ps])
-        self.neg_l3 = column([-p.lambda3 for p in ps])
-        self.l3 = column([p.lambda3 for p in ps])
-        self.l4 = column([p.lambda4 for p in ps])
-        self.l5 = column([p.lambda5 for p in ps])
-        self.l6 = column([p.lambda6 for p in ps])
-        self.l7 = column([p.lambda7 for p in ps])
-        self.l8 = column([p.lambda8 for p in ps])
+        self.neg_l1 = _column([-p.lambda1 for p in ps])
+        self.l2 = _column([p.lambda2 for p in ps])
+        self.neg_l3 = _column([-p.lambda3 for p in ps])
+        self.l3 = _column([p.lambda3 for p in ps])
+        self.l4 = _column([p.lambda4 for p in ps])
+        self.l5 = _column([p.lambda5 for p in ps])
+        self.l6 = _column([p.lambda6 for p in ps])
+        self.l7 = _column([p.lambda7 for p in ps])
+        self.l8 = _column([p.lambda8 for p in ps])
         belief = [p.psi_kind is PsiKind.BELIEF for p in ps]
         self.belief = np.array(belief)[:, None] if any(belief) else None
-        groups: dict[float, list[int]] = {}
-        for i, p in enumerate(ps):
-            groups.setdefault(p.c, []).append(i)
-        self.c_groups = [(c, np.array(rows)) for c, rows in groups.items()]
+        self.cs = [p.c for p in ps]
 
-    def nu_pow_c(self, nu: np.ndarray) -> np.ndarray:
-        if len(self.c_groups) == 1:
-            return nu ** self.c_groups[0][0]
-        out = np.empty_like(nu)
-        for c, rows in self.c_groups:
-            out[rows] = nu[rows] ** c
-        return out
+    def select(self, keep: np.ndarray) -> _Batch:
+        return _Batch([p for p, kept in zip(self.problems, keep) if kept], self.scheme, self.dt)
+
+    def alpha(self, i: int, k: int) -> float:
+        return alpha_g(k * self.dt, self.params[i])
+
+    def step(self, s: np.ndarray, g, k: int) -> np.ndarray:
+        """One step of the scheme from t = k*dt. Rows whose nu leaves the
+        positive domain, at a stage or after the step, leave the batch with
+        the StepFailure of their solo run."""
+        try:
+            s_new = self.scheme(self, s, k, self.dt)
+        except _LeftDomain as exc:
+            rows = exc.rows
+            message = f"stage evaluation left the domain: {exc}"
+            raise _RowsLeave(rows, [StepFailure(k * self.dt, s[i], message) for i in np.flatnonzero(rows)])
+        if (s_new[:, 3] <= 0).any():
+            rows = np.any(s_new[:, 3] <= 0, axis=1)
+            raise _RowsLeave(rows, [StepFailure((k + 1) * self.dt, s_new[i]) for i in np.flatnonzero(rows)])
+        return s_new
 
     def deriv(self, s: np.ndarray, t: float) -> np.ndarray:
         """Right-hand side of every row at time t, shaped like s.
@@ -133,7 +145,7 @@ class _Batch:
         r = g if self.belief is None else np.where(self.belief, g - mu, g)
         alpha = np.array([alpha_g(t, p) for p in self.params])[:, None]
         d = np.empty_like(s)
-        d[:, 0] = -(self.l7 * mu + self.l8 * g) / (alpha * self.nu_pow_c(nu))
+        d[:, 0] = -(self.l7 * mu + self.l8 * g) / (alpha * _pow_rows(nu, self.cs))
         d[:, 1] = self.neg_l1 * mu + self.l2 * g
         d[:, 2] = self.neg_l3 * zeta + self.l3 * nu
         d[:, 3] = self.l4 * zeta - self.l5 * nu + self.l6 * (r * r)
@@ -234,6 +246,176 @@ class _Recorder:
         )
 
 
+@dataclass
+class RunReport:
+    """Summary of one optimization run.
+
+    iters_to_threshold is None when the gradient-norm threshold was never
+    reached.
+    """
+
+    optimizer: str
+    best_f: float
+    epoch_of_best: int
+    final_grad_norm: float
+    iters_to_threshold: Optional[int]
+    diagnostics: dict = field(default_factory=dict)
+
+    @classmethod
+    def failure(cls, name: str, error: str, **diagnostics) -> RunReport:
+        """Report of a failed run: NaN metrics, the error in its diagnostics."""
+        return cls(name, math.nan, 0, math.nan, None, {"error": error, **diagnostics})
+
+
+class RunSummary:
+    """The report of one run, flow or discrete, built from its rows one step
+    at a time.
+
+    Tracks the best f and the first step that reached it, the first step
+    whose gradient norm fell below threshold, the final gradient norm, and
+    whether nu stayed nonnegative and x inside the box (when there is one).
+    A non-finite f or gradient norm means the run diverged: the summary ends
+    there and its report is a failure naming the step.
+    """
+
+    def __init__(self, threshold: float, box: Optional[float] = None):
+        self.threshold = threshold
+        self.box = box
+        self.best_f = math.inf
+        self.epoch_of_best = 0
+        self.iters_to_threshold: Optional[int] = None
+        self.final_grad_norm = math.nan
+        self.nu_nonnegative = True
+        self.stayed_in_box = True
+        self.diverged_at: Optional[int] = None
+
+    def add(self, step: int, state: np.ndarray, f: float, grad_norm: float) -> bool:
+        """Fold in one step: its (4, d) state, f and gradient norm; False
+        once the run has diverged."""
+        if self.diverged_at is not None:
+            return False
+        if not (math.isfinite(f) and math.isfinite(grad_norm)):
+            self.diverged_at = step
+            return False
+        if f < self.best_f:
+            self.best_f = f
+            self.epoch_of_best = step
+        if self.iters_to_threshold is None and grad_norm < self.threshold:
+            self.iters_to_threshold = step
+        self.final_grad_norm = grad_norm
+        if self.nu_nonnegative and (state[3] < 0).any():
+            self.nu_nonnegative = False
+        if self.stayed_in_box and self.box is not None and not (np.abs(state[0]) <= self.box).all():
+            self.stayed_in_box = False
+        return True
+
+    def report(self, name: str) -> RunReport:
+        k = self.diverged_at
+        if k is not None:
+            error = f"diverged at iteration {k}: f or the gradient norm is not finite"
+            return RunReport.failure(name, error, diverged_at=k)
+        diagnostics = {"nu_nonnegative": self.nu_nonnegative}
+        if self.box is not None:
+            diagnostics["stayed_in_box"] = self.stayed_in_box
+        return RunReport(
+            optimizer=name,
+            best_f=float(self.best_f),
+            epoch_of_best=self.epoch_of_best,
+            final_grad_norm=float(self.final_grad_norm),
+            iters_to_threshold=self.iters_to_threshold,
+            diagnostics=diagnostics,
+        )
+
+
+def _column(values) -> np.ndarray:
+    """Per-row rates as an (R, 1) column."""
+    return np.array(list(values), dtype=float)[:, None]
+
+
+def _pow_rows(base: np.ndarray, cs: list[float]) -> np.ndarray:
+    """base ** c row by row, with one scalar c per group of rows sharing it:
+    numpy computes base ** 0.5 as sqrt(base) but an exponent array as pow."""
+    if len(set(cs)) == 1:
+        return base ** cs[0]
+    out = np.empty_like(base)
+    for c in set(cs):
+        rows = [i for i, ci in enumerate(cs) if ci == c]
+        out[rows] = base[rows] ** c
+    return out
+
+
+class _RowsLeave(Exception):
+    """Rows of a batch (a boolean mask) cannot take the next step; errors
+    holds, in row order, the exception each of them leaves with."""
+
+    def __init__(self, rows: np.ndarray, errors: list[Exception]):
+        self.rows = rows
+        self.errors = errors
+        super().__init__(f"{len(errors)} rows left the batch")
+
+
+def _run_rows(rule, s: np.ndarray, objective, n_steps: int, record_stride: int, threshold: float) -> list:
+    """Advance the rows of s, a packed (R, 4, d) state, n_steps times with a
+    step rule, recording and summarizing each row like its solo run.
+
+    The rule has dt (the time of one step), every_step, alpha(i, k),
+    step(s, g, k) and select(keep). A discrete rule (every_step true) is
+    evaluated at every step k: its step takes the gradients, every step
+    feeds the row's RunSummary, and a row ends at the first non-finite f or
+    gradient norm. A flow rule is evaluated only where it records, and a row
+    ends at the first step whose state is not finite. Rows are recorded at
+    step 0, every record_stride-th step, the final step and the step they
+    end at. A step that raises _RowsLeave is taken again without those rows.
+
+    Returns, in row order, each row's (_Recorder, RunSummary), or the
+    exception it left the batch with.
+    """
+    runs = [(_Recorder(), RunSummary(threshold, objective.box)) for _ in s]
+    outcomes: list = list(runs)
+    live = list(range(len(s)))
+    g = None
+
+    def leave(gone: np.ndarray, errors: Optional[list[Exception]] = None) -> None:
+        nonlocal live, rule, s, g
+        if errors is not None:
+            for i, error in zip(np.flatnonzero(gone), errors):
+                outcomes[live[i]] = error
+        live = [r for r, out in zip(live, gone) if not out]
+        rule, s = rule.select(~gone), s[~gone]
+        g = None if g is None else g[~gone]
+
+    k = 0
+    while live:
+        on_stride = k % record_stride == 0 or k == n_steps
+        ended = np.zeros(len(live), bool)
+        if not (rule.every_step or np.isfinite(s).all()):
+            ended = ~np.isfinite(s).all(axis=(1, 2))
+        due = np.arange(len(live)) if rule.every_step or on_stride else np.flatnonzero(ended)
+        grads = objective.eval_grad(s[due, 0]) if len(due) else None
+        for j, i in enumerate(due):
+            recorder, summary = runs[live[i]]
+            f = objective.eval_f(s[i, 0])
+            grad_norm = float(np.linalg.norm(grads[j]))
+            if not summary.add(k, s[i], f, grad_norm) and rule.every_step:
+                ended[i] = True
+            if on_stride or ended[i]:
+                recorder.record(k * rule.dt, s[i], f, grad_norm, rule.alpha(i, k))
+        # a discrete step takes the gradients of every row, evaluated here
+        g = grads if rule.every_step else None
+        if ended.any():
+            leave(ended)
+        if k == n_steps:
+            break
+        while live:
+            try:
+                s = rule.step(s, g, k)
+                break
+            except _RowsLeave as exc:
+                leave(exc.rows, exc.errors)
+        k += 1
+    return outcomes
+
+
 def _check_grid(dt: float, t_end: float) -> int:
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -261,6 +443,20 @@ def rk4_step(batch: _Batch, s: np.ndarray, k: int, dt: float) -> np.ndarray:
     return s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _integrate_rows(
+    problems: list[FlowProblem], step, dt: float, t_end: float, record_stride: int = 1, threshold: float = 1e-4
+) -> list:
+    """_run_rows on the flows of one objective: each row's (_Recorder,
+    RunSummary) or the StepFailure its solo run raises."""
+    n_steps = _check_grid(dt, t_end)
+    if any(p.objective is not problems[0].objective for p in problems):
+        raise ValueError("a batch integrates flows on one objective")
+    if not problems:
+        return []
+    s = np.array([[p.x0, np.zeros_like(p.x0), np.zeros_like(p.x0), p.nu0] for p in problems])
+    return _run_rows(_Batch(problems, step, dt), s, problems[0].objective, n_steps, record_stride, threshold)
+
+
 def integrate_batch(
     problems: list[FlowProblem], step, dt: float, t_end: float, record_stride: int = 1
 ) -> list[Trajectory | StepFailure]:
@@ -276,67 +472,16 @@ def integrate_batch(
     the batch with its Trajectory, as a discrete run ends when it diverges.
     The other rows go on unchanged.
     """
-    n_steps = _check_grid(dt, t_end)
-    if any(p.objective is not problems[0].objective for p in problems):
-        raise ValueError("a batch integrates flows on one objective")
-    results: list[Trajectory | StepFailure] = [None] * len(problems)
-    recorders = [_Recorder() for _ in problems]
-    live = list(range(len(problems)))
-    batch = _Batch(problems)
-    s = np.array([[p.x0, np.zeros_like(p.x0), np.zeros_like(p.x0), p.nu0] for p in problems])
-
-    def remove(gone: np.ndarray) -> None:
-        nonlocal live, batch, s
-        live = [r for r, out in zip(live, gone) if not out]
-        batch = _Batch([problems[r] for r in live])
-        s = s[~gone]
-
-    def drop(bad: np.ndarray, t: float, message: str = "") -> None:
-        for i in np.flatnonzero(bad):
-            results[live[i]] = StepFailure(t, s[i], message)
-        remove(bad)
-
-    def record(t: float, rows: np.ndarray | None = None) -> None:
-        for i in range(len(live)) if rows is None else np.flatnonzero(rows):
-            r = live[i]
-            p = problems[r]
-            f = p.objective.eval_f(s[i, 0])
-            grad_norm = float(np.linalg.norm(p.objective.eval_grad(s[i, 0])))
-            recorders[r].record(t, s[i], f, grad_norm, alpha_g(t, p.params))
-
-    record(0.0)
-    k = 0
-    while k < n_steps and live:
-        try:
-            s_new = step(batch, s, k, dt)
-        except _LeftDomain as exc:
-            # retry the step without the rows that failed a stage
-            drop(exc.rows, k * dt, f"stage evaluation left the domain: {exc}")
-            continue
-        k += 1
-        s = s_new
-        if (s[:, 3] <= 0).any():
-            drop(np.any(s[:, 3] <= 0, axis=1), k * dt)
-        on_stride = k % record_stride == 0 or k == n_steps
-        if on_stride:
-            record(k * dt)
-        if not np.isfinite(s).all():
-            diverged = ~np.isfinite(s).all(axis=(1, 2))
-            if not on_stride:
-                record(k * dt, diverged)
-            for i in np.flatnonzero(diverged):
-                results[live[i]] = recorders[live[i]].build()
-            remove(diverged)
-    for r in live:
-        results[r] = recorders[r].build()
-    return results
+    outcomes = _integrate_rows(problems, step, dt, t_end, record_stride)
+    return [out if isinstance(out, StepFailure) else out[0].build() for out in outcomes]
 
 
-def _integrate_one(problem: FlowProblem, step, dt: float, t_end: float, record_stride: int) -> Trajectory:
-    (result,) = integrate_batch([problem], step, dt, t_end, record_stride)
-    if isinstance(result, StepFailure):
-        raise result
-    return result
+def _only(outcomes: list):
+    """The outcome of a batch of one, raising the error its row left with."""
+    (outcome,) = outcomes
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def integrate_euler(
@@ -348,7 +493,7 @@ def integrate_euler(
     step. Raises StepFailure carrying the offending state if any nu component
     becomes nonpositive.
     """
-    return _integrate_one(problem, euler_step, dt, t_end, record_stride)
+    return _only(integrate_batch([problem], euler_step, dt, t_end, record_stride))
 
 
 def integrate_reference(
@@ -360,7 +505,7 @@ def integrate_reference(
     on smooth problems is fourth order in dt. Raises StepFailure if a stage
     or a step leaves the nu > 0 domain.
     """
-    return _integrate_one(problem, rk4_step, dt, t_end, record_stride)
+    return _only(integrate_batch([problem], rk4_step, dt, t_end, record_stride))
 
 
 _ACCUMULATOR_PATTERN = dict(lambda4=0.0, lambda5=0.0, lambda6=1.0, lambda7=0.0, lambda8=1.0)

@@ -1,6 +1,7 @@
-"""Experiment harness: strict JSON config ingestion, batch execution of the
-discrete steppers and their continuous-time counterparts, and artifact
-emission (per-run trajectory CSVs, report JSON, sorted comparison tables).
+"""Experiment harness: strict JSON config ingestion, one function that runs
+every entry of a config in one batched call (the discrete runs, or their
+continuous-time counterparts), and artifact emission (per-run trajectory
+CSVs, report JSON, sorted comparison tables).
 
 Config schema (all keys optional unless marked required; unknown keys are
 errors):
@@ -18,7 +19,7 @@ errors):
         {
           "kind": "gadagrad" | "adam" | "adabelief" | "adamssm"
                   | "adabeliefssm" | "sgd_momentum",        required
-          "name": str,             default: the kind
+          "name": str,             default: the kind; no comma, '"', CR, LF
           "b1", "b2", "b3", "delta", "epsilon", "eta", "c": floats,
           "bias_mode": "paper" | "beta" | "continuous",     default "paper"
           "beta": float            default 0.9
@@ -41,8 +42,8 @@ non-ssm kind before validation: the dynamics coincide exactly at b3 = 0, so
 comparison configs can express that identity while direct preset validation
 stays strict.
 
-Reports deliberately omit wall time so repeated invocations of the same
-config produce byte-identical artifacts.
+Reports carry no wall time, so repeated invocations of the same config
+produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -52,9 +53,8 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -64,17 +64,8 @@ from .core import (
     ValidationError,
     validate_preset,
 )
-from .discrete import (
-    BIAS_MODES,
-    LrSchedule,
-    RunReport,
-    RunSummary,
-    bias_alpha,
-    run_discrete,
-    step_preset,
-    step_sgd_momentum,
-)
-from .flow import gadagrad_energy_residual, integrate_batch, preset_flow, rk4_step
+from .discrete import BIAS_MODES, LrSchedule, OptimizerSpec, _discrete_rows
+from .flow import RunReport, _integrate_rows, gadagrad_energy_residual, preset_flow, rk4_step
 from .objectives import Objective, make_logistic, make_quadratic, make_rosenbrock
 
 SUMMARY_COLUMNS = ("optimizer", "best_f", "epoch_of_best", "final_grad_norm", "iters_to_threshold")
@@ -113,21 +104,6 @@ class ObjectiveSpec:
     n_samples: int = 40
     seed: int = 0
     x0: Optional[tuple[float, ...]] = None
-
-
-@dataclass(frozen=True)
-class OptimizerSpec:
-    """One optimizer entry: a kind, display name, and its hyperparameters.
-
-    preset carries the rates for the adaptive kinds (sgd_momentum uses only
-    its eta); beta is the heavy-ball momentum factor.
-    """
-
-    kind: str
-    name: str
-    preset: PresetParams
-    bias_mode: str = "paper"
-    beta: float = 0.9
 
 
 @dataclass(frozen=True)
@@ -246,6 +222,8 @@ def _parse_optimizer(raw: dict, index: int) -> OptimizerSpec:
         c=_get_number(raw, "c", _PRESET_FIELD_DEFAULTS.c, path),
     )
     name = _get_str(raw, "name", kind, path)
+    if any(ch in name for ch in ',"\r\n'):
+        raise ParseError(f"{path}.name: a comma, double quote, CR or LF would break summary.csv, got {name!r}")
     # An ssm entry with the coupling rate at exactly zero has the same
     # dynamics as its one-state counterpart; validate and run it as such.
     if kind == "adamssm" and preset.b3 == 0.0:
@@ -405,18 +383,6 @@ def build_objective(spec: ObjectiveSpec) -> Objective:
     raise ParseError(f"objective.kind: unknown kind {spec.kind!r}")
 
 
-def _make_stepper(spec: OptimizerSpec):
-    """run_discrete's stepper for an entry, plus the recorded bias-factor
-    function (None for the kinds without bias correction)."""
-    if spec.kind == "sgd_momentum":
-        return partial(step_sgd_momentum, beta=spec.beta), None
-    kind = PresetKind(spec.kind)
-    stepper = partial(step_preset, kind=kind, preset=spec.preset, bias_mode=spec.bias_mode)
-    if kind is PresetKind.GADAGRAD:
-        return stepper, None
-    return stepper, partial(bias_alpha, spec.preset, bias_mode=spec.bias_mode)
-
-
 def _error_report(name: str, exc: Exception) -> RunReport:
     return RunReport.failure(name, f"{type(exc).__name__}: {exc}")
 
@@ -431,7 +397,6 @@ def resolve_out_dir(config: ExperimentConfig) -> Path:
 
 
 def _report_record(report: RunReport) -> dict:
-    # Wall time is intentionally excluded: artifacts must be byte-stable.
     diagnostics = {
         k: (None if isinstance(v, float) and math.isnan(v) else v)
         for k, v in sorted(report.diagnostics.items())
@@ -451,8 +416,60 @@ def _write_report_json(reports: list[RunReport], path: Path):
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
+def _write_row(out: Path, prefix: str, i: int, spec: OptimizerSpec, outcome, diagnose) -> RunReport:
+    """Build, write and report the outcome of one entry of a batch."""
+    try:
+        if isinstance(outcome, Exception):
+            raise outcome
+        recorder, summary = outcome
+        traj = recorder.build()
+        traj.to_csv(out / f"{prefix}_{i:02d}_{_safe_name(spec.name)}.csv")
+        report = summary.report(spec.name)
+        if diagnose is not None and "error" not in report.diagnostics:
+            diagnose(i, traj, report)
+        return report
+    except Exception as exc:
+        # Per-run isolation: one failure must not stop the comparison.
+        return _error_report(spec.name, exc)
+
+
+def _run_entries(
+    config: ExperimentConfig,
+    out_dir,
+    indices: list[int],
+    run_batch: Callable,
+    prefix: str,
+    report_name: str,
+    diagnose: Optional[Callable] = None,
+) -> list[RunReport]:
+    """Run the entries at indices in one batched call and write the artifacts.
+
+    run_batch(objective, x0, specs) returns, per entry, its (_Recorder,
+    RunSummary) or the exception its solo run raises. Each trajectory is
+    built, written to {prefix}_{index:02d}_{name}.csv and dropped in turn;
+    diagnose(index, trajectory, report) may add diagnostics to a run that
+    did not fail. The reports land in report_name, in declaration order.
+    """
+    out = Path(out_dir) if out_dir is not None else resolve_out_dir(config)
+    out.mkdir(parents=True, exist_ok=True)
+    objective = build_objective(config.objective)
+    specs = [config.optimizers[i] for i in indices]
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            outcomes = run_batch(objective, default_x0(config.objective), specs)
+    except Exception as exc:
+        outcomes = [exc] * len(specs)
+    reports = [
+        _write_row(out, prefix, i, spec, outcome, diagnose)
+        for i, spec, outcome in zip(indices, specs, outcomes)
+    ]
+    _write_report_json(reports, out / report_name)
+    return reports
+
+
 def run_experiment(config: ExperimentConfig, out_dir=None) -> list[RunReport]:
-    """Run every optimizer entry on the configured objective.
+    """Run every optimizer entry on the configured objective, all of them
+    together as one batch (see discrete.run_discrete_batch).
 
     All runs share the same objective instance and starting point. Each run
     writes traj_{index:02d}_{name}.csv into the output directory; the full
@@ -460,34 +477,14 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> list[RunReport]:
     a report with NaN metrics and the error message in its diagnostics, and
     the remaining runs still execute; a run that diverges is one of them.
     """
-    out = Path(out_dir) if out_dir is not None else resolve_out_dir(config)
-    out.mkdir(parents=True, exist_ok=True)
-    objective = build_objective(config.objective)
-    x0 = default_x0(config.objective)
-    reports: list[RunReport] = []
-    for i, spec in enumerate(config.optimizers):
-        stepper, alpha_fn = _make_stepper(spec)
-        schedule = LrSchedule(base_eta=spec.preset.eta, milestones=config.milestones)
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                traj, report = run_discrete(
-                    stepper,
-                    objective,
-                    x0,
-                    config.iterations,
-                    schedule=schedule,
-                    threshold=config.threshold,
-                    record_stride=config.record_stride,
-                    alpha_fn=alpha_fn,
-                    name=spec.name,
-                )
-            traj.to_csv(out / f"traj_{i:02d}_{_safe_name(spec.name)}.csv")
-        except Exception as exc:
-            # Per-run isolation: one failure must not stop the comparison.
-            report = _error_report(spec.name, exc)
-        reports.append(report)
-    _write_report_json(reports, out / "report.json")
-    return reports
+
+    def run_batch(objective, x0, specs):
+        return _discrete_rows(
+            specs, objective, x0, config.iterations, config.milestones, config.threshold, config.record_stride
+        )
+
+    indices = list(range(len(config.optimizers)))
+    return _run_entries(config, out_dir, indices, run_batch, "traj", "report.json")
 
 
 def run_compare(config: ExperimentConfig, out_dir=None) -> list[RunReport]:
@@ -513,21 +510,15 @@ def run_flows(config: ExperimentConfig, dt: float, t_end: float, out_dir=None) -
     All of them are integrated together, as one batch, by the reference
     (RK4) step rule with nu(0) = FLOW_NU0 in every coordinate; each equals
     its solo run bitwise. sgd_momentum entries have no counterpart in this
-    family and are skipped with a note on stderr. The time column of
+    family and are skipped with a note on stderr; a config with no other
+    entry is a ValidationError. The time column of
     flow_{index:02d}_{name}.csv is physical time; report epochs count
     integrator steps, and a report summarizes the recorded rows (see
     RunSummary): a non-finite one fails the flow. G-AdaGrad entries get an
     energy_residual_max_abs diagnostic; every report flags whether the
     recorded iterates stayed inside the objective's test box.
     """
-    out = Path(out_dir) if out_dir is not None else resolve_out_dir(config)
-    out.mkdir(parents=True, exist_ok=True)
-    objective = build_objective(config.objective)
-    x0 = default_x0(config.objective)
-    nu0 = np.full(config.objective.dim, FLOW_NU0)
-    problems = {}
-    # per entry: its Trajectory, or the exception its solo run would raise
-    outcomes = {}
+    indices = []
     for i, spec in enumerate(config.optimizers):
         if spec.kind == "sgd_momentum":
             print(
@@ -535,38 +526,31 @@ def run_flows(config: ExperimentConfig, dt: float, t_end: float, out_dir=None) -
                 "sgd_momentum has no flow counterpart",
                 file=sys.stderr,
             )
-            continue
-        try:
-            problems[i] = preset_flow(PresetKind(spec.kind), spec.preset, objective, x0, nu0)
-        except Exception as exc:
-            outcomes[i] = exc
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            batch = integrate_batch(list(problems.values()), rk4_step, dt, t_end, config.record_stride)
-        outcomes.update(zip(problems, batch))
-    except Exception as exc:
-        outcomes.update(dict.fromkeys(problems, exc))
-    reports: list[RunReport] = []
-    for i in sorted(outcomes):
-        spec = config.optimizers[i]
-        try:
-            traj = outcomes[i]
-            if isinstance(traj, Exception):
-                raise traj
-            traj.to_csv(out / f"flow_{i:02d}_{_safe_name(spec.name)}.csv")
-            summary = RunSummary(config.threshold, objective.box)
-            for t, state, f, grad_norm in zip(traj.times, traj.states, traj.f_values, traj.grad_norms):
-                if not summary.add(int(round(t / dt)), state, f, grad_norm):
-                    break
-            report = summary.report(spec.name)
-            if spec.kind == "gadagrad" and summary.diverged_at is None:
-                residual = gadagrad_energy_residual(traj, problems[i])
-                report.diagnostics["energy_residual_max_abs"] = float(np.max(np.abs(residual)))
-        except Exception as exc:
-            report = _error_report(spec.name, exc)
-        reports.append(report)
-    _write_report_json(reports, out / "flow_report.json")
-    return reports
+        else:
+            indices.append(i)
+    if not indices:
+        raise ValidationError(["optimizers: at least one entry with a flow counterpart"])
+    nu0 = np.full(config.objective.dim, FLOW_NU0)
+    problems = {}
+
+    def run_batch(objective, x0, specs):
+        # per entry: its rows, or the exception its solo run would raise
+        outcomes = {}
+        for i, spec in zip(indices, specs):
+            try:
+                problems[i] = preset_flow(PresetKind(spec.kind), spec.preset, objective, x0, nu0)
+            except Exception as exc:
+                outcomes[i] = exc
+        rows = _integrate_rows(list(problems.values()), rk4_step, dt, t_end, config.record_stride, config.threshold)
+        outcomes.update(zip(problems, rows))
+        return [outcomes[i] for i in indices]
+
+    def diagnose(i, traj, report):
+        if config.optimizers[i].kind == "gadagrad":
+            residual = gadagrad_energy_residual(traj, problems[i])
+            report.diagnostics["energy_residual_max_abs"] = float(np.max(np.abs(residual)))
+
+    return _run_entries(config, out_dir, indices, run_batch, "flow", "flow_report.json", diagnose)
 
 
 def _rank_reports(reports: list[RunReport]) -> list[RunReport]:

@@ -10,17 +10,21 @@ import pytest
 from ssmopt import (
     InstabilityError,
     LrSchedule,
+    OptimizerSpec,
     PresetKind,
     PresetParams,
     ValidationError,
     bias_alpha,
     bias_denominators,
     initial_stepper_state,
+    make_logistic,
     make_quadratic,
+    make_rosenbrock,
     run_discrete,
     step_preset,
     step_sgd_momentum,
 )
+from ssmopt.discrete import BIAS_MODES, run_discrete_batch
 
 ADAMSSM = PresetParams(b3=0.02)
 
@@ -235,6 +239,11 @@ class TestLrSchedule:
             LrSchedule(base_eta=1.0, milestones=((10, 0.0),))
         assert err.value.violations == ["milestone multipliers positive"]
 
+    def test_negative_milestone_iteration_rejected(self):
+        with pytest.raises(ValidationError) as err:
+            LrSchedule(base_eta=1.0, milestones=((-5, 0.1),))
+        assert err.value.violations == ["milestone iterations nonnegative"]
+
     def test_schedule_reaches_stepper(self):
         sched = LrSchedule(base_eta=1.0, milestones=((1, 0.0001),))
         state = initial_stepper_state(np.array([0.0]))
@@ -246,14 +255,12 @@ class TestLrSchedule:
 
 
 class TestRunDiscrete:
-    SCHEDULE = LrSchedule(base_eta=ADAMSSM.eta)
-
-    def quadratic_stepper(self):
-        return preset_stepper(PresetKind.ADAMSSM, ADAMSSM)
+    def quadratic_spec(self):
+        return OptimizerSpec("adamssm", "run", ADAMSSM)
 
     def test_zero_iterations_records_start_only(self):
         obj = make_quadratic(2, 10.0)
-        traj, report = run_discrete(self.quadratic_stepper(), obj, np.ones(2), 0, self.SCHEDULE)
+        traj, report = run_discrete(self.quadratic_spec(), obj, np.ones(2), 0)
         assert len(traj) == 1
         assert report.best_f == obj.eval_f(np.ones(2))
         assert report.epoch_of_best == 0
@@ -261,14 +268,14 @@ class TestRunDiscrete:
 
     def test_negative_iterations_rejected(self):
         with pytest.raises(ValueError):
-            run_discrete(self.quadratic_stepper(), make_quadratic(1, 1.0), np.ones(1), -1, self.SCHEDULE)
+            run_discrete(self.quadratic_spec(), make_quadratic(1, 1.0), np.ones(1), -1)
 
     def test_long_run_reaches_threshold(self):
         # constant learning rate, default rates: the gradient norm passes the
         # cut well before the budget and keeps shrinking afterwards
         obj = make_quadratic(2, 100.0)
         traj, report = run_discrete(
-            self.quadratic_stepper(), obj, np.ones(2), 5000, self.SCHEDULE, record_stride=100
+            self.quadratic_spec(), obj, np.ones(2), 5000, record_stride=100
         )
         assert report.final_grad_norm < 1e-4
         assert report.iters_to_threshold is not None
@@ -279,35 +286,26 @@ class TestRunDiscrete:
     def test_record_stride_keeps_endpoints(self):
         obj = make_quadratic(1, 1.0)
         traj, _ = run_discrete(
-            self.quadratic_stepper(), obj, np.ones(1), 10, self.SCHEDULE, record_stride=3
+            self.quadratic_spec(), obj, np.ones(1), 10, record_stride=3
         )
         assert list(traj.times) == [0.0, 3.0, 6.0, 9.0, 10.0]
-
-    def test_alpha_fn_recorded(self):
-        obj = make_quadratic(1, 1.0)
-        traj, _ = run_discrete(
-            self.quadratic_stepper(), obj, np.ones(1), 4, self.SCHEDULE, alpha_fn=lambda k: float(k + 1)
-        )
-        assert list(traj.alpha_values) == [1.0, 2.0, 3.0, 4.0, 5.0]
 
     def test_box_excursion_flagged(self):
         # eta far above the stability limit makes plain gradient descent
         # oscillate outward; the run must finish and flag the excursion
         obj = make_quadratic(2, 10.0)
 
-        diverging = partial(step_sgd_momentum, beta=0.0)
-        _, report = run_discrete(diverging, obj, np.ones(2), 30, LrSchedule(base_eta=0.3))
+        diverging = OptimizerSpec("sgd_momentum", "run", PresetParams(eta=0.3), beta=0.0)
+        _, report = run_discrete(diverging, obj, np.ones(2), 30)
         assert report.diagnostics["stayed_in_box"] is False
         assert report.best_f <= obj.eval_f(np.ones(2))
 
     def test_non_finite_value_ends_the_run_as_a_failure(self):
         obj = make_quadratic(2, 100.0)
 
-        diverging = partial(step_sgd_momentum, beta=0.9)
+        diverging = OptimizerSpec("sgd_momentum", "sgd", PresetParams(eta=0.5), beta=0.9)
         with np.errstate(over="ignore", invalid="ignore"):
-            traj, report = run_discrete(
-                diverging, obj, np.ones(2), 200, LrSchedule(base_eta=0.5), record_stride=10, name="sgd"
-            )
+            traj, report = run_discrete(diverging, obj, np.ones(2), 200, record_stride=10)
         k = report.diagnostics["diverged_at"]
         assert report.diagnostics == {
             "error": f"diverged at iteration {k}: f or the gradient norm is not finite",
@@ -319,18 +317,97 @@ class TestRunDiscrete:
         assert k % 10 and traj.times[-1] == k and traj.times[-2] == k - k % 10
         assert not np.isfinite(traj.grad_norms[-1])
 
-    def test_initial_second_moment_shape_checked(self):
-        with pytest.raises(ValueError):
-            run_discrete(
-                self.quadratic_stepper(), make_quadratic(2, 1.0), np.ones(2), 1, self.SCHEDULE, nu0=np.ones(3)
-            )
-
     def test_threshold_at_start_counts_iteration_zero(self):
         obj = make_quadratic(1, 1.0)
         _, report = run_discrete(
-            self.quadratic_stepper(), obj, np.zeros(1), 3, self.SCHEDULE, threshold=1e-4
+            self.quadratic_spec(), obj, np.zeros(1), 3, threshold=1e-4
         )
         assert report.iters_to_threshold == 0
+
+
+def discrete_objective(name: str):
+    """One of the three shipped objectives with a starting point off its minimum."""
+    if name == "quadratic":
+        return make_quadratic(2, 100.0), np.ones(2)
+    if name == "rosenbrock":
+        return make_rosenbrock(2), np.array([-1.2, 1.0])
+    return make_logistic(5, 40, 0), np.zeros(5)
+
+
+def mixed_specs() -> list[OptimizerSpec]:
+    """gadagrad at two exponents, every moment kind under every bias mode,
+    and heavy ball: every row group of the discrete batch."""
+    specs = [
+        OptimizerSpec("gadagrad", "gadagrad-c0.5", PresetParams(c=0.5, eta=0.5)),
+        OptimizerSpec("gadagrad", "gadagrad-c0.3", PresetParams(c=0.3, eta=0.5)),
+    ]
+    for kind in ("adam", "adabelief", "adamssm", "adabeliefssm"):
+        for mode in BIAS_MODES:
+            specs.append(OptimizerSpec(kind, f"{kind}-{mode}", PresetParams(b3=0.02, eta=0.05), mode))
+    specs.append(OptimizerSpec("sgd_momentum", "sgd_momentum", PresetParams(eta=1e-4), beta=0.9))
+    return specs
+
+
+def assert_same_run(got, want):
+    (got_traj, got_report), (want_traj, want_report) = got, want
+    for series in ("times", "states", "f_values", "grad_norms", "alpha_values"):
+        assert getattr(got_traj, series).tobytes() == getattr(want_traj, series).tobytes(), series
+    assert repr(got_report) == repr(want_report)
+
+
+class TestRunDiscreteBatch:
+    MILESTONES = ((20, 0.5), (40, 0.1))
+
+    def solo(self, spec, obj, x0, num_iters):
+        return run_discrete(spec, obj, x0, num_iters, self.MILESTONES, record_stride=7)
+
+    @pytest.mark.parametrize("objective", ["quadratic", "rosenbrock", "logistic"])
+    def test_rows_equal_solo_runs(self, objective):
+        obj, x0 = discrete_objective(objective)
+        specs = mixed_specs()
+        results = run_discrete_batch(specs, obj, x0, 60, self.MILESTONES, record_stride=7)
+        assert len(results) == len(specs)
+        for spec, got in zip(specs, results):
+            assert "error" not in got[1].diagnostics
+            assert_same_run(got, self.solo(spec, obj, x0, 60))
+
+    def test_unstable_row_leaves_with_its_solo_error(self):
+        obj, x0 = discrete_objective("quadratic")
+        unstable = OptimizerSpec("adamssm", "unstable", PresetParams(b3=0.02, delta=100.0))
+        specs = [*mixed_specs(), unstable]
+        *kept, failure = run_discrete_batch(specs, obj, x0, 60, self.MILESTONES, record_stride=7)
+        with pytest.raises(InstabilityError) as solo:
+            self.solo(unstable, obj, x0, 60)
+        assert isinstance(failure, InstabilityError)
+        assert str(failure) == str(solo.value)
+        for spec, got in zip(specs, kept):
+            assert_same_run(got, self.solo(spec, obj, x0, 60))
+        # no step, no error: the run is its iteration-0 evaluation
+        *_, alone = run_discrete_batch(specs, obj, x0, 0, self.MILESTONES, record_stride=7)
+        assert_same_run(alone, self.solo(unstable, obj, x0, 0))
+
+    def test_iteration_zero_evaluation_precedes_the_unstable_step(self):
+        # f is not finite at the start: the run diverges before its first step
+        obj, x0 = make_quadratic(2, 100.0), np.array([1e200, 1e200])
+        unstable = OptimizerSpec("adamssm", "unstable", PresetParams(b3=0.02, delta=100.0))
+        with np.errstate(over="ignore"):
+            (got,) = run_discrete_batch([unstable], obj, x0, 60)
+            assert_same_run(got, run_discrete(unstable, obj, x0, 60))
+        assert got[1].diagnostics["diverged_at"] == 0
+        assert len(got[0]) == 1
+
+    def test_diverging_row_leaves_at_its_own_iteration(self):
+        obj, x0 = discrete_objective("quadratic")
+        diverging = OptimizerSpec("sgd_momentum", "diverging", PresetParams(eta=1e6), beta=0.9)
+        specs = [diverging, *mixed_specs()]
+        with np.errstate(over="ignore", invalid="ignore"):
+            results = run_discrete_batch(specs, obj, x0, 200, self.MILESTONES, record_stride=7)
+            solos = [run_discrete(spec, obj, x0, 200, self.MILESTONES, record_stride=7) for spec in specs]
+        traj, report = results[0]
+        k = report.diagnostics["diverged_at"]
+        assert k < 200 and traj.times[-1] == k
+        for got, want in zip(results, solos):
+            assert_same_run(got, want)
 
 
 class TestNonnegativity:

@@ -260,6 +260,23 @@ class TestLoadConfig:
         with pytest.raises(ParseError, match="unknown key 'schedule.milestone'"):
             load_config(write_config(tmp_path, payload))
 
+    def test_negative_milestone_iteration_rejected(self, tmp_path):
+        payload = base_payload()
+        payload["schedule"] = {"milestones": [[-5, 0.1]]}
+        with pytest.raises(ValidationError) as err:
+            load_config(write_config(tmp_path, payload))
+        assert err.value.violations == ["milestone iterations nonnegative"]
+
+    def test_names_that_break_the_summary_csv_rejected(self, tmp_path):
+        for bad in ("adam, fast", 'the "fast" one', "line\nbreak", "carriage\rreturn"):
+            payload = base_payload()
+            payload["optimizers"] = [{"kind": "adam"}, {"kind": "adam", "name": bad}]
+            with pytest.raises(ParseError, match="optimizers\\[1\\].name: "):
+                load_config(write_config(tmp_path, payload))
+        payload = base_payload()
+        payload["optimizers"] = [{"kind": "adamssm", "b3": 0.01, "name": "adamssm-b30.01-eta0.01"}]
+        assert load_config(write_config(tmp_path, payload)).optimizers[0].name == "adamssm-b30.01-eta0.01"
+
     def test_valid_milestones_parsed(self, tmp_path):
         payload = base_payload()
         payload["schedule"] = {"milestones": [[5, 0.5], [9, 0.1]]}
@@ -758,6 +775,18 @@ class TestCli:
         assert rc == 0
         assert capsys.readouterr().out.startswith("wrote 1 flow trajectories")
         assert (tmp_path / "out" / "flow_report.json").exists()
+
+    def test_flow_with_nothing_to_integrate_fails(self, capsys, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        monkeypatch.setenv("SSMOPT_OUT_DIR", str(out))
+        payload = base_payload()
+        payload["optimizers"] = [{"kind": "sgd_momentum", "eta": 0.01}]
+        rc = cli.main(["flow", str(write_config(tmp_path, payload)), "--dt", "0.05", "--t-end", "0.5"])
+        assert rc == 1
+        assert "error: invalid parameters: optimizers: at least one entry with a flow counterpart" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
 
     def test_runtime_failures_exit_2(self, capsys, tmp_path, monkeypatch):
         blocker = tmp_path / "blocker"
