@@ -50,16 +50,23 @@ def adamssm_tf(b2: float, b3: float) -> RationalTF:
         b2 * (s + b2) / (s^2 + (2*b2 + b3)*s + b2^2)
 
     At b3 = 0 the pole-zero pair at s = -b2 cancels and the map reduces to the
-    one-state low-pass b2 / (s + b2).
+    one-state low-pass b2 / (s + b2). Rates whose b2^2 underflows to 0 or
+    whose (2*b2 + b3)^2 overflows are a ValidationError: the closed-form
+    poles, p and the DC gain are not representable there.
     """
     if not b2 > 0:
         raise ValidationError(["0 < b2"])
     if not b3 >= 0:
         raise ValidationError(["b3 >= 0"])
-    return RationalTF(
-        num=np.array([b2, b2 * b2]),
-        den=np.array([1.0, 2.0 * b2 + b3, b2 * b2]),
-    )
+    b = 2.0 * b2 + b3
+    v = []
+    if not b2 * b2 > 0.0:
+        v.append("b2*b2 > 0 in floating point")
+    if not math.isfinite(b * b):
+        v.append("(2*b2 + b3)**2 finite in floating point")
+    if v:
+        raise ValidationError(v)
+    return RationalTF(num=np.array([b2, b2 * b2]), den=np.array([1.0, b, b2 * b2]))
 
 
 def dc_gain(tf: RationalTF) -> float:
@@ -140,63 +147,37 @@ def stability_quantity_p(lti: SecondMomentLTI) -> float:
     return math.sqrt(d * d + 4.0 * lti.lambda3 * lti.lambda4)
 
 
-def _transition_terms(lti: SecondMomentLTI, t):
-    """Shared exponential terms of the state-transition matrix.
+def state_transition_entries(lti: SecondMomentLTI, t):
+    """Entries phi12(t) and phi22(t) of exp(A t) (see state_transition_matrix),
+    with t's shape."""
+    phi = state_transition_matrix(lti, t)
+    return phi[0, 1], phi[1, 1]
 
-    Returns (e_plus, e_minus, p, a) with e_plus = exp((p-a)t/2) and
-    e_minus = exp(-(p+a)t/2), a = lambda3 + lambda5. Exponents are combined
-    before exponentiation so large t cannot overflow when p <= a.
+
+def state_transition_matrix(lti: SecondMomentLTI, t) -> np.ndarray:
+    """State-transition matrix exp(A t) in closed form, for a scalar or an
+    array t: the result has shape (2, 2) + t.shape.
+
+    With a = lambda3 + lambda5 and p = stability_quantity_p(lti),
+
+        exp(A t) = e^{-at/2} (cosh(pt/2) I + sinh(pt/2) (2/p) (A + (a/2) I)),
+
+    so phi12(t) = lambda3 e^{-at/2} (e^{pt/2} - e^{-pt/2}) / p. The
+    repeated-mode case p = 0 (only reachable with lambda4 = 0 and lambda3 =
+    lambda5) takes the confluent limit t e^{-at/2} of the sinh term.
+    Exponents are combined before exponentiation so large t cannot overflow
+    when p <= a.
     """
     t = np.asarray(t, dtype=float)
-    a = lti.lambda3 + lti.lambda5
+    l3, l4, l5 = lti.lambda3, lti.lambda4, lti.lambda5
+    a = l3 + l5
     p = stability_quantity_p(lti)
     e_plus = np.exp(0.5 * (p - a) * t)
     e_minus = np.exp(-0.5 * (p + a) * t)
-    return e_plus, e_minus, p, a
-
-
-def state_transition_entries(lti: SecondMomentLTI, t):
-    """Entries phi12(t) and phi22(t) of the state-transition matrix exp(A t).
-
-    phi12(t) = lambda3 * e^{-(lambda3+lambda5)t/2} * (e^{pt/2} - e^{-pt/2}) / p
-    phi22(t) = e^{-(lambda3+lambda5)t/2}
-               * (e^{pt/2}(p - lambda5 + lambda3) + e^{-pt/2}(p + lambda5 - lambda3)) / (2p)
-
-    The repeated-mode case p = 0 (only reachable with lambda4 = 0 and
-    lambda3 = lambda5) uses the confluent limit forms. t may be a scalar or an
-    array; entries are returned with t's shape.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    l3, l5 = lti.lambda3, lti.lambda5
-    p = stability_quantity_p(lti)
-    if p == 0.0:
-        a = l3 + l5
-        decay = np.exp(-0.5 * a * t_arr)
-        phi12 = l3 * t_arr * decay
-        phi22 = decay * (1.0 + 0.5 * (l3 - l5) * t_arr)
-        return phi12, phi22
-    e_plus, e_minus, p, _ = _transition_terms(lti, t_arr)
-    phi12 = l3 * (e_plus - e_minus) / p
-    phi22 = (e_plus * (p - l5 + l3) + e_minus * (p + l5 - l3)) / (2.0 * p)
-    return phi12, phi22
-
-
-def state_transition_matrix(lti: SecondMomentLTI, t: float) -> np.ndarray:
-    """Full 2x2 state-transition matrix exp(A t) in closed form."""
-    l3, l4, l5 = lti.lambda3, lti.lambda4, lti.lambda5
-    p = stability_quantity_p(lti)
-    t = float(t)
-    if p == 0.0:
-        a = l3 + l5
-        decay = math.exp(-0.5 * a * t)
-        # exp(At) = e^{-at/2} (I + t (A + (a/2) I)) for a repeated mode
-        return decay * (np.eye(2) + t * (lti.A + 0.5 * a * np.eye(2)))
-    e_plus, e_minus, p, _ = _transition_terms(lti, t)
-    phi11 = (e_plus * (p + l5 - l3) + e_minus * (p - l5 + l3)) / (2.0 * p)
-    phi12 = l3 * (e_plus - e_minus) / p
-    phi21 = l4 * (e_plus - e_minus) / p
-    phi22 = (e_plus * (p - l5 + l3) + e_minus * (p + l5 - l3)) / (2.0 * p)
-    return np.array([[phi11, phi12], [phi21, phi22]])
+    even = 0.5 * (e_plus + e_minus)
+    odd = t * e_plus if p == 0.0 else (e_plus - e_minus) / p
+    half_gap = 0.5 * (l3 - l5)
+    return np.array([[even - half_gap * odd, l3 * odd], [l4 * odd, even + half_gap * odd]])
 
 
 def second_moment_response(

@@ -14,14 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PresetKind, PresetParams, ValidationError, moment_bias
-from .flow import RunReport, Trajectory, _column, _only, _pow_rows, _RowsLeave, _run_rows
+from .core import PresetKind, PresetParams, PsiKind, ValidationError, map_preset_to_general, moment_bias
+from .flow import RunReport, Trajectory, _column, _only, _pow_rows, _psi, _RowsLeave, _run_rows
 
 BIAS_MODES = ("paper", "beta", "continuous")
-_MOMENT_KINDS = ("adam", "adabelief", "adamssm", "adabeliefssm")
-# the kinds whose nu update reads b3, and those whose nu is driven by (g - mu')^2
-_COUPLED_KINDS = ("adamssm", "adabeliefssm")
-_BELIEF_KINDS = ("adabelief", "adabeliefssm")
 
 
 class InstabilityError(ValueError):
@@ -56,6 +52,22 @@ class OptimizerSpec:
     preset: PresetParams
     bias_mode: str = "paper"
     beta: float = 0.9
+
+
+_MOMENT_KEYS = ("b1", "b2", "delta", "epsilon", "eta", "bias_mode")
+# Every optimizer kind, in the order messages list them, with the config keys
+# it reads besides kind and name. The moment kinds are the kinds that read
+# b1; the coupled kinds, whose nu update reads b3, are those that read b3.
+KIND_KEYS = {
+    "gadagrad": ("delta", "epsilon", "eta", "c"),
+    "adam": _MOMENT_KEYS,
+    "adabelief": _MOMENT_KEYS,
+    "adamssm": _MOMENT_KEYS + ("b3",),
+    "adabeliefssm": _MOMENT_KEYS + ("b3",),
+    "sgd_momentum": ("eta", "beta"),
+}
+_MOMENT_KINDS = tuple(kind for kind, keys in KIND_KEYS.items() if "b1" in keys)
+_COUPLED_KINDS = tuple(kind for kind, keys in KIND_KEYS.items() if "b3" in keys)
 
 
 @dataclass(frozen=True)
@@ -172,7 +184,8 @@ class _DiscreteBatch:
         self.couple = _column(p.delta * b3 for p, b3 in ps)
         self.keep_nu = _column(1.0 - p.delta * p.b2 - p.delta * b3 for p, b3 in ps)
         self.moment_epsilon = _column(p.epsilon for p, _ in ps)
-        belief = [spec.kind in _BELIEF_KINDS for spec in self.moment_specs]
+        psis = [map_preset_to_general(spec.preset, PresetKind(spec.kind)).psi_kind for spec in self.moment_specs]
+        belief = [psi is PsiKind.BELIEF for psi in psis]
         self.belief = np.array(belief)[:, None] if any(belief) else None
         self.accumulate, accumulators = group(("gadagrad",))
         self.acc_delta = _column(spec.preset.delta for spec in accumulators)
@@ -202,8 +215,7 @@ class _DiscreteBatch:
             x, mu, zeta, nu, gm = s[rows, 0], s[rows, 1], s[rows, 2], s[rows, 3], g[rows]
             mu_new = self.keep1 * mu + self.gain1 * gm
             zeta_new = self.keep2 * zeta + self.gain2 * nu
-            psi = gm ** 2 if self.belief is None else np.where(self.belief, (gm - mu_new) ** 2, gm ** 2)
-            nu_new = self.couple * zeta + self.keep_nu * nu + self.gain2 * psi
+            nu_new = self.couple * zeta + self.keep_nu * nu + self.gain2 * _psi(gm, mu_new, self.belief)
             bias = np.array([bias_denominators(q.preset, k, q.bias_mode) for q in self.moment_specs])
             mu_hat = mu_new / bias[:, :1]
             nu_hat = nu_new / bias[:, 1:]

@@ -142,13 +142,12 @@ class _Batch:
         if (nu <= 0).any():
             raise _LeftDomain(np.any(nu <= 0, axis=1), t)
         g = self.grad(x)
-        r = g if self.belief is None else np.where(self.belief, g - mu, g)
         alpha = np.array([alpha_g(t, p) for p in self.params])[:, None]
         d = np.empty_like(s)
         d[:, 0] = -(self.l7 * mu + self.l8 * g) / (alpha * _pow_rows(nu, self.cs))
         d[:, 1] = self.neg_l1 * mu + self.l2 * g
         d[:, 2] = self.neg_l3 * zeta + self.l3 * nu
-        d[:, 3] = self.l4 * zeta - self.l5 * nu + self.l6 * (r * r)
+        d[:, 3] = self.l4 * zeta - self.l5 * nu + self.l6 * _psi(g, mu, self.belief)
         return d
 
 
@@ -273,12 +272,12 @@ class RunSummary:
 
     Tracks the best f and the first step that reached it, the first step
     whose gradient norm fell below threshold, the final gradient norm, and
-    whether nu stayed nonnegative and x inside the box (when there is one).
+    whether nu stayed nonnegative and x inside the box.
     A non-finite f or gradient norm means the run diverged: the summary ends
     there and its report is a failure naming the step.
     """
 
-    def __init__(self, threshold: float, box: Optional[float] = None):
+    def __init__(self, threshold: float, box: float):
         self.threshold = threshold
         self.box = box
         self.best_f = math.inf
@@ -305,7 +304,7 @@ class RunSummary:
         self.final_grad_norm = grad_norm
         if self.nu_nonnegative and (state[3] < 0).any():
             self.nu_nonnegative = False
-        if self.stayed_in_box and self.box is not None and not (np.abs(state[0]) <= self.box).all():
+        if self.stayed_in_box and not (np.abs(state[0]) <= self.box).all():
             self.stayed_in_box = False
         return True
 
@@ -314,9 +313,7 @@ class RunSummary:
         if k is not None:
             error = f"diverged at iteration {k}: f or the gradient norm is not finite"
             return RunReport.failure(name, error, diverged_at=k)
-        diagnostics = {"nu_nonnegative": self.nu_nonnegative}
-        if self.box is not None:
-            diagnostics["stayed_in_box"] = self.stayed_in_box
+        diagnostics = {"nu_nonnegative": self.nu_nonnegative, "stayed_in_box": self.stayed_in_box}
         return RunReport(
             optimizer=name,
             best_f=float(self.best_f),
@@ -330,6 +327,14 @@ class RunSummary:
 def _column(values) -> np.ndarray:
     """Per-row rates as an (R, 1) column."""
     return np.array(list(values), dtype=float)[:, None]
+
+
+def _psi(g: np.ndarray, m: np.ndarray, belief: Optional[np.ndarray]) -> np.ndarray:
+    """The input of the nu dynamic: (g - m)^2 on the rows of the belief mask,
+    an (R, 1) column or None for no row, and g^2 on the others. m is mu for
+    a flow and the updated mu' for a discrete step."""
+    r = g if belief is None else np.where(belief, g - m, g)
+    return r * r
 
 
 def _pow_rows(base: np.ndarray, cs: list[float]) -> np.ndarray:

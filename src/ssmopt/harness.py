@@ -52,9 +52,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Collection, Optional
 
 import numpy as np
 
@@ -64,26 +64,15 @@ from .core import (
     ValidationError,
     validate_preset,
 )
-from .discrete import BIAS_MODES, LrSchedule, OptimizerSpec, _discrete_rows
+from .discrete import BIAS_MODES, KIND_KEYS, LrSchedule, OptimizerSpec, _COUPLED_KINDS, _discrete_rows
 from .flow import RunReport, _integrate_rows, gadagrad_energy_residual, preset_flow, rk4_step
 from .objectives import Objective, make_logistic, make_quadratic, make_rosenbrock
 
 SUMMARY_COLUMNS = ("optimizer", "best_f", "epoch_of_best", "final_grad_norm", "iters_to_threshold")
 
 OBJECTIVE_KINDS = ("quadratic", "rosenbrock", "logistic")
-PRESET_OPTIMIZER_KINDS = ("gadagrad", "adam", "adabelief", "adamssm", "adabeliefssm")
-OPTIMIZER_KINDS = PRESET_OPTIMIZER_KINDS + ("sgd_momentum",)
-
-# the keys each optimizer kind reads, besides "kind" and "name"
-_MOMENT_KEYS = ("b1", "b2", "delta", "epsilon", "eta", "bias_mode")
-_KIND_KEYS = {
-    "gadagrad": ("delta", "epsilon", "eta", "c"),
-    "adam": _MOMENT_KEYS,
-    "adabelief": _MOMENT_KEYS,
-    "adamssm": _MOMENT_KEYS + ("b3",),
-    "adabeliefssm": _MOMENT_KEYS + ("b3",),
-    "sgd_momentum": ("eta", "beta"),
-}
+PRESET_OPTIMIZER_KINDS = tuple(kind.value for kind in PresetKind)
+OPTIMIZER_KINDS = tuple(KIND_KEYS)
 
 # nu(0) used when integrating the continuous-time counterpart of an entry.
 # The discrete steppers start at nu = 0, but the flows require nu(0) > 0.
@@ -125,7 +114,7 @@ def _expect_mapping(value, path: str) -> dict:
     return value
 
 
-def _check_keys(mapping: dict, allowed: tuple[str, ...], required: tuple[str, ...], path: str):
+def _check_keys(mapping: dict, allowed: Collection[str], required: tuple[str, ...], path: str):
     for key in mapping:
         if key not in allowed:
             raise ParseError(f"unknown key '{path}.{key}'" if path else f"unknown key '{key}'")
@@ -168,7 +157,7 @@ def _get_str(mapping: dict, key: str, default: str, path: str, choices: tuple[st
 
 def _parse_objective(raw: dict) -> ObjectiveSpec:
     path = "objective"
-    _check_keys(raw, ("kind", "dim", "cond", "n_samples", "seed", "x0"), ("kind",), path)
+    _check_keys(raw, tuple(f.name for f in fields(ObjectiveSpec)), ("kind",), path)
     kind = _get_str(raw, "kind", "", path, OBJECTIVE_KINDS)
     if kind != "quadratic" and "cond" in raw:
         raise ParseError(f"{path}.cond: only valid for the quadratic objective")
@@ -176,7 +165,7 @@ def _parse_objective(raw: dict) -> ObjectiveSpec:
         for key in ("n_samples", "seed"):
             if key in raw:
                 raise ParseError(f"{path}.{key}: only valid for the logistic objective")
-    dim = _get_int(raw, "dim", 2, path)
+    dim = _get_int(raw, "dim", ObjectiveSpec.dim, path)
     x0 = None
     if "x0" in raw:
         seq = raw["x0"]
@@ -190,52 +179,34 @@ def _parse_objective(raw: dict) -> ObjectiveSpec:
     return ObjectiveSpec(
         kind=kind,
         dim=dim,
-        cond=_get_number(raw, "cond", 100.0, path),
-        n_samples=_get_int(raw, "n_samples", 40, path),
-        seed=_get_int(raw, "seed", 0, path),
+        cond=_get_number(raw, "cond", ObjectiveSpec.cond, path),
+        n_samples=_get_int(raw, "n_samples", ObjectiveSpec.n_samples, path),
+        seed=_get_int(raw, "seed", ObjectiveSpec.seed, path),
         x0=x0,
     )
 
 
-_PRESET_FIELD_DEFAULTS = PresetParams()
-
-
 def _parse_optimizer(raw: dict, index: int) -> OptimizerSpec:
     path = f"optimizers[{index}]"
-    _check_keys(
-        raw,
-        ("kind", "name", "b1", "b2", "b3", "delta", "epsilon", "eta", "c", "bias_mode", "beta"),
-        ("kind",),
-        path,
-    )
+    _check_keys(raw, {"kind", "name"}.union(*KIND_KEYS.values()), ("kind",), path)
     kind = _get_str(raw, "kind", "", path, OPTIMIZER_KINDS)
     for key in raw:
-        if key not in ("kind", "name") and key not in _KIND_KEYS[kind]:
+        if key not in ("kind", "name") and key not in KIND_KEYS[kind]:
             raise ParseError(f"{path}.{key}: not valid for {kind}")
-    preset = PresetParams(
-        b1=_get_number(raw, "b1", _PRESET_FIELD_DEFAULTS.b1, path),
-        b2=_get_number(raw, "b2", _PRESET_FIELD_DEFAULTS.b2, path),
-        b3=_get_number(raw, "b3", _PRESET_FIELD_DEFAULTS.b3, path),
-        delta=_get_number(raw, "delta", _PRESET_FIELD_DEFAULTS.delta, path),
-        epsilon=_get_number(raw, "epsilon", _PRESET_FIELD_DEFAULTS.epsilon, path),
-        eta=_get_number(raw, "eta", _PRESET_FIELD_DEFAULTS.eta, path),
-        c=_get_number(raw, "c", _PRESET_FIELD_DEFAULTS.c, path),
-    )
+    preset = PresetParams(**{f.name: _get_number(raw, f.name, f.default, path) for f in fields(PresetParams)})
     name = _get_str(raw, "name", kind, path)
     if any(ch in name for ch in ',"\r\n'):
         raise ParseError(f"{path}.name: a comma, double quote, CR or LF would break summary.csv, got {name!r}")
     # An ssm entry with the coupling rate at exactly zero has the same
     # dynamics as its one-state counterpart; validate and run it as such.
-    if kind == "adamssm" and preset.b3 == 0.0:
-        kind = "adam"
-    elif kind == "adabeliefssm" and preset.b3 == 0.0:
-        kind = "adabelief"
+    if kind in _COUPLED_KINDS and preset.b3 == 0.0:
+        kind = kind.removesuffix("ssm")
     return OptimizerSpec(
         kind=kind,
         name=name,
         preset=preset,
-        bias_mode=_get_str(raw, "bias_mode", "paper", path, BIAS_MODES),
-        beta=_get_number(raw, "beta", 0.9, path),
+        bias_mode=_get_str(raw, "bias_mode", OptimizerSpec.bias_mode, path, BIAS_MODES),
+        beta=_get_number(raw, "beta", OptimizerSpec.beta, path),
     )
 
 
@@ -323,11 +294,11 @@ def load_config(path) -> ExperimentConfig:
         _parse_optimizer(_expect_mapping(entry, f"optimizers[{i}]"), i)
         for i, entry in enumerate(entries)
     )
-    iterations = _get_int(raw, "iterations", 1000, "config")
-    record_stride = _get_int(raw, "record_stride", 1, "config")
-    threshold = _get_number(raw, "threshold", 1e-4, "config")
+    iterations = _get_int(raw, "iterations", ExperimentConfig.iterations, "config")
+    record_stride = _get_int(raw, "record_stride", ExperimentConfig.record_stride, "config")
+    threshold = _get_number(raw, "threshold", ExperimentConfig.threshold, "config")
     milestones = _parse_milestones(_expect_mapping(raw["schedule"], "schedule")) if "schedule" in raw else ()
-    output_dir = _get_str(raw, "output_dir", "runs", "config")
+    output_dir = _get_str(raw, "output_dir", ExperimentConfig.output_dir, "config")
 
     schema_violations = []
     if iterations < 0:
@@ -383,10 +354,6 @@ def build_objective(spec: ObjectiveSpec) -> Objective:
     raise ParseError(f"objective.kind: unknown kind {spec.kind!r}")
 
 
-def _error_report(name: str, exc: Exception) -> RunReport:
-    return RunReport.failure(name, f"{type(exc).__name__}: {exc}")
-
-
 def _safe_name(name: str) -> str:
     return "".join(ch if ch.isalnum() or ch in "-_" else "_" for ch in name)
 
@@ -430,7 +397,7 @@ def _write_row(out: Path, prefix: str, i: int, spec: OptimizerSpec, outcome, dia
         return report
     except Exception as exc:
         # Per-run isolation: one failure must not stop the comparison.
-        return _error_report(spec.name, exc)
+        return RunReport.failure(spec.name, f"{type(exc).__name__}: {exc}")
 
 
 def _run_entries(
@@ -497,10 +464,7 @@ def run_compare(config: ExperimentConfig, out_dir=None) -> list[RunReport]:
     out = Path(out_dir) if out_dir is not None else resolve_out_dir(config)
     reports = run_experiment(config, out_dir=out)
     emit_summary(reports, out / "summary.csv")
-    ranked = _rank_reports(reports)
-    (out / "summary.json").write_text(
-        json.dumps([_report_record(r) for r in ranked], indent=2) + "\n"
-    )
+    _write_report_json(_rank_reports(reports), out / "summary.json")
     return reports
 
 

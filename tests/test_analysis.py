@@ -319,12 +319,22 @@ class TestTimeResponses:
         expected = B2 * np.exp(-B2 * t)
         h = impulse_response(tf, t)
         assert np.allclose(h, expected, rtol=1e-12, atol=1e-300)
+        # the double pole at -B2 of the b3 = 0 reduction
+        assert np.allclose(step_response(tf, t), 1.0 - np.exp(-B2 * t), rtol=1e-12, atol=1e-15)
 
     def test_first_order_responses(self):
         tf = RationalTF(num=[2.0], den=[1.0, 2.0])
         t = np.linspace(0.0, 5.0, 20)
         assert np.allclose(impulse_response(tf, t), 2.0 * np.exp(-2.0 * t), rtol=1e-12)
         assert np.allclose(step_response(tf, t), 1.0 - np.exp(-2.0 * t), rtol=1e-12, atol=1e-15)
+        integrator = RationalTF(num=[1.0], den=[1.0, 0.0])
+        assert np.allclose(step_response(integrator, t), t, rtol=1e-12, atol=1e-15)
+
+    def test_double_pole_at_origin(self):
+        tf = RationalTF(num=[1.0], den=[1.0, 0.0, 0.0])
+        t = np.linspace(0.0, 5.0, 20)
+        assert np.allclose(impulse_response(tf, t), t, rtol=1e-12, atol=1e-15)
+        assert np.allclose(step_response(tf, t), 0.5 * t * t, rtol=1e-12, atol=1e-15)
 
     def test_biproper_rejected(self):
         tf = RationalTF(num=[1.0, 1.0], den=[1.0, 2.0])

@@ -3,7 +3,10 @@ command-line interface."""
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -690,6 +693,27 @@ class TestCli:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "rates", [["1e200"], ["1e-170"], ["1e-320"], ["1e-3", "--b3", "1e200"]], ids=" ".join
+    )
+    def test_analyze_rejects_rates_the_closed_forms_cannot_represent(self, capsys, rates):
+        rc = cli.main(["analyze", "--b2", *rates])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "Warning" not in captured.err
+
+    def test_module_entry_point_prints_the_cli_payload(self, capsys):
+        args = ["analyze", "--b2", "0.0067", "--b3", "0.02"]
+        assert cli.main(args) == 0
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        done = subprocess.run(
+            [sys.executable, "-m", "ssmopt", *args], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0
+        assert done.stdout == capsys.readouterr().out
 
     def test_run_with_missing_config_fails_validation_exit(self, capsys, tmp_path):
         rc = cli.main(["run", str(tmp_path / "nope.json")])
