@@ -141,10 +141,15 @@ def stability_quantity_p(lti: SecondMomentLTI) -> float:
     """Mode-separation quantity sqrt((lambda3 - lambda5)^2 + 4*lambda3*lambda4).
 
     Always >= |lambda3 - lambda5|, and <= lambda3 + lambda5 when
-    lambda5 >= lambda4, which keeps the transition entries bounded.
+    lambda5 >= lambda4, which keeps the transition entries bounded. Rates
+    whose radicand overflows are a ValidationError: p and exp(At) are not
+    representable there.
     """
     d = lti.lambda3 - lti.lambda5
-    return math.sqrt(d * d + 4.0 * lti.lambda3 * lti.lambda4)
+    radicand = d * d + 4.0 * lti.lambda3 * lti.lambda4
+    if not math.isfinite(radicand):
+        raise ValidationError(["(lambda3 - lambda5)**2 + 4*lambda3*lambda4 finite in floating point"])
+    return math.sqrt(radicand)
 
 
 def state_transition_entries(lti: SecondMomentLTI, t):

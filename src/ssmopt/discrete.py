@@ -11,6 +11,7 @@ of one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -157,8 +158,10 @@ class _DiscreteBatch:
     The rows fall into three masked groups, the moment kinds, gadagrad and
     sgd_momentum, each with its rates as (R, 1) columns, so every row goes
     through exactly the arithmetic of its solo run. The bias denominators
-    are per-row Python scalars, and nu ** c is applied per group of rows
-    sharing c. A row whose first step raises keeps that error in errors.
+    are Python scalars, computed once per step for each distinct (b1, b2,
+    delta, bias_mode) and spread to its rows, and nu ** c is applied per
+    group of rows sharing c. A row whose first step raises keeps that error
+    in errors.
     """
 
     dt = 1
@@ -166,7 +169,8 @@ class _DiscreteBatch:
 
     def __init__(self, specs: list[OptimizerSpec], milestones=()):
         self.specs = specs
-        self.schedule = LrSchedule(_column(spec.preset.eta for spec in specs), milestones)
+        # an (R, 1) column even for one row: update takes it by row group
+        self.schedule = LrSchedule(np.array([[spec.preset.eta] for spec in specs], dtype=float), milestones)
         self.errors = {i: e for i, e in enumerate(map(_first_step_error, specs)) if e is not None}
 
         def group(kinds):
@@ -187,6 +191,10 @@ class _DiscreteBatch:
         psis = [map_preset_to_general(spec.preset, PresetKind(spec.kind)).psi_kind for spec in self.moment_specs]
         belief = [psi is PsiKind.BELIEF for psi in psis]
         self.belief = np.array(belief)[:, None] if any(belief) else None
+        keys = [(q.preset.b1, q.preset.b2, q.preset.delta, q.bias_mode) for q in self.moment_specs]
+        distinct = list(dict.fromkeys(keys))
+        self.bias_specs = [self.moment_specs[keys.index(key)] for key in distinct]
+        self.bias_of = np.array([distinct.index(key) for key in keys], dtype=int)
         self.accumulate, accumulators = group(("gadagrad",))
         self.acc_delta = _column(spec.preset.delta for spec in accumulators)
         self.acc_epsilon = _column(spec.preset.epsilon for spec in accumulators)
@@ -216,9 +224,12 @@ class _DiscreteBatch:
             mu_new = self.keep1 * mu + self.gain1 * gm
             zeta_new = self.keep2 * zeta + self.gain2 * nu
             nu_new = self.couple * zeta + self.keep_nu * nu + self.gain2 * _psi(gm, mu_new, self.belief)
-            bias = np.array([bias_denominators(q.preset, k, q.bias_mode) for q in self.moment_specs])
-            mu_hat = mu_new / bias[:, :1]
-            nu_hat = nu_new / bias[:, 1:]
+            bias = [bias_denominators(q.preset, k, q.bias_mode) for q in self.bias_specs]
+            # one shared pair divides as Python scalars, the same arithmetic
+            # as (R, 1) columns at a fraction of the cost
+            b1_corr, b2_corr = bias[0] if len(bias) == 1 else np.array(bias)[self.bias_of].T[:, :, None]
+            mu_hat = mu_new / b1_corr
+            nu_hat = nu_new / b2_corr
             out[rows, 0] = x - eta[rows] * (mu_hat / (np.sqrt(nu_hat) + self.moment_epsilon))
             out[rows, 1], out[rows, 2], out[rows, 3] = mu_new, zeta_new, nu_new
         rows = self.accumulate
@@ -237,12 +248,19 @@ class _DiscreteBatch:
         return out
 
 
-def _step_one(spec: OptimizerSpec, state: np.ndarray, grad, eta: float, k: int) -> np.ndarray:
-    batch = _DiscreteBatch([spec])
+@lru_cache(maxsize=64)
+def _batch_of_one(*spec_args, **spec_kwargs) -> _DiscreteBatch:
+    # update only reads the batch, so one per entry serves every step; keyed
+    # by the OptimizerSpec arguments, which hash faster than the spec
+    return _DiscreteBatch([OptimizerSpec(*spec_args, **spec_kwargs)])
+
+
+def _step_one(batch: _DiscreteBatch, state: np.ndarray, grad, eta: float, k: int) -> np.ndarray:
     if batch.errors:
-        raise batch.errors[0]
+        # a fresh error each call: the cached one would collect tracebacks
+        raise _first_step_error(batch.specs[0])
     g = np.asarray(grad, dtype=float)
-    return batch.update(np.asarray(state, dtype=float)[None], g[None], np.full((1, 1), eta), k)[0]
+    return batch.update(np.asarray(state, dtype=float)[None], g[None], np.array([[eta]], dtype=float), k)[0]
 
 
 def step_preset(
@@ -276,7 +294,8 @@ def step_preset(
     every moment kind, so kinds that differ only by an inert parameter agree
     bitwise. Raises InstabilityError when 1 - delta*b2 - delta*b3 < 0.
     """
-    return _step_one(OptimizerSpec(kind.value, kind.value, preset, bias_mode), state, grad, eta, k)
+    name = kind.value
+    return _step_one(_batch_of_one(name, name, preset, bias_mode), state, grad, eta, k)
 
 
 def step_sgd_momentum(state: np.ndarray, grad, eta: float, k: int, beta: float) -> np.ndarray:
@@ -286,13 +305,12 @@ def step_sgd_momentum(state: np.ndarray, grad, eta: float, k: int, beta: float) 
     The momentum buffer lives in the mu row; beta = 0 is plain gradient
     descent.
     """
-    spec = OptimizerSpec("sgd_momentum", "sgd_momentum", PresetParams(), beta=beta)
-    return _step_one(spec, state, grad, eta, k)
+    return _step_one(_batch_of_one("sgd_momentum", "sgd_momentum", PresetParams(), beta=beta), state, grad, eta, k)
 
 
 def _discrete_rows(specs: list[OptimizerSpec], objective, x0, num_iters, milestones, threshold, record_stride):
     """flow._run_rows on discrete runs from x0: each row's (_Recorder,
-    RunSummary) or the exception its solo run raises."""
+    report) pair or the exception its solo run raises."""
     if num_iters < 0:
         raise ValueError("num_iters must be nonnegative")
     s = np.array([initial_stepper_state(x0)] * len(specs))
@@ -317,7 +335,7 @@ def run_discrete_batch(
     """
     outcomes = _discrete_rows(specs, objective, x0, num_iters, milestones, threshold, record_stride)
     return [
-        out if isinstance(out, Exception) else (out[0].build(), out[1].report(spec.name))
+        out if isinstance(out, Exception) else (out[0].build(), out[1](spec.name))
         for spec, out in zip(specs, outcomes)
     ]
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -142,7 +143,7 @@ class _Batch:
         if (nu <= 0).any():
             raise _LeftDomain(np.any(nu <= 0, axis=1), t)
         g = self.grad(x)
-        alpha = np.array([alpha_g(t, p) for p in self.params])[:, None]
+        alpha = _column(alpha_g(t, p) for p in self.params)
         d = np.empty_like(s)
         d[:, 0] = -(self.l7 * mu + self.l8 * g) / (alpha * _pow_rows(nu, self.cs))
         d[:, 1] = self.neg_l1 * mu + self.l2 * g
@@ -267,66 +268,76 @@ class RunReport:
 
 
 class RunSummary:
-    """The report of one run, flow or discrete, built from its rows one step
-    at a time.
+    """The reports of the R rows of a batch, flow or discrete, built from
+    their rows one step at a time: one (R,) array per quantity, so a step
+    of the whole batch is a fixed number of numpy calls.
 
-    Tracks the best f and the first step that reached it, the first step
-    whose gradient norm fell below threshold, the final gradient norm, and
-    whether nu stayed nonnegative and x inside the box.
-    A non-finite f or gradient norm means the run diverged: the summary ends
-    there and its report is a failure naming the step.
+    Tracks per row the best f and the first step that reached it, the first
+    step whose gradient norm fell below threshold (-1 for none yet), the
+    final gradient norm, and whether nu stayed nonnegative and x inside the
+    box. A non-finite f or gradient norm means the row diverged: its report
+    is a failure naming the first such step (diverged_at, -1 while none).
     """
 
-    def __init__(self, threshold: float, box: float):
+    def __init__(self, n_rows: int, threshold: float, box: float):
         self.threshold = threshold
         self.box = box
-        self.best_f = math.inf
-        self.epoch_of_best = 0
-        self.iters_to_threshold: Optional[int] = None
-        self.final_grad_norm = math.nan
-        self.nu_nonnegative = True
-        self.stayed_in_box = True
-        self.diverged_at: Optional[int] = None
+        self.best_f = np.full(n_rows, math.inf)
+        self.epoch_of_best = np.zeros(n_rows, int)
+        self.iters_to_threshold = np.full(n_rows, -1)
+        self.final_grad_norm = np.full(n_rows, math.nan)
+        self.nu_nonnegative = np.ones(n_rows, bool)
+        self.stayed_in_box = np.ones(n_rows, bool)
+        self.diverged_at = np.full(n_rows, -1)
 
-    def add(self, step: int, state: np.ndarray, f: float, grad_norm: float) -> bool:
-        """Fold in one step: its (4, d) state, f and gradient norm; False
-        once the run has diverged."""
-        if self.diverged_at is not None:
-            return False
-        if not (math.isfinite(f) and math.isfinite(grad_norm)):
-            self.diverged_at = step
-            return False
-        if f < self.best_f:
-            self.best_f = f
-            self.epoch_of_best = step
-        if self.iters_to_threshold is None and grad_norm < self.threshold:
-            self.iters_to_threshold = step
-        self.final_grad_norm = grad_norm
-        if self.nu_nonnegative and (state[3] < 0).any():
-            self.nu_nonnegative = False
-        if self.stayed_in_box and not (np.abs(state[0]) <= self.box).all():
-            self.stayed_in_box = False
-        return True
+    def add(self, rows: np.ndarray, step: int, states: np.ndarray, f: np.ndarray, grad_norm: np.ndarray) -> np.ndarray:
+        """Fold in one step of the given rows: their (n, 4, d) states, (n,)
+        f values and gradient norms. Returns the mask of those rows whose f
+        or gradient norm is not finite. A diverged row reports only the step
+        it diverged at, so the other quantities take no mask; the per-row
+        checks run only on a step where some row fails them."""
+        finite = np.isfinite(f) & np.isfinite(grad_norm)
+        if not finite.all():
+            self.diverged_at[rows[~finite & (self.diverged_at[rows] < 0)]] = step
+        better = f < self.best_f[rows]
+        self.best_f[rows[better]] = f[better]
+        self.epoch_of_best[rows[better]] = step
+        reached = (grad_norm < self.threshold) & (self.iters_to_threshold[rows] < 0)
+        self.iters_to_threshold[rows[reached]] = step
+        self.final_grad_norm[rows] = grad_norm
+        negative = states[:, 3] < 0
+        if negative.any():
+            self.nu_nonnegative[rows[negative.any(axis=1)]] = False
+        inside = np.abs(states[:, 0]) <= self.box
+        if not inside.all():
+            self.stayed_in_box[rows[~inside.all(axis=1)]] = False
+        return ~finite
 
-    def report(self, name: str) -> RunReport:
-        k = self.diverged_at
-        if k is not None:
+    def report(self, row: int, name: str) -> RunReport:
+        k = int(self.diverged_at[row])
+        if k >= 0:
             error = f"diverged at iteration {k}: f or the gradient norm is not finite"
             return RunReport.failure(name, error, diverged_at=k)
-        diagnostics = {"nu_nonnegative": self.nu_nonnegative, "stayed_in_box": self.stayed_in_box}
+        itt = int(self.iters_to_threshold[row])
+        diagnostics = {
+            "nu_nonnegative": bool(self.nu_nonnegative[row]),
+            "stayed_in_box": bool(self.stayed_in_box[row]),
+        }
         return RunReport(
             optimizer=name,
-            best_f=float(self.best_f),
-            epoch_of_best=self.epoch_of_best,
-            final_grad_norm=float(self.final_grad_norm),
-            iters_to_threshold=self.iters_to_threshold,
+            best_f=float(self.best_f[row]),
+            epoch_of_best=int(self.epoch_of_best[row]),
+            final_grad_norm=float(self.final_grad_norm[row]),
+            iters_to_threshold=itt if itt >= 0 else None,
             diagnostics=diagnostics,
         )
 
 
 def _column(values) -> np.ndarray:
-    """Per-row rates as an (R, 1) column."""
-    return np.array(list(values), dtype=float)[:, None]
+    """Per-row rates as an (R, 1) column, or as a 0-d array for a single row:
+    the same arithmetic, at half the cost of broadcasting a (1, 1) array."""
+    column = np.array(list(values), dtype=float)
+    return column.reshape(()) if len(column) == 1 else column[:, None]
 
 
 def _psi(g: np.ndarray, m: np.ndarray, belief: Optional[np.ndarray]) -> np.ndarray:
@@ -366,52 +377,59 @@ def _run_rows(rule, s: np.ndarray, objective, n_steps: int, record_stride: int, 
     The rule has dt (the time of one step), every_step, alpha(i, k),
     step(s, g, k) and select(keep). A discrete rule (every_step true) is
     evaluated at every step k: its step takes the gradients, every step
-    feeds the row's RunSummary, and a row ends at the first non-finite f or
+    feeds the RunSummary, and a row ends at the first non-finite f or
     gradient norm. A flow rule is evaluated only where it records, and a row
     ends at the first step whose state is not finite. Rows are recorded at
     step 0, every record_stride-th step, the final step and the step they
     end at. A step that raises _RowsLeave is taken again without those rows.
+    f, the gradients and their norms are one call each for all the rows
+    evaluated at a step; only recording goes row by row.
 
-    Returns, in row order, each row's (_Recorder, RunSummary), or the
-    exception it left the batch with.
+    Returns, in row order, each row's (_Recorder, report) pair, report(name)
+    giving its RunReport, or the exception it left the batch with.
     """
-    runs = [(_Recorder(), RunSummary(threshold, objective.box)) for _ in s]
-    outcomes: list = list(runs)
-    live = list(range(len(s)))
+    summary = RunSummary(len(s), threshold, objective.box)
+    recorders = [_Recorder() for _ in s]
+    outcomes: list = [(recorder, partial(summary.report, r)) for r, recorder in enumerate(recorders)]
+    live = np.arange(len(s))
     g = None
 
     def leave(gone: np.ndarray, errors: Optional[list[Exception]] = None) -> None:
         nonlocal live, rule, s, g
         if errors is not None:
-            for i, error in zip(np.flatnonzero(gone), errors):
-                outcomes[live[i]] = error
-        live = [r for r, out in zip(live, gone) if not out]
+            for r, error in zip(live[gone], errors):
+                outcomes[r] = error
+        live = live[~gone]
         rule, s = rule.select(~gone), s[~gone]
         g = None if g is None else g[~gone]
 
     k = 0
-    while live:
+    while len(live):
         on_stride = k % record_stride == 0 or k == n_steps
         ended = np.zeros(len(live), bool)
         if not (rule.every_step or np.isfinite(s).all()):
             ended = ~np.isfinite(s).all(axis=(1, 2))
         due = np.arange(len(live)) if rule.every_step or on_stride else np.flatnonzero(ended)
-        grads = objective.eval_grad(s[due, 0]) if len(due) else None
-        for j, i in enumerate(due):
-            recorder, summary = runs[live[i]]
-            f = objective.eval_f(s[i, 0])
-            grad_norm = float(np.linalg.norm(grads[j]))
-            if not summary.add(k, s[i], f, grad_norm) and rule.every_step:
-                ended[i] = True
-            if on_stride or ended[i]:
-                recorder.record(k * rule.dt, s[i], f, grad_norm, rule.alpha(i, k))
+        grads = None
+        if len(due):
+            states = s[due]
+            grads = objective.eval_grad(states[:, 0])
+            fs = objective.eval_f(states[:, 0])
+            # per row the ddot of np.linalg.norm, bitwise; norm(axis=1) is not
+            grad_norms = np.sqrt(np.vecdot(grads, grads))
+            diverged = summary.add(live[due], k, states, fs, grad_norms)
+            if rule.every_step:
+                ended |= diverged
+            for j in range(len(due)) if on_stride else np.flatnonzero(ended[due]):
+                i = due[j]
+                recorders[live[i]].record(k * rule.dt, states[j], fs[j], grad_norms[j], rule.alpha(i, k))
         # a discrete step takes the gradients of every row, evaluated here
         g = grads if rule.every_step else None
         if ended.any():
             leave(ended)
         if k == n_steps:
             break
-        while live:
+        while len(live):
             try:
                 s = rule.step(s, g, k)
                 break
@@ -452,7 +470,7 @@ def _integrate_rows(
     problems: list[FlowProblem], step, dt: float, t_end: float, record_stride: int = 1, threshold: float = 1e-4
 ) -> list:
     """_run_rows on the flows of one objective: each row's (_Recorder,
-    RunSummary) or the StepFailure its solo run raises."""
+    report) pair or the StepFailure its solo run raises."""
     n_steps = _check_grid(dt, t_end)
     if any(p.objective is not problems[0].objective for p in problems):
         raise ValueError("a batch integrates flows on one objective")
@@ -541,7 +559,7 @@ def gadagrad_energy_residual(traj: Trajectory, problem: FlowProblem) -> np.ndarr
         raise PresetMismatch("energy residual needs c in (0, 1)")
 
     times = np.asarray(traj.times, dtype=float)
-    grads_sq = np.stack([problem.objective.eval_grad(x) ** 2 for x in traj.x_matrix()])
+    grads_sq = problem.objective.eval_grad(traj.x_matrix()) ** 2
     nu0 = traj.states[0, 3]
     # per-coordinate cumulative trapezoid of grad^2 over the recorded grid
     dt_seg = np.diff(times)[:, None]

@@ -388,10 +388,10 @@ def _write_row(out: Path, prefix: str, i: int, spec: OptimizerSpec, outcome, dia
     try:
         if isinstance(outcome, Exception):
             raise outcome
-        recorder, summary = outcome
+        recorder, summarize = outcome
         traj = recorder.build()
         traj.to_csv(out / f"{prefix}_{i:02d}_{_safe_name(spec.name)}.csv")
-        report = summary.report(spec.name)
+        report = summarize(spec.name)
         if diagnose is not None and "error" not in report.diagnostics:
             diagnose(i, traj, report)
         return report
@@ -412,10 +412,11 @@ def _run_entries(
     """Run the entries at indices in one batched call and write the artifacts.
 
     run_batch(objective, x0, specs) returns, per entry, its (_Recorder,
-    RunSummary) or the exception its solo run raises. Each trajectory is
-    built, written to {prefix}_{index:02d}_{name}.csv and dropped in turn;
-    diagnose(index, trajectory, report) may add diagnostics to a run that
-    did not fail. The reports land in report_name, in declaration order.
+    report) pair (see flow._run_rows) or the exception its solo run raises.
+    Each trajectory is built, written to {prefix}_{index:02d}_{name}.csv and
+    dropped in turn; diagnose(index, trajectory, report) may add diagnostics
+    to a run that did not fail. The reports land in report_name, in
+    declaration order.
     """
     out = Path(out_dir) if out_dir is not None else resolve_out_dir(config)
     out.mkdir(parents=True, exist_ok=True)

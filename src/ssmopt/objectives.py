@@ -24,13 +24,14 @@ class Objective:
     the test box [-box, box]^dim; convergence assertions should be restricted
     to trajectories staying inside that box.
 
-    eval_grad also takes a batch of points shaped (R, dim) and returns their
-    gradients row by row, each bitwise equal to the gradient of that point
-    alone.
+    eval_f and eval_grad also take a batch of points shaped (R, dim): eval_f
+    returns an (R,) array of values and eval_grad an (R, dim) array of
+    gradients, each entry bitwise equal to the result for that point alone.
+    A single point gives a float and a (dim,) gradient.
     """
 
     dim: int
-    eval_f: Callable[[np.ndarray], float]
+    eval_f: Callable[[np.ndarray], float | np.ndarray]
     eval_grad: Callable[[np.ndarray], np.ndarray]
     known_min: Optional[tuple[np.ndarray, float]] = None
     hessian_bounded_hint: bool = True
@@ -49,8 +50,11 @@ def make_quadratic(d: int, condition_number: float) -> Objective:
     eigs = np.ones(1) if d == 1 else np.geomspace(1.0, float(condition_number), d)
 
     def f(x):
+        # vecdot reduces each row with the same ddot as a single point;
+        # (X * X) @ eigs would not be bitwise equal per row
         x = np.asarray(x, dtype=float)
-        return float(0.5 * np.dot(eigs, x * x))
+        value = 0.5 * np.vecdot(eigs, x * x)
+        return value if x.ndim > 1 else float(value)
 
     def grad(x):
         x = np.asarray(x, dtype=float)
@@ -74,8 +78,11 @@ def make_rosenbrock(d: int) -> Objective:
         raise ValueError("d must be >= 2")
 
     def f(x):
+        # summed along the contiguous last axis: pairwise per row, as alone
         x = np.asarray(x, dtype=float)
-        return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+        head, tail = x[..., :-1], x[..., 1:]
+        value = np.sum(100.0 * (tail - head ** 2) ** 2 + (1.0 - head) ** 2, axis=-1)
+        return value if x.ndim > 1 else float(value)
 
     def grad(x):
         x = np.asarray(x, dtype=float)
@@ -131,31 +138,32 @@ def make_logistic(d: int, n_samples: int, seed: int) -> Objective:
     y = np.where(X @ w_true >= 0.0, 1.0, -1.0)
 
     def f(w):
-        w = np.asarray(w, dtype=float)
         margins = y * (X @ w)
         return float(np.mean(np.logaddexp(0.0, -margins)) + 0.5 * reg * np.dot(w, w))
 
-    def grad_one(w):
+    def grad(w):
         margins = y * (X @ w)
         # sigmoid(-m) computed as exp(-log(1+exp(m))), stable for any margin
         s = np.exp(-np.logaddexp(0.0, margins))
         return -(X.T @ (y * s)) / n_samples + reg * w
 
-    def grad(w):
-        # grad_one is separate so that grad does not refer to itself: that
-        # cycle would keep the dataset alive until the garbage collector runs
-        w = np.asarray(w, dtype=float)
-        if w.ndim > 1:
-            # row by row: one matrix product over the batch would reorder sums
-            return np.stack([grad_one(row) for row in w])
-        return grad_one(w)
-
     return Objective(
-        dim=d, eval_f=f, eval_grad=grad,
+        dim=d, eval_f=_row_by_row(f), eval_grad=_row_by_row(grad),
         known_min=None,
         hessian_bounded_hint=True,
         name=f"logistic_d{d}_n{n_samples}_s{seed}",
     )
+
+
+def _row_by_row(one: Callable) -> Callable:
+    """one, which takes a single point, applied to each row of a batch: one
+    matrix product over the batch would reorder the sums of a row."""
+
+    def batched(w):
+        w = np.asarray(w, dtype=float)
+        return np.array([one(row) for row in w]) if w.ndim > 1 else one(w)
+
+    return batched
 
 
 def finite_diff_grad(obj: Objective, x, h: float) -> np.ndarray:
@@ -163,9 +171,6 @@ def finite_diff_grad(obj: Objective, x, h: float) -> np.ndarray:
     if h <= 0:
         raise ValueError("h must be positive")
     x = np.asarray(x, dtype=float)
-    g = np.zeros_like(x)
-    for i in range(obj.dim):
-        e = np.zeros_like(x)
-        e[i] = h
-        g[i] = (obj.eval_f(x + e) - obj.eval_f(x - e)) / (2.0 * h)
-    return g
+    steps = h * np.eye(obj.dim)
+    f = obj.eval_f(np.concatenate([x + steps, x - steps]))
+    return (f[: obj.dim] - f[obj.dim:]) / (2.0 * h)

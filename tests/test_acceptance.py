@@ -22,6 +22,7 @@ from ssmopt import (
     PresetKind,
     PresetParams,
     SecondMomentLTI,
+    Trajectory,
     ValidationError,
     adamssm_tf,
     cli,
@@ -29,6 +30,7 @@ from ssmopt import (
     finite_diff_grad,
     gadagrad_energy_residual,
     initial_stepper_state,
+    integrate_batch,
     integrate_euler,
     integrate_reference,
     make_logistic,
@@ -38,6 +40,7 @@ from ssmopt import (
     poles_zeros,
     preset_flow,
     rhs_general,
+    rk4_step,
     state_transition_entries,
     step_preset,
     validate_params,
@@ -253,13 +256,21 @@ def test_c07_flows_converge_within_budget():
         else:
             budgets.append((kind, preset, rosenbrock, np.array([0.8, 0.64]), 0.01, 60.0))
             budgets.append((kind, preset, logistic, np.zeros(5), 0.1, 1200.0))
+    # one batch per (objective, dt, t_end); each row equals its solo
+    # integrate_reference run bitwise (see TestIntegrateBatch)
+    groups = {}
     for kind, preset, obj, x0, dt, t_end in budgets:
-        problem = preset_flow(kind, preset, obj, x0, np.ones(obj.dim))
-        traj = integrate_reference(problem, dt, t_end, record_stride=10)
-        label = f"{kind.value} on {obj.name}"
-        assert float(np.min(traj.grad_norms)) < 1e-4, label
-        nu_records = traj.states[:, 3]
-        assert np.all(nu_records > 0), label
+        groups.setdefault((obj.name, dt, t_end), []).append((kind, preset, obj, x0))
+    assert len(groups) == 5
+    for (_, dt, t_end), flows in groups.items():
+        problems = [preset_flow(kind, preset, obj, x0, np.ones(obj.dim)) for kind, preset, obj, x0 in flows]
+        trajs = integrate_batch(problems, rk4_step, dt, t_end, record_stride=10)
+        for (kind, _, obj, _), traj in zip(flows, trajs):
+            label = f"{kind.value} on {obj.name}"
+            assert isinstance(traj, Trajectory), label
+            assert float(np.min(traj.grad_norms)) < 1e-4, label
+            nu_records = traj.states[:, 3]
+            assert np.all(nu_records > 0), label
     print("criterion 7 (convergence budgets, 15 flows): PASS")
 
 

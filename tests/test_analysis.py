@@ -156,6 +156,17 @@ class TestStabilityQuantity:
             assert p >= abs(lti.lambda3 - lti.lambda5) - 1e-12
             assert p <= lti.lambda3 + lti.lambda5 + 1e-12
 
+    def test_overflowing_rates_rejected_naming_the_condition(self):
+        # (lambda3 - lambda5)^2 overflows: p would be inf and exp(At) all NaN
+        lti = SecondMomentLTI(lambda3=1e-3, lambda4=1e200, lambda5=1e200 + 1e-3)
+        condition = "(lambda3 - lambda5)**2 + 4*lambda3*lambda4 finite in floating point"
+        with pytest.raises(ValidationError) as err:
+            stability_quantity_p(lti)
+        assert err.value.violations == [condition]
+        with pytest.raises(ValidationError) as err:
+            state_transition_matrix(lti, 1.0)
+        assert err.value.violations == [condition]
+
 
 class TestStateTransition:
     def test_identity_at_time_zero(self):

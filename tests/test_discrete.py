@@ -1,6 +1,7 @@
 """Unit tests for the discrete steppers, schedules, and the recording run
 loop."""
 
+import dataclasses
 import math
 from functools import partial
 
@@ -25,6 +26,7 @@ from ssmopt import (
     step_sgd_momentum,
 )
 from ssmopt.discrete import BIAS_MODES, run_discrete_batch
+from oracles import discrete_entry_run
 
 ADAMSSM = PresetParams(b3=0.02)
 
@@ -408,6 +410,84 @@ class TestRunDiscreteBatch:
         assert k < 200 and traj.times[-1] == k
         for got, want in zip(results, solos):
             assert_same_run(got, want)
+
+
+class TestBatchBookkeeping:
+    """The run loop evaluates f, the gradients and their norms once per step
+    for the whole batch, and summarizes every row like its solo run."""
+
+    def test_one_objective_call_per_step_for_the_whole_batch(self):
+        obj, x0 = discrete_objective("rosenbrock")
+        calls = {"f": 0, "grad": 0}
+
+        def counted(name, fn):
+            def wrapped(x):
+                calls[name] += 1
+                return fn(x)
+
+            return wrapped
+
+        # wrapped as perfbench/spans.py wraps objectives
+        obj = dataclasses.replace(obj, eval_f=counted("f", obj.eval_f), eval_grad=counted("grad", obj.eval_grad))
+        n = 45
+        results = run_discrete_batch(mixed_specs(), obj, x0, n, ((20, 0.5),), record_stride=7)
+        assert all("error" not in report.diagnostics for _, report in results)
+        assert calls == {"f": n + 1, "grad": n + 1}
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 10, 40, 100])
+    def test_recorded_gradient_norms_equal_linalg_norm_bitwise(self, dim, rng):
+        obj = make_quadratic(dim, 50.0)
+        x0 = rng.standard_normal(dim)
+        specs = [OptimizerSpec(kind, kind, PresetParams(b3=0.02, eta=0.05)) for kind in ("adam", "adamssm")]
+        for traj, _ in run_discrete_batch(specs, obj, x0, 30):
+            want = [float(np.linalg.norm(obj.eval_grad(x))) for x in traj.x_matrix()]
+            assert traj.grad_norms.tobytes() == np.array(want).tobytes()
+        # the batched form itself, on a strided view as the loop passes it
+        g = rng.standard_normal((64, dim)) * rng.uniform(0.01, 10.0, (64, 1))
+        packed = np.stack([g, -g], axis=1)[:, 0]
+        want = np.array([np.linalg.norm(row) for row in g])
+        assert np.sqrt(np.vecdot(packed, packed)).tobytes() == want.tobytes()
+
+    def test_mixed_summaries_equal_the_oracle(self):
+        obj, x0 = make_quadratic(2, 10.0), np.ones(2)
+        specs = [
+            # converges: best f before the last iteration, threshold reached
+            OptimizerSpec("adam", "adam", PresetParams(eta=0.05)),
+            # crawls: best f at the last iteration, threshold never reached
+            OptimizerSpec("adamssm", "adamssm", PresetParams(b3=0.02, eta=1e-4), "beta"),
+            # oscillates outward until the milestone: leaves the box, stays finite
+            OptimizerSpec("sgd_momentum", "sgd_momentum", PresetParams(eta=0.3), beta=0.0),
+            OptimizerSpec("gadagrad", "gadagrad", PresetParams(c=0.5, eta=0.5)),
+        ]
+        entries = [
+            {"kind": spec.kind, **dataclasses.asdict(spec.preset), "bias_mode": spec.bias_mode, "beta": spec.beta}
+            for spec in specs
+        ]
+        n, milestones, threshold = 300, ((150, 0.5),), 1e-4
+        results = run_discrete_batch(specs, obj, x0, n, milestones, threshold)
+        reports = []
+        for entry, (traj, report) in zip(entries, results):
+            rows = discrete_entry_run(entry, obj.eval_grad, x0, n, milestones)
+            assert traj.states.tobytes() == np.array([row[1:] for row in rows]).tobytes()
+            assert traj.alpha_values.tobytes() == np.array([row[0] for row in rows]).tobytes()
+            fs = [obj.eval_f(row[1]) for row in rows]
+            norms = [float(np.linalg.norm(obj.eval_grad(row[1]))) for row in rows]
+            assert traj.f_values.tobytes() == np.array(fs).tobytes()
+            assert traj.grad_norms.tobytes() == np.array(norms).tobytes()
+            reached = [k for k, g in enumerate(norms) if g < threshold]
+            assert report.best_f == min(fs)
+            assert report.epoch_of_best == fs.index(min(fs))
+            assert report.iters_to_threshold == (reached[0] if reached else None)
+            assert report.final_grad_norm == norms[-1]
+            assert report.diagnostics == {
+                "nu_nonnegative": all((row[4] >= 0).all() for row in rows),
+                "stayed_in_box": all((np.abs(row[1]) <= obj.box).all() for row in rows),
+            }
+            reports.append(report)
+        # the rows differ in what the summary has to track
+        assert len({r.epoch_of_best for r in reports}) > 1
+        assert {r.iters_to_threshold is None for r in reports} == {True, False}
+        assert [r.diagnostics["stayed_in_box"] for r in reports].count(False) == 1
 
 
 class TestNonnegativity:

@@ -122,6 +122,28 @@ def test_batched_gradient_rows_equal_single_points(obj, rng):
     assert np.array_equal(obj.eval_grad(packed[:, 0]), batch)
 
 
+def objectives_at_every_dim():
+    for d in (1, 2, 3, 10, 40, 100):
+        yield make_quadratic(d, 50.0)
+        if d > 1:
+            yield make_rosenbrock(d)
+            yield make_logistic(d, 40, 0)
+
+
+@pytest.mark.parametrize("obj", list(objectives_at_every_dim()), ids=lambda o: o.name)
+def test_batched_values_equal_single_points_bitwise(obj, rng):
+    # rows of mixed magnitude, so that the per-row sums round differently
+    xs = rng.standard_normal((64, obj.dim)) * rng.uniform(0.01, obj.box, (64, 1))
+    batch = obj.eval_f(xs)
+    assert batch.shape == (64,) and batch.dtype == np.float64
+    single = [obj.eval_f(x) for x in xs]
+    assert all(type(v) is float for v in single)
+    assert batch.tobytes() == np.array(single).tobytes()
+    # a strided view, as the run loop passes it
+    packed = np.stack([xs, -xs], axis=1)
+    assert obj.eval_f(packed[:, 0]).tobytes() == batch.tobytes()
+
+
 class TestFiniteDiff:
     def test_near_exact_on_quadratic(self):
         obj = make_quadratic(2, 100.0)
