@@ -54,6 +54,10 @@ class OptimizerSpec:
     bias_mode: str = "paper"
     beta: float = 0.9
 
+    def __post_init__(self):
+        if self.bias_mode not in BIAS_MODES:
+            raise ValueError(f"bias_mode must be one of {BIAS_MODES}, got {self.bias_mode!r}")
+
 
 _MOMENT_KEYS = ("b1", "b2", "delta", "epsilon", "eta", "bias_mode")
 # Every optimizer kind, in the order messages list them, with the config keys
@@ -181,9 +185,9 @@ class _DiscreteBatch:
 
         self.moment, self.moment_specs = group(_MOMENT_KINDS)
         ps = [(spec.preset, _b3(spec)) for spec in self.moment_specs]
-        self.keep1 = _column(1.0 - p.delta * p.b1 for p, _ in ps)
+        self.keep1 = _column(p.beta1 for p, _ in ps)
         self.gain1 = _column(p.delta * p.b1 for p, _ in ps)
-        self.keep2 = _column(1.0 - p.delta * p.b2 for p, _ in ps)
+        self.keep2 = _column(p.beta2 for p, _ in ps)
         self.gain2 = _column(p.delta * p.b2 for p, _ in ps)
         self.couple = _column(p.delta * b3 for p, b3 in ps)
         self.keep_nu = _column(1.0 - p.delta * p.b2 - p.delta * b3 for p, b3 in ps)
@@ -308,15 +312,6 @@ def step_sgd_momentum(state: np.ndarray, grad, eta: float, k: int, beta: float) 
     return _step_one(_batch_of_one("sgd_momentum", "sgd_momentum", PresetParams(), beta=beta), state, grad, eta, k)
 
 
-def _discrete_rows(specs: list[OptimizerSpec], objective, x0, num_iters, milestones, threshold, record_stride):
-    """flow._run_rows on discrete runs from x0: each row's (_Recorder,
-    report) pair or the exception its solo run raises."""
-    if num_iters < 0:
-        raise ValueError("num_iters must be nonnegative")
-    s = np.array([initial_stepper_state(x0)] * len(specs))
-    return _run_rows(_DiscreteBatch(specs, milestones), s, objective, num_iters, record_stride, threshold)
-
-
 def run_discrete_batch(
     specs: list[OptimizerSpec], objective, x0, num_iters: int, milestones=(), threshold=1e-4, record_stride=1
 ) -> list[tuple[Trajectory, RunReport] | Exception]:
@@ -329,15 +324,15 @@ def run_discrete_batch(
     its iteration-0 evaluation. The time column is the iteration count; rows
     are recorded at iteration 0, every record_stride-th iteration and the
     last one. A report summarizes every iteration, recorded or not (see
-    RunSummary). A run that diverges stops at the first non-finite f or
+    flow.RunStore). A run that diverges stops at the first non-finite f or
     gradient norm, recorded last, and its report is a failure. The other
     rows go on unchanged.
     """
-    outcomes = _discrete_rows(specs, objective, x0, num_iters, milestones, threshold, record_stride)
-    return [
-        out if isinstance(out, Exception) else (out[0].build(), out[1](spec.name))
-        for spec, out in zip(specs, outcomes)
-    ]
+    if num_iters < 0:
+        raise ValueError("num_iters must be nonnegative")
+    s = np.array([initial_stepper_state(x0)] * len(specs))
+    rule = _DiscreteBatch(specs, milestones)
+    return _run_rows(rule, s, objective, num_iters, record_stride, threshold, [spec.name for spec in specs])
 
 
 def run_discrete(

@@ -2,18 +2,20 @@
 
 A state is a (4, d) array with rows x, mu, zeta and nu, as in core. Runs on
 one objective, flows or discrete runs (see discrete), advance together as
-one packed (R, 4, d) batch through one loop, _run_rows, which records,
-summarizes and reports every row like its solo run; a solo run is the
-batch of one. Here also: the generic right-hand side, named preset flows, the
-fixed-step schemes and the accumulator energy-balance diagnostic.
+one packed (R, 4, d) batch through one loop, _run_rows. It records,
+summarizes and reports every row like its solo run in one store per batch,
+RunStore, which hands back each row's Trajectory and RunReport; a solo run
+is the batch of one. A flow whose state turns non-finite fails like a
+discrete run whose f diverges. Here also: the generic right-hand side, named
+preset flows, the fixed-step schemes and the accumulator energy-balance
+diagnostic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -51,7 +53,7 @@ class PresetMismatch(ValueError):
 
 @dataclass(frozen=True)
 class FlowProblem:
-    """A flow to integrate: objective, validated params, and initial values."""
+    """A flow to integrate: objective, validated params, x0 and a finite, positive nu0."""
 
     objective: Objective
     params: OptimizerParams
@@ -67,8 +69,8 @@ class FlowProblem:
             )
         if nu0.shape != x0.shape:
             raise ValueError(f"nu0 shape {nu0.shape} != x0 shape {x0.shape}")
-        if np.any(nu0 <= 0):
-            raise DomainError("nu0 must be positive componentwise")
+        if not (np.all(nu0 > 0) and np.isfinite(nu0).all()):
+            raise DomainError("nu0 must be finite and positive componentwise")
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "nu0", nu0)
 
@@ -219,33 +221,6 @@ class Trajectory:
                 fh.write(",".join(map(repr, row)) + "\n")
 
 
-class _Recorder:
-    """Accumulates the recorded rows of one run, flow or discrete."""
-
-    def __init__(self):
-        self.times: list[float] = []
-        self.states: list[np.ndarray] = []
-        self.f_values: list[float] = []
-        self.grad_norms: list[float] = []
-        self.alpha_values: list[float] = []
-
-    def record(self, t: float, state: np.ndarray, f: float, grad_norm: float, alpha: float) -> None:
-        self.times.append(t)
-        self.states.append(state)
-        self.f_values.append(f)
-        self.grad_norms.append(grad_norm)
-        self.alpha_values.append(alpha)
-
-    def build(self) -> Trajectory:
-        return Trajectory(
-            times=np.array(self.times, dtype=float),
-            states=np.array(self.states),
-            f_values=np.array(self.f_values),
-            grad_norms=np.array(self.grad_norms),
-            alpha_values=np.array(self.alpha_values),
-        )
-
-
 @dataclass
 class RunReport:
     """Summary of one optimization run.
@@ -267,19 +242,27 @@ class RunReport:
         return cls(name, math.nan, 0, math.nan, None, {"error": error, **diagnostics})
 
 
-class RunSummary:
-    """The reports of the R rows of a batch, flow or discrete, built from
-    their rows one step at a time: one (R,) array per quantity, so a step
-    of the whole batch is a fixed number of numpy calls.
+class RunStore:
+    """The one store of a batch, flow or discrete: the records and reports
+    of its R rows. Each row's states go in an (n_records, 4, d) array of its
+    own, its times, f values, gradient norms and alphas in its row of the
+    four (R, n_records) arrays of series; outcome(row, name) hands them back
+    as a Trajectory of views, with the row's RunReport.
 
-    Tracks per row the best f and the first step that reached it, the first
-    step whose gradient norm fell below threshold (-1 for none yet), the
-    final gradient norm, and whether nu stayed nonnegative and x inside the
-    box. A non-finite f or gradient norm means the row diverged: its report
-    is a failure naming the first such step (diverged_at, -1 while none).
+    The summary holds one (R,) array per quantity, so a step of the whole
+    batch is a fixed number of numpy calls: per row the best f and the first
+    step that reached it, the first step whose gradient norm fell below
+    threshold (-1 for none yet), the final gradient norm, and whether nu
+    stayed nonnegative and x inside the box. A row diverges at the first
+    step whose f or gradient norm is not finite, or whose state is not
+    finite (see diverge): its report is a failure naming that step
+    (diverged_at, -1 while none).
     """
 
-    def __init__(self, n_rows: int, threshold: float, box: float):
+    def __init__(self, n_rows: int, dim: int, n_records: int, threshold: float, box: float):
+        self.states = [np.empty((n_records, 4, dim)) for _ in range(n_rows)]
+        self.series = np.empty((4, n_rows, n_records))
+        self.n_recorded = np.zeros(n_rows, int)
         self.threshold = threshold
         self.box = box
         self.best_f = np.full(n_rows, math.inf)
@@ -289,6 +272,7 @@ class RunSummary:
         self.nu_nonnegative = np.ones(n_rows, bool)
         self.stayed_in_box = np.ones(n_rows, bool)
         self.diverged_at = np.full(n_rows, -1)
+        self.state_diverged = np.zeros(n_rows, bool)
 
     def add(self, rows: np.ndarray, step: int, states: np.ndarray, f: np.ndarray, grad_norm: np.ndarray) -> np.ndarray:
         """Fold in one step of the given rows: their (n, 4, d) states, (n,)
@@ -313,17 +297,37 @@ class RunSummary:
             self.stayed_in_box[rows[~inside.all(axis=1)]] = False
         return ~finite
 
-    def report(self, row: int, name: str) -> RunReport:
+    def diverge(self, rows: np.ndarray, step: int) -> None:
+        """The given rows, whose state is not finite, diverge at step unless
+        they already have."""
+        rows = rows[self.diverged_at[rows] < 0]
+        self.diverged_at[rows] = step
+        self.state_diverged[rows] = True
+
+    def record(self, rows: np.ndarray, t: float, states: np.ndarray, f, grad_norm, alpha) -> None:
+        """Append one record at time t to each of the given rows: their
+        (n, 4, d) states and n f values, gradient norms and alphas."""
+        at = self.n_recorded[rows]
+        self.series[0, rows, at] = t
+        self.series[1:, rows, at] = f, grad_norm, alpha
+        for row, i, state in zip(rows, at, states):
+            self.states[row][i] = state
+        self.n_recorded[rows] = at + 1
+
+    def outcome(self, row: int, name: str) -> tuple[Trajectory, RunReport]:
+        n = self.n_recorded[row]
+        times, f_values, grad_norms, alpha_values = self.series[:, row, :n]
+        traj = Trajectory(times, self.states[row][:n], f_values, grad_norms, alpha_values)
         k = int(self.diverged_at[row])
         if k >= 0:
-            error = f"diverged at iteration {k}: f or the gradient norm is not finite"
-            return RunReport.failure(name, error, diverged_at=k)
+            what = "the state" if self.state_diverged[row] else "f or the gradient norm"
+            return traj, RunReport.failure(name, f"diverged at iteration {k}: {what} is not finite", diverged_at=k)
         itt = int(self.iters_to_threshold[row])
         diagnostics = {
             "nu_nonnegative": bool(self.nu_nonnegative[row]),
             "stayed_in_box": bool(self.stayed_in_box[row]),
         }
-        return RunReport(
+        return traj, RunReport(
             optimizer=name,
             best_f=float(self.best_f[row]),
             epoch_of_best=int(self.epoch_of_best[row]),
@@ -370,35 +374,34 @@ class _RowsLeave(Exception):
         super().__init__(f"{len(errors)} rows left the batch")
 
 
-def _run_rows(rule, s: np.ndarray, objective, n_steps: int, record_stride: int, threshold: float) -> list:
+def _run_rows(rule, s: np.ndarray, objective, n_steps: int, record_stride: int, threshold: float, names) -> list:
     """Advance the rows of s, a packed (R, 4, d) state, n_steps times with a
-    step rule, recording and summarizing each row like its solo run.
+    step rule, recording and summarizing each row like its solo run in one
+    RunStore.
 
     The rule has dt (the time of one step), every_step, alpha(i, k),
     step(s, g, k) and select(keep). A discrete rule (every_step true) is
-    evaluated at every step k: its step takes the gradients, every step
-    feeds the RunSummary, and a row ends at the first non-finite f or
-    gradient norm. A flow rule is evaluated only where it records, and a row
+    evaluated at every step k: its step takes the gradients, every step is
+    summarized, and a row ends at the first non-finite f or gradient norm.
+    A flow rule is evaluated only where it records, and a row diverges and
     ends at the first step whose state is not finite. Rows are recorded at
     step 0, every record_stride-th step, the final step and the step they
     end at. A step that raises _RowsLeave is taken again without those rows.
     f, the gradients and their norms are one call each for all the rows
     evaluated at a step; only recording goes row by row.
 
-    Returns, in row order, each row's (_Recorder, report) pair, report(name)
-    giving its RunReport, or the exception it left the batch with.
+    Returns, in row order, each row's Trajectory and RunReport named from
+    names, or the exception it left the batch with.
     """
-    summary = RunSummary(len(s), threshold, objective.box)
-    recorders = [_Recorder() for _ in s]
-    outcomes: list = [(recorder, partial(summary.report, r)) for r, recorder in enumerate(recorders)]
+    n_records = len(range(0, n_steps + 1, record_stride)) + (n_steps % record_stride != 0)
+    store = RunStore(len(s), s.shape[-1], n_records, threshold, objective.box)
+    errors: dict[int, Exception] = {}
     live = np.arange(len(s))
     g = None
 
-    def leave(gone: np.ndarray, errors: Optional[list[Exception]] = None) -> None:
+    def leave(gone: np.ndarray, left: Sequence[Exception] = ()) -> None:
         nonlocal live, rule, s, g
-        if errors is not None:
-            for r, error in zip(live[gone], errors):
-                outcomes[r] = error
+        errors.update(zip(live[gone].tolist(), left))
         live = live[~gone]
         rule, s = rule.select(~gone), s[~gone]
         g = None if g is None else g[~gone]
@@ -417,12 +420,15 @@ def _run_rows(rule, s: np.ndarray, objective, n_steps: int, record_stride: int, 
             fs = objective.eval_f(states[:, 0])
             # per row the ddot of np.linalg.norm, bitwise; norm(axis=1) is not
             grad_norms = np.sqrt(np.vecdot(grads, grads))
-            diverged = summary.add(live[due], k, states, fs, grad_norms)
+            diverged = store.add(live[due], k, states, fs, grad_norms)
             if rule.every_step:
                 ended |= diverged
-            for j in range(len(due)) if on_stride else np.flatnonzero(ended[due]):
-                i = due[j]
-                recorders[live[i]].record(k * rule.dt, states[j], fs[j], grad_norms[j], rule.alpha(i, k))
+            elif ended.any():
+                store.diverge(live[ended], k)
+            at = np.arange(len(due)) if on_stride else np.flatnonzero(ended[due])
+            if len(at):
+                alphas = [rule.alpha(i, k) for i in due[at]]
+                store.record(live[due[at]], k * rule.dt, states[at], fs[at], grad_norms[at], alphas)
         # a discrete step takes the gradients of every row, evaluated here
         g = grads if rule.every_step else None
         if ended.any():
@@ -436,7 +442,7 @@ def _run_rows(rule, s: np.ndarray, objective, n_steps: int, record_stride: int, 
             except _RowsLeave as exc:
                 leave(exc.rows, exc.errors)
         k += 1
-    return outcomes
+    return [errors[r] if r in errors else store.outcome(r, name) for r, name in enumerate(names)]
 
 
 def _check_grid(dt: float, t_end: float) -> int:
@@ -466,18 +472,16 @@ def rk4_step(batch: _Batch, s: np.ndarray, k: int, dt: float) -> np.ndarray:
     return s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _integrate_rows(
-    problems: list[FlowProblem], step, dt: float, t_end: float, record_stride: int = 1, threshold: float = 1e-4
-) -> list:
-    """_run_rows on the flows of one objective: each row's (_Recorder,
-    report) pair or the StepFailure its solo run raises."""
+def _integrate_rows(problems: list[FlowProblem], names, step, dt, t_end, record_stride, threshold) -> list:
+    """_run_rows on the flows of one objective: each row's Trajectory and
+    RunReport or the StepFailure its solo run raises."""
     n_steps = _check_grid(dt, t_end)
     if any(p.objective is not problems[0].objective for p in problems):
         raise ValueError("a batch integrates flows on one objective")
     if not problems:
         return []
     s = np.array([[p.x0, np.zeros_like(p.x0), np.zeros_like(p.x0), p.nu0] for p in problems])
-    return _run_rows(_Batch(problems, step, dt), s, problems[0].objective, n_steps, record_stride, threshold)
+    return _run_rows(_Batch(problems, step, dt), s, problems[0].objective, n_steps, record_stride, threshold, names)
 
 
 def integrate_batch(
@@ -495,8 +499,8 @@ def integrate_batch(
     the batch with its Trajectory, as a discrete run ends when it diverges.
     The other rows go on unchanged.
     """
-    outcomes = _integrate_rows(problems, step, dt, t_end, record_stride)
-    return [out if isinstance(out, StepFailure) else out[0].build() for out in outcomes]
+    outcomes = _integrate_rows(problems, [""] * len(problems), step, dt, t_end, record_stride, 1e-4)
+    return [out if isinstance(out, StepFailure) else out[0] for out in outcomes]
 
 
 def _only(outcomes: list):

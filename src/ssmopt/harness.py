@@ -64,7 +64,7 @@ from .core import (
     ValidationError,
     validate_preset,
 )
-from .discrete import BIAS_MODES, KIND_KEYS, LrSchedule, OptimizerSpec, _COUPLED_KINDS, _discrete_rows
+from .discrete import BIAS_MODES, KIND_KEYS, LrSchedule, OptimizerSpec, _COUPLED_KINDS, run_discrete_batch
 from .flow import RunReport, _integrate_rows, gadagrad_energy_residual, preset_flow, rk4_step
 from .objectives import Objective, make_logistic, make_quadratic, make_rosenbrock
 
@@ -384,14 +384,12 @@ def _write_report_json(reports: list[RunReport], path: Path):
 
 
 def _write_row(out: Path, prefix: str, i: int, spec: OptimizerSpec, outcome, diagnose) -> RunReport:
-    """Build, write and report the outcome of one entry of a batch."""
+    """Write and report the outcome of one entry of a batch."""
     try:
         if isinstance(outcome, Exception):
             raise outcome
-        recorder, summarize = outcome
-        traj = recorder.build()
+        traj, report = outcome
         traj.to_csv(out / f"{prefix}_{i:02d}_{_safe_name(spec.name)}.csv")
-        report = summarize(spec.name)
         if diagnose is not None and "error" not in report.diagnostics:
             diagnose(i, traj, report)
         return report
@@ -411,12 +409,11 @@ def _run_entries(
 ) -> list[RunReport]:
     """Run the entries at indices in one batched call and write the artifacts.
 
-    run_batch(objective, x0, specs) returns, per entry, its (_Recorder,
-    report) pair (see flow._run_rows) or the exception its solo run raises.
-    Each trajectory is built, written to {prefix}_{index:02d}_{name}.csv and
-    dropped in turn; diagnose(index, trajectory, report) may add diagnostics
-    to a run that did not fail. The reports land in report_name, in
-    declaration order.
+    run_batch(objective, x0, specs) returns, per entry, its Trajectory and
+    RunReport (see flow._run_rows) or the exception its solo run raises.
+    Each trajectory is written to {prefix}_{index:02d}_{name}.csv in turn;
+    diagnose(index, trajectory, report) may add diagnostics to a run that did
+    not fail. The reports land in report_name, in declaration order.
     """
     out = Path(out_dir) if out_dir is not None else resolve_out_dir(config)
     out.mkdir(parents=True, exist_ok=True)
@@ -447,7 +444,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> list[RunReport]:
     """
 
     def run_batch(objective, x0, specs):
-        return _discrete_rows(
+        return run_discrete_batch(
             specs, objective, x0, config.iterations, config.milestones, config.threshold, config.record_stride
         )
 
@@ -479,9 +476,10 @@ def run_flows(config: ExperimentConfig, dt: float, t_end: float, out_dir=None) -
     entry is a ValidationError. The time column of
     flow_{index:02d}_{name}.csv is physical time; report epochs count
     integrator steps, and a report summarizes the recorded rows (see
-    RunSummary): a non-finite one fails the flow. G-AdaGrad entries get an
-    energy_residual_max_abs diagnostic; every report flags whether the
-    recorded iterates stayed inside the objective's test box.
+    flow.RunStore): a non-finite one fails the flow, as does a state that
+    turns non-finite, which ends the flow's CSV at that step. G-AdaGrad
+    entries get an energy_residual_max_abs diagnostic; every report flags
+    whether the recorded iterates stayed inside the objective's test box.
     """
     indices = []
     for i, spec in enumerate(config.optimizers):
@@ -506,7 +504,8 @@ def run_flows(config: ExperimentConfig, dt: float, t_end: float, out_dir=None) -
                 problems[i] = preset_flow(PresetKind(spec.kind), spec.preset, objective, x0, nu0)
             except Exception as exc:
                 outcomes[i] = exc
-        rows = _integrate_rows(list(problems.values()), rk4_step, dt, t_end, config.record_stride, config.threshold)
+        names = [config.optimizers[i].name for i in problems]
+        rows = _integrate_rows([*problems.values()], names, rk4_step, dt, t_end, config.record_stride, config.threshold)
         outcomes.update(zip(problems, rows))
         return [outcomes[i] for i in indices]
 

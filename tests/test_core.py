@@ -267,6 +267,9 @@ class TestInitialFlowState:
             FlowProblem(make_quadratic(1, 1.0), adam_params(), [1.0], [0.0])
         with pytest.raises(DomainError):
             FlowProblem(make_quadratic(2, 1.0), adam_params(), [1.0, 1.0], [1.0, -1.0])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DomainError):
+                FlowProblem(make_quadratic(2, 1.0), adam_params(), [1.0, 1.0], [bad, 1.0])
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):

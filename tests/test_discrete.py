@@ -3,6 +3,7 @@ loop."""
 
 import dataclasses
 import math
+import re
 from functools import partial
 
 import numpy as np
@@ -397,6 +398,11 @@ class TestRunDiscreteBatch:
             assert_same_run(got, run_discrete(unstable, obj, x0, 60))
         assert got[1].diagnostics["diverged_at"] == 0
         assert len(got[0]) == 1
+
+    def test_unknown_bias_mode_rejected_at_construction(self):
+        # a bad entry cannot reach a batch, so it cannot sink the others
+        with pytest.raises(ValueError, match=re.escape(str(BIAS_MODES))):
+            OptimizerSpec("adam", "bad", PresetParams(eta=0.01), bias_mode="Paper")
 
     def test_diverging_row_leaves_at_its_own_iteration(self):
         obj, x0 = discrete_objective("quadratic")

@@ -653,6 +653,26 @@ class TestRunFlows:
             rows = np.loadtxt(tmp_path / "out" / name, delimiter=",", skiprows=1)
             assert rows[:, 0].tolist() == [0.0, 0.01]
 
+    def test_non_finite_state_fails_the_flow(self, tmp_path, capsys, monkeypatch):
+        # f and the gradient norm stay finite while nu overflows
+        monkeypatch.setenv("SSMOPT_OUT_DIR", str(tmp_path / "cli"))
+        payload = base_payload()
+        payload["objective"]["x0"] = [1e80, 1e80]
+        payload["optimizers"] = [{"kind": "adabelief"}]
+        payload["record_stride"] = 1
+        path = write_config(tmp_path, payload)
+        (report,) = run_flows(load_config(path), dt=10.0, t_end=500.0, out_dir=tmp_path / "out")
+        assert math.isnan(report.best_f)
+        assert report.diagnostics == {
+            "error": "diverged at iteration 43: the state is not finite",
+            "diverged_at": 43,
+        }
+        rows = np.loadtxt(tmp_path / "out" / "flow_00_adabelief.csv", delimiter=",", skiprows=1)
+        assert rows[-1, 0] == 430.0
+        assert np.isfinite(rows[:, 1:3]).all() and not np.isfinite(rows[-1]).all()
+        assert cli.main(["flow", str(path), "--dt", "10", "--t-end", "500"]) == 2
+        assert "failed runs: adabelief" in capsys.readouterr().err
+
     def test_failed_flow_keeps_its_solo_error(self, tmp_path):
         payload = base_payload()
         payload["objective"]["x0"] = [0.0, 0.0]
