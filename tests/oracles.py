@@ -267,3 +267,49 @@ def discrete_entry_run(entry, grad, x0, num_iters, milestones):
             zeta = zeta_new
             x = x - eta * ((mu / b1_corr) / (np.sqrt(nu / b2_corr) + entry["epsilon"]))
     return rows
+
+
+def lcg_uniform(count: int, seed: int) -> np.ndarray:
+    """count uniforms in [0, 1), one draw at a time from the 32-bit linear
+    congruential generator state' = (1664525*state + 1013904223) mod 2^32,
+    started from seed mod 2^32, each draw being state' / 2^32."""
+    state = seed % 2 ** 32
+    out = []
+    for _ in range(count):
+        state = (1664525 * state + 1013904223) % 2 ** 32
+        out.append(state / 2 ** 32)
+    return np.array(out, dtype=float)
+
+
+def logistic_problem(d: int, n: int, seed: int):
+    """f and gradient of the L2-regularized logistic loss over the synthetic
+    dataset of (d, n, seed), transcribed term by term:
+
+      u      = n*d + d draws of lcg_uniform(., seed)
+      X      = 2u - 1 over the first n*d draws, row-major (n, d)
+      w_true = 2u - 1 over the last d draws
+      y_i    = 1 if (X w_true)_i >= 0 else -1
+      m      = y * (X w)
+      f(w)   = mean(log(1 + exp(-m))) + (reg/2) w.w,   reg = 5e-4
+      grad   = -X'(y * sigmoid(-m)) / n + reg w,  sigmoid(-m) = exp(-log(1 + exp(m)))
+
+    with log(1 + exp(z)) evaluated as np.logaddexp(0, z). Returns (f, grad)
+    for a single point w of shape (d,).
+    """
+    reg = 5e-4
+    u = lcg_uniform(n * d + d, seed)
+    X = 2.0 * u[: n * d].reshape(n, d) - 1.0
+    w_true = 2.0 * u[n * d:] - 1.0
+    y = np.where(X @ w_true >= 0.0, 1.0, -1.0)
+
+    def f(w):
+        m = y * (X @ w)
+        loss = np.mean(np.logaddexp(0.0, -m))
+        return float(loss + 0.5 * reg * np.dot(w, w))
+
+    def grad(w):
+        m = y * (X @ w)
+        sigmoid = np.exp(-np.logaddexp(0.0, m))
+        return -(X.T @ (y * sigmoid)) / n + reg * w
+
+    return f, grad

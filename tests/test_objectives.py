@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from ssmopt import finite_diff_grad, make_logistic, make_quadratic, make_rosenbrock
+from ssmopt.objectives import _lcg_uniform
+from oracles import lcg_uniform, logistic_problem
 
 
 class TestQuadratic:
@@ -106,6 +108,54 @@ class TestLogistic:
             make_logistic(0, 10, seed=0)
         with pytest.raises(ValueError):
             make_logistic(3, 0, seed=0)
+
+
+def logistic_points(d, rng):
+    """Weights at which to check the logistic objective: zero (every margin
+    exactly 0), points inside the box, and points whose margins exceed 745
+    in magnitude, where exp under- or overflows."""
+    return np.concatenate([
+        np.zeros((1, d)),
+        rng.uniform(-5.0, 5.0, (5, d)),
+        rng.standard_normal((4, d)) * np.array([[1e3], [1e4], [1e6], [1e100]]),
+    ])
+
+
+class TestLogisticOracle:
+    """make_logistic against tests/oracles.py::logistic_problem, bit for bit."""
+
+    @pytest.mark.parametrize("d, n", [(5, 40), (100, 2000)])
+    @pytest.mark.parametrize("seed", [0, 7, 12345])
+    def test_single_points_and_batches_equal_the_oracle(self, d, n, seed, rng):
+        obj = make_logistic(d, n, seed)
+        f, grad = logistic_problem(d, n, seed)
+        ws = logistic_points(d, rng)
+        want_f = np.array([f(w) for w in ws])
+        want_g = np.array([grad(w) for w in ws])
+        # every margin is exactly 0 at w = 0
+        assert want_f[0] == np.mean(np.full(n, math.log(2.0)))
+        for w, fw, gw in zip(ws, want_f, want_g):
+            value = obj.eval_f(w)
+            assert type(value) is float and value == fw
+            assert obj.eval_grad(w).tobytes() == gw.tobytes()
+        assert obj.eval_f(ws).tobytes() == want_f.tobytes()
+        assert obj.eval_grad(ws).tobytes() == want_g.tobytes()
+        # a strided view, as the run loop passes it
+        states = np.stack([ws, -ws, ws, ws], axis=1)
+        assert obj.eval_f(states[:, 0]).tobytes() == want_f.tobytes()
+        assert obj.eval_grad(states[:, 0]).tobytes() == want_g.tobytes()
+
+    def test_points_reach_margins_beyond_745(self, rng):
+        # the extreme points above do what logistic_points says they do
+        u = lcg_uniform(5 * 40, 0)
+        X = 2.0 * u.reshape(40, 5) - 1.0
+        margins = np.abs(X @ logistic_points(5, rng).T)
+        assert (margins[:, 6:] > 745.0).any(axis=0).all()
+
+    @pytest.mark.parametrize("count", [1, 7, 205, 511, 512, 513, 1025, 100_000])
+    @pytest.mark.parametrize("seed", [0, 12345, 2 ** 31 - 1, 2 ** 40 + 5])
+    def test_lcg_equals_sequential_draws(self, count, seed):
+        assert _lcg_uniform(count, seed).tobytes() == lcg_uniform(count, seed).tobytes()
 
 
 @pytest.mark.parametrize(
