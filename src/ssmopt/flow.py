@@ -387,8 +387,9 @@ def _run_rows(rule, s: np.ndarray, objective, n_steps: int, record_stride: int, 
     ends at the first step whose state is not finite. Rows are recorded at
     step 0, every record_stride-th step, the final step and the step they
     end at. A step that raises _RowsLeave is taken again without those rows.
-    f, the gradients and their norms are one call each for all the rows
-    evaluated at a step; only recording goes row by row.
+    f and the gradients (one Objective.f_grad) and their norms are one call
+    each for all the rows evaluated at a step; only recording goes row by
+    row.
 
     Returns, in row order, each row's Trajectory and RunReport named from
     names, or the exception it left the batch with.
@@ -416,8 +417,7 @@ def _run_rows(rule, s: np.ndarray, objective, n_steps: int, record_stride: int, 
         grads = None
         if len(due):
             states = s[due]
-            grads = objective.eval_grad(states[:, 0])
-            fs = objective.eval_f(states[:, 0])
+            fs, grads = objective.f_grad(states[:, 0])
             # per row the ddot of np.linalg.norm, bitwise; norm(axis=1) is not
             grad_norms = np.sqrt(np.vecdot(grads, grads))
             diverged = store.add(live[due], k, states, fs, grad_norms)
@@ -494,13 +494,19 @@ def integrate_batch(
     StepFailure its solo run raises. Every row is recorded like a solo run:
     the initial state, every record_stride-th step and the final step. A row
     whose nu leaves the positive domain, at an RK4 stage or after a step, is
-    taken out of the batch before any arithmetic on it; a row whose state
-    turns non-finite is recorded at that step, on stride or not, and leaves
-    the batch with its Trajectory, as a discrete run ends when it diverges.
-    The other rows go on unchanged.
+    taken out of the batch before any arithmetic on it. A row that diverges,
+    its state or f or gradient norm not finite, leaves the batch at that
+    step with a StepFailure carrying the step's time and state and the
+    error of its failed run report. The other rows go on unchanged.
     """
     outcomes = _integrate_rows(problems, [""] * len(problems), step, dt, t_end, record_stride, 1e-4)
-    return [out if isinstance(out, StepFailure) else out[0] for out in outcomes]
+    return [out if isinstance(out, StepFailure) else _trajectory_or_failure(*out) for out in outcomes]
+
+
+def _trajectory_or_failure(traj: Trajectory, report: RunReport) -> Trajectory | StepFailure:
+    """traj, or the StepFailure at its last record when report is a failure."""
+    error = report.diagnostics.get("error")
+    return traj if error is None else StepFailure(float(traj.times[-1]), traj.states[-1], error)
 
 
 def _only(outcomes: list):
@@ -518,7 +524,7 @@ def integrate_euler(
 
     Records the initial state, then every record_stride-th step and the final
     step. Raises StepFailure carrying the offending state if any nu component
-    becomes nonpositive.
+    becomes nonpositive or the run diverges (see integrate_batch).
     """
     return _only(integrate_batch([problem], euler_step, dt, t_end, record_stride))
 
@@ -530,7 +536,8 @@ def integrate_reference(
 
     Serves as the in-repo ground truth for consistency checks. Error behavior
     on smooth problems is fourth order in dt. Raises StepFailure if a stage
-    or a step leaves the nu > 0 domain.
+    or a step leaves the nu > 0 domain or the run diverges (see
+    integrate_batch).
     """
     return _only(integrate_batch([problem], rk4_step, dt, t_end, record_stride))
 

@@ -28,15 +28,27 @@ class Objective:
     returns an (R,) array of values and eval_grad an (R, dim) array of
     gradients, each entry bitwise equal to the result for that point alone.
     A single point gives a float and a (dim,) gradient.
+
+    eval_f_grad, when present, returns the pair (eval_f(x), eval_grad(x)),
+    bitwise, from one pass that shares the work of the two; f_grad calls it,
+    or eval_f and eval_grad when it is None.
     """
 
     dim: int
     eval_f: Callable[[np.ndarray], float | np.ndarray]
     eval_grad: Callable[[np.ndarray], np.ndarray]
+    eval_f_grad: Optional[Callable[[np.ndarray], tuple]] = None
     known_min: Optional[tuple[np.ndarray, float]] = None
     hessian_bounded_hint: bool = True
     name: str = ""
     box: float = 5.0
+
+    def f_grad(self, x: np.ndarray) -> tuple:
+        """f and the gradient at x, a point or an (R, dim) batch."""
+        if self.eval_f_grad is not None:
+            return self.eval_f_grad(x)
+        grad = self.eval_grad(x)
+        return self.eval_f(x), grad
 
 
 def make_quadratic(d: int, condition_number: float) -> Objective:
@@ -109,16 +121,31 @@ def make_rosenbrock(d: int) -> Objective:
 _LCG_A = 1664525
 _LCG_C = 1013904223
 _LCG_MOD = 2 ** 32
+_LCG_BLOCK = 512
 
 
 def _lcg_uniform(count: int, seed: int) -> np.ndarray:
-    """count uniforms in [0, 1) from a 32-bit linear congruential generator."""
+    """count uniforms in [0, 1) from a 32-bit linear congruential generator.
+
+    The first _LCG_BLOCK states are drawn one at a time. Each later block is
+    the one before it advanced _LCG_BLOCK draws at once, state -> (a*state +
+    c) mod 2^32 with the jump constants a = A^B and c = C(A^(B-1) + ... + 1)
+    mod 2^32, in uint64: a product of two 32-bit values and c fits, and the
+    mask takes it mod 2^32. Dividing the states by 2^32 is exact.
+    """
+    a, c = 1, 0
+    for _ in range(_LCG_BLOCK):
+        a, c = _LCG_A * a % _LCG_MOD, (_LCG_A * c + _LCG_C) % _LCG_MOD
+    a, c, mask = np.uint64(a), np.uint64(c), np.uint64(_LCG_MOD - 1)
+    states = np.empty(count, np.uint64)
     state = seed & 0xFFFFFFFF
-    out = np.empty(count)
-    for i in range(count):
+    for i in range(min(count, _LCG_BLOCK)):
         state = (_LCG_A * state + _LCG_C) % _LCG_MOD
-        out[i] = state / _LCG_MOD
-    return out
+        states[i] = state
+    for start in range(_LCG_BLOCK, count, _LCG_BLOCK):
+        block = states[start - _LCG_BLOCK : min(start, count - _LCG_BLOCK)]
+        states[start : start + len(block)] = (a * block + c) & mask
+    return states / _LCG_MOD
 
 
 def make_logistic(d: int, n_samples: int, seed: int) -> Objective:
@@ -128,42 +155,61 @@ def make_logistic(d: int, n_samples: int, seed: int) -> Objective:
     from the LCG; labels are the sign of the noiseless linear response. The
     loss is mean log(1 + exp(-y * Xw)) + (reg/2) * ||w||^2 with reg = 5e-4,
     so the zero vector evaluates to exactly log(2).
+
+    Once the labels are drawn, each row of X is signed by its label in
+    place, giving Z. As y = +-1, the margins Zw equal y * (Xw) and Z's
+    (Z's transpose) s equals X'(y * s) bit for bit. Each point takes two
+    matrix-vector products, Zw and Z's, one row of a batch at a time
+    (a matrix product over the batch would reorder the sums of a row); the
+    elementwise work runs once over the (R, n) margins of the batch.
+    eval_f_grad shares one logaddexp between the loss and the gradient:
+    with L = log(1 + exp(-|m|)), numpy's logaddexp gives log(1 + exp(-m))
+    as max(-m, 0) + L and log(1 + exp(m)) as max(m, 0) + L, bitwise.
     """
     if d < 1 or n_samples < 1:
         raise ValueError("d and n_samples must be >= 1")
     reg = 5e-4
     u = _lcg_uniform(n_samples * d + d, seed)
-    X = 2.0 * u[: n_samples * d].reshape(n_samples, d) - 1.0
+    Z = 2.0 * u[: n_samples * d].reshape(n_samples, d) - 1.0
     w_true = 2.0 * u[n_samples * d:] - 1.0
-    y = np.where(X @ w_true >= 0.0, 1.0, -1.0)
+    Z *= np.where(Z @ w_true >= 0.0, 1.0, -1.0)[:, None]
+    Zt = Z.T
+
+    def products(a, v):
+        # a @ v for each row of v: numpy's stacked matmul calls the one GEMV
+        # of a single point per row, where a matrix product would reorder
+        return a @ v if v.ndim == 1 else np.matmul(a, v[:, :, None])[:, :, 0]
+
+    def value(w, losses):
+        v = np.add.reduce(losses, axis=-1) / n_samples + 0.5 * reg * np.vecdot(w, w)
+        return v if w.ndim > 1 else float(v)
+
+    def gradient(w, s):
+        # s is sigmoid(-m), one row per point
+        return -products(Zt, s) / n_samples + reg * w
 
     def f(w):
-        margins = y * (X @ w)
-        return float(np.mean(np.logaddexp(0.0, -margins)) + 0.5 * reg * np.dot(w, w))
+        w = np.asarray(w, dtype=float)
+        return value(w, np.logaddexp(0.0, -products(Z, w)))
 
     def grad(w):
-        margins = y * (X @ w)
+        w = np.asarray(w, dtype=float)
         # sigmoid(-m) computed as exp(-log(1+exp(m))), stable for any margin
-        s = np.exp(-np.logaddexp(0.0, margins))
-        return -(X.T @ (y * s)) / n_samples + reg * w
+        return gradient(w, np.exp(-np.logaddexp(0.0, products(Z, w))))
+
+    def f_grad(w):
+        w = np.asarray(w, dtype=float)
+        m = products(Z, w)
+        shared = np.logaddexp(0.0, -np.abs(m))
+        losses = np.maximum(-m, 0.0) + shared
+        return value(w, losses), gradient(w, np.exp(-(np.maximum(m, 0.0) + shared)))
 
     return Objective(
-        dim=d, eval_f=_row_by_row(f), eval_grad=_row_by_row(grad),
+        dim=d, eval_f=f, eval_grad=grad, eval_f_grad=f_grad,
         known_min=None,
         hessian_bounded_hint=True,
         name=f"logistic_d{d}_n{n_samples}_s{seed}",
     )
-
-
-def _row_by_row(one: Callable) -> Callable:
-    """one, which takes a single point, applied to each row of a batch: one
-    matrix product over the batch would reorder the sums of a row."""
-
-    def batched(w):
-        w = np.asarray(w, dtype=float)
-        return np.array([one(row) for row in w]) if w.ndim > 1 else one(w)
-
-    return batched
 
 
 def finite_diff_grad(obj: Objective, x, h: float) -> np.ndarray:

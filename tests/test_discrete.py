@@ -423,22 +423,31 @@ class TestBatchBookkeeping:
     for the whole batch, and summarizes every row like its solo run."""
 
     def test_one_objective_call_per_step_for_the_whole_batch(self):
-        obj, x0 = discrete_objective("rosenbrock")
-        calls = {"f": 0, "grad": 0}
-
         def counted(name, fn):
             def wrapped(x):
                 calls[name] += 1
                 return fn(x)
 
-            return wrapped
+            return None if fn is None else wrapped
 
-        # wrapped as perfbench/spans.py wraps objectives
-        obj = dataclasses.replace(obj, eval_f=counted("f", obj.eval_f), eval_grad=counted("grad", obj.eval_grad))
         n = 45
-        results = run_discrete_batch(mixed_specs(), obj, x0, n, ((20, 0.5),), record_stride=7)
-        assert all("error" not in report.diagnostics for _, report in results)
-        assert calls == {"f": n + 1, "grad": n + 1}
+        # rosenbrock has no fused f and gradient; logistic calls only its fused one
+        for objective, want in [
+            ("rosenbrock", {"f": n + 1, "grad": n + 1, "f_grad": 0}),
+            ("logistic", {"f": 0, "grad": 0, "f_grad": n + 1}),
+        ]:
+            obj, x0 = discrete_objective(objective)
+            calls = {"f": 0, "grad": 0, "f_grad": 0}
+            # f and grad wrapped as perfbench/spans.py wraps objectives
+            obj = dataclasses.replace(
+                obj,
+                eval_f=counted("f", obj.eval_f),
+                eval_grad=counted("grad", obj.eval_grad),
+                eval_f_grad=counted("f_grad", obj.eval_f_grad),
+            )
+            results = run_discrete_batch(mixed_specs(), obj, x0, n, ((20, 0.5),), record_stride=7)
+            assert all("error" not in report.diagnostics for _, report in results)
+            assert calls == want, objective
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 10, 40, 100])
     def test_recorded_gradient_norms_equal_linalg_norm_bitwise(self, dim, rng):

@@ -304,6 +304,27 @@ class TestIntegrateBatch:
         for row in range(4):
             assert np.array_equal(failure.state[row], solo.value.state[row])
 
+    @pytest.mark.parametrize(
+        "integrate, step, x0, k", [(integrate_euler, euler_step, 1e150, 4), (integrate_reference, rk4_step, 1e80, 43)]
+    )
+    def test_non_finite_state_raises(self, integrate, step, x0, k):
+        # f and the gradient norm stay finite while nu overflows at step k
+        obj = make_quadratic(2, 100.0)
+        diverging, kept = (
+            preset_flow(PresetKind.ADABELIEF, PresetParams(), obj, [x, x], [1.0, 1.0]) for x in (x0, 1.0)
+        )
+        message = f"diverged at iteration {k}: the state is not finite"
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(StepFailure) as solo:
+                integrate(diverging, 10.0, 500.0)
+            got, failure = integrate_batch([kept, diverging], step, 10.0, 500.0)
+        assert str(solo.value) == message
+        assert solo.value.t == k * 10.0
+        assert np.isfinite(solo.value.state[0]).all() and not np.isfinite(solo.value.state).all()
+        assert isinstance(failure, StepFailure) and str(failure) == message and failure.t == solo.value.t
+        assert failure.state.tobytes() == solo.value.state.tobytes()
+        assert_same_trajectory(got, integrate(kept, 10.0, 500.0))
+
     def test_batch_shares_one_objective(self):
         problems = [
             preset_flow(PresetKind.ADAM, PresetParams(), make_quadratic(2, 10.0), np.ones(2), np.ones(2))

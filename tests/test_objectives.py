@@ -138,12 +138,16 @@ class TestLogisticOracle:
             value = obj.eval_f(w)
             assert type(value) is float and value == fw
             assert obj.eval_grad(w).tobytes() == gw.tobytes()
-        assert obj.eval_f(ws).tobytes() == want_f.tobytes()
-        assert obj.eval_grad(ws).tobytes() == want_g.tobytes()
-        # a strided view, as the run loop passes it
+            value, g = obj.eval_f_grad(w)
+            assert type(value) is float and value == fw
+            assert g.shape == (d,) and g.tobytes() == gw.tobytes()
+        # a batch, and a strided view of one, as the run loop passes it
         states = np.stack([ws, -ws, ws, ws], axis=1)
-        assert obj.eval_f(states[:, 0]).tobytes() == want_f.tobytes()
-        assert obj.eval_grad(states[:, 0]).tobytes() == want_g.tobytes()
+        for batch in (ws, states[:, 0]):
+            assert obj.eval_f(batch).tobytes() == want_f.tobytes()
+            assert obj.eval_grad(batch).tobytes() == want_g.tobytes()
+            fs, gs = obj.eval_f_grad(batch)
+            assert fs.tobytes() == want_f.tobytes() and gs.tobytes() == want_g.tobytes()
 
     def test_points_reach_margins_beyond_745(self, rng):
         # the extreme points above do what logistic_points says they do
@@ -151,6 +155,20 @@ class TestLogisticOracle:
         X = 2.0 * u.reshape(40, 5) - 1.0
         margins = np.abs(X @ logistic_points(5, rng).T)
         assert (margins[:, 6:] > 745.0).any(axis=0).all()
+
+    def test_one_logaddexp_serves_both_signs(self):
+        # the identities eval_f_grad rests on, at the edges of exp's range;
+        # a NaN margin gives NaN either way, though its sign bit may differ
+        m = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-17, -1e-17, 36.7, -36.7, 709.78, -709.78,
+                      745.2, -745.2, 1e300, -1e300, np.inf, -np.inf, np.nan])
+        with np.errstate(invalid="ignore"):
+            shared = np.logaddexp(0.0, -np.abs(m))
+            for want, got in [
+                (np.logaddexp(0.0, -m), np.maximum(-m, 0.0) + shared),
+                (np.logaddexp(0.0, m), np.maximum(m, 0.0) + shared),
+            ]:
+                assert want[:-1].tobytes() == got[:-1].tobytes()
+                assert np.isnan(want[-1]) and np.isnan(got[-1])
 
     @pytest.mark.parametrize("count", [1, 7, 205, 511, 512, 513, 1025, 100_000])
     @pytest.mark.parametrize("seed", [0, 12345, 2 ** 31 - 1, 2 ** 40 + 5])
