@@ -157,14 +157,15 @@ def make_logistic(d: int, n_samples: int, seed: int) -> Objective:
     so the zero vector evaluates to exactly log(2).
 
     Once the labels are drawn, each row of X is signed by its label in
-    place, giving Z. As y = +-1, the margins Zw equal y * (Xw) and Z's
-    (Z's transpose) s equals X'(y * s) bit for bit. Each point takes two
-    matrix-vector products, Zw and Z's, one row of a batch at a time
-    (a matrix product over the batch would reorder the sums of a row); the
-    elementwise work runs once over the (R, n) margins of the batch.
-    eval_f_grad shares one logaddexp between the loss and the gradient:
-    with L = log(1 + exp(-|m|)), numpy's logaddexp gives log(1 + exp(-m))
-    as max(-m, 0) + L and log(1 + exp(m)) as max(m, 0) + L, bitwise.
+    place, giving Z. As y = +-1, the margins Zw equal y * (Xw), and Z^T s
+    equals X^T (y * s), bit for bit. A point takes two matrix-vector
+    products, Zw and Z^T s, one GEMV per row of a batch (a matrix product
+    over the batch would reorder the sums of a row); the elementwise work
+    runs once over the (R, n) margins of the batch. eval_f_grad shares one
+    logaddexp between the loss and the gradient: with L = log(1 +
+    exp(-|m|)), numpy's logaddexp gives log(1 + exp(-m)) as max(-m, 0) + L
+    and log(1 + exp(m)) as max(m, 0) + L, bitwise (a NaN margin gives NaN
+    either way). eval_f and eval_grad each compute only their own half.
     """
     if d < 1 or n_samples < 1:
         raise ValueError("d and n_samples must be >= 1")
@@ -188,21 +189,33 @@ def make_logistic(d: int, n_samples: int, seed: int) -> Objective:
         # s is sigmoid(-m), one row per point
         return -products(Zt, s) / n_samples + reg * w
 
+    # Elementwise steps write into the margins' own buffer where they can,
+    # so a batch holds at most three (R, n) arrays at once.
+
     def f(w):
         w = np.asarray(w, dtype=float)
-        return value(w, np.logaddexp(0.0, -products(Z, w)))
+        m = products(Z, w)
+        return value(w, np.logaddexp(0.0, np.negative(m, out=m), out=m))
 
     def grad(w):
         w = np.asarray(w, dtype=float)
+        m = products(Z, w)
         # sigmoid(-m) computed as exp(-log(1+exp(m))), stable for any margin
-        return gradient(w, np.exp(-np.logaddexp(0.0, products(Z, w))))
+        s = np.negative(np.logaddexp(0.0, m, out=m), out=m)
+        return gradient(w, np.exp(s, out=s))
 
     def f_grad(w):
         w = np.asarray(w, dtype=float)
         m = products(Z, w)
-        shared = np.logaddexp(0.0, -np.abs(m))
-        losses = np.maximum(-m, 0.0) + shared
-        return value(w, losses), gradient(w, np.exp(-(np.maximum(m, 0.0) + shared)))
+        shared = np.abs(m)
+        np.logaddexp(0.0, np.negative(shared, out=shared), out=shared)
+        losses = np.negative(m)
+        np.maximum(losses, 0.0, out=losses)
+        losses += shared
+        np.maximum(m, 0.0, out=m)
+        m += shared
+        s = np.negative(m, out=m)
+        return value(w, losses), gradient(w, np.exp(s, out=s))
 
     return Objective(
         dim=d, eval_f=f, eval_grad=grad, eval_f_grad=f_grad,
