@@ -37,11 +37,11 @@ class Objective:
     dim: int
     eval_f: Callable[[np.ndarray], float | np.ndarray]
     eval_grad: Callable[[np.ndarray], np.ndarray]
-    eval_f_grad: Optional[Callable[[np.ndarray], tuple]] = None
     known_min: Optional[tuple[np.ndarray, float]] = None
     hessian_bounded_hint: bool = True
     name: str = ""
     box: float = 5.0
+    eval_f_grad: Optional[Callable[[np.ndarray], tuple]] = None
 
     def f_grad(self, x: np.ndarray) -> tuple:
         """f and the gradient at x, a point or an (R, dim) batch."""
