@@ -313,3 +313,28 @@ def logistic_problem(d: int, n: int, seed: int):
         return -(X.T @ (y * sigmoid)) / n + reg * w
 
     return f, grad
+
+
+def rosenbrock_grad(x):
+    """Gradient of the chained Rosenbrock function
+    f(x) = sum_i 100*(x[i+1] - x[i]^2)^2 + (1 - x[i])^2, i = 0..d-2, at a
+    single point, one coordinate at a time:
+
+      df/dx[i] = -400*x[i]*r[i] - 2*(1 - x[i])   (i < d-1)
+               + 200*r[i-1]                      (i > 0)
+
+    with r[i] = x[i+1] - x[i]*x[i]; the last coordinate has only the second
+    term, added to 0.0 (so -0.0 gives 0.0). Returns a (d,) array.
+    """
+    x = [float(v) for v in x]
+    d = len(x)
+    r = [x[i + 1] - x[i] * x[i] for i in range(d - 1)]
+    g = []
+    for i in range(d):
+        if i == d - 1:
+            g.append(0.0 + 200.0 * r[i - 1])
+        elif i == 0:
+            g.append(-400.0 * x[i] * r[i] - 2.0 * (1.0 - x[i]))
+        else:
+            g.append((-400.0 * x[i] * r[i] - 2.0 * (1.0 - x[i])) + 200.0 * r[i - 1])
+    return np.array(g)

@@ -7,7 +7,7 @@ import pytest
 
 from ssmopt import finite_diff_grad, make_logistic, make_quadratic, make_rosenbrock
 from ssmopt.objectives import _lcg_uniform
-from oracles import lcg_uniform, logistic_problem
+from oracles import lcg_uniform, logistic_problem, rosenbrock_grad
 
 
 class TestQuadratic:
@@ -67,6 +67,23 @@ class TestRosenbrock:
     def test_dimension_check(self):
         with pytest.raises(ValueError):
             make_rosenbrock(1)
+
+    @pytest.mark.parametrize("d", [2, 3, 10])
+    def test_gradient_equals_the_oracle(self, d, rng):
+        # tests/oracles.py::rosenbrock_grad, bit for bit, at the minimum, at
+        # -0.0 and at coordinates of either sign and magnitudes 1e-8 to 1e8
+        obj = make_rosenbrock(d)
+        xs = rng.choice([-1.0, 1.0], (24, d)) * 10.0 ** rng.uniform(-8.0, 8.0, (24, d))
+        xs[0], xs[1] = 1.0, -0.0
+        want = np.array([rosenbrock_grad(x) for x in xs])
+        for x, g in zip(xs, want):
+            got = obj.eval_grad(x)
+            assert got.shape == (d,) and got.tobytes() == g.tobytes()
+        # a batch, and a strided view of one, as the run loop passes it
+        states = np.stack([xs, -xs, xs, xs], axis=1)
+        for batch in (xs, states[:, 0]):
+            got = obj.eval_grad(batch)
+            assert got.shape == (24, d) and np.ascontiguousarray(got).tobytes() == want.tobytes()
 
 
 class TestLogistic:
