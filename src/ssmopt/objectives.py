@@ -98,14 +98,16 @@ def make_rosenbrock(d: int) -> Objective:
 
     def grad(x):
         x = np.asarray(x, dtype=float)
-        # A batch (R, d) is computed as (d, R), so coordinates index the first
-        # axis either way: x[..., 1:] would cost every 1-D call extra.
+        # A batch (R, d) is computed on a contiguous (d, R) copy, so
+        # coordinates index the first axis either way: x[..., 1:] would cost
+        # every 1-D call extra.
         batch = x.ndim > 1
         if batch:
-            x = x.T
-        g = np.zeros_like(x)
-        r = x[1:] - x[:-1] ** 2
-        g[:-1] = -400.0 * x[:-1] * r - 2.0 * (1.0 - x[:-1])
+            x = x.T.copy()
+        g = np.zeros(x.shape)
+        head, tail = x[:-1], x[1:]
+        r = tail - head ** 2
+        g[:-1] = -400.0 * head * r - 2.0 * (1.0 - head)
         g[1:] += 200.0 * r
         return g.T if batch else g
 
