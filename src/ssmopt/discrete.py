@@ -209,9 +209,9 @@ class _DiscreteBatch:
     def select(self, keep: np.ndarray) -> _DiscreteBatch:
         return _DiscreteBatch([spec for spec, kept in zip(self.specs, keep) if kept], self.schedule.milestones)
 
-    def alpha(self, i: int, k: int) -> float:
-        spec = self.specs[i]
-        return bias_alpha(spec.preset, k, spec.bias_mode) if spec.kind in _MOMENT_KINDS else 1.0
+    def alpha(self, rows: np.ndarray, k: int) -> list[float]:
+        specs = [self.specs[i] for i in rows]
+        return [bias_alpha(q.preset, k, q.bias_mode) if q.kind in _MOMENT_KINDS else 1.0 for q in specs]
 
     def step(self, s: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
         if self.errors:

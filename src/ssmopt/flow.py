@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -87,39 +88,46 @@ class _Batch:
     """Flows on one objective, integrated together as a packed (R, 4, d)
     state whose rows are x, mu, zeta and nu: the flow rule of _run_rows.
 
-    The rates are (R, 1) columns, so every row goes through exactly the
-    scalar arithmetic of its own flow and matches its solo run bitwise. Two
-    factors stay per row: alpha_g, which is scalar Python arithmetic, and
-    nu ** c, applied with a scalar c per group of rows sharing it.
+    The rates are two (R, 4, 1) coefficient arrays, so every row goes
+    through exactly the scalar arithmetic of its own flow and matches its
+    solo run bitwise. alpha_g runs once per time for each group of rows
+    sharing its rates (lambda7 == 0, or lambda2, lambda6 and c), and nu ** c
+    once for each group of rows sharing c.
     """
 
     every_step = False
+    MU_MU_ZETA_ZETA, NU_NU_NU_NU = np.array([[1, 1, 2, 2], [3, 3, 3, 3]])
 
     def __init__(self, problems: list[FlowProblem], scheme=None, dt: float = 1.0):
         self.problems = problems
         self.scheme = scheme
         self.dt = dt
-        self.params = [p.params for p in problems]
         self.grad = problems[0].objective.eval_grad if problems else None
-        ps = self.params
-        self.neg_l1 = _column([-p.lambda1 for p in ps])
-        self.l2 = _column([p.lambda2 for p in ps])
-        self.neg_l3 = _column([-p.lambda3 for p in ps])
-        self.l3 = _column([p.lambda3 for p in ps])
-        self.l4 = _column([p.lambda4 for p in ps])
-        self.l5 = _column([p.lambda5 for p in ps])
-        self.l6 = _column([p.lambda6 for p in ps])
-        self.l7 = _column([p.lambda7 for p in ps])
-        self.l8 = _column([p.lambda8 for p in ps])
+        ps = [p.params for p in problems]
+        # rows [l7*mu, -l1*mu, -l3*zeta, l4*zeta] + [l8*g, l2*g, l3*nu, -l5*nu]:
+        # the numerator of dx and the linear parts of dmu, dzeta and dnu
+        self.moment_coef = np.array([[p.lambda7, -p.lambda1, -p.lambda3, p.lambda4] for p in ps]).reshape(-1, 4, 1)
+        self.input_coef = np.array([[p.lambda8, p.lambda2, p.lambda3, -p.lambda5] for p in ps]).reshape(-1, 4, 1)
+        self.l6 = np.array([p.lambda6 for p in ps])[:, None]
         belief = [p.psi_kind is PsiKind.BELIEF for p in ps]
         self.belief = np.array(belief)[:, None] if any(belief) else None
         self.cs = [p.c for p in ps]
+        keys = [p.lambda7 == 0 or (p.lambda2, p.lambda6, p.c) for p in ps]
+        distinct = list(dict.fromkeys(keys))
+        self.alpha_params = [ps[keys.index(key)] for key in distinct]
+        self.alpha_of = np.array([[distinct.index(key)] for key in keys])
+        # RK4 evaluates t0 + h twice, and one step's end is the next step's t0
+        self.alpha_column = lru_cache(maxsize=4)(self._alpha_column)
 
     def select(self, keep: np.ndarray) -> _Batch:
         return _Batch([p for p, kept in zip(self.problems, keep) if kept], self.scheme, self.dt)
 
-    def alpha(self, i: int, k: int) -> float:
-        return alpha_g(k * self.dt, self.params[i])
+    def _alpha_column(self, t: float) -> np.ndarray:
+        """alpha_g at time t of every row, an (R, 1) column."""
+        return np.array([alpha_g(t, p) for p in self.alpha_params])[self.alpha_of]
+
+    def alpha(self, rows: np.ndarray, k: int) -> np.ndarray:
+        return self.alpha_column(k * self.dt)[rows, 0]
 
     def step(self, s: np.ndarray, g, k: int) -> np.ndarray:
         """One step of the scheme from t = k*dt. Rows whose nu leaves the
@@ -128,10 +136,9 @@ class _Batch:
         try:
             s_new = self.scheme(self, s, k, self.dt)
         except _LeftDomain as exc:
-            rows = exc.rows
             message = f"stage evaluation left the domain: {exc}"
-            raise _RowsLeave(rows, [StepFailure(k * self.dt, s[i], message) for i in np.flatnonzero(rows)])
-        if (s_new[:, 3] <= 0).any():
+            raise _RowsLeave(exc.rows, [StepFailure(k * self.dt, s[i], message) for i in np.flatnonzero(exc.rows)])
+        if np.fmin.reduce(s_new[:, 3], None) <= 0:
             rows = np.any(s_new[:, 3] <= 0, axis=1)
             raise _RowsLeave(rows, [StepFailure((k + 1) * self.dt, s_new[i]) for i in np.flatnonzero(rows)])
         return s_new
@@ -141,16 +148,18 @@ class _Batch:
 
         Raises _LeftDomain, before any arithmetic, when a row has nu <= 0.
         """
-        x, mu, zeta, nu = s[:, 0], s[:, 1], s[:, 2], s[:, 3]
-        if (nu <= 0).any():
+        nu = s[:, 3]
+        # (nu <= 0).any() in one call: fmin skips NaN as the comparison does
+        if np.fmin.reduce(nu, None) <= 0:
             raise _LeftDomain(np.any(nu <= 0, axis=1), t)
-        g = self.grad(x)
-        alpha = _column(alpha_g(t, p) for p in self.params)
-        d = np.empty_like(s)
-        d[:, 0] = -(self.l7 * mu + self.l8 * g) / (alpha * _pow_rows(nu, self.cs))
-        d[:, 1] = self.neg_l1 * mu + self.l2 * g
-        d[:, 2] = self.neg_l3 * zeta + self.l3 * nu
-        d[:, 3] = self.l4 * zeta - self.l5 * nu + self.l6 * _psi(g, mu, self.belief)
+        g = self.grad(s[:, 0])
+        # a - b is a + (-b) and (-a)*b is -(a*b), bitwise
+        d = self.moment_coef * s.take(self.MU_MU_ZETA_ZETA, 1)
+        inputs = s.take(self.NU_NU_NU_NU, 1)
+        inputs[:, :2] = g[:, None]
+        d += self.input_coef * inputs
+        d[:, 3] += self.l6 * _psi(g, s[:, 1], self.belief)
+        d[:, 0] = -d[:, 0] / (self.alpha_column(t) * _pow_rows(nu, self.cs))
         return d
 
 
@@ -379,7 +388,7 @@ def _run_rows(rule, s: np.ndarray, objective, n_steps: int, record_stride: int, 
     step rule, recording and summarizing each row like its solo run in one
     RunStore.
 
-    The rule has dt (the time of one step), every_step, alpha(i, k),
+    The rule has dt (the time of one step), every_step, alpha(rows, k),
     step(s, g, k) and select(keep). A discrete rule (every_step true) is
     evaluated at every step k: its step takes the gradients, every step is
     summarized, and a row ends at the first non-finite f or gradient norm.
@@ -427,8 +436,7 @@ def _run_rows(rule, s: np.ndarray, objective, n_steps: int, record_stride: int, 
                 store.diverge(live[ended], k)
             at = np.arange(len(due)) if on_stride else np.flatnonzero(ended[due])
             if len(at):
-                alphas = [rule.alpha(i, k) for i in due[at]]
-                store.record(live[due[at]], k * rule.dt, states[at], fs[at], grad_norms[at], alphas)
+                store.record(live[due[at]], k * rule.dt, states[at], fs[at], grad_norms[at], rule.alpha(due[at], k))
         # a discrete step takes the gradients of every row, evaluated here
         g = grads if rule.every_step else None
         if ended.any():

@@ -58,14 +58,19 @@ def general_rhs(x, mu, zeta, nu, t, lam, c, psi, grad):
     dmu = -lam[1] * mu + lam[2] * g
     dzeta = -lam[3] * zeta + lam[3] * nu
     dnu = lam[4] * zeta - lam[5] * nu + lam[6] * psi(g, mu)
+    dx = -(lam[7] * mu + lam[8] * g) / (general_alpha(t, lam, c) * nu ** c)
+    return dmu, dzeta, dnu, dx
+
+
+def general_alpha(t, lam, c):
+    """Bias-correction factor of the general flow at time t:
+    (1 - (1-lambda2)^(t+1)) / (1 - (1-lambda6)^(t+1))^c, or 1 when
+    lambda7 = 0."""
     if lam[7] > 0:
-        alpha = (1.0 - (1.0 - lam[2]) ** (t + 1.0)) / (
+        return (1.0 - (1.0 - lam[2]) ** (t + 1.0)) / (
             (1.0 - (1.0 - lam[6]) ** (t + 1.0)) ** c
         )
-    else:
-        alpha = 1.0
-    dx = -(lam[7] * mu + lam[8] * g) / (alpha * nu ** c)
-    return dmu, dzeta, dnu, dx
+    return 1.0
 
 
 def algorithm_paper_run(x0, nu0, b1, b2, b3, delta, eta, epsilon, grad, num_iters):

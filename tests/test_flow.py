@@ -1,9 +1,12 @@
 """Unit tests for the continuous-time flows, integrators, trajectory
 artifacts, and the accumulator energy diagnostic."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import ssmopt.flow as flow_module
 from ssmopt import (
     DomainError,
     FlowProblem,
@@ -25,10 +28,12 @@ from ssmopt import (
     map_preset_to_general,
     preset_flow,
     rhs_general,
+    validate_params,
 )
+from ssmopt.core import alpha_g
 from ssmopt.flow import euler_step, integrate_batch, rk4_step
 from samplers import random_valid_adamssm_preset, random_valid_params
-from oracles import adam_rhs, general_flow_run, general_rhs
+from oracles import adam_rhs, general_alpha, general_flow_run, general_rhs, rosenbrock_grad
 
 ADAMSSM = PresetParams(b3=0.02)
 FIVE_PRESETS = [
@@ -333,6 +338,95 @@ class TestIntegrateBatch:
         with pytest.raises(ValueError, match="one objective"):
             integrate_batch(problems, rk4_step, 0.1, 1.0)
         assert integrate_batch([], rk4_step, 0.1, 1.0) == []
+
+
+def mixed_rate_problems(obj, x0) -> list[FlowProblem]:
+    """Flows in four groups of alpha_g rates: adam and adabelief (the belief
+    row) share (b1, b2, c); adamssm at other rates and a raw row weighting
+    both mu and the gradient (lambda7, lambda8 > 0) have one each; the
+    gadagrad rows at c = 0.5 and 0.3 have lambda7 = 0."""
+    presets = [
+        (PresetKind.ADAM, PresetParams()),
+        (PresetKind.ADAMSSM, PresetParams(b1=0.5, b2=0.01, b3=0.02)),
+        (PresetKind.GADAGRAD, PresetParams(c=0.5)),
+        (PresetKind.GADAGRAD, PresetParams(c=0.3)),
+        (PresetKind.ADABELIEF, PresetParams()),
+    ]
+    raw = validate_params(OptimizerParams(0.6, 0.5, 0.02, 0.01, 0.03, 0.02, 1.0, 0.5, 0.4))
+    nu0 = np.ones(obj.dim)
+    return [preset_flow(kind, preset, obj, x0, nu0) for kind, preset in presets] + [FlowProblem(obj, raw, x0, nu0)]
+
+
+def assert_equals_oracle(traj: Trajectory, problem: FlowProblem, dt: float, n_steps: int, stride: int, rk4: bool):
+    """Every record of a Rosenbrock flow, its time, state and alpha, equals
+    the general flow oracle's bit for bit."""
+    p = problem.params
+    lam = lam_dict(p)
+    expected = general_flow_run(
+        problem.x0, problem.nu0, lam, p.c, ORACLE_PSI[p.psi_kind], rosenbrock_grad, dt, n_steps, rk4
+    )
+    steps = [*range(0, n_steps, stride), n_steps]
+    assert list(traj.times) == [k * dt for k in steps]
+    assert traj.alpha_values.tobytes() == np.array([general_alpha(k * dt, lam, p.c) for k in steps]).tobytes()
+    assert traj.states.tobytes() == np.array([expected[k] for k in steps]).tobytes()
+
+
+class TestRateGroups:
+    """Rows at different rates share a batch: alpha_g runs once per group of
+    rows sharing its rates and per time, and every row still equals the
+    oracle bit for bit."""
+
+    SCHEMES = [(integrate_euler, euler_step, False), (integrate_reference, rk4_step, True)]
+
+    @pytest.mark.parametrize("integrate, step, rk4", SCHEMES)
+    def test_rows_equal_the_oracle(self, integrate, step, rk4):
+        problems = mixed_rate_problems(make_rosenbrock(2), np.array([-1.2, 1.0]))
+        for problem, traj in zip(problems, integrate_batch(problems, step, 0.01, 1.0, record_stride=7)):
+            assert_equals_oracle(traj, problem, 0.01, 100, 7, rk4)
+
+    @pytest.mark.parametrize("integrate, step, rk4", SCHEMES)
+    def test_rows_equal_the_oracle_after_a_row_leaves(self, integrate, step, rk4):
+        # an accumulator (lambda7 = 0) adding g^2 ~ 1e307 to nu0 = 1.75e308
+        # overflows nu at step 47; the rows after it move up in the batch
+        obj = make_rosenbrock(2)
+        problems = mixed_rate_problems(obj, np.array([-1.2, 1.0]))
+        accumulator = validate_params(OptimizerParams(1.0, 1.0, 0.01, 0.0, 0.0, 1.0, 0.0, 1.0, 0.5))
+        leaving = FlowProblem(obj, accumulator, np.array([2e50, 1.0]), np.full(2, 1.75e308))
+        with np.errstate(over="ignore", invalid="ignore"):
+            results = integrate_batch([problems[0], leaving, *problems[1:]], step, 0.01, 1.0, record_stride=7)
+            with pytest.raises(StepFailure) as solo:
+                integrate(leaving, 0.01, 1.0, record_stride=7)
+        failure = results.pop(1)
+        assert isinstance(failure, StepFailure) and str(failure) == str(solo.value)
+        assert failure.t == solo.value.t == 47 * 0.01
+        for problem, traj in zip(problems, results):
+            assert_equals_oracle(traj, problem, 0.01, 100, 7, rk4)
+
+    def test_alpha_once_per_group_and_time(self, monkeypatch):
+        calls = {"alpha_g": 0, "grad": 0}
+
+        def counted_alpha(t, params):
+            calls["alpha_g"] += 1
+            return alpha_g(t, params)
+
+        def counted_grad(x):
+            calls["grad"] += 1
+            return grad(x)
+
+        monkeypatch.setattr(flow_module, "alpha_g", counted_alpha)
+        obj = make_rosenbrock(2)
+        grad = obj.eval_grad
+        obj = dataclasses.replace(obj, eval_grad=counted_grad)
+        problems = [preset_flow(kind, preset, obj, np.array([-1.2, 1.0]), np.ones(2)) for kind, preset in FIVE_PRESETS]
+        n, stride = 60, 7
+        results = integrate_batch(problems, rk4_step, 0.01, n * 0.01, record_stride=stride)
+        records = len(range(0, n + 1, stride)) + (n % stride != 0)
+        assert [len(traj) for traj in results] == [records] * 5
+        # the four moment presets share (b1, b2, c); gadagrad has lambda7 = 0
+        groups = 2
+        assert calls["alpha_g"] <= groups * (2 * n + records + 1)
+        # four RK4 stages per step, and f and the gradient at each record
+        assert calls["grad"] == 4 * n + records
 
 
 class TestTrajectoryCsv:
