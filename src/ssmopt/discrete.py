@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import PresetKind, PresetParams, PsiKind, ValidationError, map_preset_to_general, moment_bias
-from .flow import RunReport, Trajectory, _column, _only, _pow_rows, _psi, _RowsLeave, _run_rows
+from .flow import RunReport, Trajectory, _only, _pow_rows, _psi, _RowsLeave, _run_rows
 
 BIAS_MODES = ("paper", "beta", "continuous")
 
@@ -153,6 +153,13 @@ def _first_step_error(spec: OptimizerSpec) -> Exception | None:
             f"1 - delta*b2 - delta*b3 >= 0 required (delta={p.delta:g}, b2={p.b2:g}, b3={_b3(spec):g})"
         )
     return None
+
+
+def _column(values) -> np.ndarray:
+    """Per-row rates as an (R, 1) column, or as a 0-d array for a single row:
+    the same arithmetic, at half the cost of broadcasting a (1, 1) array."""
+    column = np.array(list(values), dtype=float)
+    return column.reshape(()) if len(column) == 1 else column[:, None]
 
 
 class _DiscreteBatch:

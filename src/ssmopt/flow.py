@@ -123,7 +123,7 @@ class _Batch:
         return _Batch([p for p, kept in zip(self.problems, keep) if kept], self.scheme, self.dt)
 
     def _alpha_column(self, t: float) -> np.ndarray:
-        """alpha_g at time t of every row, an (R, 1) column."""
+        """alpha_g at time t of every row, an (R, 1) column, cached: read only."""
         return np.array([alpha_g(t, p) for p in self.alpha_params])[self.alpha_of]
 
     def alpha(self, rows: np.ndarray, k: int) -> np.ndarray:
@@ -344,13 +344,6 @@ class RunStore:
             iters_to_threshold=itt if itt >= 0 else None,
             diagnostics=diagnostics,
         )
-
-
-def _column(values) -> np.ndarray:
-    """Per-row rates as an (R, 1) column, or as a 0-d array for a single row:
-    the same arithmetic, at half the cost of broadcasting a (1, 1) array."""
-    column = np.array(list(values), dtype=float)
-    return column.reshape(()) if len(column) == 1 else column[:, None]
 
 
 def _psi(g: np.ndarray, m: np.ndarray, belief: Optional[np.ndarray]) -> np.ndarray:
