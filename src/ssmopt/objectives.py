@@ -98,18 +98,17 @@ def make_rosenbrock(d: int) -> Objective:
 
     def grad(x):
         x = np.asarray(x, dtype=float)
-        # A batch (R, d) is computed on a contiguous (d, R) copy, so
-        # coordinates index the first axis either way: x[..., 1:] would cost
-        # every 1-D call extra.
+        # A batch (R, d) is computed on a contiguous (d, R) copy, so the
+        # coordinates index the first axis, as a point's do, and copied back
+        # to unit-stride rows: a strided row's ddot sums in another order.
         batch = x.ndim > 1
-        if batch:
-            x = x.T.copy()
+        x = x.T.copy() if batch else x
         g = np.zeros(x.shape)
         head, tail = x[:-1], x[1:]
         r = tail - head ** 2
         g[:-1] = -400.0 * head * r - 2.0 * (1.0 - head)
         g[1:] += 200.0 * r
-        return g.T if batch else g
+        return g.T.copy() if batch else g
 
     return Objective(
         dim=d, eval_f=f, eval_grad=grad,

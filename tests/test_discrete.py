@@ -329,11 +329,14 @@ class TestRunDiscrete:
 
 
 def discrete_objective(name: str):
-    """One of the three shipped objectives with a starting point off its minimum."""
+    """One of the three shipped objectives with a starting point off its
+    minimum; rosenbrock10 is the chained one at d = 10."""
     if name == "quadratic":
         return make_quadratic(2, 100.0), np.ones(2)
     if name == "rosenbrock":
         return make_rosenbrock(2), np.array([-1.2, 1.0])
+    if name == "rosenbrock10":
+        return make_rosenbrock(10), np.tile([-0.5, 0.5], 5)
     return make_logistic(5, 40, 0), np.zeros(5)
 
 
@@ -364,7 +367,7 @@ class TestRunDiscreteBatch:
     def solo(self, spec, obj, x0, num_iters):
         return run_discrete(spec, obj, x0, num_iters, self.MILESTONES, record_stride=7)
 
-    @pytest.mark.parametrize("objective", ["quadratic", "rosenbrock", "logistic"])
+    @pytest.mark.parametrize("objective", ["quadratic", "rosenbrock", "rosenbrock10", "logistic"])
     def test_rows_equal_solo_runs(self, objective):
         obj, x0 = discrete_objective(objective)
         specs = mixed_specs()

@@ -50,11 +50,14 @@ ORACLE_PSI = {
 
 
 def flow_objective(name: str):
-    """One of the three shipped objectives with a starting point off its minimum."""
+    """One of the three shipped objectives with a starting point off its
+    minimum; rosenbrock10 is the chained one at d = 10."""
     if name == "quadratic":
         return make_quadratic(2, 100.0), np.ones(2)
     if name == "rosenbrock":
         return make_rosenbrock(2), np.array([-1.2, 1.0])
+    if name == "rosenbrock10":
+        return make_rosenbrock(10), np.tile([-0.5, 0.5], 5)
     return make_logistic(5, 40, 0), np.zeros(5)
 
 
@@ -276,7 +279,7 @@ def assert_same_trajectory(got: Trajectory, want: Trajectory):
 
 
 class TestIntegrateBatch:
-    @pytest.mark.parametrize("objective", ["quadratic", "rosenbrock", "logistic"])
+    @pytest.mark.parametrize("objective", ["quadratic", "rosenbrock", "rosenbrock10", "logistic"])
     @pytest.mark.parametrize("integrate, step", [(integrate_euler, euler_step), (integrate_reference, rk4_step)])
     def test_rows_equal_solo_runs(self, objective, integrate, step):
         # the extra gadagrad row gives the batch a second exponent c

@@ -83,7 +83,17 @@ class TestRosenbrock:
         states = np.stack([xs, -xs, xs, xs], axis=1)
         for batch in (xs, states[:, 0]):
             got = obj.eval_grad(batch)
-            assert got.shape == (24, d) and np.ascontiguousarray(got).tobytes() == want.tobytes()
+            assert got.shape == (24, d) and got.flags.c_contiguous and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [4, 10])
+    def test_batch_row_norms_equal_single_points(self, d, rng):
+        # the run loops take each row's norm as the ddot of np.vecdot; a
+        # strided row would sum in another order than a single point's
+        obj = make_rosenbrock(d)
+        states = rng.uniform(-2.0, 2.0, (16, 4, d))
+        got = obj.eval_grad(states[:, 0])
+        norms = np.sqrt(np.vecdot(got, got))
+        assert [norm.tobytes() for norm in norms] == [np.linalg.norm(obj.eval_grad(s[0])).tobytes() for s in states]
 
 
 class TestLogistic:
