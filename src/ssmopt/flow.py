@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -116,15 +115,17 @@ class _Batch:
         distinct = list(dict.fromkeys(keys))
         self.alpha_params = [ps[keys.index(key)] for key in distinct]
         self.alpha_of = np.array([[distinct.index(key)] for key in keys])
-        # RK4 evaluates t0 + h twice, and one step's end is the next step's t0
-        self.alpha_column = lru_cache(maxsize=4)(self._alpha_column)
+        # the last time asked: RK4 asks t0 + h twice, and (k+1)*dt for the next record and step
+        self.alpha_at = (None, None)
 
     def select(self, keep: np.ndarray) -> _Batch:
         return _Batch([p for p, kept in zip(self.problems, keep) if kept], self.scheme, self.dt)
 
-    def _alpha_column(self, t: float) -> np.ndarray:
-        """alpha_g at time t of every row, an (R, 1) column, cached: read only."""
-        return np.array([alpha_g(t, p) for p in self.alpha_params])[self.alpha_of]
+    def alpha_column(self, t: float) -> np.ndarray:
+        """alpha_g at time t of every row, an (R, 1) column: read only."""
+        if self.alpha_at[0] != t:
+            self.alpha_at = t, np.array([alpha_g(t, p) for p in self.alpha_params])[self.alpha_of]
+        return self.alpha_at[1]
 
     def alpha(self, rows: np.ndarray, k: int) -> np.ndarray:
         return self.alpha_column(k * self.dt)[rows, 0]
