@@ -6,10 +6,11 @@ The package has three layers:
   with validation of the convergence conditions and fixed-step integrators;
 - discrete time: one batched update for the named presets, keyed by their
   kind like their flows, and a heavy-ball baseline (discrete);
-- analysis and tooling: transfer-function/pole-zero analysis of the
-  second-moment dynamic (analysis), synthetic objectives with gradient
-  oracles (objectives), and a JSON-config experiment harness with a CLI
-  (harness, cli).
+- analysis and tooling: the second-moment dynamic as one linear system
+  (analysis: SecondMomentLTI with its closed-form exp(At) and impulse, step
+  and convolution responses, and the transfer function's poles, zero and
+  DC gain), synthetic objectives with gradient oracles (objectives), and a
+  JSON-config experiment harness with a CLI (harness, cli).
 
 Flows and discrete runs share one run loop (flow), which advances many runs
 on one objective as a packed (R, 4, d) batch and keeps one store of every

@@ -1,5 +1,10 @@
-"""Linear-systems view of the second-moment dynamic: transfer function,
-pole/zero locations, state-transition entries, and time responses.
+"""Linear-systems view of the second-moment dynamic, the map from the input
+psi to nu.
+
+One system, two forms: SecondMomentLTI with its closed-form exp(At) gives the
+state-transition entries and every time response (impulse, step, and the
+convolution solution on a grid); the transfer function of adamssm_tf gives
+the poles, zero and DC gain that `ssmopt analyze` prints.
 
 Root-finding is closed form (degree <= 2) so results are bit-reproducible;
 no general polynomial root-finder is used at runtime.
@@ -209,8 +214,8 @@ def second_moment_response(
     nu_init : second-moment value at the anchor index.
     lower_index : grid index where the solution is anchored.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError("dt must be finite and positive")
     u = np.asarray(input_series, dtype=float)
     if u.ndim != 1:
         raise ValueError("input_series must be one-dimensional")
@@ -228,87 +233,44 @@ def second_moment_response(
     return out
 
 
-def impulse_response(tf: RationalTF, times) -> np.ndarray:
-    """Impulse response of a strictly proper tf of degree <= 2, in closed form."""
-    return _response(tf, times, step=False)
+def impulse_response(lti: SecondMomentLTI, input_gain: float, times) -> np.ndarray:
+    """nu's response to a unit impulse of the input: input_gain * phi22(t)."""
+    return input_gain * state_transition_matrix(lti, times)[1, 1]
 
 
-def step_response(tf: RationalTF, times) -> np.ndarray:
-    """Unit-step response of a strictly proper tf of degree <= 2, in closed form."""
-    return _response(tf, times, step=True)
+def step_response(lti: SecondMomentLTI, input_gain: float, times) -> np.ndarray:
+    """nu's response to a unit step of the input: input_gain times the
+    integral of phi22 from 0 to t, in closed form.
 
-
-def _response(tf: RationalTF, times, step: bool) -> np.ndarray:
+    Each mode e^{rt} of state_transition_matrix, r = (+-p - a)/2, integrates
+    to expm1(rt)/r, or to t at a pole at 0 (lambda4 = lambda5). The
+    confluent case p = 0 needs lambda3 = lambda5, where phi22 has no odd part.
+    """
     t = np.asarray(times, dtype=float)
-    den = tf.den
-    num = tf.num
-    if len(num) >= len(den):
-        raise DegreeError("time responses require a strictly proper transfer function")
-    deg = len(den) - 1
-    if deg > 2:
-        raise DegreeError(f"time responses support degree <= 2, got {deg}")
-    n_poly = np.zeros(deg, dtype=complex)
-    n_poly[deg - len(num):] = num
-
-    def nval(s: complex) -> complex:
-        acc = 0.0 + 0.0j
-        for coef in n_poly:
-            acc = acc * s + coef
-        return acc
-
-    if deg == 1:
-        p1 = -complex(den[1])
-        h = n_poly[0] * np.exp(p1 * t)
-        out = _integrate_modes([(n_poly[0], p1)], t) if step else h
-        return np.real(out)
-
-    r1, r2 = _roots_closed_form(den)
-    # roots an ulp apart are a repeated mode numerically; the confluent form
-    # stays stable there (residues of the distinct form blow up as 1/(r1-r2))
-    repeated = abs(r1 - r2) <= 1e-9 * (abs(r1) + abs(r2) + 1e-300)
-    if not repeated:
-        c1 = nval(r1) / (r1 - r2)
-        c2 = nval(r2) / (r2 - r1)
-        if step:
-            return np.real(_integrate_modes([(c1, r1), (c2, r2)], t))
-        return np.real(c1 * np.exp(r1 * t) + c2 * np.exp(r2 * t))
-    # repeated pole: H = (n1 s + n0)/(s - p)^2 -> n1 e^{pt} + (n0 + n1 p) t e^{pt}
-    p = 0.5 * (r1 + r2)
-    n1, n0 = n_poly[0], n_poly[1]
-    k = n0 + n1 * p
-    if not step:
-        return np.real(n1 * np.exp(p * t) + k * t * np.exp(p * t))
-    if p == 0:
-        return np.real(n1 * t + 0.5 * k * t * t)
-    ept = np.exp(p * t)
-    integral = n1 * (ept - 1.0) / p + k * (t * ept / p - (ept - 1.0) / (p * p))
-    return np.real(integral)
-
-
-def _integrate_modes(modes: list[tuple[complex, complex]], t: np.ndarray) -> np.ndarray:
-    """Integral from 0 to t of sum c * exp(p s) ds for each (c, p) mode."""
-    acc = np.zeros_like(t, dtype=complex)
-    for c, p in modes:
-        if p == 0:
-            acc = acc + c * t
-        else:
-            acc = acc + c * (np.exp(p * t) - 1.0) / p
-    return acc
+    a = lti.lambda3 + lti.lambda5
+    p = stability_quantity_p(lti)
+    r_plus, r_minus = 0.5 * (p - a), -0.5 * (p + a)  # r_minus < 0 since lambda3 > 0
+    i_plus = t if r_plus == 0.0 else np.expm1(r_plus * t) / r_plus
+    i_minus = np.expm1(r_minus * t) / r_minus
+    odd = 0.0 if p == 0.0 else (i_plus - i_minus) / p
+    return input_gain * (0.5 * (i_plus + i_minus) + 0.5 * (lti.lambda3 - lti.lambda5) * odd)
 
 
 def alpha_decay_condition(lambda2: float, lambda6: float, c: float, t: float) -> bool:
     """Whether the bias-correction factor is strictly decreasing at time t.
 
-    With g1 = 1 - lambda2 and g2 = 1 - lambda6 (both in (0, 1)), the factor
-    decreases at t iff
+    With g1 = 1 - lambda2 and g2 = 1 - lambda6 (both in (0, 1)) and the
+    exponent c in (0, 1), the factor decreases at t iff
 
         (g2/g1)^(t+1) * (1 - g1^(t+1)) / (1 - g2^(t+1)) > (1/c) * log(g1)/log(g2).
 
     Evaluating this on a time grid locates the settling point after which the
     factor is monotonically non-increasing.
     """
-    if not (0.0 < lambda2 < 1.0 and 0.0 < lambda6 < 1.0):
-        raise ValidationError(["0 < lambda2 < 1", "0 < lambda6 < 1"])
+    conditions = {"0 < lambda2 < 1": lambda2, "0 < lambda6 < 1": lambda6, "0 < c < 1": c}
+    v = [name for name, value in conditions.items() if not 0.0 < value < 1.0]
+    if v:
+        raise ValidationError(v)
     g1 = 1.0 - lambda2
     g2 = 1.0 - lambda6
     e = t + 1.0

@@ -137,6 +137,25 @@ class TestSecondMomentLTI:
         assert err.value.violations == ["lambda3 > 0", "lambda4 >= 0"]
 
 
+class TestOneSystem:
+    def test_transfer_function_matches_lti_closed_forms(self, rng):
+        # adamssm_tf(b2, b3) in its coefficient form and the LTI at
+        # map_preset_to_general's rates are one system, to a few ulps
+        eps = 2.0 ** -52
+        for _ in range(10_000):
+            preset = random_valid_adamssm_preset(rng)
+            params = map_preset_to_general(preset, PresetKind.ADAMSSM)
+            l3, l4, l5, l6 = params.lambda3, params.lambda4, params.lambda5, params.lambda6
+            lti = SecondMomentLTI(lambda3=l3, lambda4=l4, lambda5=l5)
+            tf = adamssm_tf(preset.b2, preset.b3)
+            poles, zeros = poles_zeros(tf)
+            a, p = l3 + l5, stability_quantity_p(lti)
+            assert abs(poles[0] - 0.5 * (-a - p)) <= 32 * eps * a
+            assert abs(poles[1] - 0.5 * (-a + p)) <= 32 * eps * a
+            assert abs(zeros[0] - (-l3)) <= 2 * eps * l3
+            assert abs(dc_gain(tf) - l6 / (l5 - l4)) <= 4 * eps * l5 / (l5 - l4)
+
+
 class TestStabilityQuantity:
     def test_frozen_value(self):
         lti = SecondMomentLTI(lambda3=B2, lambda4=B3, lambda5=B2 + B3)
@@ -290,8 +309,9 @@ class TestSecondMomentResponse:
 
     def test_argument_validation(self):
         lti = self.lti()
-        with pytest.raises(ValueError):
-            second_moment_response(lti, B2, np.ones(5), dt=0.0)
+        for dt in (0.0, -0.1, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="dt must be finite and positive"):
+                second_moment_response(lti, B2, np.ones(5), dt=dt)
         with pytest.raises(ValueError):
             second_moment_response(lti, B2, np.ones((5, 2)), dt=0.1)
         with pytest.raises(ValueError):
@@ -299,63 +319,51 @@ class TestSecondMomentResponse:
 
 
 class TestTimeResponses:
-    def rk4_output(self, u, state0, dt, n_steps):
-        lti = SecondMomentLTI(lambda3=B2, lambda4=B3, lambda5=B2 + B3)
+    def lti(self, b3=B3) -> SecondMomentLTI:
+        return SecondMomentLTI(lambda3=B2, lambda4=b3, lambda5=B2 + b3)
+
+    def rk4_output(self, lti, u, state0, dt, n_steps):
         b = np.array([0.0, B2])
         return rk4_lti_response(lti.A, b, u, state0, dt, n_steps)[:, 1]
 
     def test_impulse_matches_lti_simulation(self):
-        tf = adamssm_tf(B2, B3)
+        lti = self.lti()
         dt, n = 0.05, 6000
         times = np.arange(n + 1) * dt
-        # an input impulse deposits B on the state at t = 0
-        sim = self.rk4_output(lambda t: 0.0, np.array([0.0, B2]), dt, n)
-        assert float(np.max(np.abs(impulse_response(tf, times) - sim))) < 1e-10
+        # an input impulse deposits the input gain on nu at t = 0
+        sim = self.rk4_output(lti, lambda t: 0.0, np.array([0.0, B2]), dt, n)
+        assert float(np.max(np.abs(impulse_response(lti, B2, times) - sim))) < 1e-10
 
     def test_step_matches_lti_simulation(self):
-        tf = adamssm_tf(B2, B3)
+        lti = self.lti()
         dt, n = 0.05, 6000
         times = np.arange(n + 1) * dt
-        sim = self.rk4_output(lambda t: 1.0, np.zeros(2), dt, n)
-        assert float(np.max(np.abs(step_response(tf, times) - sim))) < 1e-10
+        sim = self.rk4_output(lti, lambda t: 1.0, np.zeros(2), dt, n)
+        assert float(np.max(np.abs(step_response(lti, B2, times) - sim))) < 1e-10
 
     def test_step_settles_at_dc_gain(self):
-        tf = adamssm_tf(B2, B3)
-        val = step_response(tf, np.array([6000.0]))[0]
-        assert abs(val - dc_gain(tf)) < 1e-3
+        val = step_response(self.lti(), B2, np.array([6000.0]))[0]
+        assert abs(val - dc_gain(adamssm_tf(B2, B3))) < 1e-3
 
     def test_cancelled_pair_reduces_to_one_state_impulse(self):
-        tf = adamssm_tf(B2, 0.0)
+        # lambda4 = 0 and lambda3 = lambda5: the repeated mode p = 0
+        lti = self.lti(b3=0.0)
+        assert stability_quantity_p(lti) == 0.0
         t = np.linspace(0.0, 500.0, 101)
-        expected = B2 * np.exp(-B2 * t)
-        h = impulse_response(tf, t)
-        assert np.allclose(h, expected, rtol=1e-12, atol=1e-300)
-        # the double pole at -B2 of the b3 = 0 reduction
-        assert np.allclose(step_response(tf, t), 1.0 - np.exp(-B2 * t), rtol=1e-12, atol=1e-15)
+        h = impulse_response(lti, B2, t)
+        assert np.allclose(h, B2 * np.exp(-B2 * t), rtol=1e-12, atol=1e-300)
+        assert np.allclose(step_response(lti, B2, t), 1.0 - np.exp(-B2 * t), rtol=1e-12, atol=1e-15)
 
-    def test_first_order_responses(self):
-        tf = RationalTF(num=[2.0], den=[1.0, 2.0])
-        t = np.linspace(0.0, 5.0, 20)
-        assert np.allclose(impulse_response(tf, t), 2.0 * np.exp(-2.0 * t), rtol=1e-12)
-        assert np.allclose(step_response(tf, t), 1.0 - np.exp(-2.0 * t), rtol=1e-12, atol=1e-15)
-        integrator = RationalTF(num=[1.0], den=[1.0, 0.0])
-        assert np.allclose(step_response(integrator, t), t, rtol=1e-12, atol=1e-15)
-
-    def test_double_pole_at_origin(self):
-        tf = RationalTF(num=[1.0], den=[1.0, 0.0, 0.0])
-        t = np.linspace(0.0, 5.0, 20)
-        assert np.allclose(impulse_response(tf, t), t, rtol=1e-12, atol=1e-15)
-        assert np.allclose(step_response(tf, t), 0.5 * t * t, rtol=1e-12, atol=1e-15)
-
-    def test_biproper_rejected(self):
-        tf = RationalTF(num=[1.0, 1.0], den=[1.0, 2.0])
-        with pytest.raises(DegreeError):
-            impulse_response(tf, np.array([0.0, 1.0]))
-
-    def test_degree_three_rejected(self):
-        tf = RationalTF(num=[1.0], den=[1.0, 3.0, 3.0, 1.0])
-        with pytest.raises(DegreeError):
-            step_response(tf, np.array([0.0, 1.0]))
+    @pytest.mark.parametrize("l3, l5", [(0.3, 0.2), (0.05, 0.7), (0.5, 0.5)])
+    def test_pole_at_origin_ramps(self, l3, l5):
+        # lambda4 = lambda5 puts a pole at 0: phi22 = (lambda3 + lambda5 e^{-at}) / a
+        lti = SecondMomentLTI(lambda3=l3, lambda4=l5, lambda5=l5)
+        a = l3 + l5
+        t = np.linspace(0.0, 200.0, 401)
+        expected_h = 1.7 * (l3 + l5 * np.exp(-a * t)) / a
+        expected_y = 1.7 * (l3 * t + l5 * (1.0 - np.exp(-a * t)) / a) / a
+        assert np.allclose(impulse_response(lti, 1.7, t), expected_h, rtol=1e-12, atol=0.0)
+        assert np.allclose(step_response(lti, 1.7, t), expected_y, rtol=1e-12, atol=0.0)
 
 
 class TestAlphaDecayCondition:
@@ -381,7 +389,15 @@ class TestAlphaDecayCondition:
             )
 
     def test_rates_validated(self):
-        with pytest.raises(ValidationError):
-            alpha_decay_condition(1.2, 0.0067, 0.5, 1.0)
-        with pytest.raises(ValidationError):
-            alpha_decay_condition(0.67, 0.0, 0.5, 1.0)
+        cases = [
+            ((1.2, 0.0067, 0.5), ["0 < lambda2 < 1"]),
+            ((0.67, 0.0, 0.5), ["0 < lambda6 < 1"]),
+            ((0.67, 0.0067, 0.0), ["0 < c < 1"]),
+            ((0.67, 0.0067, -0.5), ["0 < c < 1"]),
+            ((0.67, 0.0067, 1.0), ["0 < c < 1"]),
+            ((0.0, 1.0, math.nan), ["0 < lambda2 < 1", "0 < lambda6 < 1", "0 < c < 1"]),
+        ]
+        for (l2, l6, c), violations in cases:
+            with pytest.raises(ValidationError) as err:
+                alpha_decay_condition(l2, l6, c, 1.0)
+            assert err.value.violations == violations
