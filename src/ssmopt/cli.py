@@ -24,6 +24,7 @@ import sys
 
 from .analysis import SecondMomentLTI, adamssm_tf, dc_gain, poles_zeros, stability_quantity_p
 from .core import DomainError, ValidationError
+from .flow import _check_grid
 from .harness import ParseError, load_config, resolve_out_dir, run_compare, run_experiment, run_flows
 
 
@@ -56,16 +57,10 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_flow(args) -> int:
-    if not args.dt > 0:
-        print("error: --dt must be positive", file=sys.stderr)
-        return 1
-    if not args.t_end >= args.dt:
-        print("error: --t-end must be at least --dt", file=sys.stderr)
-        return 1
-    # the condition flow._check_grid enforces, named by the options
-    n_steps = args.t_end / args.dt
-    if not (math.isfinite(n_steps) and abs(round(n_steps) * args.dt - args.t_end) <= 1e-9 * args.t_end):
-        print("error: --t-end must be a whole number of --dt steps", file=sys.stderr)
+    try:
+        _check_grid(args.dt, args.t_end, "--dt", "--t-end")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     config = load_config(args.config)
     out = resolve_out_dir(config)

@@ -55,6 +55,8 @@ class OptimizerSpec:
     beta: float = 0.9
 
     def __post_init__(self):
+        if self.kind not in KIND_KEYS:
+            raise ValueError(f"kind must be one of {tuple(KIND_KEYS)}, got {self.kind!r}")
         if self.bias_mode not in BIAS_MODES:
             raise ValueError(f"bias_mode must be one of {BIAS_MODES}, got {self.bias_mode!r}")
 
@@ -146,8 +148,6 @@ def _first_step_error(spec: OptimizerSpec) -> Exception | None:
         return None if 0.0 <= spec.beta < 1.0 else ValidationError(["0 <= beta < 1"])
     if spec.kind == "gadagrad":
         return None if 0.0 < p.c < 1.0 else ValidationError(["0 < c < 1"])
-    if spec.kind not in _MOMENT_KINDS:
-        return ValueError(f"unknown optimizer kind {spec.kind!r}")
     if 1.0 - p.delta * p.b2 - p.delta * _b3(spec) < 0.0:
         return InstabilityError(
             f"1 - delta*b2 - delta*b3 >= 0 required (delta={p.delta:g}, b2={p.b2:g}, b3={_b3(spec):g})"

@@ -447,14 +447,15 @@ def _run_rows(rule, s: np.ndarray, objective, n_steps: int, record_stride: int, 
     return [errors[r] if r in errors else store.outcome(r, name) for r, name in enumerate(names)]
 
 
-def _check_grid(dt: float, t_end: float) -> int:
+def _check_grid(dt: float, t_end: float, dt_name: str = "dt", t_end_name: str = "t_end") -> int:
+    """The steps of dt in t_end, or a ValueError naming the two as given."""
     if not dt > 0:
-        raise ValueError("dt must be positive")
+        raise ValueError(f"{dt_name} must be positive")
     if not t_end >= dt:
-        raise ValueError("t_end must be at least dt")
+        raise ValueError(f"{t_end_name} must be at least {dt_name}")
     n_steps = t_end / dt
     if not (math.isfinite(n_steps) and abs(round(n_steps) * dt - t_end) <= 1e-9 * t_end):
-        raise ValueError("t_end must be a whole number of dt steps")
+        raise ValueError(f"{t_end_name} must be a whole number of {dt_name} steps")
     return round(n_steps)
 
 

@@ -32,6 +32,9 @@ errors):
       "output_dir": str            default "runs"; SSMOPT_OUT_DIR overrides
     }
 
+Objective kinds are one table, OBJECTIVE_KINDS, as optimizer kinds are
+discrete.KIND_KEYS: each kind's factory, its own keys and its default x0.
+
 An entry takes only the keys its kind reads, besides kind and name:
 gadagrad delta, epsilon, eta and c; adam and adabelief b1, b2, delta,
 epsilon, eta and bias_mode; adamssm and adabeliefssm those and b3;
@@ -70,7 +73,6 @@ from .objectives import Objective, make_logistic, make_quadratic, make_rosenbroc
 
 SUMMARY_COLUMNS = ("optimizer", "best_f", "epoch_of_best", "final_grad_norm", "iters_to_threshold")
 
-OBJECTIVE_KINDS = ("quadratic", "rosenbrock", "logistic")
 PRESET_OPTIMIZER_KINDS = tuple(kind.value for kind in PresetKind)
 OPTIMIZER_KINDS = tuple(KIND_KEYS)
 
@@ -93,6 +95,15 @@ class ObjectiveSpec:
     n_samples: int = 40
     seed: int = 0
     x0: Optional[tuple[float, ...]] = None
+
+
+# Every objective kind, in the order messages list them: its factory, the ObjectiveSpec fields
+# only it reads, passed to the factory after dim, and its default x0 as a function of dim.
+OBJECTIVE_KINDS = {
+    "quadratic": (make_quadratic, ("cond",), np.ones),
+    "rosenbrock": (make_rosenbrock, (), lambda dim: np.r_[-1.2, np.ones(dim - 1)]),
+    "logistic": (make_logistic, ("n_samples", "seed"), np.zeros),
+}
 
 
 @dataclass(frozen=True)
@@ -155,17 +166,23 @@ def _get_str(mapping: dict, key: str, default: str, path: str, choices: tuple[st
     return value
 
 
+def _get_fields(mapping: dict, cls, names: tuple[str, ...], path: str) -> dict:
+    """The named int, float and str fields of dataclass cls, read in the
+    order given, each by its annotated type and with its default if absent."""
+    readers = {"int": _get_int, "float": _get_number, "str": _get_str}
+    by_name = {f.name: f for f in fields(cls)}
+    return {name: readers[by_name[name].type](mapping, name, by_name[name].default, path) for name in names}
+
+
 def _parse_objective(raw: dict) -> ObjectiveSpec:
     path = "objective"
     _check_keys(raw, tuple(f.name for f in fields(ObjectiveSpec)), ("kind",), path)
-    kind = _get_str(raw, "kind", "", path, OBJECTIVE_KINDS)
-    if kind != "quadratic" and "cond" in raw:
-        raise ParseError(f"{path}.cond: only valid for the quadratic objective")
-    if kind != "logistic":
-        for key in ("n_samples", "seed"):
-            if key in raw:
-                raise ParseError(f"{path}.{key}: only valid for the logistic objective")
-    dim = _get_int(raw, "dim", ObjectiveSpec.dim, path)
+    kind = _get_str(raw, "kind", "", path, tuple(OBJECTIVE_KINDS))
+    for owner, (_, keys, _) in OBJECTIVE_KINDS.items():
+        for key in keys:
+            if owner != kind and key in raw:
+                raise ParseError(f"{path}.{key}: only valid for the {owner} objective")
+    dim = _get_fields(raw, ObjectiveSpec, ("dim",), path)["dim"]
     x0 = None
     if "x0" in raw:
         seq = raw["x0"]
@@ -176,14 +193,7 @@ def _parse_objective(raw: dict) -> ObjectiveSpec:
         if len(seq) != dim:
             raise ParseError(f"{path}.x0: expected {dim} entries, got {len(seq)}")
         x0 = tuple(_as_float(v, f"{path}.x0") for v in seq)
-    return ObjectiveSpec(
-        kind=kind,
-        dim=dim,
-        cond=_get_number(raw, "cond", ObjectiveSpec.cond, path),
-        n_samples=_get_int(raw, "n_samples", ObjectiveSpec.n_samples, path),
-        seed=_get_int(raw, "seed", ObjectiveSpec.seed, path),
-        x0=x0,
-    )
+    return ObjectiveSpec(kind, dim, x0=x0, **_get_fields(raw, ObjectiveSpec, OBJECTIVE_KINDS[kind][1], path))
 
 
 def _parse_optimizer(raw: dict, index: int) -> OptimizerSpec:
@@ -294,64 +304,52 @@ def load_config(path) -> ExperimentConfig:
         _parse_optimizer(_expect_mapping(entry, f"optimizers[{i}]"), i)
         for i, entry in enumerate(entries)
     )
-    iterations = _get_int(raw, "iterations", ExperimentConfig.iterations, "config")
-    record_stride = _get_int(raw, "record_stride", ExperimentConfig.record_stride, "config")
-    threshold = _get_number(raw, "threshold", ExperimentConfig.threshold, "config")
-    milestones = _parse_milestones(_expect_mapping(raw["schedule"], "schedule")) if "schedule" in raw else ()
-    output_dir = _get_str(raw, "output_dir", ExperimentConfig.output_dir, "config")
-
+    # arguments are read left to right: the order in which faults are reported
+    config = ExperimentConfig(
+        objective,
+        optimizers,
+        **_get_fields(raw, ExperimentConfig, ("iterations", "record_stride", "threshold"), "config"),
+        milestones=_parse_milestones(_expect_mapping(raw["schedule"], "schedule")) if "schedule" in raw else (),
+        **_get_fields(raw, ExperimentConfig, ("output_dir",), "config"),
+    )
     schema_violations = []
-    if iterations < 0:
+    if config.iterations < 0:
         schema_violations.append("iterations >= 0")
-    if record_stride < 1:
+    if config.record_stride < 1:
         schema_violations.append("record_stride >= 1")
-    if not threshold > 0:
+    if not config.threshold > 0:
         schema_violations.append("threshold > 0")
     if schema_violations:
         raise ValidationError(schema_violations)
     # Constructing a schedule validates milestone ordering and positivity.
-    LrSchedule(base_eta=1.0, milestones=milestones)
+    LrSchedule(base_eta=1.0, milestones=config.milestones)
     _validate_entries(optimizers)
-    return ExperimentConfig(
-        objective=objective,
-        optimizers=optimizers,
-        iterations=iterations,
-        record_stride=record_stride,
-        threshold=threshold,
-        milestones=milestones,
-        output_dir=output_dir,
-    )
+    return config
+
+
+def _objective_kind(spec: ObjectiveSpec) -> tuple:
+    if spec.kind not in OBJECTIVE_KINDS:
+        raise ParseError(f"objective.kind: unknown kind {spec.kind!r}")
+    return OBJECTIVE_KINDS[spec.kind]
 
 
 def default_x0(spec: ObjectiveSpec) -> np.ndarray:
-    """Starting point used when the config gives none.
-
-    Quadratic starts at the all-ones point, the valley benchmark at the
+    """The spec's x0, or its kind's starting point (see OBJECTIVE_KINDS):
+    quadratic starts at the all-ones point, the valley benchmark at the
     classic (-1.2, 1, ..., 1), logistic regression at zero weights.
     """
     if spec.x0 is not None:
         return np.array(spec.x0, dtype=float)
-    if spec.kind == "rosenbrock":
-        x0 = np.ones(spec.dim)
-        x0[0] = -1.2
-        return x0
-    if spec.kind == "logistic":
-        return np.zeros(spec.dim)
-    return np.ones(spec.dim)
+    return _objective_kind(spec)[2](spec.dim)
 
 
 def build_objective(spec: ObjectiveSpec) -> Objective:
     """Materialize the objective named by a spec."""
+    factory, keys, _ = _objective_kind(spec)
     try:
-        if spec.kind == "quadratic":
-            return make_quadratic(spec.dim, spec.cond)
-        if spec.kind == "rosenbrock":
-            return make_rosenbrock(spec.dim)
-        if spec.kind == "logistic":
-            return make_logistic(spec.dim, spec.n_samples, spec.seed)
+        return factory(spec.dim, *(getattr(spec, key) for key in keys))
     except ValueError as exc:
         raise ValidationError([f"objective: {exc}"]) from exc
-    raise ParseError(f"objective.kind: unknown kind {spec.kind!r}")
 
 
 def _safe_name(name: str) -> str:
@@ -363,19 +361,14 @@ def resolve_out_dir(config: ExperimentConfig) -> Path:
     return Path(os.environ.get("SSMOPT_OUT_DIR") or config.output_dir)
 
 
+def _json_value(value):
+    return None if isinstance(value, float) and math.isnan(value) else value
+
+
 def _report_record(report: RunReport) -> dict:
-    diagnostics = {
-        k: (None if isinstance(v, float) and math.isnan(v) else v)
-        for k, v in sorted(report.diagnostics.items())
-    }
-    return {
-        "optimizer": report.optimizer,
-        "best_f": None if math.isnan(report.best_f) else report.best_f,
-        "epoch_of_best": report.epoch_of_best,
-        "final_grad_norm": None if math.isnan(report.final_grad_norm) else report.final_grad_norm,
-        "iters_to_threshold": report.iters_to_threshold,
-        "diagnostics": diagnostics,
-    }
+    record = {c: _json_value(getattr(report, c)) for c in SUMMARY_COLUMNS}
+    record["diagnostics"] = {k: _json_value(v) for k, v in sorted(report.diagnostics.items())}
+    return record
 
 
 def _write_report_json(reports: list[RunReport], path: Path):
@@ -538,20 +531,8 @@ def emit_summary(reports: list[RunReport], path=None) -> str:
     runs last, ties in declaration order. An unreached threshold leaves the
     last field empty. Floats use repr for round-trip-exact parsing.
     """
-    lines = [",".join(SUMMARY_COLUMNS)]
-    for r in _rank_reports(reports):
-        lines.append(
-            ",".join(
-                (
-                    r.optimizer,
-                    _format_cell(r.best_f),
-                    _format_cell(r.epoch_of_best),
-                    _format_cell(r.final_grad_norm),
-                    _format_cell(r.iters_to_threshold),
-                )
-            )
-        )
-    text = "\n".join(lines) + "\n"
+    rows = [SUMMARY_COLUMNS] + [[_format_cell(getattr(r, c)) for c in SUMMARY_COLUMNS] for r in _rank_reports(reports)]
+    text = "".join(",".join(row) + "\n" for row in rows)
     if path is not None:
         Path(path).write_text(text)
     return text

@@ -26,7 +26,7 @@ from ssmopt import (
     step_preset,
     step_sgd_momentum,
 )
-from ssmopt.discrete import BIAS_MODES, run_discrete_batch
+from ssmopt.discrete import BIAS_MODES, KIND_KEYS, run_discrete_batch
 from oracles import discrete_entry_run
 
 ADAMSSM = PresetParams(b3=0.02)
@@ -406,6 +406,11 @@ class TestRunDiscreteBatch:
         # a bad entry cannot reach a batch, so it cannot sink the others
         with pytest.raises(ValueError, match=re.escape(str(BIAS_MODES))):
             OptimizerSpec("adam", "bad", PresetParams(eta=0.01), bias_mode="Paper")
+
+    def test_unknown_kind_rejected_at_construction(self):
+        # a run of no iterations would otherwise report the kind as a clean run
+        with pytest.raises(ValueError, match=re.escape(str(tuple(KIND_KEYS)))):
+            OptimizerSpec("adamw", "bad", PresetParams(eta=0.01))
 
     def test_diverging_row_leaves_at_its_own_iteration(self):
         obj, x0 = discrete_objective("quadratic")

@@ -18,6 +18,7 @@ from oracles import discrete_entry_run
 from ssmopt import RunReport, ValidationError, cli
 from ssmopt.discrete import BIAS_MODES
 from ssmopt.harness import (
+    OBJECTIVE_KINDS,
     PRESET_OPTIMIZER_KINDS,
     SUMMARY_COLUMNS,
     ExperimentConfig,
@@ -32,6 +33,7 @@ from ssmopt.harness import (
     run_experiment,
     run_flows,
 )
+from ssmopt.objectives import make_logistic
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -240,6 +242,49 @@ class TestLoadConfig:
         with pytest.raises(ParseError, match="objective.n_samples: only valid for the logistic"):
             load_config(write_config(tmp_path, payload))
 
+    @pytest.mark.parametrize(
+        "key, owner, kind",
+        [
+            (key, owner, kind)
+            for owner, (_, keys, _) in OBJECTIVE_KINDS.items()
+            for key in keys
+            for kind in OBJECTIVE_KINDS
+            if kind != owner
+        ],
+    )
+    def test_kind_only_key_rejected_under_every_other_kind(self, tmp_path, key, owner, kind):
+        payload = base_payload()
+        payload["objective"] = {"kind": kind, key: getattr(ObjectiveSpec, key)}
+        with pytest.raises(ParseError) as err:
+            load_config(write_config(tmp_path, payload))
+        assert str(err.value) == f"objective.{key}: only valid for the {owner} objective"
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                {"output_dir": 3, "schedule": {"milestones": 3}},
+                "schedule.milestones: expected a list of [iteration, multiplier] pairs",
+            ),
+            (
+                {"objective": {"kind": "rosenbrock", "cond": 10.0, "x0": [1.0]}},
+                "objective.cond: only valid for the quadratic objective",
+            ),
+            (
+                {"objective": {"kind": "quadratic", "cond": "high", "x0": [1.0]}},
+                "objective.x0: expected 2 entries, got 1",
+            ),
+            ({"iterations": "a", "output_dir": 3}, "config.iterations: expected an integer, got str"),
+        ],
+    )
+    def test_first_of_several_faults_is_reported(self, tmp_path, edit, message):
+        # fields are read in a fixed order: objective (kind, keys of other
+        # kinds, dim, x0, its own keys), optimizers, iterations,
+        # record_stride, threshold, schedule, output_dir
+        with pytest.raises(ParseError) as err:
+            load_config(write_config(tmp_path, {**base_payload(), **edit}))
+        assert str(err.value) == message
+
     def test_unknown_objective_kind(self, tmp_path):
         payload = base_payload()
         payload["objective"] = {"kind": "banana"}
@@ -363,7 +408,29 @@ def test_load_config_raises_only_parse_or_validation_errors(payload, tmp_path_fa
         pass
 
 
+DEFAULT_X0_DIM3 = {"quadratic": [1.0, 1.0, 1.0], "rosenbrock": [-1.2, 1.0, 1.0], "logistic": [0.0, 0.0, 0.0]}
+
+
 class TestObjectiveSetup:
+    @pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
+    def test_default_x0_bit_for_bit(self, kind):
+        x0 = default_x0(ObjectiveSpec(kind=kind, dim=3))
+        assert x0.dtype == np.float64
+        assert x0.tobytes() == np.array(DEFAULT_X0_DIM3[kind]).tobytes()
+
+    def test_unknown_kind_raises_instead_of_a_default(self):
+        for use in (default_x0, build_objective):
+            with pytest.raises(ParseError, match="objective.kind: unknown kind 'mlp'"):
+                use(ObjectiveSpec(kind="mlp", dim=3))
+
+    def test_logistic_keys_reach_the_factory_in_order(self):
+        built = build_objective(ObjectiveSpec(kind="logistic", dim=3, n_samples=17, seed=5))
+        direct = make_logistic(3, 17, 5)
+        w = np.array([[0.3, -0.2, 0.1], [1.5, 0.0, -2.0]])
+        for a, b in zip(built.eval_f_grad(w), direct.eval_f_grad(w)):
+            assert a.tobytes() == b.tobytes()
+        assert built.eval_f(w[0]) == direct.eval_f(w[0])
+
     def test_default_starting_points(self):
         assert np.array_equal(default_x0(ObjectiveSpec(kind="quadratic", dim=3)), np.ones(3))
         ros = default_x0(ObjectiveSpec(kind="rosenbrock", dim=4))

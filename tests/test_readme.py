@@ -1,7 +1,11 @@
-"""The quick tour in README.md runs as written."""
+"""The quick tour in README.md runs as written, and its config schema lists
+every kind."""
 
 import re
 from pathlib import Path
+
+from ssmopt.discrete import KIND_KEYS
+from ssmopt.harness import OBJECTIVE_KINDS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -12,3 +16,11 @@ def test_quick_tour_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2
     assert lines[1].endswith(" (4, 2)")
+
+
+def test_config_schema_lists_every_kind():
+    (schema,) = re.findall(r"```jsonc\n(.*?)```", README.read_text(), re.S)
+    # the comment of each "kind" line and the comment-only lines after it
+    comments = re.findall(r'"kind":[^\n]*?//([^\n]*(?:\n\s*//[^\n]*)*)', schema)
+    kinds = [[k.strip() for k in c.replace("//", "|").split("|") if k.strip()] for c in comments]
+    assert kinds == [list(OBJECTIVE_KINDS), list(KIND_KEYS)]
