@@ -215,6 +215,28 @@ class TestPresetMapping:
             preset = ADAMSSM_DEFAULTS if kind is PresetKind.ADABELIEFSSM else ADAM_DEFAULTS
             assert map_preset_to_general(preset, kind).psi_kind is PsiKind.BELIEF
 
+    def test_unknown_kind_rejected(self):
+        for kind in ("adam", None, 3):
+            with pytest.raises(ValueError, match="unknown preset kind"):
+                map_preset_to_general(ADAM_DEFAULTS, kind)
+
+    def test_one_state_kinds_ignore_the_coupling_rate_bit_for_bit(self):
+        for b2 in (0.0067, 0.1, 1e-300):
+            for kind in (PresetKind.ADAM, PresetKind.ADABELIEF):
+                params = map_preset_to_general(PresetParams(b2=b2, b3=0.02), kind)
+                assert np.float64(params.lambda4).tobytes() == np.float64(0.0).tobytes()
+                assert np.float64(params.lambda5).tobytes() == np.float64(b2).tobytes()
+
+    def test_each_moment_kind_gets_its_input(self):
+        psi = {
+            PresetKind.ADAM: PsiKind.SQUARED_GRADIENT,
+            PresetKind.ADABELIEF: PsiKind.BELIEF,
+            PresetKind.ADAMSSM: PsiKind.SQUARED_GRADIENT,
+            PresetKind.ADABELIEFSSM: PsiKind.BELIEF,
+        }
+        for kind, expected in psi.items():
+            assert map_preset_to_general(ADAMSSM_DEFAULTS, kind).psi_kind is expected
+
     def test_gadagrad_mapping_is_uncorrected(self):
         params = map_preset_to_general(PresetParams(c=0.3), PresetKind.GADAGRAD)
         assert not params.bias_correction
