@@ -276,7 +276,8 @@ def load_config(path) -> ExperimentConfig:
     Raises ParseError for structural problems (bad JSON with line/column
     context, non-finite numbers, unknown or missing keys, wrong types) and
     ValidationError, with every named violation across all optimizer
-    entries, for hyperparameters that fail the per-kind conditions.
+    entries, for hyperparameters that fail the per-kind conditions, and
+    only then for an objective that its factory rejects.
     """
     path = Path(path)
     try:
@@ -324,6 +325,8 @@ def load_config(path) -> ExperimentConfig:
     # Constructing a schedule validates milestone ordering and positivity.
     LrSchedule(base_eta=1.0, milestones=config.milestones)
     _validate_entries(optimizers)
+    # last: every fault above is reported first, and each factory states its own conditions
+    build_objective(objective)
     return config
 
 
@@ -408,9 +411,9 @@ def _run_entries(
     diagnose(index, trajectory, report) may add diagnostics to a run that did
     not fail. The reports land in report_name, in declaration order.
     """
+    objective = build_objective(config.objective)
     out = Path(out_dir) if out_dir is not None else resolve_out_dir(config)
     out.mkdir(parents=True, exist_ok=True)
-    objective = build_objective(config.objective)
     specs = [config.optimizers[i] for i in indices]
     try:
         with np.errstate(over="ignore", invalid="ignore"):

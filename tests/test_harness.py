@@ -38,6 +38,15 @@ from ssmopt.objectives import make_logistic
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
+# objectives that parse but that their factory rejects, with the message
+UNBUILDABLE_OBJECTIVES = [
+    pytest.param({"kind": "quadratic", "dim": 0}, "objective: d must be >= 1", id="dim"),
+    pytest.param({"kind": "quadratic", "cond": 0.5}, "objective: condition_number must be >= 1", id="cond"),
+    pytest.param({"kind": "logistic", "n_samples": 0}, "objective: d and n_samples must be >= 1", id="n_samples"),
+    pytest.param({"kind": "rosenbrock", "dim": 1}, "objective: d must be >= 2", id="rosenbrock-dim"),
+]
+
+
 def base_payload():
     return {
         "objective": {"kind": "quadratic", "dim": 2, "cond": 10.0},
@@ -339,6 +348,22 @@ class TestLoadConfig:
         with pytest.raises(ValidationError) as err:
             load_config(write_config(tmp_path, payload))
         assert err.value.violations == ["iterations >= 0", "record_stride >= 1", "threshold > 0"]
+
+    @pytest.mark.parametrize("objective, message", UNBUILDABLE_OBJECTIVES)
+    def test_objective_that_cannot_be_built_rejected(self, tmp_path, objective, message):
+        payload = base_payload()
+        payload["objective"] = objective
+        with pytest.raises(ValidationError) as err:
+            load_config(write_config(tmp_path, payload))
+        assert str(err.value) == f"invalid parameters: {message}"
+
+    def test_entry_violations_precede_the_objective_error(self, tmp_path):
+        payload = base_payload()
+        payload["objective"] = {"kind": "quadratic", "cond": 0.5}
+        payload["optimizers"] = [{"kind": "adam", "b2": 0.9}]
+        with pytest.raises(ValidationError) as err:
+            load_config(write_config(tmp_path, payload))
+        assert err.value.violations == ["optimizers[0]: b2 < b1"]
 
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(ParseError, match="cannot read config file"):
@@ -897,6 +922,32 @@ class TestCli:
         assert "error: invalid parameters: optimizers: at least one entry with a flow counterpart" in (
             capsys.readouterr().err
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["run"], ["flow", "--dt", "0.05", "--t-end", "0.5"]], ids=["run", "flow"])
+    @pytest.mark.parametrize("objective, message", UNBUILDABLE_OBJECTIVES)
+    def test_objective_that_cannot_be_built_creates_no_output(
+        self, capsys, tmp_path, monkeypatch, command, objective, message
+    ):
+        out = tmp_path / "out"
+        monkeypatch.setenv("SSMOPT_OUT_DIR", str(out))
+        payload = base_payload()
+        payload["objective"] = objective
+        command = [command[0], str(write_config(tmp_path, payload)), *command[1:]]
+        assert cli.main(command) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: invalid parameters: {message}\n")
+        assert not out.exists()
+
+    def test_flow_of_heavy_balls_on_a_bad_objective_reports_the_objective(self, capsys, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        monkeypatch.setenv("SSMOPT_OUT_DIR", str(out))
+        payload = base_payload()
+        payload["objective"] = {"kind": "rosenbrock", "dim": 1}
+        payload["optimizers"] = [{"kind": "sgd_momentum"}]
+        rc = cli.main(["flow", str(write_config(tmp_path, payload)), "--dt", "0.05", "--t-end", "0.5"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: invalid parameters: objective: d must be >= 2\n"
         assert not out.exists()
 
     def test_runtime_failures_exit_2(self, capsys, tmp_path, monkeypatch):
