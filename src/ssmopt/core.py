@@ -6,7 +6,9 @@ an exponent c) driving four coupled states per coordinate: the iterate x, a
 first-moment estimate mu, an auxiliary state zeta, and a second-moment estimate
 nu. Named optimizers (gadagrad, adam, adabelief, adamssm, adabeliefssm) are
 presets that map a small set of hyperparameters (b1, b2, b3) onto the general
-parameterization.
+parameterization. map_preset_to_general alone decides which kinds couple nu
+to zeta (b3) and which take the belief input; validate_preset states their
+entry conditions.
 
 A state is one float array with rows x, mu, zeta and nu: shaped (4, d) for
 one state, (R, 4, d) for a batch of R flows and (N, 4, d) for a trajectory
@@ -225,11 +227,13 @@ def validate_preset(preset: PresetParams, kind: PresetKind) -> PresetParams:
 
 
 def map_preset_to_general(preset: PresetParams, kind: PresetKind) -> OptimizerParams:
-    """Express a named optimizer in the general parameterization.
-
-    The returned value satisfies validate_params whenever the preset satisfies
-    validate_preset for its kind.
+    """Express a named optimizer in the general parameterization: only the
+    ssm kinds couple nu to zeta, at the rate lambda4 = b3, and the belief
+    kinds take the belief input. The returned value satisfies validate_params
+    whenever the preset satisfies validate_preset for its kind.
     """
+    if not isinstance(kind, PresetKind):
+        raise ValueError(f"unknown preset kind: {kind!r}")
     if kind is PresetKind.GADAGRAD:
         # lambda1..lambda3 are inert here: mu and zeta are decoupled from x
         # when lambda7 = 0 and lambda4 = 0. Any positive values pass validation.
@@ -239,20 +243,11 @@ def map_preset_to_general(preset: PresetParams, kind: PresetKind) -> OptimizerPa
             lambda7=0.0, lambda8=1.0,
             c=preset.c, psi_kind=PsiKind.SQUARED_GRADIENT,
         )
-    if kind in (PresetKind.ADAM, PresetKind.ADABELIEF):
-        psi = PsiKind.SQUARED_GRADIENT if kind is PresetKind.ADAM else PsiKind.BELIEF
-        return OptimizerParams(
-            lambda1=preset.b1, lambda2=preset.b1, lambda3=preset.b2,
-            lambda4=0.0, lambda5=preset.b2, lambda6=preset.b2,
-            lambda7=1.0, lambda8=0.0,
-            c=0.5, psi_kind=psi,
-        )
-    if kind in (PresetKind.ADAMSSM, PresetKind.ADABELIEFSSM):
-        psi = PsiKind.SQUARED_GRADIENT if kind is PresetKind.ADAMSSM else PsiKind.BELIEF
-        return OptimizerParams(
-            lambda1=preset.b1, lambda2=preset.b1, lambda3=preset.b2,
-            lambda4=preset.b3, lambda5=preset.b2 + preset.b3, lambda6=preset.b2,
-            lambda7=1.0, lambda8=0.0,
-            c=0.5, psi_kind=psi,
-        )
-    raise ValueError(f"unknown preset kind: {kind!r}")
+    b3 = preset.b3 if kind in (PresetKind.ADAMSSM, PresetKind.ADABELIEFSSM) else 0.0
+    belief = kind in (PresetKind.ADABELIEF, PresetKind.ADABELIEFSSM)
+    return OptimizerParams(
+        lambda1=preset.b1, lambda2=preset.b1, lambda3=preset.b2,
+        lambda4=b3, lambda5=preset.b2 + b3, lambda6=preset.b2,
+        lambda7=1.0, lambda8=0.0,
+        c=0.5, psi_kind=PsiKind.BELIEF if belief else PsiKind.SQUARED_GRADIENT,
+    )

@@ -1,11 +1,12 @@
 """Discrete-time optimizers: the one update of the named presets and of the
 heavy-ball baseline, learning-rate schedules, and discrete runs.
 
-An entry is an OptimizerSpec. Runs on one objective step together as one
-packed (R, 4, d) state with rows x, mu, zeta and nu, driven by the run loop
-of flow: the update is one rule over the batch, each row bitwise equal to
-its solo run. step_preset, step_sgd_momentum and run_discrete are the batch
-of one.
+An entry is an OptimizerSpec; a moment row takes its coupling rate b3 and
+its input psi from core.map_preset_to_general. Runs on one objective step
+together as one packed (R, 4, d) state with rows x, mu, zeta and nu, driven
+by the run loop of flow: the update is one rule over the batch, each row
+bitwise equal to its solo run. step_preset, step_sgd_momentum and
+run_discrete are the batch of one.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import PresetKind, PresetParams, PsiKind, ValidationError, map_preset_to_general, moment_bias
+from .core import (
+    PresetKind, PresetParams, PsiKind, ValidationError, map_preset_to_general, moment_bias, validate_preset
+)
 from .flow import RunReport, Trajectory, _only, _pow_rows, _psi, _RowsLeave, _run_rows
 
 BIAS_MODES = ("paper", "beta", "continuous")
@@ -45,7 +48,8 @@ class OptimizerSpec:
 
     kind is a PresetKind value or "sgd_momentum". preset carries the rates
     for the adaptive kinds and the base learning rate eta of every kind;
-    beta is the heavy-ball momentum factor.
+    beta is the heavy-ball momentum factor. KIND_KEYS[kind] lists the keys
+    it reads and violations() names the entry conditions it fails.
     """
 
     kind: str
@@ -60,11 +64,22 @@ class OptimizerSpec:
         if self.bias_mode not in BIAS_MODES:
             raise ValueError(f"bias_mode must be one of {BIAS_MODES}, got {self.bias_mode!r}")
 
+    def violations(self) -> list[str]:
+        """The entry conditions this spec fails, by name: validate_preset's
+        for the presets; 0 <= beta < 1, then eta > 0, for sgd_momentum."""
+        if self.kind == "sgd_momentum":
+            failed = [] if 0.0 <= self.beta < 1.0 else ["0 <= beta < 1"]
+            return failed if self.preset.eta > 0 else failed + ["eta > 0"]
+        try:
+            validate_preset(self.preset, PresetKind(self.kind))
+        except ValidationError as exc:
+            return exc.violations
+        return []
+
 
 _MOMENT_KEYS = ("b1", "b2", "delta", "epsilon", "eta", "bias_mode")
 # Every optimizer kind, in the order messages list them, with the config keys
-# it reads besides kind and name. The moment kinds are the kinds that read
-# b1; the coupled kinds, whose nu update reads b3, are those that read b3.
+# it reads besides kind and name. The moment kinds are the kinds that read b1.
 KIND_KEYS = {
     "gadagrad": ("delta", "epsilon", "eta", "c"),
     "adam": _MOMENT_KEYS,
@@ -74,7 +89,6 @@ KIND_KEYS = {
     "sgd_momentum": ("eta", "beta"),
 }
 _MOMENT_KINDS = tuple(kind for kind, keys in KIND_KEYS.items() if "b1" in keys)
-_COUPLED_KINDS = tuple(kind for kind, keys in KIND_KEYS.items() if "b3" in keys)
 
 
 @dataclass(frozen=True)
@@ -137,20 +151,18 @@ def bias_alpha(preset: PresetParams, iteration: int, bias_mode: str) -> float:
     return b1_corr / b2_corr ** 0.5
 
 
-def _b3(spec: OptimizerSpec) -> float:
-    return spec.preset.b3 if spec.kind in _COUPLED_KINDS else 0.0
-
-
 def _first_step_error(spec: OptimizerSpec) -> Exception | None:
-    """The error the entry's first step raises, if any."""
+    """The error the entry's first step raises, if any: fewer conditions than
+    OptimizerSpec.violations, as a stepper may take b3 = 0 or epsilon = 0."""
     p = spec.preset
     if spec.kind == "sgd_momentum":
         return None if 0.0 <= spec.beta < 1.0 else ValidationError(["0 <= beta < 1"])
     if spec.kind == "gadagrad":
         return None if 0.0 < p.c < 1.0 else ValidationError(["0 < c < 1"])
-    if 1.0 - p.delta * p.b2 - p.delta * _b3(spec) < 0.0:
+    b3 = map_preset_to_general(p, PresetKind(spec.kind)).lambda4
+    if 1.0 - p.delta * p.b2 - p.delta * b3 < 0.0:
         return InstabilityError(
-            f"1 - delta*b2 - delta*b3 >= 0 required (delta={p.delta:g}, b2={p.b2:g}, b3={_b3(spec):g})"
+            f"1 - delta*b2 - delta*b3 >= 0 required (delta={p.delta:g}, b2={p.b2:g}, b3={b3:g})"
         )
     return None
 
@@ -191,16 +203,15 @@ class _DiscreteBatch:
             return (rows if index else None), [specs[i] for i in index]
 
         self.moment, self.moment_specs = group(_MOMENT_KINDS)
-        ps = [(spec.preset, _b3(spec)) for spec in self.moment_specs]
+        ps = [(spec.preset, map_preset_to_general(spec.preset, PresetKind(spec.kind))) for spec in self.moment_specs]
         self.keep1 = _column(p.beta1 for p, _ in ps)
         self.gain1 = _column(p.delta * p.b1 for p, _ in ps)
         self.keep2 = _column(p.beta2 for p, _ in ps)
         self.gain2 = _column(p.delta * p.b2 for p, _ in ps)
-        self.couple = _column(p.delta * b3 for p, b3 in ps)
-        self.keep_nu = _column(1.0 - p.delta * p.b2 - p.delta * b3 for p, b3 in ps)
+        self.couple = _column(p.delta * q.lambda4 for p, q in ps)
+        self.keep_nu = _column(1.0 - p.delta * p.b2 - p.delta * q.lambda4 for p, q in ps)
         self.moment_epsilon = _column(p.epsilon for p, _ in ps)
-        psis = [map_preset_to_general(spec.preset, PresetKind(spec.kind)).psi_kind for spec in self.moment_specs]
-        belief = [psi is PsiKind.BELIEF for psi in psis]
+        belief = [q.psi_kind is PsiKind.BELIEF for _, q in ps]
         self.belief = np.array(belief)[:, None] if any(belief) else None
         keys = [(q.preset.b1, q.preset.b2, q.preset.delta, q.bias_mode) for q in self.moment_specs]
         distinct = list(dict.fromkeys(keys))

@@ -35,10 +35,9 @@ errors):
 Objective kinds are one table, OBJECTIVE_KINDS, as optimizer kinds are
 discrete.KIND_KEYS: each kind's factory, its own keys and its default x0.
 
-An entry takes only the keys its kind reads, besides kind and name:
-gadagrad delta, epsilon, eta and c; adam and adabelief b1, b2, delta,
-epsilon, eta and bias_mode; adamssm and adabeliefssm those and b3;
-sgd_momentum eta and beta. Any other key is a ParseError.
+An entry takes only the keys its kind reads besides kind and name, those
+of discrete.KIND_KEYS; any other key is a ParseError. The conditions an
+entry must meet are OptimizerSpec.violations.
 
 An ssm-kind entry with b3 exactly 0 is canonicalized to the matching
 non-ssm kind before validation: the dynamics coincide exactly at b3 = 0, so
@@ -61,20 +60,12 @@ from typing import Callable, Collection, Optional
 
 import numpy as np
 
-from .core import (
-    PresetKind,
-    PresetParams,
-    ValidationError,
-    validate_preset,
-)
-from .discrete import BIAS_MODES, KIND_KEYS, LrSchedule, OptimizerSpec, _COUPLED_KINDS, run_discrete_batch
+from .core import PresetKind, PresetParams, ValidationError
+from .discrete import BIAS_MODES, KIND_KEYS, LrSchedule, OptimizerSpec, run_discrete_batch
 from .flow import RunReport, _integrate_rows, gadagrad_energy_residual, preset_flow, rk4_step
 from .objectives import Objective, make_logistic, make_quadratic, make_rosenbrock
 
 SUMMARY_COLUMNS = ("optimizer", "best_f", "epoch_of_best", "final_grad_norm", "iters_to_threshold")
-
-PRESET_OPTIMIZER_KINDS = tuple(kind.value for kind in PresetKind)
-OPTIMIZER_KINDS = tuple(KIND_KEYS)
 
 # nu(0) used when integrating the continuous-time counterpart of an entry.
 # The discrete steppers start at nu = 0, but the flows require nu(0) > 0.
@@ -199,7 +190,7 @@ def _parse_objective(raw: dict) -> ObjectiveSpec:
 def _parse_optimizer(raw: dict, index: int) -> OptimizerSpec:
     path = f"optimizers[{index}]"
     _check_keys(raw, {"kind", "name"}.union(*KIND_KEYS.values()), ("kind",), path)
-    kind = _get_str(raw, "kind", "", path, OPTIMIZER_KINDS)
+    kind = _get_str(raw, "kind", "", path, tuple(KIND_KEYS))
     for key in raw:
         if key not in ("kind", "name") and key not in KIND_KEYS[kind]:
             raise ParseError(f"{path}.{key}: not valid for {kind}")
@@ -209,7 +200,7 @@ def _parse_optimizer(raw: dict, index: int) -> OptimizerSpec:
         raise ParseError(f"{path}.name: a comma, double quote, CR or LF would break summary.csv, got {name!r}")
     # An ssm entry with the coupling rate at exactly zero has the same
     # dynamics as its one-state counterpart; validate and run it as such.
-    if kind in _COUPLED_KINDS and preset.b3 == 0.0:
+    if "b3" in KIND_KEYS[kind] and preset.b3 == 0.0:
         kind = kind.removesuffix("ssm")
     return OptimizerSpec(
         kind=kind,
@@ -243,20 +234,9 @@ def _parse_milestones(raw: dict) -> tuple[tuple[int, float], ...]:
 
 
 def _validate_entries(optimizers: tuple[OptimizerSpec, ...]):
-    """Run preset validation on every entry, aggregating named violations."""
-    violations: list[str] = []
-    for i, spec in enumerate(optimizers):
-        prefix = f"optimizers[{i}]"
-        if spec.kind == "sgd_momentum":
-            if not 0.0 <= spec.beta < 1.0:
-                violations.append(f"{prefix}: 0 <= beta < 1")
-            if not spec.preset.eta > 0:
-                violations.append(f"{prefix}: eta > 0")
-            continue
-        try:
-            validate_preset(spec.preset, PresetKind(spec.kind))
-        except ValidationError as exc:
-            violations.extend(f"{prefix}: {name}" for name in exc.violations)
+    """Every entry's failed conditions (see OptimizerSpec.violations), named
+    by the entry, in one ValidationError."""
+    violations = [f"optimizers[{i}]: {name}" for i, spec in enumerate(optimizers) for name in spec.violations()]
     if violations:
         raise ValidationError(violations)
 

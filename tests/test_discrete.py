@@ -426,6 +426,24 @@ class TestRunDiscreteBatch:
             assert_same_run(got, want)
 
 
+class TestEntryConditions:
+    @pytest.mark.parametrize(
+        "kind, preset, beta, failed",
+        [
+            ("sgd_momentum", PresetParams(eta=0.0), 1.0, ["0 <= beta < 1", "eta > 0"]),
+            ("gadagrad", PresetParams(delta=0.0, c=1.0), 0.9, ["delta > 0", "0 < c < 1"]),
+            ("adam", PresetParams(b2=0.9), 0.9, ["b2 < b1"]),
+            ("adamssm", PresetParams(b3=5.0), 0.9, ["b2 + b3 < 4*b1"]),
+        ],
+    )
+    def test_failed_conditions_named_in_order(self, kind, preset, beta, failed):
+        assert OptimizerSpec(kind, kind, preset, beta=beta).violations() == failed
+
+    @pytest.mark.parametrize("kind", KIND_KEYS)
+    def test_default_rates_fail_nothing(self, kind):
+        assert OptimizerSpec(kind, kind, ADAMSSM).violations() == []
+
+
 class TestBatchBookkeeping:
     """The run loop evaluates f, the gradients and their norms once per step
     for the whole batch, and summarizes every row like its solo run."""

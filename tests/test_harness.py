@@ -15,11 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import discrete_entry_run
-from ssmopt import RunReport, ValidationError, cli
+from ssmopt import PresetKind, RunReport, ValidationError, cli
 from ssmopt.discrete import BIAS_MODES
 from ssmopt.harness import (
     OBJECTIVE_KINDS,
-    PRESET_OPTIMIZER_KINDS,
     SUMMARY_COLUMNS,
     ExperimentConfig,
     ObjectiveSpec,
@@ -130,6 +129,9 @@ class TestLoadConfig:
         payload["optimizers"] = [
             {"kind": "adam", "b1": 0.5, "b2": 0.6},
             {"kind": "sgd_momentum", "beta": 1.0, "eta": 0.0},
+            {"kind": "gadagrad", "delta": 0, "c": 1.0},
+            {"kind": "adamssm", "b3": 5.0},
+            {"kind": "adabeliefssm", "b3": -0.1, "eta": 0, "b1": 1.0},
         ]
         with pytest.raises(ValidationError) as err:
             load_config(write_config(tmp_path, payload))
@@ -137,6 +139,12 @@ class TestLoadConfig:
             "optimizers[0]: b2 < b1",
             "optimizers[1]: 0 <= beta < 1",
             "optimizers[1]: eta > 0",
+            "optimizers[2]: delta > 0",
+            "optimizers[2]: 0 < c < 1",
+            "optimizers[3]: b2 + b3 < 4*b1",
+            "optimizers[4]: eta > 0",
+            "optimizers[4]: b1 < 1",
+            "optimizers[4]: b3 > 0",
         ]
 
     def test_wrong_types_reported_with_path(self, tmp_path):
@@ -403,7 +411,7 @@ def config_payloads():
     )
     optimizer = st.one_of(
         entry(
-            {"kind": st.sampled_from(PRESET_OPTIMIZER_KINDS)},
+            {"kind": st.sampled_from([kind.value for kind in PresetKind])},
             ("name", "b1", "b2", "b3", "delta", "epsilon", "eta", "c", "bias_mode"),
             name=st.text(max_size=3),
             bias_mode=st.sampled_from(BIAS_MODES),

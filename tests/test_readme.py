@@ -1,5 +1,5 @@
-"""The quick tour in README.md runs as written, and its config schema lists
-every kind."""
+"""The quick tour in README.md runs as written, its config schema lists
+every kind, and its table of each optimizer kind's keys is KIND_KEYS."""
 
 import re
 from pathlib import Path
@@ -24,3 +24,14 @@ def test_config_schema_lists_every_kind():
     comments = re.findall(r'"kind":[^\n]*?//([^\n]*(?:\n\s*//[^\n]*)*)', schema)
     kinds = [[k.strip() for k in c.replace("//", "|").split("|") if k.strip()] for c in comments]
     assert kinds == [list(OBJECTIVE_KINDS), list(KIND_KEYS)]
+
+
+def test_keys_table_matches_kind_keys():
+    # the table after "Besides `kind` and `name`"; "the same" repeats the row above
+    table = README.read_text().split("Besides `kind` and `name`")[1].split("\n\n")[1]
+    rows, keys = [], []
+    for row in table.splitlines()[2:]:
+        kinds, cell = row.strip("|").split("|")
+        keys = (keys if "the same" in cell else []) + re.findall(r"`(\w+)`", cell)
+        rows += [(kind, tuple(keys)) for kind in re.findall(r"`(\w+)`", kinds)]
+    assert rows == list(KIND_KEYS.items())
