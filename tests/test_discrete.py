@@ -27,7 +27,7 @@ from ssmopt import (
     step_sgd_momentum,
 )
 from ssmopt.discrete import BIAS_MODES, KIND_KEYS, run_discrete_batch
-from oracles import discrete_entry_run
+from oracles import discrete_entry_run, logistic_problem
 
 ADAMSSM = PresetParams(b3=0.02)
 
@@ -424,6 +424,48 @@ class TestRunDiscreteBatch:
         assert k < 200 and traj.times[-1] == k
         for got, want in zip(results, solos):
             assert_same_run(got, want)
+
+
+class TestBatchEqualsTheOracle:
+    """A batch in the row order of a compare config (gadagrad, the four
+    moment kinds, heavy ball), so the moment rows are an index array and not
+    a slice, at d = 100: every recorded row equals the sequential oracle bit
+    for bit, before and after a diverging row leaves."""
+
+    def test_rows_equal_the_oracle_after_a_row_leaves(self):
+        obj, x0 = make_logistic(100, 200, 3), np.zeros(100)
+        f, grad = logistic_problem(100, 200, 3)
+        entries = [{"kind": "gadagrad", "c": 0.5, "delta": 0.15, "epsilon": 1e-8, "eta": 0.5}]
+        # three bias groups, so the denominators differ by row
+        for kind, mode in zip(("adam", "adabelief", "adamssm", "adabeliefssm"), BIAS_MODES + ("paper",)):
+            entries.append({
+                "kind": kind, "b1": 0.67, "b2": 0.0067, "b3": 0.02, "delta": 0.15,
+                "epsilon": 1e-8, "eta": 0.05, "bias_mode": mode,
+            })
+        # overflows f at iteration 34, off the stride: x grows about 500-fold per step
+        entries.append({"kind": "sgd_momentum", "beta": 0.9, "eta": 1e8})
+        specs = [
+            OptimizerSpec(e["kind"], e["kind"], PresetParams(**{
+                k: v for k, v in e.items() if k in ("b1", "b2", "b3", "c", "delta", "epsilon", "eta")
+            }), e.get("bias_mode", "paper"), e.get("beta", 0.9))
+            for e in entries
+        ]
+        n, milestones = 60, ((20, 0.5), (40, 0.1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            results = run_discrete_batch(specs, obj, x0, n, milestones, record_stride=3)
+            for entry, (traj, report) in zip(entries, results):
+                rows = discrete_entry_run(entry, grad, x0, n, milestones)
+                k_end = report.diagnostics.get("diverged_at", n)
+                at = [*range(0, k_end, 3), k_end]
+                assert traj.times.tolist() == at, entry["kind"]
+                want = [rows[k] for k in at]
+                assert traj.states.tobytes() == np.array([row[1:] for row in want]).tobytes()
+                assert traj.alpha_values.tobytes() == np.array([row[0] for row in want]).tobytes()
+                fs = [f(row[1]) for row in want]
+                norms = [float(np.linalg.norm(grad(row[1]))) for row in want]
+                assert traj.f_values[:-1].tobytes() == np.array(fs[:-1]).tobytes()
+                assert traj.grad_norms[:-1].tobytes() == np.array(norms[:-1]).tobytes()
+        assert [report.diagnostics.get("diverged_at") for _, report in results] == [None] * 5 + [34]
 
 
 class TestEntryConditions:
