@@ -13,7 +13,7 @@ The package has three layers:
   JSON-config experiment harness with a CLI (harness, cli).
 
 Flows and discrete runs share one run loop (flow), which advances many runs
-on one objective as a packed (R, 4, d) batch and keeps one store of every
+on one objective as a packed (4, R, d) batch and keeps one store of every
 row's records and summary per batch. A flow fails, like a diverging discrete
 run, when its state turns non-finite; its nu0 must be finite and positive.
 """

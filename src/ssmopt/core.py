@@ -11,9 +11,10 @@ to zeta (b3) and which take the belief input; validate_preset states their
 entry conditions.
 
 A state is one float array with rows x, mu, zeta and nu: shaped (4, d) for
-one state, (R, 4, d) for a batch of R flows and (N, 4, d) for a trajectory
-of N records. Its time (physical time for a flow, the iteration count for a
-discrete run) travels beside it.
+one state and (N, 4, d) for a trajectory of N records. A batch of R runs is
+component-major, (4, R, d), so that the x, mu, zeta and nu of all its rows
+are each one contiguous (R, d) block. Its time (physical time for a flow,
+the iteration count for a discrete run) travels beside it.
 
 All types here are immutable after construction and safe to share between
 concurrently running experiments.

@@ -3,10 +3,10 @@ heavy-ball baseline, learning-rate schedules, and discrete runs.
 
 An entry is an OptimizerSpec; a moment row takes its coupling rate b3 and
 its input psi from core.map_preset_to_general. Runs on one objective step
-together as one packed (R, 4, d) state with rows x, mu, zeta and nu, driven
-by the run loop of flow: the update is one rule over the batch, each row
-bitwise equal to its solo run. step_preset, step_sgd_momentum and
-run_discrete are the batch of one.
+together as one packed (4, R, d) state whose (R, d) blocks are x, mu, zeta
+and nu, driven by the run loop of flow: the update is one rule over the
+batch, each row bitwise equal to its solo run. step_preset,
+step_sgd_momentum and run_discrete are the batch of one.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from .core import (
     PresetKind, PresetParams, PsiKind, ValidationError, map_preset_to_general, moment_bias, validate_preset
 )
-from .flow import RunReport, Trajectory, _only, _pow_rows, _psi, _RowsLeave, _run_rows
+from .flow import RunReport, Trajectory, _full, _only, _pow_rows, _psi, _RowsLeave, _run_rows
 
 BIAS_MODES = ("paper", "beta", "continuous")
 
@@ -98,7 +98,8 @@ class LrSchedule:
     milestones is a sequence of (iteration, multiplier) pairs with strictly
     increasing, nonnegative iterations and positive multipliers; all
     milestones at or before the current iteration apply cumulatively.
-    base_eta is a float, or an (R, 1) column of them for a batch of runs.
+    base_eta is a float, or an (R, d) array of them for a batch of runs,
+    each row at the shape of the block it scales.
     """
 
     base_eta: float
@@ -167,33 +168,28 @@ def _first_step_error(spec: OptimizerSpec) -> Exception | None:
     return None
 
 
-def _column(values) -> np.ndarray:
-    """Per-row rates as an (R, 1) column, or as a 0-d array for a single row:
-    the same arithmetic, at half the cost of broadcasting a (1, 1) array."""
-    column = np.array(list(values), dtype=float)
-    return column.reshape(()) if len(column) == 1 else column[:, None]
-
-
 class _DiscreteBatch:
-    """Discrete runs stepped together as a packed (R, 4, d) state whose rows
-    are x, mu, zeta and nu: the discrete rule of flow._run_rows.
+    """Discrete runs of dimension dim stepped together as a packed (4, R, d)
+    state whose blocks are x, mu, zeta and nu: the discrete rule of
+    flow._run_rows.
 
     The rows fall into three masked groups, the moment kinds, gadagrad and
-    sgd_momentum, each with its rates as (R, 1) columns, so every row goes
-    through exactly the arithmetic of its solo run. The bias denominators
-    are Python scalars, computed once per step for each distinct (b1, b2,
-    delta, bias_mode) and spread to its rows, and nu ** c is applied per
-    group of rows sharing c. A row whose first step raises keeps that error
-    in errors.
+    sgd_momentum, each with its rates and masks at the full (n, d) shape of
+    its group's blocks, so each operation is one numpy call on operands of
+    one shape and every row goes through exactly the arithmetic of its solo
+    run. The bias denominators are Python scalars, computed once per step
+    for each distinct (b1, b2, delta, bias_mode) and spread to its rows, and
+    nu ** c is applied per group of rows sharing c. A row whose first step
+    raises keeps that error in errors.
     """
 
     dt = 1
     every_step = True
 
-    def __init__(self, specs: list[OptimizerSpec], milestones=()):
+    def __init__(self, specs: list[OptimizerSpec], dim: int, milestones=()):
         self.specs = specs
-        # an (R, 1) column even for one row: update takes it by row group
-        self.schedule = LrSchedule(np.array([[spec.preset.eta] for spec in specs], dtype=float), milestones)
+        self.dim = dim
+        self.schedule = LrSchedule(_full([spec.preset.eta for spec in specs], dim), milestones)
         self.errors = {i: e for i, e in enumerate(map(_first_step_error, specs)) if e is not None}
 
         def group(kinds):
@@ -204,85 +200,90 @@ class _DiscreteBatch:
 
         self.moment, self.moment_specs = group(_MOMENT_KINDS)
         ps = [(spec.preset, map_preset_to_general(spec.preset, PresetKind(spec.kind))) for spec in self.moment_specs]
-        self.keep1 = _column(p.beta1 for p, _ in ps)
-        self.gain1 = _column(p.delta * p.b1 for p, _ in ps)
-        self.keep2 = _column(p.beta2 for p, _ in ps)
-        self.gain2 = _column(p.delta * p.b2 for p, _ in ps)
-        self.couple = _column(p.delta * q.lambda4 for p, q in ps)
-        self.keep_nu = _column(1.0 - p.delta * p.b2 - p.delta * q.lambda4 for p, q in ps)
-        self.moment_epsilon = _column(p.epsilon for p, _ in ps)
+        self.keep1 = _full([p.beta1 for p, _ in ps], dim)
+        self.gain1 = _full([p.delta * p.b1 for p, _ in ps], dim)
+        self.keep2 = _full([p.beta2 for p, _ in ps], dim)
+        self.gain2 = _full([p.delta * p.b2 for p, _ in ps], dim)
+        self.couple = _full([p.delta * q.lambda4 for p, q in ps], dim)
+        self.keep_nu = _full([1.0 - p.delta * p.b2 - p.delta * q.lambda4 for p, q in ps], dim)
+        self.moment_epsilon = _full([p.epsilon for p, _ in ps], dim)
         belief = [q.psi_kind is PsiKind.BELIEF for _, q in ps]
-        self.belief = np.array(belief)[:, None] if any(belief) else None
+        self.belief = _full(belief, dim, bool) if any(belief) else None
         keys = [(q.preset.b1, q.preset.b2, q.preset.delta, q.bias_mode) for q in self.moment_specs]
         distinct = list(dict.fromkeys(keys))
         self.bias_specs = [self.moment_specs[keys.index(key)] for key in distinct]
-        self.bias_of = np.array([distinct.index(key) for key in keys], dtype=int)
+        self.bias_of = _full([distinct.index(key) for key in keys], dim, int)
         self.accumulate, accumulators = group(("gadagrad",))
-        self.acc_delta = _column(spec.preset.delta for spec in accumulators)
-        self.acc_epsilon = _column(spec.preset.epsilon for spec in accumulators)
+        self.acc_delta = _full([spec.preset.delta for spec in accumulators], dim)
+        self.acc_epsilon = _full([spec.preset.epsilon for spec in accumulators], dim)
         self.acc_c = [spec.preset.c for spec in accumulators]
         self.heavy_ball, heavy_balls = group(("sgd_momentum",))
-        self.beta = _column(spec.beta for spec in heavy_balls)
+        self.beta = _full([spec.beta for spec in heavy_balls], dim)
 
     def select(self, keep: np.ndarray) -> _DiscreteBatch:
-        return _DiscreteBatch([spec for spec, kept in zip(self.specs, keep) if kept], self.schedule.milestones)
+        specs = [spec for spec, kept in zip(self.specs, keep) if kept]
+        return _DiscreteBatch(specs, self.dim, self.schedule.milestones)
 
-    def alpha(self, rows: np.ndarray, k: int) -> list[float]:
-        specs = [self.specs[i] for i in rows]
-        return [bias_alpha(q.preset, k, q.bias_mode) if q.kind in _MOMENT_KINDS else 1.0 for q in specs]
+    def alpha(self, rows, k: int) -> np.ndarray:
+        alphas = [bias_alpha(q.preset, k, q.bias_mode) if q.kind in _MOMENT_KINDS else 1.0 for q in self.specs]
+        return np.array(alphas)[rows]
 
     def step(self, s: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
         if self.errors:
-            raise _RowsLeave(np.isin(np.arange(len(s)), list(self.errors)), list(self.errors.values()))
+            raise _RowsLeave(np.isin(np.arange(s.shape[1]), list(self.errors)), list(self.errors.values()))
         return self.update(s, g, self.schedule.eta_at(k), k)
 
     def update(self, s: np.ndarray, g: np.ndarray, eta: np.ndarray, k: int) -> np.ndarray:
         """Iteration k of every row from its gradient g, with the learning
-        rates eta as an (R, 1) column (see step_preset, step_sgd_momentum)."""
+        rates eta at the (R, d) shape of g (see step_preset,
+        step_sgd_momentum)."""
         out = s.copy()
         rows = self.moment
         if rows is not None:
-            x, mu, zeta, nu, gm = s[rows, 0], s[rows, 1], s[rows, 2], s[rows, 3], g[rows]
+            x, mu, zeta, nu, gm = s[0, rows], s[1, rows], s[2, rows], s[3, rows], g[rows]
             mu_new = self.keep1 * mu + self.gain1 * gm
             zeta_new = self.keep2 * zeta + self.gain2 * nu
             nu_new = self.couple * zeta + self.keep_nu * nu + self.gain2 * _psi(gm, mu_new, self.belief)
             bias = [bias_denominators(q.preset, k, q.bias_mode) for q in self.bias_specs]
             # one shared pair divides as Python scalars, the same arithmetic
-            # as (R, 1) columns at a fraction of the cost
-            b1_corr, b2_corr = bias[0] if len(bias) == 1 else np.array(bias)[self.bias_of].T[:, :, None]
+            # as full arrays at a fraction of the cost
+            b1_corr, b2_corr = bias[0] if len(bias) == 1 else np.array(bias).T[:, self.bias_of]
             mu_hat = mu_new / b1_corr
             nu_hat = nu_new / b2_corr
-            out[rows, 0] = x - eta[rows] * (mu_hat / (np.sqrt(nu_hat) + self.moment_epsilon))
-            out[rows, 1], out[rows, 2], out[rows, 3] = mu_new, zeta_new, nu_new
+            out[0, rows] = x - eta[rows] * (mu_hat / (np.sqrt(nu_hat) + self.moment_epsilon))
+            out[1, rows], out[2, rows], out[3, rows] = mu_new, zeta_new, nu_new
         rows = self.accumulate
         if rows is not None:
             ga = g[rows]
-            nu_new = s[rows, 3] + self.acc_delta * (ga * ga)
+            nu_new = s[3, rows] + self.acc_delta * (ga * ga)
             denom = _pow_rows(nu_new, self.acc_c) + self.acc_epsilon
             direction = np.divide(ga, denom, out=np.zeros_like(ga), where=denom > 0)
-            out[rows, 0] = s[rows, 0] - (self.acc_delta * eta[rows]) * direction
-            out[rows, 3] = nu_new
+            out[0, rows] = s[0, rows] - (self.acc_delta * eta[rows]) * direction
+            out[3, rows] = nu_new
         rows = self.heavy_ball
         if rows is not None:
-            m_new = self.beta * s[rows, 1] + g[rows]
-            out[rows, 0] = s[rows, 0] - eta[rows] * m_new
-            out[rows, 1] = m_new
+            m_new = self.beta * s[1, rows] + g[rows]
+            out[0, rows] = s[0, rows] - eta[rows] * m_new
+            out[1, rows] = m_new
         return out
 
 
 @lru_cache(maxsize=64)
-def _batch_of_one(*spec_args, **spec_kwargs) -> _DiscreteBatch:
-    # update only reads the batch, so one per entry serves every step; keyed
-    # by the OptimizerSpec arguments, which hash faster than the spec
-    return _DiscreteBatch([OptimizerSpec(*spec_args, **spec_kwargs)])
+def _batch_of_one(dim: int, *spec_args, **spec_kwargs) -> _DiscreteBatch:
+    # update only reads the batch, so one per entry and dimension serves
+    # every step; keyed by the OptimizerSpec arguments, which hash faster
+    # than the spec
+    return _DiscreteBatch([OptimizerSpec(*spec_args, **spec_kwargs)], dim)
 
 
-def _step_one(batch: _DiscreteBatch, state: np.ndarray, grad, eta: float, k: int) -> np.ndarray:
+def _step_one(state: np.ndarray, grad, eta: float, k: int, *spec_args, **spec_kwargs) -> np.ndarray:
+    g = np.asarray(grad, dtype=float)
+    batch = _batch_of_one(g.shape[-1], *spec_args, **spec_kwargs)
     if batch.errors:
         # a fresh error each call: the cached one would collect tracebacks
         raise _first_step_error(batch.specs[0])
-    g = np.asarray(grad, dtype=float)
-    return batch.update(np.asarray(state, dtype=float)[None], g[None], np.array([[eta]], dtype=float), k)[0]
+    s = np.asarray(state, dtype=float)[:, None]
+    return batch.update(s, g[None], np.full(s.shape[1:], eta, dtype=float), k)[:, 0]
 
 
 def step_preset(
@@ -317,7 +318,7 @@ def step_preset(
     bitwise. Raises InstabilityError when 1 - delta*b2 - delta*b3 < 0.
     """
     name = kind.value
-    return _step_one(_batch_of_one(name, name, preset, bias_mode), state, grad, eta, k)
+    return _step_one(state, grad, eta, k, name, name, preset, bias_mode)
 
 
 def step_sgd_momentum(state: np.ndarray, grad, eta: float, k: int, beta: float) -> np.ndarray:
@@ -327,7 +328,7 @@ def step_sgd_momentum(state: np.ndarray, grad, eta: float, k: int, beta: float) 
     The momentum buffer lives in the mu row; beta = 0 is plain gradient
     descent.
     """
-    return _step_one(_batch_of_one("sgd_momentum", "sgd_momentum", PresetParams(), beta=beta), state, grad, eta, k)
+    return _step_one(state, grad, eta, k, "sgd_momentum", "sgd_momentum", PresetParams(), beta=beta)
 
 
 def run_discrete_batch(
@@ -348,8 +349,8 @@ def run_discrete_batch(
     """
     if num_iters < 0:
         raise ValueError("num_iters must be nonnegative")
-    s = np.array([initial_stepper_state(x0)] * len(specs))
-    rule = _DiscreteBatch(specs, milestones)
+    s = np.repeat(initial_stepper_state(x0)[:, None], len(specs), axis=1)
+    rule = _DiscreteBatch(specs, s.shape[2], milestones)
     return _run_rows(rule, s, objective, num_iters, record_stride, threshold, [spec.name for spec in specs])
 
 

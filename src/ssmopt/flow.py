@@ -2,7 +2,8 @@
 
 A state is a (4, d) array with rows x, mu, zeta and nu, as in core. Runs on
 one objective, flows or discrete runs (see discrete), advance together as
-one packed (R, 4, d) batch through one loop, _run_rows. It records,
+one packed (4, R, d) batch, whose contiguous (R, d) blocks s[0] .. s[3] are
+the x, mu, zeta and nu of every row, through one loop, _run_rows. It records,
 summarizes and reports every row like its solo run in one store per batch,
 RunStore, which hands back each row's Trajectory and RunReport; a solo run
 is the batch of one. A flow whose state turns non-finite fails like a
@@ -84,14 +85,17 @@ class _LeftDomain(DomainError):
 
 
 class _Batch:
-    """Flows on one objective, integrated together as a packed (R, 4, d)
-    state whose rows are x, mu, zeta and nu: the flow rule of _run_rows.
+    """Flows on one objective, integrated together as a packed (4, R, d)
+    state whose blocks are x, mu, zeta and nu: the flow rule of _run_rows.
 
-    The rates are two (R, 4, 1) coefficient arrays, so every row goes
-    through exactly the scalar arithmetic of its own flow and matches its
-    solo run bitwise. alpha_g runs once per time for each group of rows
-    sharing its rates (lambda7 == 0, or lambda2, lambda6 and c), and nu ** c
-    once for each group of rows sharing c.
+    Every rate and mask has the full shape of the block it multiplies: two
+    (4, R, d) coefficient arrays, and (R, d) arrays for lambda6, the belief
+    mask and alpha. So each operation of a step is one numpy call on
+    contiguous operands of one shape, and every row goes through exactly the
+    scalar arithmetic of its own flow and matches its solo run bitwise.
+    alpha_g runs once per time for each group of rows sharing its rates
+    (lambda7 == 0, or lambda2, lambda6 and c), and nu ** c once for each
+    group of rows sharing c.
     """
 
     every_step = False
@@ -103,64 +107,73 @@ class _Batch:
         self.dt = dt
         self.grad = problems[0].objective.eval_grad if problems else None
         ps = [p.params for p in problems]
-        # rows [l7*mu, -l1*mu, -l3*zeta, l4*zeta] + [l8*g, l2*g, l3*nu, -l5*nu]:
+        dim = problems[0].objective.dim if problems else 0
+        # blocks [l7*mu, -l1*mu, -l3*zeta, l4*zeta] + [l8*g, l2*g, l3*nu, -l5*nu]:
         # the numerator of dx and the linear parts of dmu, dzeta and dnu
-        self.moment_coef = np.array([[p.lambda7, -p.lambda1, -p.lambda3, p.lambda4] for p in ps]).reshape(-1, 4, 1)
-        self.input_coef = np.array([[p.lambda8, p.lambda2, p.lambda3, -p.lambda5] for p in ps]).reshape(-1, 4, 1)
-        self.l6 = np.array([p.lambda6 for p in ps])[:, None]
+        moment = [[p.lambda7, -p.lambda1, -p.lambda3, p.lambda4] for p in ps]
+        inputs = [[p.lambda8, p.lambda2, p.lambda3, -p.lambda5] for p in ps]
+        self.moment_coef = _full(np.reshape(moment, (-1, 4)).T, dim)
+        self.input_coef = _full(np.reshape(inputs, (-1, 4)).T, dim)
+        self.l6 = _full([p.lambda6 for p in ps], dim)
         belief = [p.psi_kind is PsiKind.BELIEF for p in ps]
-        self.belief = np.array(belief)[:, None] if any(belief) else None
+        self.belief = _full(belief, dim, bool) if any(belief) else None
         self.cs = [p.c for p in ps]
         keys = [p.lambda7 == 0 or (p.lambda2, p.lambda6, p.c) for p in ps]
         distinct = list(dict.fromkeys(keys))
         self.alpha_params = [ps[keys.index(key)] for key in distinct]
-        self.alpha_of = np.array([[distinct.index(key)] for key in keys])
+        self.alpha_of = _full([distinct.index(key) for key in keys], dim, int)
         # the last time asked: RK4 asks t0 + h twice, and (k+1)*dt for the next record and step
         self.alpha_at = (None, None)
 
     def select(self, keep: np.ndarray) -> _Batch:
         return _Batch([p for p, kept in zip(self.problems, keep) if kept], self.scheme, self.dt)
 
-    def alpha_column(self, t: float) -> np.ndarray:
-        """alpha_g at time t of every row, an (R, 1) column: read only."""
+    def alpha_block(self, t: float) -> np.ndarray:
+        """alpha_g at time t of every row, spread to (R, d): read only."""
         if self.alpha_at[0] != t:
             self.alpha_at = t, np.array([alpha_g(t, p) for p in self.alpha_params])[self.alpha_of]
         return self.alpha_at[1]
 
-    def alpha(self, rows: np.ndarray, k: int) -> np.ndarray:
-        return self.alpha_column(k * self.dt)[rows, 0]
+    def alpha(self, rows, k: int) -> np.ndarray:
+        return self.alpha_block(k * self.dt)[rows, 0]
 
     def step(self, s: np.ndarray, g, k: int) -> np.ndarray:
-        """One step of the scheme from t = k*dt. Rows whose nu leaves the
-        positive domain, at a stage or after the step, leave the batch with
-        the StepFailure of their solo run."""
+        """One step of the scheme from t = k*dt, g being the gradients at s
+        or None. Rows whose nu leaves the positive domain, at a stage or
+        after the step, leave the batch with the StepFailure of their solo
+        run."""
         try:
-            s_new = self.scheme(self, s, k, self.dt)
+            s_new = self.scheme(self, s, k, self.dt, g)
         except _LeftDomain as exc:
             message = f"stage evaluation left the domain: {exc}"
-            raise _RowsLeave(exc.rows, [StepFailure(k * self.dt, s[i], message) for i in np.flatnonzero(exc.rows)])
-        if np.fmin.reduce(s_new[:, 3], None) <= 0:
-            rows = np.any(s_new[:, 3] <= 0, axis=1)
-            raise _RowsLeave(rows, [StepFailure((k + 1) * self.dt, s_new[i]) for i in np.flatnonzero(rows)])
+            failures = [StepFailure(k * self.dt, s[:, i].copy(), message) for i in np.flatnonzero(exc.rows)]
+            raise _RowsLeave(exc.rows, failures)
+        if np.fmin.reduce(s_new[3], None) <= 0:
+            rows = np.any(s_new[3] <= 0, axis=1)
+            raise _RowsLeave(rows, [StepFailure((k + 1) * self.dt, s_new[:, i].copy()) for i in np.flatnonzero(rows)])
         return s_new
 
-    def deriv(self, s: np.ndarray, t: float) -> np.ndarray:
-        """Right-hand side of every row at time t, shaped like s.
+    def deriv(self, s: np.ndarray, t: float, g: Optional[np.ndarray] = None) -> np.ndarray:
+        """Right-hand side of every row at time t, shaped like s, from the
+        gradients g at s (evaluated here when None).
 
         Raises _LeftDomain, before any arithmetic, when a row has nu <= 0.
         """
-        nu = s[:, 3]
+        nu = s[3]
         # (nu <= 0).any() in one call: fmin skips NaN as the comparison does
         if np.fmin.reduce(nu, None) <= 0:
             raise _LeftDomain(np.any(nu <= 0, axis=1), t)
-        g = self.grad(s[:, 0])
+        if g is None:
+            g = self.grad(s[0])
         # a - b is a + (-b) and (-a)*b is -(a*b), bitwise
-        d = self.moment_coef * s.take(self.MU_MU_ZETA_ZETA, 1)
-        inputs = s.take(self.NU_NU_NU_NU, 1)
-        inputs[:, :2] = g[:, None]
+        d = self.moment_coef * s.take(self.MU_MU_ZETA_ZETA, 0)
+        inputs = s.take(self.NU_NU_NU_NU, 0)
+        inputs[:2] = g
         d += self.input_coef * inputs
-        d[:, 3] += self.l6 * _psi(g, s[:, 1], self.belief)
-        d[:, 0] = -d[:, 0] / (self.alpha_column(t) * _pow_rows(nu, self.cs))
+        d[3] += self.l6 * _psi(g, s[1], self.belief)
+        # dx = -d[0] / (alpha * nu**c), in place
+        dx = np.negative(d[0], out=d[0])
+        dx /= self.alpha_block(t) * _pow_rows(nu, self.cs)
         return d
 
 
@@ -177,7 +190,7 @@ def rhs_general(state: np.ndarray, t: float, problem: FlowProblem) -> np.ndarray
     problem.params.psi_kind selects. Requires nu > 0 componentwise
     (DomainError otherwise).
     """
-    return _Batch([problem]).deriv(np.asarray(state, dtype=float)[None], t)[0]
+    return _Batch([problem]).deriv(np.asarray(state, dtype=float)[:, None], t)[:, 0]
 
 
 @dataclass
@@ -285,7 +298,7 @@ class RunStore:
         self.state_diverged = np.zeros(n_rows, bool)
 
     def add(self, rows: np.ndarray, step: int, states: np.ndarray, f: np.ndarray, grad_norm: np.ndarray) -> np.ndarray:
-        """Fold in one step of the given rows: their (n, 4, d) states, (n,)
+        """Fold in one step of the given rows: their (4, n, d) states, (n,)
         f values and gradient norms. Returns the mask of those rows whose f
         or gradient norm is not finite. A diverged row reports only the step
         it diverged at, so the other quantities take no mask; the per-row
@@ -299,10 +312,10 @@ class RunStore:
         reached = (grad_norm < self.threshold) & (self.iters_to_threshold[rows] < 0)
         self.iters_to_threshold[rows[reached]] = step
         self.final_grad_norm[rows] = grad_norm
-        negative = states[:, 3] < 0
+        negative = states[3] < 0
         if negative.any():
             self.nu_nonnegative[rows[negative.any(axis=1)]] = False
-        inside = np.abs(states[:, 0]) <= self.box
+        inside = np.abs(states[0]) <= self.box
         if not inside.all():
             self.stayed_in_box[rows[~inside.all(axis=1)]] = False
         return ~finite
@@ -316,11 +329,11 @@ class RunStore:
 
     def record(self, rows: np.ndarray, t: float, states: np.ndarray, f, grad_norm, alpha) -> None:
         """Append one record at time t to each of the given rows: their
-        (n, 4, d) states and n f values, gradient norms and alphas."""
+        (4, n, d) states and n f values, gradient norms and alphas."""
         at = self.n_recorded[rows]
         self.series[0, rows, at] = t
         self.series[1:, rows, at] = f, grad_norm, alpha
-        for row, i, state in zip(rows, at, states):
+        for row, i, state in zip(rows, at, states.swapaxes(0, 1)):
             self.states[row][i] = state
         self.n_recorded[rows] = at + 1
 
@@ -347,10 +360,17 @@ class RunStore:
         )
 
 
+def _full(values, dim: int, dtype=float) -> np.ndarray:
+    """Per-row values spread along a new last axis of length dim, as a new
+    C-contiguous array: R values give the (R, dim) shape of the block they
+    multiply, and k lists of R values give (k, R, dim)."""
+    return np.repeat(np.asarray(values, dtype=dtype)[..., None], dim, axis=-1)
+
+
 def _psi(g: np.ndarray, m: np.ndarray, belief: Optional[np.ndarray]) -> np.ndarray:
-    """The input of the nu dynamic: (g - m)^2 on the rows of the belief mask,
-    an (R, 1) column or None for no row, and g^2 on the others. m is mu for
-    a flow and the updated mu' for a discrete step."""
+    """The input of the nu dynamic: (g - m)^2 on the elements of the belief
+    mask, shaped like g or None for no row, and g^2 on the others. m is mu
+    for a flow and the updated mu' for a discrete step."""
     r = g if belief is None else np.where(belief, g - m, g)
     return r * r
 
@@ -378,63 +398,69 @@ class _RowsLeave(Exception):
 
 
 def _run_rows(rule, s: np.ndarray, objective, n_steps: int, record_stride: int, threshold: float, names) -> list:
-    """Advance the rows of s, a packed (R, 4, d) state, n_steps times with a
+    """Advance the rows of s, a packed (4, R, d) state, n_steps times with a
     step rule, recording and summarizing each row like its solo run in one
     RunStore.
 
     The rule has dt (the time of one step), every_step, alpha(rows, k),
     step(s, g, k) and select(keep). A discrete rule (every_step true) is
-    evaluated at every step k: its step takes the gradients, every step is
-    summarized, and a row ends at the first non-finite f or gradient norm.
-    A flow rule is evaluated only where it records, and a row diverges and
-    ends at the first step whose state is not finite. Rows are recorded at
-    step 0, every record_stride-th step, the final step and the step they
-    end at. A step that raises _RowsLeave is taken again without those rows.
-    f and the gradients (one Objective.f_grad) and their norms are one call
-    each for all the rows evaluated at a step; only recording goes row by
-    row.
+    evaluated at every step k: every step is summarized, and a row ends at
+    the first non-finite f or gradient norm. A flow rule is evaluated only
+    where it records, and a row diverges and ends at the first step whose
+    state is not finite; any other step is only the finiteness check and
+    the step. Rows are recorded at step 0, every record_stride-th step, the
+    final step and the step they end at. step takes the gradients at s when
+    every row was evaluated at k, else None. A step that raises _RowsLeave
+    is taken again without those rows. f and the gradients (one
+    Objective.f_grad) and their norms are one call each for all the rows
+    evaluated at a step; only recording goes row by row.
 
     Returns, in row order, each row's Trajectory and RunReport named from
     names, or the exception it left the batch with.
     """
     n_records = len(range(0, n_steps + 1, record_stride)) + (n_steps % record_stride != 0)
-    store = RunStore(len(s), s.shape[-1], n_records, threshold, objective.box)
+    store = RunStore(s.shape[1], s.shape[2], n_records, threshold, objective.box)
     errors: dict[int, Exception] = {}
-    live = np.arange(len(s))
+    live = np.arange(s.shape[1])
     g = None
 
     def leave(gone: np.ndarray, left: Sequence[Exception] = ()) -> None:
         nonlocal live, rule, s, g
         errors.update(zip(live[gone].tolist(), left))
-        live = live[~gone]
-        rule, s = rule.select(~gone), s[~gone]
-        g = None if g is None else g[~gone]
+        keep = ~gone
+        live = live[keep]
+        rule, s = rule.select(keep), s.compress(keep, axis=1)
+        g = None if g is None else g[keep]
 
     k = 0
     while len(live):
         on_stride = k % record_stride == 0 or k == n_steps
-        ended = np.zeros(len(live), bool)
-        if not (rule.every_step or np.isfinite(s).all()):
-            ended = ~np.isfinite(s).all(axis=(1, 2))
-        due = np.arange(len(live)) if rule.every_step or on_stride else np.flatnonzero(ended)
-        grads = None
-        if len(due):
-            states = s[due]
-            fs, grads = objective.f_grad(states[:, 0])
+        g = None
+        if rule.every_step or on_stride or not np.isfinite(s).all():
+            # every row is evaluated at a discrete step and at a record, else
+            # only the flows whose state is not finite, which end here
+            every = rule.every_step or on_stride
+            ending = None if rule.every_step else ~np.isfinite(s).all(axis=(0, 2))
+            rows, states = (live, s) if every else (live[ending], s.compress(ending, axis=1))
+            fs, grads = objective.f_grad(states[0])
             # per row the ddot of np.linalg.norm, bitwise; norm(axis=1) is not
             grad_norms = np.sqrt(np.vecdot(grads, grads))
-            diverged = store.add(live[due], k, states, fs, grad_norms)
+            diverged = store.add(rows, k, states, fs, grad_norms)
             if rule.every_step:
-                ended |= diverged
-            elif ended.any():
-                store.diverge(live[ended], k)
-            at = np.arange(len(due)) if on_stride else np.flatnonzero(ended[due])
-            if len(at):
-                store.record(live[due[at]], k * rule.dt, states[at], fs[at], grad_norms[at], rule.alpha(due[at], k))
-        # a discrete step takes the gradients of every row, evaluated here
-        g = grads if rule.every_step else None
-        if ended.any():
-            leave(ended)
+                ending = diverged
+            ends = ending.any()
+            if ends and not rule.every_step:
+                store.diverge(live[ending], k)
+            if on_stride or ends:
+                # the recorded rows, in the batch and among those evaluated
+                at = slice(None) if on_stride else ending
+                of_rows = at if every else slice(None)
+                alphas = rule.alpha(at, k)
+                store.record(rows[of_rows], k * rule.dt, states[:, of_rows], fs[of_rows], grad_norms[of_rows], alphas)
+            if every:
+                g = grads
+            if ends:
+                leave(ending)
         if k == n_steps:
             break
         while len(live):
@@ -459,16 +485,18 @@ def _check_grid(dt: float, t_end: float, dt_name: str = "dt", t_end_name: str = 
     return round(n_steps)
 
 
-def euler_step(batch: _Batch, s: np.ndarray, k: int, dt: float) -> np.ndarray:
-    """Forward Euler step from t = k*dt to (k+1)*dt."""
-    return s + dt * batch.deriv(s, k * dt)
+def euler_step(batch: _Batch, s: np.ndarray, k: int, dt: float, g: Optional[np.ndarray] = None) -> np.ndarray:
+    """Forward Euler step from t = k*dt to (k+1)*dt; g, when given, holds
+    the gradients at s."""
+    return s + dt * batch.deriv(s, k * dt, g)
 
 
-def rk4_step(batch: _Batch, s: np.ndarray, k: int, dt: float) -> np.ndarray:
-    """Classical fourth-order Runge-Kutta step from t = k*dt to (k+1)*dt."""
+def rk4_step(batch: _Batch, s: np.ndarray, k: int, dt: float, g: Optional[np.ndarray] = None) -> np.ndarray:
+    """Classical fourth-order Runge-Kutta step from t = k*dt to (k+1)*dt;
+    g, when given, holds the gradients at s."""
     t0 = k * dt
     h = 0.5 * dt
-    k1 = batch.deriv(s, t0)
+    k1 = batch.deriv(s, t0, g)
     k2 = batch.deriv(s + h * k1, t0 + h)
     k3 = batch.deriv(s + h * k2, t0 + h)
     k4 = batch.deriv(s + dt * k3, (k + 1) * dt)
@@ -483,7 +511,8 @@ def _integrate_rows(problems: list[FlowProblem], names, step, dt, t_end, record_
         raise ValueError("a batch integrates flows on one objective")
     if not problems:
         return []
-    s = np.array([[p.x0, np.zeros_like(p.x0), np.zeros_like(p.x0), p.nu0] for p in problems])
+    x0 = np.array([p.x0 for p in problems])
+    s = np.array([x0, np.zeros_like(x0), np.zeros_like(x0), [p.nu0 for p in problems]])
     return _run_rows(_Batch(problems, step, dt), s, problems[0].objective, n_steps, record_stride, threshold, names)
 
 
@@ -509,7 +538,7 @@ def integrate_batch(
 def _trajectory_or_failure(traj: Trajectory, report: RunReport) -> Trajectory | StepFailure:
     """traj, or the StepFailure at its last record when report is a failure."""
     error = report.diagnostics.get("error")
-    return traj if error is None else StepFailure(float(traj.times[-1]), traj.states[-1], error)
+    return traj if error is None else StepFailure(float(traj.times[-1]), traj.states[-1].copy(), error)
 
 
 def _only(outcomes: list):

@@ -26,7 +26,7 @@ from ssmopt import (
     step_preset,
     step_sgd_momentum,
 )
-from ssmopt.discrete import BIAS_MODES, KIND_KEYS, run_discrete_batch
+from ssmopt.discrete import BIAS_MODES, KIND_KEYS, _DiscreteBatch, run_discrete_batch
 from oracles import discrete_entry_run, logistic_problem
 
 ADAMSSM = PresetParams(b3=0.02)
@@ -466,6 +466,28 @@ class TestBatchEqualsTheOracle:
                 assert traj.f_values[:-1].tobytes() == np.array(fs[:-1]).tobytes()
                 assert traj.grad_norms[:-1].tobytes() == np.array(norms[:-1]).tobytes()
         assert [report.diagnostics.get("diverged_at") for _, report in results] == [None] * 5 + [34]
+
+
+class TestComponentMajorBatch:
+    def test_rates_have_the_full_shape_of_their_blocks(self):
+        specs = mixed_specs()
+        batch = _DiscreteBatch(specs, 3, ((20, 0.5),))
+        # drop a gadagrad row and an adam row
+        keep = np.array([spec.name not in ("gadagrad-c0.3", "adam-beta") for spec in specs])
+        for batch in (batch, batch.select(keep)):
+            kinds = [spec.kind for spec in batch.specs]
+            accumulators, heavy_balls = kinds.count("gadagrad"), kinds.count("sgd_momentum")
+            moments = len(kinds) - accumulators - heavy_balls
+            rows = {
+                "keep1": moments, "gain1": moments, "keep2": moments, "gain2": moments, "couple": moments,
+                "keep_nu": moments, "moment_epsilon": moments, "belief": moments, "bias_of": moments,
+                "acc_delta": accumulators, "acc_epsilon": accumulators, "beta": heavy_balls,
+            }
+            arrays = {name: getattr(batch, name) for name in rows}
+            arrays["eta"], rows["eta"] = batch.schedule.eta_at(30), len(kinds)
+            for name, array in arrays.items():
+                assert array.shape == (rows[name], 3) and array.flags.c_contiguous, name
+        assert len(batch.specs) == len(specs) - 2
 
 
 class TestEntryConditions:

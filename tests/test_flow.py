@@ -343,6 +343,58 @@ class TestIntegrateBatch:
         assert integrate_batch([], rk4_step, 0.1, 1.0) == []
 
 
+class TestComponentMajorBatch:
+    """A batch is one (4, R, d) state, and every rate and mask of its flow
+    rule has the full shape of the block it multiplies."""
+
+    def test_rates_have_the_full_shape_of_their_blocks(self):
+        obj = make_quadratic(3, 10.0)
+        problems = mixed_rate_problems(obj, np.ones(3))
+        batch = flow_module._Batch(problems, rk4_step, 0.01)
+        for keep in (None, np.array([True, False, True, True, True, True])):
+            if keep is not None:
+                batch = batch.select(keep)
+            r = len(batch.problems)
+            shapes = {
+                "moment_coef": (4, r, 3),
+                "input_coef": (4, r, 3),
+                "l6": (r, 3),
+                "belief": (r, 3),
+                "alpha_block": (r, 3),
+            }
+            arrays = {name: getattr(batch, name) for name in shapes if name != "alpha_block"}
+            arrays["alpha_block"] = batch.alpha_block(0.3)
+            for name, array in arrays.items():
+                assert array.shape == shapes[name] and array.flags.c_contiguous, name
+        assert r == 5
+
+    @pytest.mark.parametrize("step, dt", [(euler_step, 50.0), (rk4_step, 100.0)])
+    def test_a_leaving_row_owns_its_failure_state(self, step, dt):
+        # nu leaves its domain after an Euler step and inside an RK4 stage
+        obj = make_quadratic(1, 1.0)
+        problems = [
+            preset_flow(kind, preset, obj, np.array([0.0]), np.array([1.0]))
+            for kind, preset in [(PresetKind.GADAGRAD, PresetParams()), (PresetKind.ADAMSSM, ADAMSSM)]
+        ]
+        _, failure = integrate_batch(problems, step, dt, t_end=100.0)
+        assert_owned_state(failure, 1)
+
+    def test_a_diverging_row_owns_its_failure_state(self):
+        obj = make_quadratic(2, 100.0)
+        problems = [preset_flow(PresetKind.ADABELIEF, PresetParams(), obj, [x, x], [1.0, 1.0]) for x in (1.0, 1e80)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, failure = integrate_batch(problems, rk4_step, 10.0, 500.0)
+        assert_owned_state(failure, 2)
+
+
+def assert_owned_state(failure, dim: int):
+    """failure is a StepFailure whose state is a C-contiguous (4, dim) array
+    of its own, not a view that keeps a batch alive."""
+    assert isinstance(failure, StepFailure)
+    state = failure.state
+    assert state.shape == (4, dim) and state.flags.c_contiguous and state.base is None
+
+
 def mixed_rate_problems(obj, x0) -> list[FlowProblem]:
     """Flows in four groups of alpha_g rates: adam and adabelief (the belief
     row) share (b1, b2, c); adamssm at other rates and a raw row weighting
@@ -406,20 +458,14 @@ class TestRateGroups:
             assert_equals_oracle(traj, problem, 0.01, 100, 7, rk4)
 
     def test_alpha_once_per_group_and_time(self, monkeypatch):
-        calls = {"alpha_g": 0, "grad": 0}
+        calls = {"alpha_g": 0}
 
         def counted_alpha(t, params):
             calls["alpha_g"] += 1
             return alpha_g(t, params)
 
-        def counted_grad(x):
-            calls["grad"] += 1
-            return grad(x)
-
         monkeypatch.setattr(flow_module, "alpha_g", counted_alpha)
-        obj = make_rosenbrock(2)
-        grad = obj.eval_grad
-        obj = dataclasses.replace(obj, eval_grad=counted_grad)
+        obj, grad_calls = counted_grad_objective()
         problems = [preset_flow(kind, preset, obj, np.array([-1.2, 1.0]), np.ones(2)) for kind, preset in FIVE_PRESETS]
         n, stride = 60, 7
         results = integrate_batch(problems, rk4_step, 0.01, n * 0.01, record_stride=stride)
@@ -428,8 +474,31 @@ class TestRateGroups:
         # the four moment presets share (b1, b2, c); gadagrad has lambda7 = 0
         groups = 2
         assert calls["alpha_g"] <= groups * (2 * n + records + 1)
-        # four RK4 stages per step, and f and the gradient at each record
-        assert calls["grad"] == 4 * n + records
+        # four RK4 stages per step, the first of a recorded step taking the
+        # record's gradients, and one more at the final record
+        assert grad_calls[0] == 4 * n + 1
+
+    @pytest.mark.parametrize("step, per_step", [(euler_step, 1), (rk4_step, 4)])
+    def test_a_record_every_step_evaluates_each_gradient_once(self, step, per_step):
+        obj, grad_calls = counted_grad_objective()
+        problem = preset_flow(PresetKind.ADAMSSM, ADAMSSM, obj, np.array([-1.2, 1.0]), np.ones(2))
+        n = 40
+        (traj,) = integrate_batch([problem], step, 0.01, n * 0.01, record_stride=1)
+        assert len(traj) == n + 1
+        assert grad_calls[0] == per_step * n + 1
+        assert_equals_oracle(traj, problem, 0.01, n, 1, step is rk4_step)
+
+
+def counted_grad_objective():
+    """2-D Rosenbrock whose eval_grad counts its calls in a one-item list."""
+    obj = make_rosenbrock(2)
+    calls = [0]
+
+    def counted_grad(x):
+        calls[0] += 1
+        return obj.eval_grad(x)
+
+    return dataclasses.replace(obj, eval_grad=counted_grad), calls
 
 
 class TestTrajectoryCsv:
