@@ -355,17 +355,16 @@ class TestComponentMajorBatch:
             if keep is not None:
                 batch = batch.select(keep)
             r = len(batch.problems)
-            shapes = {
-                "moment_coef": (4, r, 3),
-                "input_coef": (4, r, 3),
-                "l6": (r, 3),
-                "belief": (r, 3),
-                "alpha_block": (r, 3),
+            arrays = {
+                "moment_coef": batch.moment_coef,
+                "input_coef": batch.input_coef,
+                "l6": batch.l6,
+                "belief": batch.belief,
+                "alpha_block": batch.alpha_block(0.3),
             }
-            arrays = {name: getattr(batch, name) for name in shapes if name != "alpha_block"}
-            arrays["alpha_block"] = batch.alpha_block(0.3)
             for name, array in arrays.items():
-                assert array.shape == shapes[name] and array.flags.c_contiguous, name
+                shape = (4, r, 3) if name.endswith("_coef") else (r, 3)
+                assert array.shape == shape and array.flags.c_contiguous, name
         assert r == 5
 
     @pytest.mark.parametrize("step, dt", [(euler_step, 50.0), (rk4_step, 100.0)])
