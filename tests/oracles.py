@@ -7,6 +7,8 @@ tautology. Nothing in src/ imports this module.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -272,6 +274,43 @@ def discrete_entry_run(entry, grad, x0, num_iters, milestones):
             zeta = zeta_new
             x = x - eta * ((mu / b1_corr) / (np.sqrt(nu / b2_corr) + entry["epsilon"]))
     return rows
+
+
+def run_summary(steps, f_values, grad_norms, states, threshold, box):
+    """The report of a run, read one summarized step at a time: step k of
+    steps has f f_values[k], gradient norm grad_norms[k] and (4, d) state
+    states[k] (rows x, mu, zeta and nu).
+
+    The first step whose f or gradient norm is not finite ends the scan: the
+    run failed there, with NaN metrics. Otherwise best_f is the first f that
+    is strictly less than every f before it (so a later equal f, 0.0 after
+    -0.0 or -0.0 after 0.0, never replaces it), epoch_of_best its step,
+    iters_to_threshold the first step whose gradient norm is below threshold
+    (None for none), final_grad_norm the last gradient norm, nu_nonnegative
+    whether no nu element was ever < 0 and stayed_in_box whether every x
+    element always had |x| <= box.
+
+    Returns the fields of the report after its name, as a dict in field
+    order.
+    """
+    best_f, epoch_of_best, reached, final = math.inf, 0, None, math.nan
+    nu_nonnegative = stayed_in_box = True
+    for k, f, g, s in zip(steps, f_values, grad_norms, states):
+        if not (math.isfinite(f) and math.isfinite(g)):
+            error = f"diverged at iteration {k}: f or the gradient norm is not finite"
+            diagnostics = {"error": error, "diverged_at": k}
+            return dict(best_f=math.nan, epoch_of_best=0, final_grad_norm=math.nan, iters_to_threshold=None,
+                        diagnostics=diagnostics)
+        if f < best_f:
+            best_f, epoch_of_best = f, k
+        if reached is None and g < threshold:
+            reached = k
+        final = g
+        nu_nonnegative = nu_nonnegative and not any(v < 0 for v in s[3])
+        stayed_in_box = stayed_in_box and all(abs(v) <= box for v in s[0])
+    diagnostics = {"nu_nonnegative": nu_nonnegative, "stayed_in_box": stayed_in_box}
+    return dict(best_f=best_f, epoch_of_best=epoch_of_best, final_grad_norm=final, iters_to_threshold=reached,
+                diagnostics=diagnostics)
 
 
 def lcg_uniform(count: int, seed: int) -> np.ndarray:

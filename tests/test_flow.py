@@ -27,13 +27,16 @@ from ssmopt import (
     make_quadratic,
     make_rosenbrock,
     map_preset_to_general,
+    Objective,
+    OptimizerSpec,
     preset_flow,
     rhs_general,
     validate_params,
 )
+from ssmopt.discrete import run_discrete_batch
 from ssmopt.flow import euler_step, integrate_batch, rk4_step
 from samplers import random_valid_adamssm_preset, random_valid_params
-from oracles import adam_rhs, general_alpha, general_flow_run, general_rhs, rosenbrock_grad
+from oracles import adam_rhs, general_alpha, general_flow_run, general_rhs, rosenbrock_grad, run_summary
 
 ADAMSSM = PresetParams(b3=0.02)
 FIVE_PRESETS = [
@@ -498,6 +501,128 @@ def counted_grad_objective():
         return obj.eval_grad(x)
 
     return dataclasses.replace(obj, eval_grad=counted_grad), calls
+
+
+def scripted_objective(script, row_ids=None):
+    """A 2-D objective that hands back scripted values: the i-th evaluation
+    of row r gives f script[r][0][i] and the gradient (script[r][1][i], 0).
+
+    row_ids(x) names the rows of a batch x; by default they are the rows not
+    yet ended by a non-finite f or gradient, in order, as a discrete batch
+    keeps them. eval_grad, which only the stages of an unrecorded flow step
+    call, is zero.
+    """
+    evaluated = [0] * len(script)
+    live = list(range(len(script)))
+
+    def f_grad(x):
+        rows = live if row_ids is None else row_ids(x)
+        assert len(rows) == len(x)
+        f = np.array([script[r][0][evaluated[r]] for r in rows], dtype=float)
+        g = np.zeros_like(x)
+        g[:, 0] = [script[r][1][evaluated[r]] for r in rows]
+        for r in rows:
+            evaluated[r] += 1
+        if row_ids is None:
+            live[:] = [r for r, fr, gr in zip(rows, f, g[:, 0]) if np.isfinite(fr) and np.isfinite(gr)]
+        return f, g
+
+    return Objective(2, eval_f=None, eval_grad=np.zeros_like, eval_f_grad=f_grad)
+
+
+def assert_reports_equal_the_oracle(outcomes, script, threshold, box):
+    """Each (trajectory, report) of outcomes has the report that
+    oracles.run_summary reads from its row's scripted values at its
+    recorded steps, every field bit for bit (repr tells -0.0 from 0.0)."""
+    wants = []
+    for (traj, report), (fs, gs) in zip(outcomes, script):
+        n = len(traj)
+        norms = [float(np.linalg.norm([g, 0.0])) for g in gs[:n]]
+        assert traj.f_values.tobytes() == np.array(fs[:n], dtype=float).tobytes()
+        want = run_summary([int(t) for t in traj.times], fs[:n], norms, traj.states, threshold, box)
+        got = dataclasses.asdict(report)
+        del got["optimizer"]
+        assert repr(got) == repr(want)
+        wants.append(want)
+    return wants
+
+
+INF, NAN = float("inf"), float("nan")
+ONES = [1.0] * 11
+# Per discrete row, its scripted f values and gradients at iterations 0..10.
+DISCRETE_SCRIPT = [
+    # a best-f tie split across the fold after iteration 2
+    ([3.0, 2.0, 5.0, 2.0, 4.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0], ONES),
+    # 0.0 then -0.0 across that fold; first below threshold in a block's first column
+    ([1.0, 5.0, 0.0, -0.0, 3.0, 3.0, 3.0, 3.0, 3.0, 3.0, 3.0], [1.0, 1.0, 1.0, 1e-6, 1.0, 1e-6, 1, 1, 1, 1, 1]),
+    # 0.0 then -0.0 in one block; below threshold at one iteration only
+    ([1.0, 0.0, -0.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0], [1.0, 1.0, 1e-5, 1.0, 1, 1, 1, 1, 1, 1, 1]),
+    # -0.0 then 0.0
+    ([-0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0], ONES),
+    # leaves mid-block: f is inf at iteration 4
+    ([5.0, 4.0, 3.0, 2.0, INF, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0], ONES),
+    # leaves mid-block: the gradient is NaN at iteration 7
+    ([10.0, 9.0, 8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0, 0.0], [1.0] * 7 + [NAN] + [1.0] * 3),
+    # best f at the last iteration; the heavy ball leaves the box at iteration 1
+    ([10.0, 9.0, 8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0, 0.5], [-100.0] * 11),
+]
+DISCRETE_KINDS = ["adam", "adamssm", "gadagrad", "adabelief", "adam", "adabeliefssm", "sgd_momentum"]
+# Per flow row, its scripted f values and gradients at its evaluations 0..10.
+FLOW_SCRIPT = [
+    DISCRETE_SCRIPT[0],
+    DISCRETE_SCRIPT[1],
+    # its recorded f is inf at evaluation 4
+    DISCRETE_SCRIPT[4],
+    DISCRETE_SCRIPT[3],
+    # starts outside the box
+    ([10.0, 9.0, 8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0, 0.5], [0.5] * 11),
+]
+
+
+class TestSummaryOracle:
+    """Every report of a batch, discrete or flow, equals the sequential
+    oracle read from its row's values, with the summary store folding its
+    blocks every three columns: ties, signed zeros and threshold hits split
+    across folds, rows that leave mid-block, and runs that end on a full
+    block and on a partial one."""
+
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    def test_discrete_reports_equal_the_oracle(self, n, monkeypatch):
+        monkeypatch.setattr(flow_module.RunStore, "K", 3, raising=False)
+        specs = [
+            OptimizerSpec(kind, f"{kind}{i}", PresetParams(b3=0.02, eta=0.1), beta=0.0)
+            for i, kind in enumerate(DISCRETE_KINDS)
+        ]
+        reports = []
+        for stride in (1, 4):
+            outcomes = run_discrete_batch(specs, scripted_objective(DISCRETE_SCRIPT), np.ones(2), n, record_stride=stride)
+            reports.append([report for _, report in outcomes])
+            if stride == 1:
+                wants = assert_reports_equal_the_oracle(outcomes, DISCRETE_SCRIPT, 1e-4, 5.0)
+        # the summary reads every iteration, recorded or not
+        assert repr(reports[0]) == repr(reports[1])
+        assert [w["epoch_of_best"] for w in wants] == [1, 2, 1, 0, 0, 0, n]
+        assert [repr(w["best_f"]) for w in wants[1:4]] == ["0.0", "0.0", "-0.0"]
+        assert [w["iters_to_threshold"] for w in wants[:3]] == [None, 3, 2]
+        assert [w["diagnostics"].get("diverged_at") for w in wants[4:6]] == [4, 7]
+        assert wants[6]["diagnostics"] == {"nu_nonnegative": True, "stayed_in_box": False}
+
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_flow_reports_equal_the_oracle(self, n, stride, monkeypatch):
+        # x[1] stays at the row's index, as its gradient is 0 there
+        monkeypatch.setattr(flow_module.RunStore, "K", 3, raising=False)
+        obj = scripted_objective(FLOW_SCRIPT, row_ids=lambda x: x[:, 1].astype(int).tolist())
+        problems = [
+            preset_flow(kind, preset, obj, [6.0 if r == 4 else 1.0, float(r)], [1.0, 1.0])
+            for r, (kind, preset) in enumerate([FIVE_PRESETS[0], FIVE_PRESETS[1]] * 2 + [FIVE_PRESETS[0]])
+        ]
+        names = [f"flow{r}" for r in range(len(problems))]
+        outcomes = flow_module._integrate_rows(problems, names, euler_step, 1.0, float(n), stride, 1e-4)
+        wants = assert_reports_equal_the_oracle(outcomes, FLOW_SCRIPT, 1e-4, 5.0)
+        evaluated = [*range(0, n, stride), n]
+        assert wants[2]["diagnostics"].get("diverged_at") == (evaluated[4] if len(evaluated) > 4 else None)
+        assert wants[4]["diagnostics"]["stayed_in_box"] is False
 
 
 class TestTrajectoryCsv:
