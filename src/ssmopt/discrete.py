@@ -11,6 +11,7 @@ step_sgd_momentum and run_discrete are the batch of one.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -118,13 +119,17 @@ class LrSchedule:
             violations.append("milestone multipliers positive")
         if violations:
             raise ValidationError(violations)
+        # the rate after each number of passed milestones, multiplied in order
+        etas = [self.base_eta]
+        for _, m in ms:
+            etas.append(etas[-1] * m)
+        object.__setattr__(self, "_iters", iters)
+        object.__setattr__(self, "_etas", etas)
 
     def eta_at(self, iteration: int) -> float:
-        eta = self.base_eta
-        for it, m in self.milestones:
-            if iteration >= it:
-                eta = eta * m
-        return eta
+        """The rate at an iteration: base_eta times the multiplier of every
+        milestone at or before it, in milestone order (read only)."""
+        return self._etas[bisect.bisect_right(self._iters, iteration)]
 
 
 def bias_denominators(preset: PresetParams, iteration: int, bias_mode: str) -> tuple[float, float]:

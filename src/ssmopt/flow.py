@@ -6,8 +6,9 @@ one packed (4, R, d) batch, whose contiguous (R, d) blocks s[0] .. s[3] are
 the x, mu, zeta and nu of every row, through one loop, _run_rows. It records,
 summarizes and reports every row like its solo run in one store per batch,
 RunStore, which hands back each row's Trajectory and RunReport; a solo run
-is the batch of one. A flow whose state turns non-finite fails like a
-discrete run whose f diverges. Here also: the generic right-hand side, named
+is the batch of one. A flow whose state turns non-finite, or whose f or
+gradient norm is not finite at a record, fails like a discrete run whose f
+diverges. Here also: the generic right-hand side, named
 preset flows, the fixed-step schemes and the accumulator energy-balance
 diagnostic.
 """
@@ -272,15 +273,31 @@ class RunStore:
     four (R, n_records) arrays of series; outcome(row, name) hands them back
     as a Trajectory of views, with the row's RunReport.
 
-    The summary holds one (R,) array per quantity, so a step of the whole
-    batch is a fixed number of numpy calls: per row the best f and the first
-    step that reached it, the first step whose gradient norm fell below
-    threshold (-1 for none yet), the final gradient norm, and whether nu
-    stayed nonnegative and x inside the box. A row diverges at the first
-    step whose f or gradient norm is not finite, or whose state is not
-    finite (see diverge): its report is a failure naming that step
-    (diverged_at, -1 while none).
+    The summary holds one (R,) array per quantity: per row the best f and
+    the first step that reached it, the first step whose gradient norm fell
+    below threshold (-1 for none yet), the final gradient norm, and whether
+    nu stayed nonnegative and x inside the box. A summarized step writes
+    only its rows' f values and gradient norms, into column j of two
+    (R, K) blocks, and its step into column j of a (K,) array; columns
+    count add calls, not steps. nu and x are checked whole, one reduction
+    each, and rows are told apart only on a step where one fails.
+
+    One vectorized fold reduces the blocks into the summary when they are
+    full and before the first outcome, so rows that left mid-block are
+    folded too. It gives what a scan of one step at a time gives:
+    - a cell not written (the row gone, or not evaluated at that step) is
+      NaN, and NaN is never the best f nor below threshold;
+    - the best f is a block's least f at its first column, taken only when
+      strictly less than the best so far, and read from that column, so a
+      -0.0 never displaces an earlier 0.0, nor 0.0 an earlier -0.0;
+    - iters_to_threshold is the step of the first column below threshold;
+    - the final gradient norm is the row's last written one.
+    A row diverges at the first step whose f or gradient norm is not
+    finite, or whose state is not finite (see diverge): its report is a
+    failure naming that step (diverged_at, -1 while none).
     """
+
+    K = 256
 
     def __init__(self, n_rows: int, dim: int, n_records: int, threshold: float, box: float):
         self.states = [np.empty((n_records, 4, dim)) for _ in range(n_rows)]
@@ -288,6 +305,10 @@ class RunStore:
         self.n_recorded = np.zeros(n_rows, int)
         self.threshold = threshold
         self.box = box
+        self.f_block = np.full((n_rows, self.K), math.nan)
+        self.norm_block = np.full((n_rows, self.K), math.nan)
+        self.steps = np.zeros(self.K, int)
+        self.column = 0
         self.best_f = np.full(n_rows, math.inf)
         self.epoch_of_best = np.zeros(n_rows, int)
         self.iters_to_threshold = np.full(n_rows, -1)
@@ -297,32 +318,58 @@ class RunStore:
         self.diverged_at = np.full(n_rows, -1)
         self.state_diverged = np.zeros(n_rows, bool)
 
-    def add(self, rows: np.ndarray, step: int, states: np.ndarray, f: np.ndarray, grad_norm: np.ndarray) -> np.ndarray:
-        """Fold in one step of the given rows: their (4, n, d) states, (n,)
-        f values and gradient norms. Returns the mask of those rows whose f
-        or gradient norm is not finite. A diverged row reports only the step
-        it diverged at, so the other quantities take no mask; the per-row
-        checks run only on a step where some row fails them."""
-        finite = np.isfinite(f) & np.isfinite(grad_norm)
-        if not finite.all():
-            self.diverged_at[rows[~finite & (self.diverged_at[rows] < 0)]] = step
-        better = f < self.best_f[rows]
-        self.best_f[rows[better]] = f[better]
-        self.epoch_of_best[rows[better]] = step
-        reached = (grad_norm < self.threshold) & (self.iters_to_threshold[rows] < 0)
-        self.iters_to_threshold[rows[reached]] = step
-        self.final_grad_norm[rows] = grad_norm
-        negative = states[3] < 0
-        if negative.any():
-            self.nu_nonnegative[rows[negative.any(axis=1)]] = False
-        inside = np.abs(states[0]) <= self.box
-        if not inside.all():
-            self.stayed_in_box[rows[~inside.all(axis=1)]] = False
-        return ~finite
+    def add(self, rows: np.ndarray, step: int, states: np.ndarray, f: np.ndarray, grad_norm: np.ndarray):
+        """Summarize one step of the given rows: their (4, n, d) states, (n,)
+        f values and gradient norms. Returns None when every f and gradient
+        norm is finite, else the mask of the rows whose f or gradient norm
+        is not finite, which diverge at this step."""
+        j = self.column
+        # every row in order, as a view, until the first one leaves
+        cells = slice(None) if len(rows) == len(self.best_f) else rows
+        self.f_block[cells, j] = f
+        self.norm_block[cells, j] = grad_norm
+        self.steps[j] = step
+        self.column = j + 1
+        if self.column == self.K:
+            self.fold()
+        # fmin skips NaN as nu < 0 does; maximum propagates it as NaN <= box fails
+        if np.fmin.reduce(states[3], None) < 0:
+            self.nu_nonnegative[rows[(states[3] < 0).any(axis=1)]] = False
+        if not np.maximum.reduce(np.abs(states[0]), None) <= self.box:
+            self.stayed_in_box[rows[~(np.abs(states[0]) <= self.box).all(axis=1)]] = False
+        # both finite in one reduction: maximum propagates NaN, and a norm is >= 0
+        if np.maximum.reduce(np.maximum(np.abs(f), grad_norm), None) < math.inf:
+            return None
+        diverged = ~(np.isfinite(f) & np.isfinite(grad_norm))
+        self.diverged_at[rows[diverged]] = step
+        return diverged
+
+    def fold(self) -> None:
+        """Reduce the written columns of the blocks into the summary, then
+        clear them."""
+        j = self.column
+        f, norms, steps = self.f_block[:, :j], self.norm_block[:, :j], self.steps[:j]
+        rows = np.arange(len(f))
+        first_least = np.where(np.isnan(f), math.inf, f).argmin(axis=1)
+        least = f[rows, first_least]
+        better = least < self.best_f
+        self.best_f[better] = least[better]
+        self.epoch_of_best[better] = steps[first_least[better]]
+        below = norms < self.threshold
+        first_below = below.argmax(axis=1)
+        reached = below[rows, first_below] & (self.iters_to_threshold < 0)
+        self.iters_to_threshold[reached] = steps[first_below[reached]]
+        written = ~np.isnan(norms)
+        last = j - 1 - written[:, ::-1].argmax(axis=1)
+        seen = written[rows, last]
+        self.final_grad_norm[seen] = norms[rows[seen], last[seen]]
+        f.fill(math.nan)
+        norms.fill(math.nan)
+        self.column = 0
 
     def diverge(self, rows: np.ndarray, step: int) -> None:
-        """The given rows, whose state is not finite, diverge at step unless
-        they already have."""
+        """The given rows end at step: those whose f and gradient norm did
+        not diverge there diverge by their state, which is not finite."""
         rows = rows[self.diverged_at[rows] < 0]
         self.diverged_at[rows] = step
         self.state_diverged[rows] = True
@@ -338,6 +385,8 @@ class RunStore:
         self.n_recorded[rows] = at + 1
 
     def outcome(self, row: int, name: str) -> tuple[Trajectory, RunReport]:
+        if self.column:
+            self.fold()
         n = self.n_recorded[row]
         times, f_values, grad_norms, alpha_values = self.series[:, row, :n]
         traj = Trajectory(times, self.states[row][:n], f_values, grad_norms, alpha_values)
@@ -404,16 +453,21 @@ def _run_rows(rule, s: np.ndarray, objective, n_steps: int, record_stride: int, 
 
     The rule has dt (the time of one step), every_step, alpha(rows, k),
     step(s, g, k) and select(keep). A discrete rule (every_step true) is
-    evaluated at every step k: every step is summarized, and a row ends at
-    the first non-finite f or gradient norm. A flow rule is evaluated only
-    where it records, and a row diverges and ends at the first step whose
-    state is not finite; any other step is only the finiteness check and
-    the step. Rows are recorded at step 0, every record_stride-th step, the
-    final step and the step they end at. step takes the gradients at s when
-    every row was evaluated at k, else None. A step that raises _RowsLeave
-    is taken again without those rows. f and the gradients (one
+    evaluated and summarized at every step k. A flow rule is evaluated and
+    summarized only where it records, and at a step whose state is not
+    finite; any other step is only the finiteness check and the step. A
+    row diverges and ends at the first evaluated step whose f or gradient
+    norm is not finite, and a flow also at the first step whose state is
+    not finite. Rows are recorded at step 0, every record_stride-th step,
+    the final step and the step they end at. step takes the gradients at s
+    when every row was evaluated at k, else None. A step that raises
+    _RowsLeave is taken again without those rows. f and the gradients (one
     Objective.f_grad) and their norms are one call each for all the rows
-    evaluated at a step; only recording goes row by row.
+    evaluated at a step; only recording goes row by row. A summarized step
+    writes a column of the store's blocks, which are folded into the
+    reports every RunStore.K columns and at the end, NaN cells inert and a
+    tie, 0.0 against -0.0 included, kept by the earlier step (see
+    RunStore).
 
     Returns, in row order, each row's Trajectory and RunReport named from
     names, or the exception it left the batch with.
@@ -435,23 +489,23 @@ def _run_rows(rule, s: np.ndarray, objective, n_steps: int, record_stride: int, 
     k = 0
     while len(live):
         on_stride = k % record_stride == 0 or k == n_steps
+        every = rule.every_step or on_stride
         g = None
-        if rule.every_step or on_stride or not np.isfinite(s).all():
+        sound = rule.every_step or np.isfinite(s).all()
+        if every or not sound:
             # every row is evaluated at a discrete step and at a record, else
             # only the flows whose state is not finite, which end here
-            every = rule.every_step or on_stride
-            ending = None if rule.every_step else ~np.isfinite(s).all(axis=(0, 2))
+            ending = None if sound else ~np.isfinite(s).all(axis=(0, 2))
             rows, states = (live, s) if every else (live[ending], s.compress(ending, axis=1))
             fs, grads = objective.f_grad(states[0])
             # per row the ddot of np.linalg.norm, bitwise; norm(axis=1) is not
             grad_norms = np.sqrt(np.vecdot(grads, grads))
             diverged = store.add(rows, k, states, fs, grad_norms)
-            if rule.every_step:
-                ending = diverged
-            ends = ending.any()
-            if ends and not rule.every_step:
+            if diverged is not None and every:
+                ending = diverged if ending is None else ending | diverged
+            if ending is not None:
                 store.diverge(live[ending], k)
-            if on_stride or ends:
+            if on_stride or ending is not None:
                 # the recorded rows, in the batch and among those evaluated
                 at = slice(None) if on_stride else ending
                 of_rows = at if every else slice(None)
@@ -459,7 +513,7 @@ def _run_rows(rule, s: np.ndarray, objective, n_steps: int, record_stride: int, 
                 store.record(rows[of_rows], k * rule.dt, states[:, of_rows], fs[of_rows], grad_norms[of_rows], alphas)
             if every:
                 g = grads
-            if ends:
+            if ending is not None:
                 leave(ending)
         if k == n_steps:
             break

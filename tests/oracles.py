@@ -276,13 +276,14 @@ def discrete_entry_run(entry, grad, x0, num_iters, milestones):
     return rows
 
 
-def run_summary(steps, f_values, grad_norms, states, threshold, box):
+def run_summary(steps, f_values, grad_norms, states, threshold, box, flow=False):
     """The report of a run, read one summarized step at a time: step k of
     steps has f f_values[k], gradient norm grad_norms[k] and (4, d) state
     states[k] (rows x, mu, zeta and nu).
 
-    The first step whose f or gradient norm is not finite ends the scan: the
-    run failed there, with NaN metrics. Otherwise best_f is the first f that
+    The first step whose f or gradient norm is not finite, or for a flow
+    whose state is not finite, ends the scan: the run failed there, with NaN
+    metrics and an error naming what was not finite. Otherwise best_f is the first f that
     is strictly less than every f before it (so a later equal f, 0.0 after
     -0.0 or -0.0 after 0.0, never replaces it), epoch_of_best its step,
     iters_to_threshold the first step whose gradient norm is below threshold
@@ -296,9 +297,10 @@ def run_summary(steps, f_values, grad_norms, states, threshold, box):
     best_f, epoch_of_best, reached, final = math.inf, 0, None, math.nan
     nu_nonnegative = stayed_in_box = True
     for k, f, g, s in zip(steps, f_values, grad_norms, states):
-        if not (math.isfinite(f) and math.isfinite(g)):
-            error = f"diverged at iteration {k}: f or the gradient norm is not finite"
-            diagnostics = {"error": error, "diverged_at": k}
+        finite = math.isfinite(f) and math.isfinite(g)
+        if not finite or (flow and not all(math.isfinite(v) for v in np.ravel(s))):
+            what = "the state" if finite else "f or the gradient norm"
+            diagnostics = {"error": f"diverged at iteration {k}: {what} is not finite", "diverged_at": k}
             return dict(best_f=math.nan, epoch_of_best=0, final_grad_norm=math.nan, iters_to_threshold=None,
                         diagnostics=diagnostics)
         if f < best_f:

@@ -232,6 +232,17 @@ class TestLrSchedule:
         assert sched.eta_at(19) == 0.1
         assert sched.eta_at(20) == 0.1 * 0.5
 
+    def test_eta_at_equals_the_product_of_passed_multipliers(self, rng):
+        milestones = ((0, 0.3), (5, 0.7), (12, 1.1))
+        for base in (0.1, rng.uniform(0.001, 1.0, (3, 2))):
+            sched = LrSchedule(base_eta=base, milestones=milestones)
+            for k in sorted({max(it + step, 0) for it, _ in milestones for step in (-1, 0, 1)} | {1000}):
+                want = base
+                for it, m in milestones:
+                    if k >= it:
+                        want = want * m
+                assert np.asarray(sched.eta_at(k)).tobytes() == np.asarray(want).tobytes(), k
+
     def test_milestone_order_validated(self):
         with pytest.raises(ValidationError) as err:
             LrSchedule(base_eta=1.0, milestones=((20, 0.1), (10, 0.5)))

@@ -336,6 +336,24 @@ class TestIntegrateBatch:
         assert failure.state.tobytes() == solo.value.state.tobytes()
         assert_same_trajectory(got, integrate(kept, 10.0, 500.0))
 
+    @pytest.mark.parametrize("stride", [1, 10])
+    def test_non_finite_f_leaves_at_that_record(self, stride):
+        # f = x^2 / 2 overflows at the first record while the state is finite
+        obj = make_quadratic(1, 1.0)
+        diverging, kept = (
+            preset_flow(PresetKind.GADAGRAD, PresetParams(), obj, [x], [1.0]) for x in (1e155, 1.0)
+        )
+        message = "diverged at iteration 0: f or the gradient norm is not finite"
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(StepFailure) as solo:
+                integrate_reference(diverging, 0.01, 1.0, stride)
+            got, failure = integrate_batch([kept, diverging], rk4_step, 0.01, 1.0, stride)
+        for raised in (solo.value, failure):
+            assert isinstance(raised, StepFailure) and str(raised) == message
+            assert raised.t == 0.0
+            assert raised.state.tobytes() == np.array([[1e155], [0.0], [0.0], [1.0]]).tobytes()
+        assert_same_trajectory(got, integrate_reference(kept, 0.01, 1.0, stride))
+
     def test_batch_shares_one_objective(self):
         problems = [
             preset_flow(PresetKind.ADAM, PresetParams(), make_quadratic(2, 10.0), np.ones(2), np.ones(2))
@@ -530,16 +548,16 @@ def scripted_objective(script, row_ids=None):
     return Objective(2, eval_f=None, eval_grad=np.zeros_like, eval_f_grad=f_grad)
 
 
-def assert_reports_equal_the_oracle(outcomes, script, threshold, box):
-    """Each (trajectory, report) of outcomes has the report that
-    oracles.run_summary reads from its row's scripted values at its
-    recorded steps, every field bit for bit (repr tells -0.0 from 0.0)."""
+def assert_reports_equal_the_oracle(outcomes, script, threshold, box, dt=1.0, flow=False):
+    """Each (trajectory, report) of outcomes, of one step per dt, has the
+    report that oracles.run_summary reads from its row's scripted values at
+    its recorded steps, every field bit for bit (repr tells -0.0 from 0.0)."""
     wants = []
     for (traj, report), (fs, gs) in zip(outcomes, script):
         n = len(traj)
         norms = [float(np.linalg.norm([g, 0.0])) for g in gs[:n]]
         assert traj.f_values.tobytes() == np.array(fs[:n], dtype=float).tobytes()
-        want = run_summary([int(t) for t in traj.times], fs[:n], norms, traj.states, threshold, box)
+        want = run_summary([round(t / dt) for t in traj.times], fs[:n], norms, traj.states, threshold, box, flow)
         got = dataclasses.asdict(report)
         del got["optimizer"]
         assert repr(got) == repr(want)
@@ -576,6 +594,9 @@ FLOW_SCRIPT = [
     DISCRETE_SCRIPT[3],
     # starts outside the box
     ([10.0, 9.0, 8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0, 0.5], [0.5] * 11),
+    # nu overflows in the step after evaluation 2, and the state ends the flow
+    # at the next step, recorded or not, while the other rows go on
+    ([4.0, 3.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1e154] + [1.0] * 8),
 ]
 
 
@@ -615,14 +636,17 @@ class TestSummaryOracle:
         obj = scripted_objective(FLOW_SCRIPT, row_ids=lambda x: x[:, 1].astype(int).tolist())
         problems = [
             preset_flow(kind, preset, obj, [6.0 if r == 4 else 1.0, float(r)], [1.0, 1.0])
-            for r, (kind, preset) in enumerate([FIVE_PRESETS[0], FIVE_PRESETS[1]] * 2 + [FIVE_PRESETS[0]])
+            for r, (kind, preset) in enumerate([FIVE_PRESETS[0], FIVE_PRESETS[1]] * 2 + [FIVE_PRESETS[0]] * 2)
         ]
         names = [f"flow{r}" for r in range(len(problems))]
-        outcomes = flow_module._integrate_rows(problems, names, euler_step, 1.0, float(n), stride, 1e-4)
-        wants = assert_reports_equal_the_oracle(outcomes, FLOW_SCRIPT, 1e-4, 5.0)
+        with np.errstate(over="ignore"):
+            outcomes = flow_module._integrate_rows(problems, names, euler_step, 2.0, 2.0 * n, stride, 1e-4)
+        wants = assert_reports_equal_the_oracle(outcomes, FLOW_SCRIPT, 1e-4, 5.0, dt=2.0, flow=True)
         evaluated = [*range(0, n, stride), n]
         assert wants[2]["diagnostics"].get("diverged_at") == (evaluated[4] if len(evaluated) > 4 else None)
         assert wants[4]["diagnostics"]["stayed_in_box"] is False
+        assert wants[5]["diagnostics"]["error"] == f"diverged at iteration {evaluated[2] + 1}: the state is not finite"
+        assert [w["epoch_of_best"] for w in wants[:2]] == [evaluated[1], evaluated[2]]
 
 
 class TestTrajectoryCsv:
