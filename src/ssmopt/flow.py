@@ -464,10 +464,9 @@ def _run_rows(rule, s: np.ndarray, objective, n_steps: int, record_stride: int, 
     _RowsLeave is taken again without those rows. f and the gradients (one
     Objective.f_grad) and their norms are one call each for all the rows
     evaluated at a step; only recording goes row by row. A summarized step
-    writes a column of the store's blocks, which are folded into the
-    reports every RunStore.K columns and at the end, NaN cells inert and a
-    tie, 0.0 against -0.0 included, kept by the earlier step (see
-    RunStore).
+    writes one column of the store's blocks, folded into the reports every
+    RunStore.K columns and at the end: NaN cells are inert, and a tie, 0.0
+    against -0.0 included, keeps the earlier step.
 
     Returns, in row order, each row's Trajectory and RunReport named from
     names, or the exception it left the batch with.
