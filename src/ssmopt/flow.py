@@ -8,9 +8,8 @@ summarizes and reports every row like its solo run in one store per batch,
 RunStore, which hands back each row's Trajectory and RunReport; a solo run
 is the batch of one. A flow whose state turns non-finite, or whose f or
 gradient norm is not finite at a record, fails like a discrete run whose f
-diverges. Here also: the generic right-hand side, named
-preset flows, the fixed-step schemes and the accumulator energy-balance
-diagnostic.
+diverges. Here also: the generic right-hand side, named preset flows, the
+fixed-step schemes and the accumulator energy-balance diagnostic.
 """
 
 from __future__ import annotations
@@ -276,25 +275,19 @@ class RunStore:
     The summary holds one (R,) array per quantity: per row the best f and
     the first step that reached it, the first step whose gradient norm fell
     below threshold (-1 for none yet), the final gradient norm, and whether
-    nu stayed nonnegative and x inside the box. A summarized step writes
-    only its rows' f values and gradient norms, into column j of two
-    (R, K) blocks, and its step into column j of a (K,) array; columns
-    count add calls, not steps. nu and x are checked whole, one reduction
-    each, and rows are told apart only on a step where one fails.
-
-    One vectorized fold reduces the blocks into the summary when they are
-    full and before the first outcome, so rows that left mid-block are
-    folded too. It gives what a scan of one step at a time gives:
-    - a cell not written (the row gone, or not evaluated at that step) is
-      NaN, and NaN is never the best f nor below threshold;
-    - the best f is a block's least f at its first column, taken only when
-      strictly less than the best so far, and read from that column, so a
-      -0.0 never displaces an earlier 0.0, nor 0.0 an earlier -0.0;
-    - iters_to_threshold is the step of the first column below threshold;
-    - the final gradient norm is the row's last written one.
-    A row diverges at the first step whose f or gradient norm is not
-    finite, or whose state is not finite (see diverge): its report is a
-    failure naming that step (diverged_at, -1 while none).
+    nu stayed nonnegative and x inside the box. A summarized step writes its
+    rows' f values and gradient norms into column j of two (R, K) blocks,
+    and its step into a (K,) array; nu and x are checked whole, and rows
+    are told apart only on a step where one fails. One vectorized fold
+    reduces the blocks into the summary when they are full and before the
+    first outcome, so rows that left mid-block are folded too, with the
+    rules of a scan of one step at a time: a cell not written is NaN, never
+    the best f nor below threshold; the best f is a block's least f at its
+    first column, taken only when strictly less than the best so far and
+    read from that column, so neither 0.0 nor -0.0 displaces the other. A
+    row diverges at the first step whose f or gradient norm is not finite,
+    or whose state is not finite (see diverge): its report is a failure
+    naming that step (diverged_at, -1 while none).
     """
 
     K = 256
@@ -318,7 +311,9 @@ class RunStore:
         self.diverged_at = np.full(n_rows, -1)
         self.state_diverged = np.zeros(n_rows, bool)
 
-    def add(self, rows: np.ndarray, step: int, states: np.ndarray, f: np.ndarray, grad_norm: np.ndarray):
+    def add(
+        self, rows: np.ndarray, step: int, states: np.ndarray, f: np.ndarray, grad_norm: np.ndarray
+    ) -> Optional[np.ndarray]:
         """Summarize one step of the given rows: their (4, n, d) states, (n,)
         f values and gradient norms. Returns None when every f and gradient
         norm is finite, else the mask of the rows whose f or gradient norm
