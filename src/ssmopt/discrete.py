@@ -4,9 +4,9 @@ heavy-ball baseline, learning-rate schedules, and discrete runs.
 An entry is an OptimizerSpec; a moment row takes its coupling rate b3 and
 its input psi from core.map_preset_to_general. Runs on one objective step
 together as one packed (4, R, d) state whose (R, d) blocks are x, mu, zeta
-and nu, driven by the run loop of flow: the update is one rule over the
-batch, each row bitwise equal to its solo run. step_preset,
-step_sgd_momentum and run_discrete are the batch of one.
+and nu, driven by the run loop of flow. Every kind is a row of coefficient
+arrays of one update, and each row is bitwise equal to its solo run.
+step_preset, step_sgd_momentum and run_discrete are the batch of one.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from .core import (
     PresetKind, PresetParams, PsiKind, ValidationError, map_preset_to_general, moment_bias, validate_preset
 )
-from .flow import RunReport, Trajectory, _full, _only, _pow_rows, _psi, _RowsLeave, _run_rows
+from .flow import RunReport, Trajectory, _c_groups, _full, _only, _pow_rows, _psi, _RowsLeave, _run_rows
 
 BIAS_MODES = ("paper", "beta", "continuous")
 
@@ -159,33 +159,56 @@ def bias_alpha(preset: PresetParams, iteration: int, bias_mode: str) -> float:
 
 def _first_step_error(spec: OptimizerSpec) -> Exception | None:
     """The error the entry's first step raises, if any: fewer conditions than
-    OptimizerSpec.violations, as a stepper may take b3 = 0 or epsilon = 0."""
+    OptimizerSpec.violations, as a stepper may take b3 = 0 or epsilon = 0,
+    but a moment row needs the rates its bias factors are defined for."""
+    needs = {"sgd_momentum": ("0 <= beta < 1",), "gadagrad": ("0 < c < 1",)}
+    needed = needs.get(spec.kind, ("delta > 0", "0 < b2", "b2 < b1", "b1 < 1"))
+    failed = [condition for condition in spec.violations() if condition in needed]
+    if failed:
+        return ValidationError(failed)
+    if spec.kind in _MOMENT_KINDS:
+        p = spec.preset
+        b3 = map_preset_to_general(p, PresetKind(spec.kind)).lambda4
+        if 1.0 - p.delta * p.b2 - p.delta * b3 < 0.0:
+            message = f"1 - delta*b2 - delta*b3 >= 0 required (delta={p.delta:g}, b2={p.b2:g}, b3={b3:g})"
+            return InstabilityError(message)
+    return None
+
+
+def _row(spec: OptimizerSpec) -> tuple:
+    """The entry's coefficients (see _DiscreteBatch), its c, whether it takes
+    the belief input and is an accumulator, and the rates of its bias
+    denominators (None for B1 = B2 = 1). gadagrad keeps only nu and the
+    heavy ball only mu, so the rows a kind does not use come out zero."""
     p = spec.preset
     if spec.kind == "sgd_momentum":
-        return None if 0.0 <= spec.beta < 1.0 else ValidationError(["0 <= beta < 1"])
+        return (spec.beta, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0), 0.5, False, False, None
+    q = map_preset_to_general(p, PresetKind(spec.kind))
     if spec.kind == "gadagrad":
-        return None if 0.0 < p.c < 1.0 else ValidationError(["0 < c < 1"])
-    b3 = map_preset_to_general(p, PresetKind(spec.kind)).lambda4
-    if 1.0 - p.delta * p.b2 - p.delta * b3 < 0.0:
-        return InstabilityError(
-            f"1 - delta*b2 - delta*b3 >= 0 required (delta={p.delta:g}, b2={p.b2:g}, b3={b3:g})"
-        )
-    return None
+        return (0.0, 0.0, 0.0, 0.0, 0.0, 1.0, p.delta, p.epsilon, p.delta), q.c, False, True, None
+    gain2, couple = p.delta * p.b2, p.delta * q.lambda4
+    coefficients = (p.beta1, p.delta * p.b1, p.beta2, gain2, couple, 1.0 - gain2 - couple, gain2, p.epsilon, 1.0)
+    return coefficients, q.c, q.psi_kind is PsiKind.BELIEF, False, (p.b1, p.b2, p.delta, spec.bias_mode)
 
 
 class _DiscreteBatch:
     """Discrete runs of dimension dim stepped together as a packed (4, R, d)
     state whose blocks are x, mu, zeta and nu: the discrete rule of
-    flow._run_rows.
+    flow._run_rows. Every kind is a row of coefficients (see _row), each
+    array at the full (R, d) shape of the blocks, through one update:
 
-    The rows fall into three masked groups, the moment kinds, gadagrad and
-    sgd_momentum, each with its rates and masks at the full (n, d) shape of
-    its group's blocks, so each operation is one numpy call on operands of
-    one shape and every row goes through exactly the arithmetic of its solo
-    run. The bias denominators are Python scalars, computed once per step
-    for each distinct (b1, b2, delta, bias_mode) and spread to its rows, and
-    nu ** c is applied per group of rows sharing c. A row whose first step
-    raises keeps that error in errors.
+        mu'   = keep1*mu + gain1*g
+        zeta' = keep2*zeta + gain2*nu
+        nu'   = couple*zeta + keep_nu*nu + gain_psi*psi(g, mu')
+        x'    = x - (eta_gain*eta) * num / ((nu'/B2)**c + epsilon)
+
+    num is mu'/B1, or g on the accumulator rows, whose step is zero where
+    the denominator is not > 0. As 1.0*v, v/1.0 and 0.0 + v give v back,
+    each row is bitwise its solo run. The bias denominators B1 and B2 are
+    Python scalars, once per step for each distinct (b1, b2, delta,
+    bias_mode), 1 for the kinds without moment estimates, spread to their
+    rows; nu ** c is taken per group of rows sharing c. A row whose first
+    step raises keeps that error in errors.
     """
 
     dt = 1
@@ -196,42 +219,24 @@ class _DiscreteBatch:
         self.dim = dim
         self.schedule = LrSchedule(_full([spec.preset.eta for spec in specs], dim), milestones)
         self.errors = {i: e for i, e in enumerate(map(_first_step_error, specs)) if e is not None}
-
-        def group(kinds):
-            # all rows as a slice, so that a batch of one kind reads views
-            index = [i for i, spec in enumerate(specs) if spec.kind in kinds]
-            rows = slice(None) if len(index) == len(specs) else np.array(index, dtype=int)
-            return (rows if index else None), [specs[i] for i in index]
-
-        self.moment, self.moment_specs = group(_MOMENT_KINDS)
-        ps = [(spec.preset, map_preset_to_general(spec.preset, PresetKind(spec.kind))) for spec in self.moment_specs]
-        self.keep1 = _full([p.beta1 for p, _ in ps], dim)
-        self.gain1 = _full([p.delta * p.b1 for p, _ in ps], dim)
-        self.keep2 = _full([p.beta2 for p, _ in ps], dim)
-        self.gain2 = _full([p.delta * p.b2 for p, _ in ps], dim)
-        self.couple = _full([p.delta * q.lambda4 for p, q in ps], dim)
-        self.keep_nu = _full([1.0 - p.delta * p.b2 - p.delta * q.lambda4 for p, q in ps], dim)
-        self.moment_epsilon = _full([p.epsilon for p, _ in ps], dim)
-        belief = [q.psi_kind is PsiKind.BELIEF for _, q in ps]
+        coefficients, cs, belief, accumulate, keys = zip(*map(_row, specs)) if specs else ((),) * 5
+        (self.keep1, self.gain1, self.keep2, self.gain2, self.couple, self.keep_nu, self.gain_psi, self.epsilon,
+         self.eta_gain) = _full(np.reshape(coefficients, (-1, 9)).T, dim)
+        self.c_groups = _c_groups(cs)
         self.belief = _full(belief, dim, bool) if any(belief) else None
-        keys = [(q.preset.b1, q.preset.b2, q.preset.delta, q.bias_mode) for q in self.moment_specs]
+        self.accumulate = _full(accumulate, dim, bool) if any(accumulate) else None
         distinct = list(dict.fromkeys(keys))
-        self.bias_specs = [self.moment_specs[keys.index(key)] for key in distinct]
+        self.bias_specs = [key and specs[keys.index(key)] for key in distinct]
         self.bias_of = _full([distinct.index(key) for key in keys], dim, int)
-        self.accumulate, accumulators = group(("gadagrad",))
-        self.acc_delta = _full([spec.preset.delta for spec in accumulators], dim)
-        self.acc_epsilon = _full([spec.preset.epsilon for spec in accumulators], dim)
-        self.acc_c = [spec.preset.c for spec in accumulators]
-        self.heavy_ball, heavy_balls = group(("sgd_momentum",))
-        self.beta = _full([spec.beta for spec in heavy_balls], dim)
+        # the rows with a bias factor: a row that leaves with an error is never stepped
+        self.biased = [key and i not in self.errors and spec for i, (key, spec) in enumerate(zip(keys, specs))]
 
     def select(self, keep: np.ndarray) -> _DiscreteBatch:
         specs = [spec for spec, kept in zip(self.specs, keep) if kept]
         return _DiscreteBatch(specs, self.dim, self.schedule.milestones)
 
     def alpha(self, rows, k: int) -> np.ndarray:
-        alphas = [bias_alpha(q.preset, k, q.bias_mode) if q.kind in _MOMENT_KINDS else 1.0 for q in self.specs]
-        return np.array(alphas)[rows]
+        return np.array([bias_alpha(q.preset, k, q.bias_mode) if q else 1.0 for q in self.biased])[rows]
 
     def step(self, s: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
         if self.errors:
@@ -242,34 +247,28 @@ class _DiscreteBatch:
         """Iteration k of every row from its gradient g, with the learning
         rates eta at the (R, d) shape of g (see step_preset,
         step_sgd_momentum)."""
-        out = s.copy()
-        rows = self.moment
-        if rows is not None:
-            x, mu, zeta, nu, gm = s[0, rows], s[1, rows], s[2, rows], s[3, rows], g[rows]
-            mu_new = self.keep1 * mu + self.gain1 * gm
-            zeta_new = self.keep2 * zeta + self.gain2 * nu
-            nu_new = self.couple * zeta + self.keep_nu * nu + self.gain2 * _psi(gm, mu_new, self.belief)
-            bias = [bias_denominators(q.preset, k, q.bias_mode) for q in self.bias_specs]
-            # one shared pair divides as Python scalars, the same arithmetic
-            # as full arrays at a fraction of the cost
-            b1_corr, b2_corr = bias[0] if len(bias) == 1 else np.array(bias).T[:, self.bias_of]
-            mu_hat = mu_new / b1_corr
-            nu_hat = nu_new / b2_corr
-            out[0, rows] = x - eta[rows] * (mu_hat / (np.sqrt(nu_hat) + self.moment_epsilon))
-            out[1, rows], out[2, rows], out[3, rows] = mu_new, zeta_new, nu_new
-        rows = self.accumulate
-        if rows is not None:
-            ga = g[rows]
-            nu_new = s[3, rows] + self.acc_delta * (ga * ga)
-            denom = _pow_rows(nu_new, self.acc_c) + self.acc_epsilon
-            direction = np.divide(ga, denom, out=np.zeros_like(ga), where=denom > 0)
-            out[0, rows] = s[0, rows] - (self.acc_delta * eta[rows]) * direction
-            out[3, rows] = nu_new
-        rows = self.heavy_ball
-        if rows is not None:
-            m_new = self.beta * s[1, rows] + g[rows]
-            out[0, rows] = s[0, rows] - eta[rows] * m_new
-            out[1, rows] = m_new
+        out = np.empty(s.shape)
+        zeta, nu = s[2], s[3]
+        mu_new = np.add(self.keep1 * s[1], self.gain1 * g, out=out[1])
+        np.add(self.keep2 * zeta, self.gain2 * nu, out=out[2])
+        psi = _psi(g, mu_new, self.belief)
+        nu_new = np.add(self.couple * zeta + self.keep_nu * nu, self.gain_psi * psi, out=out[3])
+        bias = [bias_denominators(q.preset, k, q.bias_mode) if q else (1.0, 1.0) for q in self.bias_specs]
+        # one shared pair divides as Python scalars: the same arithmetic at a fraction of the cost
+        b1_corr, b2_corr = bias[0] if len(bias) == 1 else np.array(bias).T[:, self.bias_of]
+        num = mu_new / b1_corr
+        denom = _pow_rows(nu_new / b2_corr, self.c_groups) + self.epsilon
+        acc = self.accumulate
+        if acc is None:
+            # eta_gain is 1 on every row but an accumulator's
+            direction = num / denom
+        else:
+            np.copyto(num, g, where=acc)
+            direction = np.divide(num, denom, out=np.zeros_like(num), where=~acc | (denom > 0))
+            eta = self.eta_gain * eta
+            # an accumulator's zeta stays 0 once its nu overflows, where 0*inf is NaN
+            np.copyto(out[2], 0.0, where=acc)
+        np.subtract(s[0], eta * direction, out=out[0])
         return out
 
 
@@ -303,13 +302,8 @@ def step_preset(
     """Iteration k of a named optimizer with learning rate eta; the kind alone
     decides the update, as map_preset_to_general decides its flow.
 
-    gadagrad accumulates, without bias correction:
-
-        nu' = nu + delta*g^2
-        x'  = x - delta*eta * g / (nu'^c + epsilon)
-
-    where a zero denominator gives a zero step. The other kinds update the
-    moments first, then x from the post-update, bias-corrected moments:
+    The moment kinds update the moments first, then x from the post-update,
+    bias-corrected moments:
 
         mu'   = (1 - delta*b1)*mu + delta*b1*g
         zeta' = (1 - delta*b2)*zeta + delta*b2*nu
@@ -318,9 +312,18 @@ def step_preset(
 
     with b3 forced to 0 for adam and adabelief, psi = (g - mu')^2 for the
     belief kinds and g^2 otherwise, and mu_hat, nu_hat corrected by
-    bias_denominators at iteration k under bias_mode. One code path serves
-    every moment kind, so kinds that differ only by an inert parameter agree
-    bitwise. Raises InstabilityError when 1 - delta*b2 - delta*b3 < 0.
+    bias_denominators at iteration k under bias_mode. gadagrad accumulates,
+    without bias correction, and its mu and zeta come out zero:
+
+        nu' = nu + delta*g^2
+        x'  = x - delta*eta * g / (nu'^c + epsilon)
+
+    where a zero denominator gives a zero step. Each kind is a row of the
+    one discrete update (see _DiscreteBatch), so kinds that differ only by
+    an inert parameter agree bitwise. Raises InstabilityError when
+    1 - delta*b2 - delta*b3 < 0, and a ValidationError naming the failed
+    conditions among delta > 0, 0 < b2, b2 < b1 and b1 < 1 (0 < c < 1 for
+    gadagrad).
     """
     name = kind.value
     return _step_one(state, grad, eta, k, name, name, preset, bias_mode)
@@ -331,7 +334,9 @@ def step_sgd_momentum(state: np.ndarray, grad, eta: float, k: int, beta: float) 
     at every iteration k.
 
     The momentum buffer lives in the mu row; beta = 0 is plain gradient
-    descent.
+    descent. As a row of the one discrete update its nu is 0*zeta + 0*nu +
+    0*g^2: zeta and nu come out zero, and a gradient whose square overflows
+    (|g| > 1.3e154) gives a NaN iterate; a run ends before such a step.
     """
     return _step_one(state, grad, eta, k, "sgd_momentum", "sgd_momentum", PresetParams(), beta=beta)
 

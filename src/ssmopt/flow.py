@@ -117,7 +117,7 @@ class _Batch:
         self.l6 = _full([p.lambda6 for p in ps], dim)
         belief = [p.psi_kind is PsiKind.BELIEF for p in ps]
         self.belief = _full(belief, dim, bool) if any(belief) else None
-        self.cs = [p.c for p in ps]
+        self.c_groups = _c_groups([p.c for p in ps])
         keys = [p.lambda7 == 0 or (p.lambda2, p.lambda6, p.c) for p in ps]
         distinct = list(dict.fromkeys(keys))
         self.alpha_params = [ps[keys.index(key)] for key in distinct]
@@ -173,7 +173,7 @@ class _Batch:
         d[3] += self.l6 * _psi(g, s[1], self.belief)
         # dx = -d[0] / (alpha * nu**c), in place
         dx = np.negative(d[0], out=d[0])
-        dx /= self.alpha_block(t) * _pow_rows(nu, self.cs)
+        dx /= self.alpha_block(t) * _pow_rows(nu, self.c_groups)
         return d
 
 
@@ -274,20 +274,20 @@ class RunStore:
 
     The summary holds one (R,) array per quantity: per row the best f and
     the first step that reached it, the first step whose gradient norm fell
-    below threshold (-1 for none yet), the final gradient norm, and whether
-    nu stayed nonnegative and x inside the box. A summarized step writes its
-    rows' f values and gradient norms into column j of two (R, K) blocks,
-    and its step into a (K,) array; nu and x are checked whole, and rows
-    are told apart only on a step where one fails. One vectorized fold
-    reduces the blocks into the summary when they are full and before the
-    first outcome, so rows that left mid-block are folded too, with the
-    rules of a scan of one step at a time: a cell not written is NaN, never
-    the best f nor below threshold; the best f is a block's least f at its
-    first column, taken only when strictly less than the best so far and
-    read from that column, so neither 0.0 nor -0.0 displaces the other. A
-    row diverges at the first step whose f or gradient norm is not finite,
-    or whose state is not finite (see diverge): its report is a failure
-    naming that step (diverged_at, -1 while none).
+    below threshold (-1 for none yet), and whether nu stayed nonnegative and
+    x inside the box; the final gradient norm is the row's last record. A
+    summarized step writes its rows' f values and gradient norms into column
+    j of two (R, K) blocks, and its step into a (K,) array; nu and x are
+    checked whole, and rows are told apart only on a step where one fails.
+    One vectorized fold reduces the blocks into the summary when they are
+    full and before the first outcome, so rows that left mid-block are
+    folded too, with the rules of a scan of one step at a time: a cell not
+    written is NaN, never the best f nor below threshold; the best f is a
+    block's least f at its first column, taken only when strictly less than
+    the best so far and read from that column, so neither 0.0 nor -0.0
+    displaces the other. A row diverges at the first step whose f or
+    gradient norm is not finite, or whose state is not finite (see diverge):
+    its report is a failure naming that step (diverged_at, -1 while none).
     """
 
     K = 256
@@ -305,7 +305,6 @@ class RunStore:
         self.best_f = np.full(n_rows, math.inf)
         self.epoch_of_best = np.zeros(n_rows, int)
         self.iters_to_threshold = np.full(n_rows, -1)
-        self.final_grad_norm = np.full(n_rows, math.nan)
         self.nu_nonnegative = np.ones(n_rows, bool)
         self.stayed_in_box = np.ones(n_rows, bool)
         self.diverged_at = np.full(n_rows, -1)
@@ -354,10 +353,6 @@ class RunStore:
         first_below = below.argmax(axis=1)
         reached = below[rows, first_below] & (self.iters_to_threshold < 0)
         self.iters_to_threshold[reached] = steps[first_below[reached]]
-        written = ~np.isnan(norms)
-        last = j - 1 - written[:, ::-1].argmax(axis=1)
-        seen = written[rows, last]
-        self.final_grad_norm[seen] = norms[rows[seen], last[seen]]
         f.fill(math.nan)
         norms.fill(math.nan)
         self.column = 0
@@ -390,18 +385,10 @@ class RunStore:
             what = "the state" if self.state_diverged[row] else "f or the gradient norm"
             return traj, RunReport.failure(name, f"diverged at iteration {k}: {what} is not finite", diverged_at=k)
         itt = int(self.iters_to_threshold[row])
-        diagnostics = {
-            "nu_nonnegative": bool(self.nu_nonnegative[row]),
-            "stayed_in_box": bool(self.stayed_in_box[row]),
-        }
-        return traj, RunReport(
-            optimizer=name,
-            best_f=float(self.best_f[row]),
-            epoch_of_best=int(self.epoch_of_best[row]),
-            final_grad_norm=float(self.final_grad_norm[row]),
-            iters_to_threshold=itt if itt >= 0 else None,
-            diagnostics=diagnostics,
-        )
+        diagnostics = dict(nu_nonnegative=bool(self.nu_nonnegative[row]), stayed_in_box=bool(self.stayed_in_box[row]))
+        # a run that did not fail ends with a record of its last step: the final gradient norm
+        summary = float(self.best_f[row]), int(self.epoch_of_best[row]), float(grad_norms[-1])
+        return traj, RunReport(name, *summary, itt if itt >= 0 else None, diagnostics)
 
 
 def _full(values, dim: int, dtype=float) -> np.ndarray:
@@ -419,14 +406,18 @@ def _psi(g: np.ndarray, m: np.ndarray, belief: Optional[np.ndarray]) -> np.ndarr
     return r * r
 
 
-def _pow_rows(base: np.ndarray, cs: list[float]) -> np.ndarray:
+def _c_groups(cs: list[float]) -> list[tuple[float, list[int]]]:
+    """Each distinct c of the rows with the rows that share it, for _pow_rows."""
+    return [(c, [i for i, ci in enumerate(cs) if ci == c]) for c in dict.fromkeys(cs)]
+
+
+def _pow_rows(base: np.ndarray, groups: list[tuple[float, list[int]]]) -> np.ndarray:
     """base ** c row by row, with one scalar c per group of rows sharing it:
     numpy computes base ** 0.5 as sqrt(base) but an exponent array as pow."""
-    if len(set(cs)) == 1:
-        return base ** cs[0]
+    if len(groups) == 1:
+        return base ** groups[0][0]
     out = np.empty_like(base)
-    for c in set(cs):
-        rows = [i for i, ci in enumerate(cs) if ci == c]
+    for c, rows in groups:
         out[rows] = base[rows] ** c
     return out
 

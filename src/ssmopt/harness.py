@@ -62,7 +62,7 @@ import numpy as np
 
 from .core import PresetKind, PresetParams, ValidationError
 from .discrete import BIAS_MODES, KIND_KEYS, LrSchedule, OptimizerSpec, run_discrete_batch
-from .flow import RunReport, _integrate_rows, gadagrad_energy_residual, preset_flow, rk4_step
+from .flow import RunReport, _check_grid, _integrate_rows, gadagrad_energy_residual, preset_flow, rk4_step
 from .objectives import Objective, make_logistic, make_quadratic, make_rosenbrock
 
 SUMMARY_COLUMNS = ("optimizer", "best_f", "epoch_of_best", "final_grad_norm", "iters_to_threshold")
@@ -456,15 +456,14 @@ def run_flows(config: ExperimentConfig, dt: float, t_end: float, out_dir=None) -
     turns non-finite, which ends the flow's CSV at that step. G-AdaGrad
     entries get an energy_residual_max_abs diagnostic; every report flags
     whether the recorded iterates stayed inside the objective's test box.
+    A grid that integrate_batch rejects is a ValueError before any output.
     """
+    _check_grid(dt, t_end)
     indices = []
     for i, spec in enumerate(config.optimizers):
         if spec.kind == "sgd_momentum":
-            print(
-                f"note: skipping optimizers[{i}] ({spec.name}): "
-                "sgd_momentum has no flow counterpart",
-                file=sys.stderr,
-            )
+            print(f"note: skipping optimizers[{i}] ({spec.name}): sgd_momentum has no flow counterpart",
+                  file=sys.stderr)
         else:
             indices.append(i)
     if not indices:

@@ -1,6 +1,8 @@
 """Unit tests for the domain types, bias correction, and parameter
 validation."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -296,3 +298,7 @@ class TestInitialFlowState:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             initial_stepper_state([1.0, 2.0], [1.0])
+
+    def test_flow_nu0_shape_must_match_x0(self):
+        with pytest.raises(ValueError, match=re.escape("nu0 shape (3,) != x0 shape (2,)")):
+            FlowProblem(make_quadratic(2, 1.0), adam_params(), [1.0, 1.0], [1.0, 1.0, 1.0])

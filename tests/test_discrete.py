@@ -164,6 +164,14 @@ class TestGadagradStep:
         new = gadagrad_step(state, np.zeros(1), 0, c=0.5, eta=1.0, epsilon=0.0, delta=1.0)
         assert new[0, 0] == 1.0
 
+    def test_moment_rows_come_out_zero(self):
+        # a run starts them at zero; a given state's mu and zeta are dropped
+        state = np.array([[2.0], [0.75], [-3.0], [1.0]])
+        new = gadagrad_step(state, np.array([2.0]), 0, c=0.5, eta=1.0, epsilon=0.0, delta=0.25)
+        assert new[3, 0] == 1.0 + 0.25 * 4.0
+        assert new[0, 0] == 2.0 - 0.25 * (2.0 / 2.0 ** 0.5)
+        assert new[1, 0] == 0.0 and new[2, 0] == 0.0
+
     def test_exponent_validated(self):
         state = initial_stepper_state(np.array([1.0]))
         for bad_c in (0.0, 1.0, -0.5):
@@ -191,6 +199,23 @@ class TestSgdMomentumStep:
             with pytest.raises(ValidationError) as err:
                 step_sgd_momentum(state, np.array([1.0]), k=0, beta=bad, eta=0.1)
             assert err.value.violations == ["0 <= beta < 1"]
+
+    def test_rows_it_does_not_use_come_out_zero(self):
+        # a run starts them at zero; a given state's zeta and nu are dropped
+        state = np.array([[1.0, 2.0], [0.5, -0.5], [3.0, -4.0], [0.25, 7.0]])
+        new = step_sgd_momentum(state, np.array([0.5, 1.5]), k=3, beta=0.5, eta=0.1)
+        assert new[1].tolist() == [0.5 * 0.5 + 0.5, 0.5 * -0.5 + 1.5]
+        assert new[0].tolist() == (state[0] - 0.1 * new[1]).tolist()
+        assert new[2].tolist() == [0.0, 0.0] and new[3].tolist() == [0.0, 0.0]
+
+    def test_gradient_whose_square_overflows_gives_a_nan_iterate(self):
+        # 0 * g^2 is 0 * inf: a run never steps such a row, as its gradient norm is inf
+        state = initial_stepper_state(np.array([1.0, 1.0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            new = step_sgd_momentum(state, np.array([1e155, 1.0]), k=0, beta=0.9, eta=0.1)
+        assert np.isnan(new[0, 0]) and np.isnan(new[3, 0])
+        assert new[0, 1] == 1.0 - 0.1 * 1.0 and new[3, 1] == 0.0
+        assert new[1].tolist() == [1e155, 1.0]
 
 
 class TestBiasCorrection:
@@ -279,6 +304,15 @@ class TestRunDiscrete:
         assert report.best_f == obj.eval_f(np.ones(2))
         assert report.epoch_of_best == 0
         assert report.final_grad_norm == float(np.linalg.norm(obj.eval_grad(np.ones(2))))
+
+    def test_clean_report_can_flag_a_negative_accumulator(self):
+        # a negative sampling time drains nu: no step fails, the report flags it
+        spec = OptimizerSpec("gadagrad", "drained", PresetParams(delta=-0.1))
+        with np.errstate(invalid="ignore"):
+            ((traj, report),) = run_discrete_batch([spec], make_quadratic(2, 10.0), np.ones(2), 5)
+        assert "error" not in report.diagnostics
+        assert report.diagnostics == {"nu_nonnegative": False, "stayed_in_box": True}
+        assert (traj.states[1:, 3] < 0).all()
 
     def test_negative_iterations_rejected(self):
         with pytest.raises(ValueError):
@@ -403,6 +437,27 @@ class TestRunDiscreteBatch:
         *_, alone = run_discrete_batch(specs, obj, x0, 0, self.MILESTONES, record_stride=7)
         assert_same_run(alone, self.solo(unstable, obj, x0, 0))
 
+    @pytest.mark.parametrize(
+        "bad, mode, failed",
+        [
+            (PresetParams(b2=0.0), "paper", ["0 < b2"]),
+            (PresetParams(b2=-0.01), "paper", ["0 < b2"]),
+            (PresetParams(b1=1.2, b2=0.5), "continuous", ["b1 < 1"]),
+            (PresetParams(delta=-0.15), "beta", ["delta > 0"]),
+        ],
+    )
+    def test_invalid_bias_rates_leave_with_their_solo_error(self, bad, mode, failed):
+        # the bias factors of these rates divide by zero or turn complex
+        obj, x0 = make_quadratic(2, 10.0), np.ones(2)
+        invalid = OptimizerSpec("adam", "bad", bad, mode)
+        ok = OptimizerSpec("adam", "ok", PresetParams())
+        failure, got = run_discrete_batch([invalid, ok], obj, x0, 5)
+        assert isinstance(failure, ValidationError) and failure.violations == failed
+        with pytest.raises(ValidationError) as solo:
+            run_discrete(invalid, obj, x0, 5)
+        assert str(failure) == str(solo.value)
+        assert_same_run(got, run_discrete(ok, obj, x0, 5))
+
     def test_iteration_zero_evaluation_precedes_the_unstable_step(self):
         # f is not finite at the start: the run diverges before its first step
         obj, x0 = make_quadratic(2, 100.0), np.array([1e200, 1e200])
@@ -479,6 +534,19 @@ class TestBatchEqualsTheOracle:
         assert [report.diagnostics.get("diverged_at") for _, report in results] == [None] * 5 + [34]
 
 
+    def test_an_accumulator_that_overflows_equals_the_oracle(self):
+        # nu reaches inf at iteration 19 while f and the gradient norm stay
+        # finite: the run goes on, and zeta stays 0 where 0 * nu would be NaN
+        obj, x0, n = make_quadratic(1, 1.0), np.array([1e154]), 25
+        entry = {"kind": "gadagrad", "c": 0.5, "delta": 0.15, "epsilon": 1e-8, "eta": 1.0}
+        spec = OptimizerSpec("gadagrad", "gadagrad", PresetParams(c=0.5, delta=0.15, epsilon=1e-8, eta=1.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            ((traj, report),) = run_discrete_batch([spec], obj, x0, n)
+            rows = discrete_entry_run(entry, obj.eval_grad, x0, n, ())
+        assert traj.states.tobytes() == np.array([row[1:] for row in rows]).tobytes()
+        assert np.isinf(traj.states[-1, 3, 0]) and "error" not in report.diagnostics
+
+
 class TestComponentMajorBatch:
     def test_rates_have_the_full_shape_of_their_blocks(self):
         specs = mixed_specs()
@@ -486,18 +554,14 @@ class TestComponentMajorBatch:
         # drop a gadagrad row and an adam row
         keep = np.array([spec.name not in ("gadagrad-c0.3", "adam-beta") for spec in specs])
         for batch in (batch, batch.select(keep)):
-            kinds = [spec.kind for spec in batch.specs]
-            accumulators, heavy_balls = kinds.count("gadagrad"), kinds.count("sgd_momentum")
-            moments = len(kinds) - accumulators - heavy_balls
-            rows = {
-                "keep1": moments, "gain1": moments, "keep2": moments, "gain2": moments, "couple": moments,
-                "keep_nu": moments, "moment_epsilon": moments, "belief": moments, "bias_of": moments,
-                "acc_delta": accumulators, "acc_epsilon": accumulators, "beta": heavy_balls,
-            }
-            arrays = {name: getattr(batch, name) for name in rows}
-            arrays["eta"], rows["eta"] = batch.schedule.eta_at(30), len(kinds)
+            names = (
+                "keep1", "gain1", "keep2", "gain2", "couple", "keep_nu", "gain_psi", "epsilon", "eta_gain",
+                "belief", "accumulate", "bias_of",
+            )
+            arrays = {name: getattr(batch, name) for name in names}
+            arrays["eta"] = batch.schedule.eta_at(30)
             for name, array in arrays.items():
-                assert array.shape == (rows[name], 3) and array.flags.c_contiguous, name
+                assert array.shape == (len(batch.specs), 3) and array.flags.c_contiguous, name
         assert len(batch.specs) == len(specs) - 2
 
 

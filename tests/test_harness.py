@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -159,6 +160,14 @@ class TestLoadConfig:
         payload = base_payload()
         payload["optimizers"][0]["b1"] = True
         with pytest.raises(ParseError, match="optimizers\\[0\\].b1: expected a number, got bool"):
+            load_config(write_config(tmp_path, payload))
+        payload = base_payload()
+        payload["optimizers"][0]["bias_mode"] = 1
+        with pytest.raises(ParseError, match="optimizers\\[0\\].bias_mode: expected a string, got int"):
+            load_config(write_config(tmp_path, payload))
+        payload = base_payload()
+        payload["output_dir"] = 3
+        with pytest.raises(ParseError, match="config.output_dir: expected a string, got int"):
             load_config(write_config(tmp_path, payload))
 
     def test_preset_keys_rejected_for_heavy_ball(self, tmp_path):
@@ -702,6 +711,17 @@ class TestRunFlows:
         records = json.loads((out / "flow_report.json").read_text())
         assert [r["optimizer"] for r in records] == ["gadagrad", "adam"]
 
+    @pytest.mark.parametrize(
+        "dt, t_end, message",
+        [(-1.0, 1.0, "dt must be positive"), (0.01, 0.001, "t_end must be at least dt"), (0.3, 1.0, "whole number")],
+    )
+    def test_bad_grid_raises_before_any_output(self, tmp_path, dt, t_end, message):
+        config = self.flow_config(tmp_path)
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=message):
+            run_flows(config, dt=dt, t_end=t_end, out_dir=out)
+        assert not out.exists()
+
     def test_flow_reports_diagnose_energy_and_box(self, tmp_path):
         config = self.flow_config(tmp_path)
         reports = run_flows(config, dt=0.01, t_end=1.0, out_dir=tmp_path / "out")
@@ -833,6 +853,16 @@ class TestCli:
         )
         assert done.returncode == 0
         assert done.stdout == capsys.readouterr().out
+
+    def test_module_runs_as_main_in_process(self, capsys, monkeypatch):
+        args = ["analyze", "--b2", "0.0067"]
+        assert cli.main(args) == 0
+        want = capsys.readouterr().out
+        monkeypatch.setattr(sys, "argv", ["ssmopt", *args])
+        with pytest.raises(SystemExit) as done:
+            runpy.run_module("ssmopt", run_name="__main__")
+        assert done.value.code == 0
+        assert capsys.readouterr().out == want
 
     def test_run_with_missing_config_fails_validation_exit(self, capsys, tmp_path):
         rc = cli.main(["run", str(tmp_path / "nope.json")])
