@@ -178,8 +178,7 @@ def _first_step_error(spec: OptimizerSpec) -> Exception | None:
 def _row(spec: OptimizerSpec) -> tuple:
     """The entry's coefficients (see _DiscreteBatch), its c, whether it takes
     the belief input and is an accumulator, and the rates of its bias
-    denominators (None for B1 = B2 = 1). gadagrad keeps only nu and the
-    heavy ball only mu, so the rows a kind does not use come out zero."""
+    denominators (None for B1 = B2 = 1)."""
     p = spec.preset
     if spec.kind == "sgd_momentum":
         return (spec.beta, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0), 0.5, False, False, None
@@ -226,10 +225,10 @@ class _DiscreteBatch:
         self.belief = _full(belief, dim, bool) if any(belief) else None
         self.accumulate = _full(accumulate, dim, bool) if any(accumulate) else None
         distinct = list(dict.fromkeys(keys))
-        self.bias_specs = [key and specs[keys.index(key)] for key in distinct]
+        self.bias_specs = [specs[keys.index(key)] if key else None for key in distinct]
         self.bias_of = _full([distinct.index(key) for key in keys], dim, int)
         # the rows with a bias factor: a row that leaves with an error is never stepped
-        self.biased = [key and i not in self.errors and spec for i, (key, spec) in enumerate(zip(keys, specs))]
+        self.biased = [spec if key and i not in self.errors else None for i, (key, spec) in enumerate(zip(keys, specs))]
 
     def select(self, keep: np.ndarray) -> _DiscreteBatch:
         specs = [spec for spec, kept in zip(self.specs, keep) if kept]
@@ -302,8 +301,14 @@ def step_preset(
     """Iteration k of a named optimizer with learning rate eta; the kind alone
     decides the update, as map_preset_to_general decides its flow.
 
-    The moment kinds update the moments first, then x from the post-update,
-    bias-corrected moments:
+    gadagrad accumulates, without bias correction, and its mu and zeta come
+    out zero:
+
+        nu' = nu + delta*g^2
+        x'  = x - delta*eta * g / (nu'^c + epsilon)
+
+    where a zero denominator gives a zero step. The other kinds update the
+    moments first, then x from the post-update, bias-corrected moments:
 
         mu'   = (1 - delta*b1)*mu + delta*b1*g
         zeta' = (1 - delta*b2)*zeta + delta*b2*nu
@@ -312,18 +317,11 @@ def step_preset(
 
     with b3 forced to 0 for adam and adabelief, psi = (g - mu')^2 for the
     belief kinds and g^2 otherwise, and mu_hat, nu_hat corrected by
-    bias_denominators at iteration k under bias_mode. gadagrad accumulates,
-    without bias correction, and its mu and zeta come out zero:
-
-        nu' = nu + delta*g^2
-        x'  = x - delta*eta * g / (nu'^c + epsilon)
-
-    where a zero denominator gives a zero step. Each kind is a row of the
-    one discrete update (see _DiscreteBatch), so kinds that differ only by
-    an inert parameter agree bitwise. Raises InstabilityError when
-    1 - delta*b2 - delta*b3 < 0, and a ValidationError naming the failed
-    conditions among delta > 0, 0 < b2, b2 < b1 and b1 < 1 (0 < c < 1 for
-    gadagrad).
+    bias_denominators at iteration k under bias_mode. Every kind is a row of
+    coefficients of one update (see _DiscreteBatch), so kinds that differ
+    only by an inert parameter agree bitwise. Raises InstabilityError when
+    1 - delta*b2 - delta*b3 < 0, and ValidationError for rates outside
+    delta > 0 and 0 < b2 < b1 < 1 (or 0 < c < 1 for gadagrad).
     """
     name = kind.value
     return _step_one(state, grad, eta, k, name, name, preset, bias_mode)

@@ -385,10 +385,19 @@ class RunStore:
             what = "the state" if self.state_diverged[row] else "f or the gradient norm"
             return traj, RunReport.failure(name, f"diverged at iteration {k}: {what} is not finite", diverged_at=k)
         itt = int(self.iters_to_threshold[row])
-        diagnostics = dict(nu_nonnegative=bool(self.nu_nonnegative[row]), stayed_in_box=bool(self.stayed_in_box[row]))
-        # a run that did not fail ends with a record of its last step: the final gradient norm
-        summary = float(self.best_f[row]), int(self.epoch_of_best[row]), float(grad_norms[-1])
-        return traj, RunReport(name, *summary, itt if itt >= 0 else None, diagnostics)
+        diagnostics = {
+            "nu_nonnegative": bool(self.nu_nonnegative[row]),
+            "stayed_in_box": bool(self.stayed_in_box[row]),
+        }
+        return traj, RunReport(
+            optimizer=name,
+            best_f=float(self.best_f[row]),
+            epoch_of_best=int(self.epoch_of_best[row]),
+            # a run that did not fail ends with a record of its last step
+            final_grad_norm=float(grad_norms[-1]),
+            iters_to_threshold=itt if itt >= 0 else None,
+            diagnostics=diagnostics,
+        )
 
 
 def _full(values, dim: int, dtype=float) -> np.ndarray:

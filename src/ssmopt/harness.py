@@ -462,8 +462,11 @@ def run_flows(config: ExperimentConfig, dt: float, t_end: float, out_dir=None) -
     indices = []
     for i, spec in enumerate(config.optimizers):
         if spec.kind == "sgd_momentum":
-            print(f"note: skipping optimizers[{i}] ({spec.name}): sgd_momentum has no flow counterpart",
-                  file=sys.stderr)
+            print(
+                f"note: skipping optimizers[{i}] ({spec.name}): "
+                "sgd_momentum has no flow counterpart",
+                file=sys.stderr,
+            )
         else:
             indices.append(i)
     if not indices:

@@ -533,9 +533,8 @@ class TestBatchEqualsTheOracle:
                 assert traj.grad_norms[:-1].tobytes() == np.array(norms[:-1]).tobytes()
         assert [report.diagnostics.get("diverged_at") for _, report in results] == [None] * 5 + [34]
 
-
     def test_an_accumulator_that_overflows_equals_the_oracle(self):
-        # nu reaches inf at iteration 19 while f and the gradient norm stay
+        # nu is inf from iteration 12 on while f and the gradient norm stay
         # finite: the run goes on, and zeta stays 0 where 0 * nu would be NaN
         obj, x0, n = make_quadratic(1, 1.0), np.array([1e154]), 25
         entry = {"kind": "gadagrad", "c": 0.5, "delta": 0.15, "epsilon": 1e-8, "eta": 1.0}
