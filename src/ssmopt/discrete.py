@@ -26,10 +26,10 @@ BIAS_MODES = ("paper", "beta", "continuous")
 
 
 class InstabilityError(ValueError):
-    """The sampling time is too large for the second-moment update.
-
-    The nu update keeps nonnegativity only when 1 - delta*b2 - delta*b3 >= 0.
-    """
+    """The sampling time is too large for the moment updates: the message
+    names each failed condition of 1 - delta*b1 >= 0 (else mu, and under
+    bias_mode "beta" the bias factor, changes sign every step) and
+    1 - delta*b2 - delta*b3 >= 0 (else nu can turn negative)."""
 
 
 def initial_stepper_state(x0, nu0=None) -> np.ndarray:
@@ -169,9 +169,10 @@ def _first_step_error(spec: OptimizerSpec) -> Exception | None:
     if spec.kind in _MOMENT_KINDS:
         p = spec.preset
         b3 = map_preset_to_general(p, PresetKind(spec.kind)).lambda4
+        failed = [f"1 - delta*b1 >= 0 required (delta={p.delta:g}, b1={p.b1:g})"] if p.beta1 < 0.0 else []
         if 1.0 - p.delta * p.b2 - p.delta * b3 < 0.0:
-            message = f"1 - delta*b2 - delta*b3 >= 0 required (delta={p.delta:g}, b2={p.b2:g}, b3={b3:g})"
-            return InstabilityError(message)
+            failed.append(f"1 - delta*b2 - delta*b3 >= 0 required (delta={p.delta:g}, b2={p.b2:g}, b3={b3:g})")
+        return InstabilityError("; ".join(failed)) if failed else None
     return None
 
 
@@ -320,8 +321,9 @@ def step_preset(
     bias_denominators at iteration k under bias_mode. Every kind is a row of
     coefficients of one update (see _DiscreteBatch), so kinds that differ
     only by an inert parameter agree bitwise. Raises InstabilityError when
-    1 - delta*b2 - delta*b3 < 0, and ValidationError for rates outside
-    delta > 0 and 0 < b2 < b1 < 1 (or 0 < c < 1 for gadagrad).
+    1 - delta*b1 < 0 or 1 - delta*b2 - delta*b3 < 0 (the moment kinds), and
+    ValidationError for rates outside delta > 0 and 0 < b2 < b1 < 1 (or
+    0 < c < 1 for gadagrad).
     """
     name = kind.value
     return _step_one(state, grad, eta, k, name, name, preset, bias_mode)

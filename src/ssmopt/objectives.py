@@ -30,8 +30,9 @@ class Objective:
     A single point gives a float and a (dim,) gradient.
 
     eval_f_grad, when present, returns the pair (eval_f(x), eval_grad(x)),
-    bitwise, from one pass that shares the work of the two; f_grad calls it,
-    or eval_f and eval_grad when it is None.
+    bitwise, from one pass that shares the work of the two (Rosenbrock and
+    logistic have one); f_grad calls it, or eval_f and eval_grad when it is
+    None.
     """
 
     dim: int
@@ -85,33 +86,38 @@ def make_rosenbrock(d: int) -> Objective:
 
     The Hessian is unbounded globally but bounded on the test box, so
     convergence checks only apply to trajectories that stay inside it.
+    eval_f_grad computes r = x[i+1] - x[i]^2 and 1 - x[i] once for f and the
+    gradient; eval_f is its f half, and eval_grad computes the gradient alone.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
 
-    def f(x):
-        # summed along the contiguous last axis: pairwise per row, as alone
-        x = np.asarray(x, dtype=float)
-        head, tail = x[..., :-1], x[..., 1:]
-        value = np.sum(100.0 * (tail - head ** 2) ** 2 + (1.0 - head) ** 2, axis=-1)
-        return value if x.ndim > 1 else float(value)
+    def grad_parts(x):
+        # A batch (R, d) is computed on a contiguous (d, R) copy, so the
+        # coordinates index the first axis, as a point's do, and copied back
+        # to unit-stride rows: a strided row's sums run in another order.
+        head, tail = x[:-1], x[1:]
+        r, rest = tail - head ** 2, 1.0 - head
+        g = np.zeros(x.shape)
+        g[:-1] = -400.0 * head * r - 2.0 * rest
+        g[1:] += 200.0 * r
+        return g, r, rest
 
     def grad(x):
         x = np.asarray(x, dtype=float)
-        # A batch (R, d) is computed on a contiguous (d, R) copy, so the
-        # coordinates index the first axis, as a point's do, and copied back
-        # to unit-stride rows: a strided row's ddot sums in another order.
+        return grad_parts(x)[0] if x.ndim == 1 else grad_parts(x.T.copy())[0].T.copy()
+
+    def f_grad(x):
+        x = np.asarray(x, dtype=float)
         batch = x.ndim > 1
-        x = x.T.copy() if batch else x
-        g = np.zeros(x.shape)
-        head, tail = x[:-1], x[1:]
-        r = tail - head ** 2
-        g[:-1] = -400.0 * head * r - 2.0 * (1.0 - head)
-        g[1:] += 200.0 * r
-        return g.T.copy() if batch else g
+        g, r, rest = grad_parts(x.T.copy() if batch else x)
+        terms = 100.0 * r ** 2 + rest ** 2
+        if batch:
+            return np.add.reduce(terms.T.copy(), axis=-1), g.T.copy()
+        return float(np.add.reduce(terms)), g
 
     return Objective(
-        dim=d, eval_f=f, eval_grad=grad,
+        dim=d, eval_f=lambda x: f_grad(x)[0], eval_grad=grad, eval_f_grad=f_grad,
         known_min=(np.ones(d), 0.0),
         hessian_bounded_hint=False,
         name=f"rosenbrock_d{d}",

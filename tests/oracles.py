@@ -384,3 +384,50 @@ def rosenbrock_grad(x):
         else:
             g.append((-400.0 * x[i] * r[i] - 2.0 * (1.0 - x[i])) + 200.0 * r[i - 1])
     return np.array(g)
+
+
+def pairwise_sum(values) -> float:
+    """numpy's sum of one contiguous run of float64 values (np.add.reduce
+    over a row), transcribed: 0.0 plus the pairwise sum, which adds a run
+    shorter than 8 one value at a time from -0.0, a run of up to 128 in
+    eight interleaved partial sums combined as a tree, and splits a longer
+    run in two at a multiple of 8 below its half."""
+
+    def pairwise(a):
+        n = len(a)
+        if n < 8:
+            total = -0.0
+            for v in a:
+                total += v
+            return total
+        if n <= 128:
+            partial = list(a[:8])
+            end = n - n % 8
+            for i in range(8, end, 8):
+                for j in range(8):
+                    partial[j] += a[i + j]
+            total = ((partial[0] + partial[1]) + (partial[2] + partial[3])) + (
+                (partial[4] + partial[5]) + (partial[6] + partial[7])
+            )
+            for v in a[end:]:
+                total += v
+            return total
+        half = n // 2 - (n // 2) % 8
+        return pairwise(a[:half]) + pairwise(a[half:])
+
+    return 0.0 + pairwise([float(v) for v in values])
+
+
+def rosenbrock_f(x) -> float:
+    """The chained Rosenbrock function at a single point, one term at a time:
+
+      f(x) = sum_i 100*r[i]^2 + (1 - x[i])^2,   r[i] = x[i+1] - x[i]*x[i],   i = 0..d-2
+
+    the terms summed in numpy's order for a row (pairwise_sum).
+    """
+    x = [float(v) for v in x]
+    terms = []
+    for i in range(len(x) - 1):
+        r = x[i + 1] - x[i] * x[i]
+        terms.append(100.0 * (r * r) + (1.0 - x[i]) * (1.0 - x[i]))
+    return pairwise_sum(terms)

@@ -91,12 +91,15 @@ class TestAdamssmStep:
         assert flipped[0, 0] == -small[0, 0]
 
     def test_sampling_time_guard(self):
-        bad = PresetParams(b3=0.02, delta=100.0)
+        bad = PresetParams(b1=0.9, b2=0.3, b3=0.8, delta=1.0)
         state = initial_stepper_state(np.array([1.0]))
         with pytest.raises(InstabilityError, match="1 - delta\\*b2 - delta\\*b3"):
             step_preset(state, np.array([1.0]), bad.eta, 0, PresetKind.ADAMSSM, bad)
         # the one-state member ignores the coupling rate and stays stable here
         step_preset(state, np.array([1.0]), bad.eta, 0, PresetKind.ADAM, bad)
+        # past delta = 1/b1 the first-moment retention is negative for every moment kind
+        with pytest.raises(InstabilityError, match=re.escape("1 - delta*b1 >= 0")):
+            step_preset(state, np.array([1.0]), bad.eta, 0, PresetKind.ADAM, PresetParams(delta=100.0))
 
 
 class TestAdabeliefStep:
@@ -438,6 +441,42 @@ class TestRunDiscreteBatch:
         assert_same_run(alone, self.solo(unstable, obj, x0, 0))
 
     @pytest.mark.parametrize(
+        "kind, preset, message",
+        [
+            # beta1 = 1 - delta*b1 < 0: mu, and under "beta" the bias factor, flip sign every step
+            ("adam", PresetParams(delta=3.0, eta=0.01), "1 - delta*b1 >= 0 required (delta=3, b1=0.67)"),
+            (
+                "adamssm",
+                PresetParams(b3=0.02, delta=100.0),
+                "1 - delta*b1 >= 0 required (delta=100, b1=0.67); "
+                "1 - delta*b2 - delta*b3 >= 0 required (delta=100, b2=0.0067, b3=0.02)",
+            ),
+            # the nu condition alone keeps its message
+            (
+                "adabeliefssm",
+                PresetParams(b1=0.9, b2=0.3, b3=0.8, delta=1.0),
+                "1 - delta*b2 - delta*b3 >= 0 required (delta=1, b2=0.3, b3=0.8)",
+            ),
+        ],
+        ids=["b1", "b1-and-nu", "nu"],
+    )
+    @pytest.mark.parametrize("mode", BIAS_MODES)
+    def test_unstable_rates_name_their_conditions(self, kind, preset, message, mode):
+        obj, x0 = make_quadratic(2, 10.0), np.ones(2)
+        unstable = OptimizerSpec(kind, "unstable", preset, mode)
+        ok = OptimizerSpec("adam", "ok", PresetParams())
+        failure, got = run_discrete_batch([unstable, ok], obj, x0, 6)
+        assert isinstance(failure, InstabilityError) and str(failure) == message
+        with pytest.raises(InstabilityError) as solo:
+            run_discrete(unstable, obj, x0, 6)
+        assert str(solo.value) == message
+        assert_same_run(got, run_discrete(ok, obj, x0, 6))
+        # a zero retention is stable: mu' = g
+        edge = OptimizerSpec(kind, "edge", dataclasses.replace(preset, b1=0.5, delta=2.0, b3=min(preset.b3, 0.02)))
+        _, report = run_discrete(edge, obj, x0, 6)
+        assert "error" not in report.diagnostics
+
+    @pytest.mark.parametrize(
         "bad, mode, failed",
         [
             (PresetParams(b2=0.0), "paper", ["0 < b2"]),
@@ -595,9 +634,10 @@ class TestBatchBookkeeping:
             return None if fn is None else wrapped
 
         n = 45
-        # rosenbrock has no fused f and gradient; logistic calls only its fused one
+        # both objectives evaluate f and the gradient in one fused pass, and
+        # the loop calls only that one
         for objective, want in [
-            ("rosenbrock", {"f": n + 1, "grad": n + 1, "f_grad": 0}),
+            ("rosenbrock", {"f": 0, "grad": 0, "f_grad": n + 1}),
             ("logistic", {"f": 0, "grad": 0, "f_grad": n + 1}),
         ]:
             obj, x0 = discrete_objective(objective)

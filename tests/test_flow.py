@@ -495,8 +495,10 @@ class TestRateGroups:
         groups = 2
         assert calls["alpha_g"] <= groups * (2 * n + records + 1)
         # four RK4 stages per step, the first of a recorded step taking the
-        # record's gradients, and one more at the final record
+        # record's gradients, and one more at the final record; a record
+        # evaluates f and the gradient in one fused call
         assert grad_calls[0] == 4 * n + 1
+        assert grad_calls[1] == records
 
     @pytest.mark.parametrize("step, per_step", [(euler_step, 1), (rk4_step, 4)])
     def test_a_record_every_step_evaluates_each_gradient_once(self, step, per_step):
@@ -506,19 +508,26 @@ class TestRateGroups:
         (traj,) = integrate_batch([problem], step, 0.01, n * 0.01, record_stride=1)
         assert len(traj) == n + 1
         assert grad_calls[0] == per_step * n + 1
+        assert grad_calls[1] == n + 1
         assert_equals_oracle(traj, problem, 0.01, n, 1, step is rk4_step)
 
 
 def counted_grad_objective():
-    """2-D Rosenbrock whose eval_grad counts its calls in a one-item list."""
+    """2-D Rosenbrock that counts its gradients: calls[0] counts eval_grad
+    and eval_f_grad together, calls[1] eval_f_grad alone."""
     obj = make_rosenbrock(2)
-    calls = [0]
+    calls = [0, 0]
 
-    def counted_grad(x):
-        calls[0] += 1
-        return obj.eval_grad(x)
+    def counted(fused, fn):
+        def wrapped(x):
+            calls[0] += 1
+            calls[1] += fused
+            return fn(x)
 
-    return dataclasses.replace(obj, eval_grad=counted_grad), calls
+        return wrapped
+
+    counted_obj = dataclasses.replace(obj, eval_grad=counted(0, obj.eval_grad), eval_f_grad=counted(1, obj.eval_f_grad))
+    return counted_obj, calls
 
 
 def scripted_objective(script, row_ids=None):

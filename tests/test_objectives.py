@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from ssmopt import finite_diff_grad, make_logistic, make_quadratic, make_rosenbrock
+from ssmopt.harness import OBJECTIVE_KINDS, ObjectiveSpec, build_objective
 from ssmopt.objectives import _lcg_uniform
-from oracles import lcg_uniform, logistic_problem, rosenbrock_grad
+from oracles import lcg_uniform, logistic_problem, pairwise_sum, rosenbrock_f, rosenbrock_grad
 
 
 class TestQuadratic:
@@ -84,6 +85,39 @@ class TestRosenbrock:
         for batch in (xs, states[:, 0]):
             got = obj.eval_grad(batch)
             assert got.shape == (24, d) and got.flags.c_contiguous and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3, 10, 50])
+    def test_value_and_fused_pass_equal_the_oracles(self, d, rng):
+        # tests/oracles.py::rosenbrock_f and rosenbrock_grad, bit for bit, on
+        # single points, batches and a strided view, with coordinates of
+        # either sign, magnitudes 1e-8 to 1e8 and zeros of either sign
+        obj = make_rosenbrock(d)
+        xs = rng.choice([-1.0, 1.0], (24, d)) * 10.0 ** rng.uniform(-8.0, 8.0, (24, d))
+        zeros = rng.random((24, d)) < 0.3
+        xs[zeros] = np.copysign(0.0, xs[zeros])
+        xs[0], xs[1], xs[2] = 1.0, -0.0, 0.0
+        assert np.signbit(xs[3:][xs[3:] == 0.0]).any() and not np.signbit(xs[3:][xs[3:] == 0.0]).all()
+        want_f = np.array([rosenbrock_f(x) for x in xs])
+        want_g = np.array([rosenbrock_grad(x) for x in xs])
+        for x, f, g in zip(xs, want_f, want_g):
+            value, grad = obj.eval_f_grad(x)
+            assert type(value) is float and repr(value) == repr(float(f)) == repr(obj.eval_f(x))
+            assert grad.shape == (d,) and grad.tobytes() == g.tobytes() == obj.eval_grad(x).tobytes()
+        states = np.stack([xs, -xs, xs, xs], axis=1)
+        for batch in (xs, states[:, 0], states[:1, 0]):
+            n = len(batch)
+            values, grads = obj.eval_f_grad(batch)
+            assert values.shape == (n,) and values.tobytes() == want_f[:n].tobytes() == obj.eval_f(batch).tobytes()
+            assert grads.shape == (n, d) and grads.flags.c_contiguous
+            assert grads.tobytes() == want_g[:n].tobytes() == obj.eval_grad(batch).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 128, 129, 300])
+    def test_the_sum_oracle_is_numpys_row_sum(self, n, rng):
+        # pairwise_sum stands for np.add.reduce on the short and long runs
+        # the other oracles use; its blocks change at 8 and 128 values
+        rows = rng.standard_normal((20, n)) * 10.0 ** rng.uniform(-6.0, 6.0, (20, n))
+        want = np.add.reduce(rows, axis=-1)
+        assert np.array([pairwise_sum(row) for row in rows]).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("d", [4, 10])
     def test_batch_row_norms_equal_single_points(self, d, rng):
@@ -275,3 +309,22 @@ class TestFiniteDiff:
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError):
             finite_diff_grad(make_quadratic(1, 1.0), np.array([1.0]), h=0.0)
+
+
+class TestEveryObjective:
+    @pytest.mark.parametrize("dim", [2, 5])
+    @pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
+    def test_f_grad_is_f_and_grad_row_by_row(self, kind, dim, rng):
+        # Objective.f_grad is the run loop's one objective call per step: it
+        # must give eval_f and eval_grad bitwise, and each row of a batch (a
+        # strided view, as the loop passes it) must be its point alone
+        obj = build_objective(ObjectiveSpec(kind=kind, dim=dim))
+        xs = rng.uniform(-2.0, 2.0, (7, 4, dim))[:, 0]
+        xs[0] = -0.0
+        fs, gs = obj.f_grad(xs)
+        assert fs.shape == (7,) and fs.tobytes() == obj.eval_f(xs).tobytes()
+        assert gs.shape == (7, dim) and gs.flags.c_contiguous and gs.tobytes() == obj.eval_grad(xs).tobytes()
+        for x, f, g in zip(xs, fs, gs):
+            value, grad = obj.f_grad(x)
+            assert type(value) is float and repr(value) == repr(float(f))
+            assert grad.tobytes() == g.tobytes()
