@@ -29,7 +29,8 @@ class InstabilityError(ValueError):
     """The sampling time is too large for the moment updates: the message
     names each failed condition of 1 - delta*b1 >= 0 (else mu, and under
     bias_mode "beta" the bias factor, changes sign every step) and
-    1 - delta*b2 - delta*b3 >= 0 (else nu can turn negative)."""
+    1 - delta*b2 - delta*b3 >= 0 (else nu can turn negative), as
+    OptimizerSpec.violations does; load_config rejects such an entry."""
 
 
 def initial_stepper_state(x0, nu0=None) -> np.ndarray:
@@ -66,16 +67,27 @@ class OptimizerSpec:
             raise ValueError(f"bias_mode must be one of {BIAS_MODES}, got {self.bias_mode!r}")
 
     def violations(self) -> list[str]:
-        """The entry conditions this spec fails, by name: validate_preset's
-        for the presets; 0 <= beta < 1, then eta > 0, for sgd_momentum."""
+        """The entry conditions this spec fails, by name: 0 <= beta < 1, then
+        eta > 0, for sgd_momentum; validate_preset's for the presets, then
+        for the moment kinds the sampling-time conditions 1 - delta*b1 >= 0
+        and 1 - delta*b2 - delta*b3 >= 0 on _row's keep1 and keep_nu."""
         if self.kind == "sgd_momentum":
             failed = [] if 0.0 <= self.beta < 1.0 else ["0 <= beta < 1"]
             return failed if self.preset.eta > 0 else failed + ["eta > 0"]
         try:
             validate_preset(self.preset, PresetKind(self.kind))
+            failed = []
         except ValidationError as exc:
-            return exc.violations
-        return []
+            failed = exc.violations
+        if self.kind in _MOMENT_KINDS:
+            p = self.preset
+            keep1, _, _, _, _, keep_nu, *_ = _row(self)[0]
+            if keep1 < 0.0:
+                failed.append(f"1 - delta*b1 >= 0 required (delta={p.delta:g}, b1={p.b1:g})")
+            if keep_nu < 0.0:
+                b3 = map_preset_to_general(p, PresetKind(self.kind)).lambda4
+                failed.append(f"1 - delta*b2 - delta*b3 >= 0 required (delta={p.delta:g}, b2={p.b2:g}, b3={b3:g})")
+        return failed
 
 
 _MOMENT_KEYS = ("b1", "b2", "delta", "epsilon", "eta", "bias_mode")
@@ -158,22 +170,18 @@ def bias_alpha(preset: PresetParams, iteration: int, bias_mode: str) -> float:
 
 
 def _first_step_error(spec: OptimizerSpec) -> Exception | None:
-    """The error the entry's first step raises, if any: fewer conditions than
-    OptimizerSpec.violations, as a stepper may take b3 = 0 or epsilon = 0,
-    but a moment row needs the rates its bias factors are defined for."""
+    """The error the entry's first step raises, if any, sorted out of
+    OptimizerSpec.violations: a ValidationError naming the rates the row
+    needs (a stepper may take b3 = 0 or epsilon = 0), else an
+    InstabilityError naming the failed sampling-time conditions."""
     needs = {"sgd_momentum": ("0 <= beta < 1",), "gadagrad": ("0 < c < 1",)}
     needed = needs.get(spec.kind, ("delta > 0", "0 < b2", "b2 < b1", "b1 < 1"))
-    failed = [condition for condition in spec.violations() if condition in needed]
+    violations = spec.violations()
+    failed = [condition for condition in violations if condition in needed]
     if failed:
         return ValidationError(failed)
-    if spec.kind in _MOMENT_KINDS:
-        p = spec.preset
-        b3 = map_preset_to_general(p, PresetKind(spec.kind)).lambda4
-        failed = [f"1 - delta*b1 >= 0 required (delta={p.delta:g}, b1={p.b1:g})"] if p.beta1 < 0.0 else []
-        if 1.0 - p.delta * p.b2 - p.delta * b3 < 0.0:
-            failed.append(f"1 - delta*b2 - delta*b3 >= 0 required (delta={p.delta:g}, b2={p.b2:g}, b3={b3:g})")
-        return InstabilityError("; ".join(failed)) if failed else None
-    return None
+    unstable = [condition for condition in violations if condition.startswith("1 - delta*")]
+    return InstabilityError("; ".join(unstable)) if unstable else None
 
 
 def _row(spec: OptimizerSpec) -> tuple:
@@ -204,11 +212,11 @@ class _DiscreteBatch:
 
     num is mu'/B1, or g on the accumulator rows, whose step is zero where
     the denominator is not > 0. As 1.0*v, v/1.0 and 0.0 + v give v back,
-    each row is bitwise its solo run. The bias denominators B1 and B2 are
-    Python scalars, once per step for each distinct (b1, b2, delta,
-    bias_mode), 1 for the kinds without moment estimates, spread to their
-    rows; nu ** c is taken per group of rows sharing c. A row whose first
-    step raises keeps that error in errors.
+    each row is bitwise its solo run. B1, B2 and alpha are Python scalars
+    once per step for each distinct (b1, b2, delta, bias_mode), 1 for the
+    kinds without moment estimates and for a row whose first step raises
+    (it keeps that error in errors), spread to their rows; nu ** c is taken
+    per group of rows sharing c.
     """
 
     dt = 1
@@ -225,18 +233,19 @@ class _DiscreteBatch:
         self.c_groups = _c_groups(cs)
         self.belief = _full(belief, dim, bool) if any(belief) else None
         self.accumulate = _full(accumulate, dim, bool) if any(accumulate) else None
+        # a row that leaves with an error is never stepped: its bias factors are 1
+        keys = [None if i in self.errors else key for i, key in enumerate(keys)]
         distinct = list(dict.fromkeys(keys))
         self.bias_specs = [specs[keys.index(key)] if key else None for key in distinct]
         self.bias_of = _full([distinct.index(key) for key in keys], dim, int)
-        # the rows with a bias factor: a row that leaves with an error is never stepped
-        self.biased = [spec if key and i not in self.errors else None for i, (key, spec) in enumerate(zip(keys, specs))]
 
     def select(self, keep: np.ndarray) -> _DiscreteBatch:
         specs = [spec for spec, kept in zip(self.specs, keep) if kept]
         return _DiscreteBatch(specs, self.dim, self.schedule.milestones)
 
     def alpha(self, rows, k: int) -> np.ndarray:
-        return np.array([bias_alpha(q.preset, k, q.bias_mode) if q else 1.0 for q in self.biased])[rows]
+        alphas = [bias_alpha(q.preset, k, q.bias_mode) if q else 1.0 for q in self.bias_specs]
+        return np.array(alphas)[self.bias_of[rows, 0]]
 
     def step(self, s: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
         if self.errors:

@@ -30,9 +30,11 @@ class Objective:
     A single point gives a float and a (dim,) gradient.
 
     eval_f_grad, when present, returns the pair (eval_f(x), eval_grad(x)),
-    bitwise, from one pass that shares the work of the two (Rosenbrock and
-    logistic have one); f_grad calls it, or eval_f and eval_grad when it is
-    None.
+    bitwise, from one pass that shares the work of the two; f_grad calls
+    it, or eval_f and eval_grad when it is None. Rosenbrock and logistic
+    have one, and their eval_f is its f half. Logistic's eval_grad is its
+    gradient half too; Rosenbrock keeps a gradient-only pass for the flows'
+    stages.
     """
 
     dim: int
@@ -168,11 +170,12 @@ def make_logistic(d: int, n_samples: int, seed: int) -> Objective:
     equals X^T (y * s), bit for bit. A point takes two matrix-vector
     products, Zw and Z^T s, one GEMV per row of a batch (a matrix product
     over the batch would reorder the sums of a row); the elementwise work
-    runs once over the (R, n) margins of the batch. eval_f_grad shares one
-    logaddexp between the loss and the gradient: with L = log(1 +
-    exp(-|m|)), numpy's logaddexp gives log(1 + exp(-m)) as max(-m, 0) + L
-    and log(1 + exp(m)) as max(m, 0) + L, bitwise (a NaN margin gives NaN
-    either way). eval_f and eval_grad each compute only their own half.
+    runs once over the (R, n) margins of the batch. The loss has one pass,
+    eval_f_grad, which shares one logaddexp between the loss and the
+    gradient: with L = log(1 + exp(-|m|)), numpy's logaddexp gives log(1 +
+    exp(-m)) as max(-m, 0) + L and log(1 + exp(m)) as max(m, 0) + L,
+    bitwise (a NaN margin gives NaN either way). eval_f and eval_grad are
+    its f and gradient halves.
     """
     if d < 1 or n_samples < 1:
         raise ValueError("d and n_samples must be >= 1")
@@ -188,28 +191,8 @@ def make_logistic(d: int, n_samples: int, seed: int) -> Objective:
         # of a single point per row, where a matrix product would reorder
         return a @ v if v.ndim == 1 else np.matmul(a, v[:, :, None])[:, :, 0]
 
-    def value(w, losses):
-        v = np.add.reduce(losses, axis=-1) / n_samples + 0.5 * reg * np.vecdot(w, w)
-        return v if w.ndim > 1 else float(v)
-
-    def gradient(w, s):
-        # s is sigmoid(-m), one row per point
-        return -products(Zt, s) / n_samples + reg * w
-
     # Elementwise steps write into the margins' own buffer where they can,
     # so a batch holds at most three (R, n) arrays at once.
-
-    def f(w):
-        w = np.asarray(w, dtype=float)
-        m = products(Z, w)
-        return value(w, np.logaddexp(0.0, np.negative(m, out=m), out=m))
-
-    def grad(w):
-        w = np.asarray(w, dtype=float)
-        m = products(Z, w)
-        # sigmoid(-m) computed as exp(-log(1+exp(m))), stable for any margin
-        s = np.negative(np.logaddexp(0.0, m, out=m), out=m)
-        return gradient(w, np.exp(s, out=s))
 
     def f_grad(w):
         w = np.asarray(w, dtype=float)
@@ -221,11 +204,14 @@ def make_logistic(d: int, n_samples: int, seed: int) -> Objective:
         losses += shared
         np.maximum(m, 0.0, out=m)
         m += shared
-        s = np.negative(m, out=m)
-        return value(w, losses), gradient(w, np.exp(s, out=s))
+        # sigmoid(-m) as exp(-log(1 + exp(m))), stable for any margin
+        s = np.exp(np.negative(m, out=m), out=m)
+        value = np.add.reduce(losses, axis=-1) / n_samples + 0.5 * reg * np.vecdot(w, w)
+        grad = -products(Zt, s) / n_samples + reg * w
+        return (value if w.ndim > 1 else float(value)), grad
 
     return Objective(
-        dim=d, eval_f=f, eval_grad=grad, eval_f_grad=f_grad,
+        dim=d, eval_f=lambda w: f_grad(w)[0], eval_grad=lambda w: f_grad(w)[1], eval_f_grad=f_grad,
         known_min=None,
         hessian_bounded_hint=True,
         name=f"logistic_d{d}_n{n_samples}_s{seed}",

@@ -2,6 +2,7 @@
 loop."""
 
 import dataclasses
+import itertools
 import math
 import re
 from functools import partial
@@ -26,8 +27,9 @@ from ssmopt import (
     step_preset,
     step_sgd_momentum,
 )
-from ssmopt.discrete import BIAS_MODES, KIND_KEYS, _DiscreteBatch, run_discrete_batch
+from ssmopt.discrete import BIAS_MODES, KIND_KEYS, _DiscreteBatch, _first_step_error, run_discrete_batch
 from oracles import discrete_entry_run, logistic_problem
+from samplers import random_valid_adamssm_preset
 
 ADAMSSM = PresetParams(b3=0.02)
 
@@ -619,6 +621,53 @@ class TestEntryConditions:
     @pytest.mark.parametrize("kind", KIND_KEYS)
     def test_default_rates_fail_nothing(self, kind):
         assert OptimizerSpec(kind, kind, ADAMSSM).violations() == []
+
+    def test_first_step_errors_come_from_the_one_list(self, rng):
+        # sampled presets, some with b1 and b2 swapped or no epsilon, at their
+        # own sampling time and at ones past 1/b1, past 1/(b2 + b3) and far
+        # past both
+        for _ in range(60):
+            preset = random_valid_adamssm_preset(rng)
+            if rng.random() < 0.2:
+                preset = dataclasses.replace(preset, b1=preset.b2, b2=preset.b1)
+            deltas = (
+                preset.delta,
+                rng.uniform(1.0, 3.0) / preset.b1,
+                rng.uniform(1.0, 3.0) / (preset.b2 + preset.b3),
+                rng.uniform(50.0, 500.0),
+            )
+            for delta, kind, mode in itertools.product(deltas, KIND_KEYS, BIAS_MODES):
+                epsilon = 0.0 if rng.random() < 0.1 else preset.epsilon
+                rates = dataclasses.replace(preset, delta=delta, epsilon=epsilon, c=rng.uniform(0.0, 1.2))
+                spec = OptimizerSpec(kind, kind, rates, mode, beta=rng.uniform(0.0, 1.2))
+                violations = spec.violations()
+                error = _first_step_error(spec)
+                if error is None:
+                    named = []
+                else:
+                    named = error.violations if isinstance(error, ValidationError) else str(error).split("; ")
+                    assert named
+                assert set(named) <= set(violations)
+                if any(condition.startswith("1 - delta*") for condition in violations):
+                    assert error is not None
+                if not violations:
+                    assert _DiscreteBatch([spec], 2).errors == {}
+
+    def test_alpha_is_bias_alpha_per_row_and_one_on_rows_that_leave(self):
+        unstable = OptimizerSpec("adamssm", "unstable", PresetParams(b3=0.02, delta=100.0), "beta")
+        invalid = OptimizerSpec("adam", "invalid", PresetParams(b2=0.0))
+        specs = [unstable, *mixed_specs(), invalid]
+        batch = _DiscreteBatch(specs, 3)
+        assert sorted(batch.errors) == [0, len(specs) - 1]
+        for k in (0, 1, 7, 250):
+            want = [
+                1.0 if i in batch.errors or spec.kind in ("gadagrad", "sgd_momentum")
+                else bias_alpha(spec.preset, k, spec.bias_mode)
+                for i, spec in enumerate(specs)
+            ]
+            assert batch.alpha(slice(None), k).tobytes() == np.array(want).tobytes()
+            rows = np.arange(len(specs)) % 2 == 0
+            assert batch.alpha(rows, k).tobytes() == np.array(want)[rows].tobytes()
 
 
 class TestBatchBookkeeping:

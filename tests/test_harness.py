@@ -1,6 +1,8 @@
 """Tests for config ingestion, batch execution, artifact emission, and the
 command-line interface."""
 
+import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -16,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import discrete_entry_run
-from ssmopt import PresetKind, RunReport, ValidationError, cli
-from ssmopt.discrete import BIAS_MODES
+from ssmopt import PresetKind, PresetParams, RunReport, ValidationError, cli
+from ssmopt.discrete import BIAS_MODES, OptimizerSpec
 from ssmopt.harness import (
     OBJECTIVE_KINDS,
     SUMMARY_COLUMNS,
@@ -382,9 +384,69 @@ class TestLoadConfig:
             load_config(write_config(tmp_path, payload))
         assert err.value.violations == ["optimizers[0]: b2 < b1"]
 
+    @pytest.mark.parametrize(
+        "entry, failed",
+        [
+            ({"kind": "adam", "delta": 3.0}, ["optimizers[0]: 1 - delta*b1 >= 0 required (delta=3, b1=0.67)"]),
+            (
+                {"kind": "adamssm", "b3": 0.02, "delta": 100.0},
+                [
+                    "optimizers[0]: 1 - delta*b1 >= 0 required (delta=100, b1=0.67)",
+                    "optimizers[0]: 1 - delta*b2 - delta*b3 >= 0 required (delta=100, b2=0.0067, b3=0.02)",
+                ],
+            ),
+        ],
+        ids=["adam", "adamssm"],
+    )
+    def test_unstable_sampling_time_rejected_at_parse(self, tmp_path, monkeypatch, capsys, entry, failed):
+        payload = {
+            "objective": {"kind": "quadratic", "dim": 2},
+            "optimizers": [{**entry, "name": "big", "eta": 0.01}, {"kind": "adam", "name": "ok"}],
+            "iterations": 6,
+        }
+        path = write_config(tmp_path, payload)
+        with pytest.raises(ValidationError) as err:
+            load_config(path)
+        assert err.value.violations == failed
+        # the commands exit 1 naming the conditions, before any output exists
+        out = tmp_path / "out"
+        monkeypatch.setenv("SSMOPT_OUT_DIR", str(out))
+        for argv in (["run", str(path)], ["compare", str(path)], ["flow", str(path), "--dt", "0.01", "--t-end", "1"]):
+            assert cli.main(argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == f"error: {err.value}\n", argv
+            assert not out.exists(), argv
+
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(ParseError, match="cannot read config file"):
             load_config(tmp_path / "missing.json")
+
+
+def _perfbench_workloads():
+    # perfbench/workloads.py by its path, without putting perfbench on sys.path
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", REPO_ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestShippedConfigs:
+    """Every config the repo ships or benchmarks passes load_config, so a
+    stricter parse never rejects one."""
+
+    @pytest.mark.parametrize(
+        "path", sorted(p for p in (REPO_ROOT / "configs").rglob("*") if p.is_file()), ids=lambda p: p.name
+    )
+    def test_bundled_config_loads(self, path):
+        load_config(path)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_benchmark_workload_configs_load(self, tmp_path, seed):
+        workloads = _perfbench_workloads()
+        for workload in workloads.WORKLOADS:
+            config = workloads.make_config(workload, seed)
+            for name, payload in (("main", config), ("probe", workloads.probe_config(config))):
+                load_config(write_config(tmp_path, payload, f"{workload}-{name}.json"))
 
 
 def config_payloads():
@@ -523,11 +585,11 @@ class TestRunExperiment:
 
     def test_failed_run_is_isolated(self, tmp_path):
         payload = base_payload()
-        payload["optimizers"] = [
-            {"kind": "adamssm", "b3": 0.02, "delta": 100.0, "name": "unstable"},
-            {"kind": "adam", "eta": 0.05, "name": "fine"},
-        ]
+        payload["optimizers"] = [{"kind": "adam", "eta": 0.05, "name": "fine"}]
         config = load_config(write_config(tmp_path, payload))
+        # load_config rejects an unstable sampling time, so the entry is built in code
+        unstable = OptimizerSpec("adamssm", "unstable", PresetParams(b3=0.02, delta=100.0))
+        config = dataclasses.replace(config, optimizers=(unstable, *config.optimizers))
         out = tmp_path / "out"
         reports = run_experiment(config, out_dir=out)
         assert math.isnan(reports[0].best_f)
@@ -897,8 +959,11 @@ class TestCli:
     def test_compare_reports_failed_runs_with_exit_2(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("SSMOPT_OUT_DIR", str(tmp_path / "out"))
         payload = base_payload()
+        payload["objective"]["cond"] = 100.0
+        payload["iterations"] = 200
+        # eta 0.5 diverges on the quadratic, as in the test below
         payload["optimizers"] = [
-            {"kind": "adamssm", "b3": 0.02, "delta": 100.0, "name": "unstable"},
+            {"kind": "sgd_momentum", "eta": 0.5, "name": "unstable"},
             {"kind": "adam", "eta": 0.05},
         ]
         rc = cli.main(["compare", str(write_config(tmp_path, payload))])
