@@ -1,6 +1,7 @@
 """Unit tests for the synthetic objectives and the finite-difference oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,6 +170,21 @@ class TestLogistic:
             make_logistic(0, 10, seed=0)
         with pytest.raises(ValueError):
             make_logistic(3, 0, seed=0)
+
+    @pytest.mark.parametrize("n", [2000, 20_000])
+    def test_build_holds_one_dataset_buffer(self, n):
+        # the build's peak is its one (n*d + d)-float buffer plus a fixed
+        # allowance, not a second dataset-sized array
+        d = 100
+        make_logistic(d, n, 7)
+        tracemalloc.start()
+        try:
+            obj = make_logistic(d, n, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert obj.dim == d
+        assert peak <= (n * d + d) * 8 + 256 * 1024
 
 
 def logistic_points(d, rng):
