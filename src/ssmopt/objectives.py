@@ -130,40 +130,48 @@ def make_rosenbrock(d: int) -> Objective:
 _LCG_A = 1664525
 _LCG_C = 1013904223
 _LCG_MOD = 2 ** 32
-_LCG_BLOCK = 512
+_CHUNK = 8192
 
 
-def _lcg_uniform(count: int, seed: int) -> np.ndarray:
-    """count uniforms in [0, 1) from a 32-bit linear congruential generator.
+def _lcg_draws(count: int, seed: int) -> np.ndarray:
+    """count >= 1 draws in [-1, 1) from a 32-bit linear congruential
+    generator started from seed mod 2^32, each draw 2u - 1 with u = state /
+    2^32.
 
-    The first _LCG_BLOCK states are drawn one at a time. Each later block is
-    the one before it advanced _LCG_BLOCK draws at once, state -> (a*state +
-    c) mod 2^32 with the jump constants a = A^B and c = C(A^(B-1) + ... + 1)
-    mod 2^32, in uint64: a product of two 32-bit values and c fits, and the
-    mask takes it mod 2^32. Dividing the states by 2^32 is exact.
+    The states fill one uint64 buffer. The first is drawn alone; each later
+    block is all the states so far, advanced by their count k at once:
+    state -> (a*state + c) mod 2^32 with the jump constants a = A^k and c =
+    C(A^(k-1) + ... + 1) mod 2^32, doubled as Python ints (a -> a^2, c ->
+    a*c + c) so no numpy scalar overflows. A product of two 32-bit values
+    plus c fits in uint64, and the mask takes it mod 2^32. Each chunk of
+    _CHUNK states is then overwritten by its own draws, read as float64: as
+    every state is below 2^32, 2u - 1 = state*2^-31 - 1 exactly.
     """
-    a, c = 1, 0
-    for _ in range(_LCG_BLOCK):
-        a, c = _LCG_A * a % _LCG_MOD, (_LCG_A * c + _LCG_C) % _LCG_MOD
-    a, c, mask = np.uint64(a), np.uint64(c), np.uint64(_LCG_MOD - 1)
     states = np.empty(count, np.uint64)
-    state = seed & 0xFFFFFFFF
-    for i in range(min(count, _LCG_BLOCK)):
-        state = (_LCG_A * state + _LCG_C) % _LCG_MOD
-        states[i] = state
-    for start in range(_LCG_BLOCK, count, _LCG_BLOCK):
-        block = states[start - _LCG_BLOCK : min(start, count - _LCG_BLOCK)]
-        states[start : start + len(block)] = (a * block + c) & mask
-    return states / _LCG_MOD
+    states[0] = (_LCG_A * (seed % _LCG_MOD) + _LCG_C) % _LCG_MOD
+    a, c, done = _LCG_A, _LCG_C, 1
+    while done < count:
+        block = states[done : 2 * done]
+        np.multiply(states[: len(block)], a, out=block)
+        block += c
+        block &= _LCG_MOD - 1
+        a, c, done = a * a % _LCG_MOD, (a * c + c) % _LCG_MOD, done + len(block)
+    draws = states.view(np.float64)
+    for start in range(0, count, _CHUNK):
+        draws[start : start + _CHUNK] = states[start : start + _CHUNK] * 2.0 ** -31 - 1.0
+    return draws
 
 
 def make_logistic(d: int, n_samples: int, seed: int) -> Objective:
     """L2-regularized logistic loss over a deterministic synthetic dataset.
 
     Features and a ground-truth weight vector are drawn uniformly in [-1, 1)
-    from the LCG; labels are the sign of the noiseless linear response. The
-    loss is mean log(1 + exp(-y * Xw)) + (reg/2) * ||w||^2 with reg = 5e-4,
-    so the zero vector evaluates to exactly log(2).
+    from the LCG, as 2u - 1 = state*2^-31 - 1 exactly (u = state / 2^32);
+    X and w_true are views of the one buffer _lcg_draws fills, X the first
+    n_samples*d draws row-major and w_true the last d. Labels are the sign
+    of the noiseless linear response. The loss is mean log(1 + exp(-y *
+    Xw)) + (reg/2) * ||w||^2 with reg = 5e-4, so the zero vector evaluates
+    to exactly log(2).
 
     Once the labels are drawn, each row of X is signed by its label in
     place, giving Z. As y = +-1, the margins Zw equal y * (Xw), and Z^T s
@@ -180,9 +188,9 @@ def make_logistic(d: int, n_samples: int, seed: int) -> Objective:
     if d < 1 or n_samples < 1:
         raise ValueError("d and n_samples must be >= 1")
     reg = 5e-4
-    u = _lcg_uniform(n_samples * d + d, seed)
-    Z = 2.0 * u[: n_samples * d].reshape(n_samples, d) - 1.0
-    w_true = 2.0 * u[n_samples * d:] - 1.0
+    draws = _lcg_draws(n_samples * d + d, seed)
+    Z = draws[: n_samples * d].reshape(n_samples, d)
+    w_true = draws[n_samples * d:]
     Z *= np.where(Z @ w_true >= 0.0, 1.0, -1.0)[:, None]
     Zt = Z.T
 

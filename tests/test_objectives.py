@@ -8,7 +8,7 @@ import pytest
 
 from ssmopt import finite_diff_grad, make_logistic, make_quadratic, make_rosenbrock
 from ssmopt.harness import OBJECTIVE_KINDS, ObjectiveSpec, build_objective
-from ssmopt.objectives import _lcg_uniform
+from ssmopt.objectives import _lcg_draws
 from oracles import lcg_uniform, logistic_problem, pairwise_sum, rosenbrock_f, rosenbrock_grad
 
 
@@ -247,10 +247,13 @@ class TestLogisticOracle:
                 assert want[:-1].tobytes() == got[:-1].tobytes()
                 assert np.isnan(want[-1]) and np.isnan(got[-1])
 
-    @pytest.mark.parametrize("count", [1, 7, 205, 511, 512, 513, 1025, 100_000])
-    @pytest.mark.parametrize("seed", [0, 12345, 2 ** 31 - 1, 2 ** 40 + 5])
+    # counts at the edges of the doubling blocks and of the conversion chunks
+    @pytest.mark.parametrize(
+        "count", [1, 2, 3, 7, 205, 511, 512, 513, 1023, 1024, 1025, 8191, 8192, 8193, 100_000, 200_100]
+    )
+    @pytest.mark.parametrize("seed", [0, 12345, 2 ** 31 - 1, 2 ** 40 + 5, -7])
     def test_lcg_equals_sequential_draws(self, count, seed):
-        assert _lcg_uniform(count, seed).tobytes() == lcg_uniform(count, seed).tobytes()
+        assert _lcg_draws(count, seed).tobytes() == (2.0 * lcg_uniform(count, seed) - 1.0).tobytes()
 
 
 @pytest.mark.parametrize(
