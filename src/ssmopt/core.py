@@ -14,7 +14,8 @@ A state is one float array with rows x, mu, zeta and nu: shaped (4, d) for
 one state and (N, 4, d) for a trajectory of N records. A batch of R runs is
 component-major, (4, R, d), so that the x, mu, zeta and nu of all its rows
 are each one contiguous (R, d) block. Its time (physical time for a flow,
-the iteration count for a discrete run) travels beside it.
+the iteration count for a discrete run) travels beside it. moment_rows is
+the moment dynamics of such a batch for a flow and a discrete step alike.
 
 All types here are immutable after construction and safe to share between
 concurrently running experiments.
@@ -24,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -90,6 +93,35 @@ def moment_bias(t: float, rate1: float, rate2: float) -> tuple[float, float]:
     gathered, for each of the two rates."""
     e = t + 1
     return 1.0 - (1.0 - rate1) ** e, 1.0 - (1.0 - rate2) ** e
+
+
+# the rows the two coefficient stacks take: mu, mu, zeta, zeta, then g, g, nu, nu
+_TERMS = np.array([1, 1, 2, 2, 3, 3, 3, 3])
+
+
+def moment_rows(coef: np.ndarray, gain_psi: np.ndarray, squared, s: np.ndarray, g: np.ndarray, step: bool):
+    """coef[:4] * [mu, mu, zeta, zeta] + coef[4:] * [g, g, nu, nu], plus
+    gain_psi * psi on row 3, for a (4, R, d) batch s with gradients g: row
+    0 is the x update's numerator, rows 1 to 3 the derivatives of mu, zeta
+    and nu for a flow and their new values for a discrete step, as a view
+    of one new (8, R, d) array. psi is g^2 on the elements of the mask
+    squared (all of them when it is None), else (g - m)^2, where m is mu,
+    or for a discrete step mu' (row 1)."""
+    terms = s.take(_TERMS, 0)
+    terms[4:6] = g
+    terms *= coef
+    out = terms[:4]
+    out += terms[4:]
+    if squared is None:
+        psi = g * g
+    else:
+        psi = g - (out[1] if step else s[1])
+        np.copyto(psi, g, where=squared)
+        psi *= psi
+    psi *= gain_psi
+    nu = out[3]  # out[3] += psi would copy the sum back through out
+    nu += psi
+    return out
 
 
 def alpha_g(t: float, params: OptimizerParams) -> float:

@@ -18,9 +18,9 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (
-    PresetKind, PresetParams, PsiKind, ValidationError, map_preset_to_general, moment_bias, validate_preset
+    PresetKind, PresetParams, PsiKind, ValidationError, map_preset_to_general, moment_bias, moment_rows, validate_preset
 )
-from .flow import RunReport, Trajectory, _c_groups, _full, _only, _pow_rows, _psi, _RowsLeave, _run_rows
+from .flow import RunReport, Trajectory, _c_groups, _full, _only, _pow_rows, _RowsLeave, _run_rows
 
 BIAS_MODES = ("paper", "beta", "continuous")
 
@@ -202,21 +202,24 @@ def _row(spec: OptimizerSpec) -> tuple:
 class _DiscreteBatch:
     """Discrete runs of dimension dim stepped together as a packed (4, R, d)
     state whose blocks are x, mu, zeta and nu: the discrete rule of
-    flow._run_rows. Every kind is a row of coefficients (see _row), each
-    array at the full (R, d) shape of the blocks, through one update:
+    flow._run_rows. Every kind is a row of coefficients (see _row) through
+    the flow's kernel, core.moment_rows, with [keep1, keep1, keep2, couple]
+    and [gain1, gain1, gain2, keep_nu] stacked in coef, and gain_psi,
+    epsilon and eta_gain at the (R, d) shape of the blocks:
 
         mu'   = keep1*mu + gain1*g
         zeta' = keep2*zeta + gain2*nu
         nu'   = couple*zeta + keep_nu*nu + gain_psi*psi(g, mu')
         x'    = x - (eta_gain*eta) * num / ((nu'/B2)**c + epsilon)
 
-    num is mu'/B1, or g on the accumulator rows, whose step is zero where
-    the denominator is not > 0. As 1.0*v, v/1.0 and 0.0 + v give v back,
-    each row is bitwise its solo run. B1, B2 and alpha are Python scalars
-    once per step for each distinct (b1, b2, delta, bias_mode), 1 for the
-    kinds without moment estimates and for a row whose first step raises
-    (it keeps that error in errors), spread to their rows; nu ** c is taken
-    per group of rows sharing c.
+    x' overwrites the kernel's x row, a repeat of mu's. num is mu'/B1, or g
+    on the accumulator rows, whose step is zero where the denominator is
+    not > 0. As 1.0*v, v/1.0 and 0.0 + v give v back, each row is bitwise
+    its solo run. B1, B2 and alpha are Python scalars once per step for
+    each distinct (b1, b2, delta, bias_mode), 1 for the kinds without
+    moment estimates and for a row whose first step raises (it keeps that
+    error in errors), spread to their rows; nu ** c is taken per group of
+    rows sharing c.
     """
 
     dt = 1
@@ -228,11 +231,13 @@ class _DiscreteBatch:
         self.schedule = LrSchedule(_full([spec.preset.eta for spec in specs], dim), milestones)
         self.errors = {i: e for i, e in enumerate(map(_first_step_error, specs)) if e is not None}
         coefficients, cs, belief, accumulate, keys = zip(*map(_row, specs)) if specs else ((),) * 5
-        (self.keep1, self.gain1, self.keep2, self.gain2, self.couple, self.keep_nu, self.gain_psi, self.epsilon,
-         self.eta_gain) = _full(np.reshape(coefficients, (-1, 9)).T, dim)
+        coefficients = np.reshape(coefficients, (-1, 9)).T
+        self.coef = _full(coefficients[[0, 0, 2, 4, 1, 1, 3, 5]], dim)
+        self.gain_psi, self.epsilon, self.eta_gain = _full(coefficients[6:], dim)
         self.c_groups = _c_groups(cs)
-        self.belief = _full(belief, dim, bool) if any(belief) else None
+        self.squared = _full(np.logical_not(belief), dim, bool) if any(belief) else None
         self.accumulate = _full(accumulate, dim, bool) if any(accumulate) else None
+        self.divides = None if self.accumulate is None else ~self.accumulate
         # a row that leaves with an error is never stepped: its bias factors are 1
         keys = [None if i in self.errors else key for i, key in enumerate(keys)]
         distinct = list(dict.fromkeys(keys))
@@ -245,7 +250,7 @@ class _DiscreteBatch:
 
     def alpha(self, rows, k: int) -> np.ndarray:
         alphas = [bias_alpha(q.preset, k, q.bias_mode) if q else 1.0 for q in self.bias_specs]
-        return np.array(alphas)[self.bias_of[rows, 0]]
+        return np.array(alphas).take(self.bias_of[:, 0])[rows]
 
     def step(self, s: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
         if self.errors:
@@ -256,28 +261,25 @@ class _DiscreteBatch:
         """Iteration k of every row from its gradient g, with the learning
         rates eta at the (R, d) shape of g (see step_preset,
         step_sgd_momentum)."""
-        out = np.empty(s.shape)
-        zeta, nu = s[2], s[3]
-        mu_new = np.add(self.keep1 * s[1], self.gain1 * g, out=out[1])
-        np.add(self.keep2 * zeta, self.gain2 * nu, out=out[2])
-        psi = _psi(g, mu_new, self.belief)
-        nu_new = np.add(self.couple * zeta + self.keep_nu * nu, self.gain_psi * psi, out=out[3])
+        out = moment_rows(self.coef, self.gain_psi, self.squared, s, g, step=True)
         bias = [bias_denominators(q.preset, k, q.bias_mode) if q else (1.0, 1.0) for q in self.bias_specs]
         # one shared pair divides as Python scalars: the same arithmetic at a fraction of the cost
-        b1_corr, b2_corr = bias[0] if len(bias) == 1 else np.array(bias).T[:, self.bias_of]
-        num = mu_new / b1_corr
-        denom = _pow_rows(nu_new / b2_corr, self.c_groups) + self.epsilon
+        b1_corr, b2_corr = bias[0] if len(bias) == 1 else np.array(bias).T.take(self.bias_of, 1)
+        num = out[1] / b1_corr
+        denom = _pow_rows(out[3] / b2_corr, self.c_groups)
+        denom += self.epsilon
         acc = self.accumulate
         if acc is None:
             # eta_gain is 1 on every row but an accumulator's
-            direction = num / denom
+            direction = np.divide(num, denom, out=num)
         else:
             np.copyto(num, g, where=acc)
-            direction = np.divide(num, denom, out=np.zeros_like(num), where=~acc | (denom > 0))
+            direction = np.divide(num, denom, out=np.zeros_like(num), where=self.divides | (denom > 0))
             eta = self.eta_gain * eta
             # an accumulator's zeta stays 0 once its nu overflows, where 0*inf is NaN
             np.copyto(out[2], 0.0, where=acc)
-        np.subtract(s[0], eta * direction, out=out[0])
+        direction *= eta
+        np.subtract(s[0], direction, out=out[0])
         return out
 
 

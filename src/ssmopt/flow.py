@@ -8,8 +8,10 @@ summarizes and reports every row like its solo run in one store per batch,
 RunStore, which hands back each row's Trajectory and RunReport; a solo run
 is the batch of one. A flow whose state turns non-finite, or whose f or
 gradient norm is not finite at a record, fails like a discrete run whose f
-diverges. Here also: the generic right-hand side, named preset flows, the
-fixed-step schemes and the accumulator energy-balance diagnostic.
+diverges. The generic right-hand side takes its moment dynamics from
+core.moment_rows, the one kernel the discrete update steps through too.
+Here also: named preset flows, the fixed-step schemes and the accumulator
+energy-balance diagnostic.
 """
 
 from __future__ import annotations
@@ -21,15 +23,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
-    DomainError,
-    OptimizerParams,
-    PresetKind,
-    PresetParams,
-    PsiKind,
-    alpha_g,
-    map_preset_to_general,
-    validate_params,
-    validate_preset,
+    DomainError, OptimizerParams, PresetKind, PresetParams, PsiKind, alpha_g, map_preset_to_general, moment_rows,
+    validate_params, validate_preset,
 )
 from .objectives import Objective
 
@@ -88,18 +83,17 @@ class _Batch:
     """Flows on one objective, integrated together as a packed (4, R, d)
     state whose blocks are x, mu, zeta and nu: the flow rule of _run_rows.
 
-    Every rate and mask has the full shape of the block it multiplies: two
-    (4, R, d) coefficient arrays, and (R, d) arrays for lambda6, the belief
-    mask and alpha. So each operation of a step is one numpy call on
-    contiguous operands of one shape, and every row goes through exactly the
-    scalar arithmetic of its own flow and matches its solo run bitwise.
-    alpha_g runs once per time for each group of rows sharing its rates
-    (lambda7 == 0, or lambda2, lambda6 and c), and nu ** c once for each
-    group of rows sharing c.
+    Every rate and mask has the full shape of the block it multiplies: the
+    (8, R, d) coefficient stack of core.moment_rows, and (R, d) arrays for
+    lambda6, the squared-input mask and alpha. So each operation of a step
+    is one numpy call on contiguous operands of one shape, and every row
+    goes through exactly the scalar arithmetic of its own flow and matches
+    its solo run bitwise. alpha_g runs once per time for each group of rows
+    sharing its rates (lambda7 == 0, or lambda2, lambda6 and c), and nu ** c
+    once for each group of rows sharing c.
     """
 
     every_step = False
-    MU_MU_ZETA_ZETA, NU_NU_NU_NU = np.array([[1, 1, 2, 2], [3, 3, 3, 3]])
 
     def __init__(self, problems: list[FlowProblem], scheme=None, dt: float = 1.0):
         self.problems = problems
@@ -108,15 +102,13 @@ class _Batch:
         self.grad = problems[0].objective.eval_grad if problems else None
         ps = [p.params for p in problems]
         dim = problems[0].objective.dim if problems else 0
-        # blocks [l7*mu, -l1*mu, -l3*zeta, l4*zeta] + [l8*g, l2*g, l3*nu, -l5*nu]:
+        # [l7, -l1, -l3, l4] on [mu, mu, zeta, zeta] and [l8, l2, l3, -l5] on [g, g, nu, nu]:
         # the numerator of dx and the linear parts of dmu, dzeta and dnu
-        moment = [[p.lambda7, -p.lambda1, -p.lambda3, p.lambda4] for p in ps]
-        inputs = [[p.lambda8, p.lambda2, p.lambda3, -p.lambda5] for p in ps]
-        self.moment_coef = _full(np.reshape(moment, (-1, 4)).T, dim)
-        self.input_coef = _full(np.reshape(inputs, (-1, 4)).T, dim)
+        coef = [[p.lambda7, -p.lambda1, -p.lambda3, p.lambda4, p.lambda8, p.lambda2, p.lambda3, -p.lambda5] for p in ps]
+        self.coef = _full(np.reshape(coef, (-1, 8)).T, dim)
         self.l6 = _full([p.lambda6 for p in ps], dim)
-        belief = [p.psi_kind is PsiKind.BELIEF for p in ps]
-        self.belief = _full(belief, dim, bool) if any(belief) else None
+        squared = [p.psi_kind is PsiKind.SQUARED_GRADIENT for p in ps]
+        self.squared = None if all(squared) else _full(squared, dim, bool)
         self.c_groups = _c_groups([p.c for p in ps])
         keys = [p.lambda7 == 0 or (p.lambda2, p.lambda6, p.c) for p in ps]
         distinct = list(dict.fromkeys(keys))
@@ -131,7 +123,7 @@ class _Batch:
     def alpha_block(self, t: float) -> np.ndarray:
         """alpha_g at time t of every row, spread to (R, d): read only."""
         if self.alpha_at[0] != t:
-            self.alpha_at = t, np.array([alpha_g(t, p) for p in self.alpha_params])[self.alpha_of]
+            self.alpha_at = t, np.array([alpha_g(t, p) for p in self.alpha_params]).take(self.alpha_of)
         return self.alpha_at[1]
 
     def alpha(self, rows, k: int) -> np.ndarray:
@@ -166,11 +158,7 @@ class _Batch:
         if g is None:
             g = self.grad(s[0])
         # a - b is a + (-b) and (-a)*b is -(a*b), bitwise
-        d = self.moment_coef * s.take(self.MU_MU_ZETA_ZETA, 0)
-        inputs = s.take(self.NU_NU_NU_NU, 0)
-        inputs[:2] = g
-        d += self.input_coef * inputs
-        d[3] += self.l6 * _psi(g, s[1], self.belief)
+        d = moment_rows(self.coef, self.l6, self.squared, s, g, step=False)
         # dx = -d[0] / (alpha * nu**c), in place
         dx = np.negative(d[0], out=d[0])
         dx /= self.alpha_block(t) * _pow_rows(nu, self.c_groups)
@@ -331,12 +319,13 @@ class RunStore:
             self.nu_nonnegative[rows[(states[3] < 0).any(axis=1)]] = False
         if not np.maximum.reduce(np.abs(states[0]), None) <= self.box:
             self.stayed_in_box[rows[~(np.abs(states[0]) <= self.box).all(axis=1)]] = False
-        # both finite in one reduction: maximum propagates NaN, and a norm is >= 0
-        if np.maximum.reduce(np.maximum(np.abs(f), grad_norm), None) < math.inf:
+        # sum(f * grad_norm) is finite when both are, unless it overflows: then
+        # the exact check finds none. vdot, unlike dot, sets no warning
+        if math.isfinite(np.vdot(f, grad_norm)):
             return None
         diverged = ~(np.isfinite(f) & np.isfinite(grad_norm))
         self.diverged_at[rows[diverged]] = step
-        return diverged
+        return diverged if diverged.any() else None
 
     def fold(self) -> None:
         """Reduce the written columns of the blocks into the summary, then
@@ -405,14 +394,6 @@ def _full(values, dim: int, dtype=float) -> np.ndarray:
     C-contiguous array: R values give the (R, dim) shape of the block they
     multiply, and k lists of R values give (k, R, dim)."""
     return np.repeat(np.asarray(values, dtype=dtype)[..., None], dim, axis=-1)
-
-
-def _psi(g: np.ndarray, m: np.ndarray, belief: Optional[np.ndarray]) -> np.ndarray:
-    """The input of the nu dynamic: (g - m)^2 on the elements of the belief
-    mask, shaped like g or None for no row, and g^2 on the others. m is mu
-    for a flow and the updated mu' for a discrete step."""
-    r = g if belief is None else np.where(belief, g - m, g)
-    return r * r
 
 
 def _c_groups(cs: list[float]) -> list[tuple[float, list[int]]]:

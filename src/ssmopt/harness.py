@@ -54,7 +54,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Collection, Optional
 
@@ -99,7 +99,9 @@ OBJECTIVE_KINDS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description; construction via load_config."""
+    """Validated experiment description; construction via load_config, which
+    keeps the objective it builds in built for the run (dataclasses.replace
+    drops it)."""
 
     objective: ObjectiveSpec
     optimizers: tuple[OptimizerSpec, ...]
@@ -108,6 +110,7 @@ class ExperimentConfig:
     threshold: float = 1e-4
     milestones: tuple[tuple[int, float], ...] = ()
     output_dir: str = "runs"
+    built: Optional[Objective] = field(default=None, init=False, compare=False, repr=False)
 
 
 def _expect_mapping(value, path: str) -> dict:
@@ -306,7 +309,7 @@ def load_config(path) -> ExperimentConfig:
     LrSchedule(base_eta=1.0, milestones=config.milestones)
     _validate_entries(optimizers)
     # last: every fault above is reported first, and each factory states its own conditions
-    build_objective(objective)
+    object.__setattr__(config, "built", build_objective(objective))
     return config
 
 
@@ -391,7 +394,7 @@ def _run_entries(
     diagnose(index, trajectory, report) may add diagnostics to a run that did
     not fail. The reports land in report_name, in declaration order.
     """
-    objective = build_objective(config.objective)
+    objective = config.built or build_objective(config.objective)
     out = Path(out_dir) if out_dir is not None else resolve_out_dir(config)
     out.mkdir(parents=True, exist_ok=True)
     specs = [config.optimizers[i] for i in indices]

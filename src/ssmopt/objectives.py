@@ -32,9 +32,8 @@ class Objective:
     eval_f_grad, when present, returns the pair (eval_f(x), eval_grad(x)),
     bitwise, from one pass that shares the work of the two; f_grad calls
     it, or eval_f and eval_grad when it is None. Rosenbrock and logistic
-    have one, and their eval_f is its f half. Logistic's eval_grad is its
-    gradient half too; Rosenbrock keeps a gradient-only pass for the flows'
-    stages.
+    have one, and their eval_f is its f half; both keep a gradient-only
+    eval_grad for the flows' stages.
     """
 
     dim: int
@@ -178,12 +177,12 @@ def make_logistic(d: int, n_samples: int, seed: int) -> Objective:
     equals X^T (y * s), bit for bit. A point takes two matrix-vector
     products, Zw and Z^T s, one GEMV per row of a batch (a matrix product
     over the batch would reorder the sums of a row); the elementwise work
-    runs once over the (R, n) margins of the batch. The loss has one pass,
-    eval_f_grad, which shares one logaddexp between the loss and the
-    gradient: with L = log(1 + exp(-|m|)), numpy's logaddexp gives log(1 +
-    exp(-m)) as max(-m, 0) + L and log(1 + exp(m)) as max(m, 0) + L,
-    bitwise (a NaN margin gives NaN either way). eval_f and eval_grad are
-    its f and gradient halves.
+    runs once over the (R, n) margins of the batch. eval_f_grad shares one
+    logaddexp between the loss and the gradient: with L = log(1 + exp(-|m|)),
+    numpy's logaddexp gives log(1 + exp(-m)) as max(-m, 0) + L and log(1 +
+    exp(m)) as max(m, 0) + L, bitwise (a NaN margin gives NaN either way).
+    eval_f is its f half; eval_grad takes log(1 + exp(m)) as logaddexp(0,
+    m) alone, bitwise the same, and both end in one gradient tail.
     """
     if d < 1 or n_samples < 1:
         raise ValueError("d and n_samples must be >= 1")
@@ -212,14 +211,21 @@ def make_logistic(d: int, n_samples: int, seed: int) -> Objective:
         losses += shared
         np.maximum(m, 0.0, out=m)
         m += shared
-        # sigmoid(-m) as exp(-log(1 + exp(m))), stable for any margin
-        s = np.exp(np.negative(m, out=m), out=m)
         value = np.add.reduce(losses, axis=-1) / n_samples + 0.5 * reg * np.vecdot(w, w)
-        grad = -products(Zt, s) / n_samples + reg * w
-        return (value if w.ndim > 1 else float(value)), grad
+        return (value if w.ndim > 1 else float(value)), gradient(w, m)
+
+    def gradient(w, log_terms):
+        # sigmoid(-m) as exp(-log(1 + exp(m))), stable for any margin, in the buffer of the log terms
+        s = np.exp(np.negative(log_terms, out=log_terms), out=log_terms)
+        return -products(Zt, s) / n_samples + reg * w
+
+    def grad(w):
+        w = np.asarray(w, dtype=float)
+        m = products(Z, w)
+        return gradient(w, np.logaddexp(0.0, m, out=m))
 
     return Objective(
-        dim=d, eval_f=lambda w: f_grad(w)[0], eval_grad=lambda w: f_grad(w)[1], eval_f_grad=f_grad,
+        dim=d, eval_f=lambda w: f_grad(w)[0], eval_grad=grad, eval_f_grad=f_grad,
         known_min=None,
         hessian_bounded_hint=True,
         name=f"logistic_d{d}_n{n_samples}_s{seed}",

@@ -594,15 +594,47 @@ class TestComponentMajorBatch:
         # drop a gadagrad row and an adam row
         keep = np.array([spec.name not in ("gadagrad-c0.3", "adam-beta") for spec in specs])
         for batch in (batch, batch.select(keep)):
-            names = (
-                "keep1", "gain1", "keep2", "gain2", "couple", "keep_nu", "gain_psi", "epsilon", "eta_gain",
-                "belief", "accumulate", "bias_of",
-            )
+            r = len(batch.specs)
+            # the two (4, R, d) coefficient stacks of core.moment_rows, stacked, then the (R, d) rates and masks
+            assert batch.coef.shape == (8, r, 3) and batch.coef.flags.c_contiguous
+            for stack in (batch.coef[:4], batch.coef[4:]):
+                assert stack.shape == (4, r, 3) and stack.flags.c_contiguous
+            names = ("gain_psi", "epsilon", "eta_gain", "squared", "accumulate", "divides", "bias_of")
             arrays = {name: getattr(batch, name) for name in names}
             arrays["eta"] = batch.schedule.eta_at(30)
             for name, array in arrays.items():
-                assert array.shape == (len(batch.specs), 3) and array.flags.c_contiguous, name
-        assert len(batch.specs) == len(specs) - 2
+                assert array.shape == (r, 3) and array.flags.c_contiguous, name
+        assert r == len(specs) - 2
+
+
+class TestInputsStayUnchanged:
+    """The kernel takes its own copies of the state's rows and works on them
+    in place: no step writes through to its input state, gradients or
+    rates, and none returns a view of them. The batch has accumulator rows,
+    belief rows and rows of three bias groups."""
+
+    def test_batch_update(self, rng):
+        batch = _DiscreteBatch(mixed_specs(), 3)
+        assert batch.accumulate.any() and not batch.squared.all() and len(batch.bias_specs) > 2
+        s = np.abs(rng.standard_normal((4, len(batch.specs), 3)))
+        g = rng.standard_normal((len(batch.specs), 3))
+        eta = batch.schedule.eta_at(4)
+        before = [a.tobytes() for a in (s, g, eta)]
+        out = batch.update(s, g, eta, 4)
+        assert [a.tobytes() for a in (s, g, eta)] == before
+        assert not any(np.shares_memory(out, a) for a in (s, g, eta))
+
+    @pytest.mark.parametrize("kind", KIND_KEYS)
+    def test_steppers(self, kind, rng):
+        state = np.abs(rng.standard_normal((4, 3)))
+        grad = rng.standard_normal(3)
+        before = state.tobytes(), grad.tobytes()
+        if kind == "sgd_momentum":
+            new = step_sgd_momentum(state, grad, 0.01, 4, 0.9)
+        else:
+            new = step_preset(state, grad, 0.01, 4, PresetKind(kind), ADAMSSM)
+        assert (state.tobytes(), grad.tobytes()) == before
+        assert not np.shares_memory(new, state) and not np.shares_memory(new, grad)
 
 
 class TestEntryConditions:

@@ -377,16 +377,29 @@ class TestComponentMajorBatch:
                 batch = batch.select(keep)
             r = len(batch.problems)
             arrays = {
-                "moment_coef": batch.moment_coef,
-                "input_coef": batch.input_coef,
+                "coef": batch.coef,
                 "l6": batch.l6,
-                "belief": batch.belief,
+                "squared": batch.squared,
                 "alpha_block": batch.alpha_block(0.3),
             }
             for name, array in arrays.items():
-                shape = (4, r, 3) if name.endswith("_coef") else (r, 3)
+                shape = (8, r, 3) if name == "coef" else (r, 3)
                 assert array.shape == shape and array.flags.c_contiguous, name
         assert r == 5
+
+    def test_deriv_leaves_its_inputs_unchanged(self, rng):
+        # the kernel takes its own copies of the state's rows and works on
+        # them in place: nothing writes through to the state or gradients
+        obj = make_quadratic(3, 10.0)
+        batch = flow_module._Batch(mixed_rate_problems(obj, np.ones(3)), rk4_step, 0.01)
+        assert batch.squared is not None and batch.squared.any()
+        s = np.abs(rng.standard_normal((4, 6, 3))) + 0.1
+        g = rng.standard_normal((6, 3))
+        before = s.tobytes(), g.tobytes()
+        for grads in (g, None):
+            d = batch.deriv(s, 0.3, grads)
+            assert (s.tobytes(), g.tobytes()) == before
+            assert not np.shares_memory(d, s) and not np.shares_memory(d, g)
 
     @pytest.mark.parametrize("step, dt", [(euler_step, 50.0), (rk4_step, 100.0)])
     def test_a_leaving_row_owns_its_failure_state(self, step, dt):
@@ -656,6 +669,39 @@ class TestSummaryOracle:
         assert wants[4]["diagnostics"]["stayed_in_box"] is False
         assert wants[5]["diagnostics"]["error"] == f"diverged at iteration {evaluated[2] + 1}: the state is not finite"
         assert [w["epoch_of_best"] for w in wants[:2]] == [evaluated[1], evaluated[2]]
+
+
+class TestOneReductionCheck:
+    """RunStore.add tests f and the gradient norm for finiteness with one
+    reduction, the sum of f * grad_norm, which is finite when both are
+    unless it overflows; only then does it check row by row. numpy's vdot
+    sets no floating-point warning, which this suite (pyproject.toml) turns
+    into an error."""
+
+    def test_rows_whose_products_overflow_go_on(self):
+        # f * grad_norm is 1e310 and -1e310 on the first two rows, though both
+        # are finite: the sum is inf - inf, and the row check finds no row
+        # to end, so each report is the oracle's, as the per-row maximum of
+        # |f| and the gradient norm gave; the last row ends at iteration 4
+        script = [([1e300] * 11, [1e10] * 11), ([-1e300] * 11, [1e10] * 11)]
+        script += [*DISCRETE_SCRIPT[:2], DISCRETE_SCRIPT[4]]
+        specs = [OptimizerSpec("adam", f"adam{i}", PresetParams(eta=0.1)) for i in range(len(script))]
+        outcomes = run_discrete_batch(specs, scripted_objective(script), np.ones(2), 10)
+        wants = assert_reports_equal_the_oracle(outcomes, script, 1e-4, 5.0)
+        assert [w["diagnostics"].get("diverged_at") for w in wants] == [None] * 4 + [4]
+        assert [w["best_f"] for w in wants[:2]] == [1e300, -1e300]
+
+    def test_no_non_finite_value_slips_through(self, rng):
+        values = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 1.0, -2.5, 1e300, -1e300, 5e-324])
+        for _ in range(400):
+            n = int(rng.integers(1, 40))
+            f = rng.choice(values, n)
+            grad_norm = np.abs(rng.choice(values, n))
+            store = flow_module.RunStore(n, 1, 1, 1e-4, 5.0)
+            got = store.add(np.arange(n), 3, np.zeros((4, n, 1)), f, grad_norm)
+            want = ~(np.isfinite(f) & np.isfinite(grad_norm))
+            assert (None if got is None else got.tolist()) == (want.tolist() if want.any() else None)
+            assert store.diverged_at.tolist() == np.where(want, 3, -1).tolist()
 
 
 class TestTrajectoryCsv:

@@ -554,6 +554,42 @@ class TestObjectiveSetup:
         assert build_objective(ObjectiveSpec(kind="logistic", dim=4, n_samples=10)).dim == 4
 
 
+class TestOneObjectiveBuild:
+    """A command builds its objective once: load_config keeps the objective
+    it builds to validate the config, and the run uses it."""
+
+    @pytest.mark.parametrize("argv", [["run"], ["compare"], ["flow", "--dt", "0.1", "--t-end", "1"]])
+    def test_each_command_builds_the_objective_once(self, argv, tmp_path, monkeypatch, capsys):
+        factory, keys, x0 = OBJECTIVE_KINDS["quadratic"]
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return factory(*args)
+
+        monkeypatch.setitem(OBJECTIVE_KINDS, "quadratic", (counted, keys, x0))
+        monkeypatch.setenv("SSMOPT_OUT_DIR", str(tmp_path / "out"))
+        assert cli.main([argv[0], str(write_config(tmp_path, base_payload())), *argv[1:]]) == 0
+        assert calls == [(2, 10.0)]
+
+    def test_a_replaced_objective_is_built_again(self, tmp_path):
+        config = load_config(write_config(tmp_path, base_payload()))
+        assert config.built.name == "quadratic_d2_cond10"
+        # the kept objective is no part of the config's value
+        assert dataclasses.replace(config) == config and "built" not in repr(config)
+        replaced = dataclasses.replace(config, objective=ObjectiveSpec("rosenbrock", 2))
+        assert replaced.built is None
+        # run before any other config is loaded, so no later build can stand in for it
+        got = run_experiment(replaced, out_dir=tmp_path / "replaced")
+        payload = base_payload()
+        payload["objective"] = {"kind": "rosenbrock", "dim": 2}
+        fresh = load_config(write_config(tmp_path, payload, "rosenbrock.json"))
+        assert repr(got) == repr(run_experiment(fresh, out_dir=tmp_path / "fresh"))
+        assert repr(got) != repr(run_experiment(config, out_dir=tmp_path / "quadratic"))
+        for name in ("report.json", "traj_00_adam.csv"):
+            assert (tmp_path / "replaced" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+
 class TestRunExperiment:
     def test_identical_entries_produce_identical_artifacts(self, tmp_path):
         payload = base_payload()
