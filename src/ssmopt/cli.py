@@ -25,7 +25,7 @@ import sys
 from .analysis import SecondMomentLTI, adamssm_tf, dc_gain, poles_zeros, stability_quantity_p
 from .core import DomainError, ValidationError
 from .flow import _check_grid
-from .harness import ParseError, load_config, resolve_out_dir, run_compare, run_experiment, run_flows
+from .harness import ParseError, flow_skipped, load_config, resolve_out_dir, run_compare, run_experiment, run_flows
 
 
 def _complex_pairs(roots) -> list[list[float]]:
@@ -64,6 +64,9 @@ def _cmd_flow(args) -> int:
         return 1
     config = load_config(args.config)
     out = resolve_out_dir(config)
+    for i in flow_skipped(config):
+        name = config.optimizers[i].name
+        print(f"note: skipping optimizers[{i}] ({name}): sgd_momentum has no flow counterpart", file=sys.stderr)
     reports = run_flows(config, args.dt, args.t_end)
     print(f"wrote {len(reports)} flow trajectories and flow_report.json to {out}")
     return _finish(reports, out / "flow_report.json")

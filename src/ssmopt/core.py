@@ -99,25 +99,22 @@ def moment_bias(t: float, rate1: float, rate2: float) -> tuple[float, float]:
 _TERMS = np.array([1, 1, 2, 2, 3, 3, 3, 3])
 
 
-def moment_rows(coef: np.ndarray, gain_psi: np.ndarray, squared, s: np.ndarray, g: np.ndarray, step: bool):
+def moment_rows(coef: np.ndarray, gain_psi: np.ndarray, squared: np.ndarray, s: np.ndarray, g: np.ndarray, step: bool):
     """coef[:4] * [mu, mu, zeta, zeta] + coef[4:] * [g, g, nu, nu], plus
     gain_psi * psi on row 3, for a (4, R, d) batch s with gradients g: row
     0 is the x update's numerator, rows 1 to 3 the derivatives of mu, zeta
     and nu for a flow and their new values for a discrete step, as a view
-    of one new (8, R, d) array. psi is g^2 on the elements of the mask
-    squared (all of them when it is None), else (g - m)^2, where m is mu,
-    or for a discrete step mu' (row 1)."""
+    of one new (8, R, d) array. psi is g^2 on the elements of the (R, d)
+    bool mask squared, else (g - m)^2, where m is mu, or for a discrete
+    step mu' (row 1)."""
     terms = s.take(_TERMS, 0)
     terms[4:6] = g
     terms *= coef
     out = terms[:4]
     out += terms[4:]
-    if squared is None:
-        psi = g * g
-    else:
-        psi = g - (out[1] if step else s[1])
-        np.copyto(psi, g, where=squared)
-        psi *= psi
+    psi = g - (out[1] if step else s[1])
+    np.copyto(psi, g, where=squared)
+    psi *= psi
     psi *= gain_psi
     nu = out[3]  # out[3] += psi would copy the sum back through out
     nu += psi

@@ -205,7 +205,8 @@ class _DiscreteBatch:
     flow._run_rows. Every kind is a row of coefficients (see _row) through
     the flow's kernel, core.moment_rows, with [keep1, keep1, keep2, couple]
     and [gain1, gain1, gain2, keep_nu] stacked in coef, and gain_psi,
-    epsilon and eta_gain at the (R, d) shape of the blocks:
+    epsilon, eta_gain and the squared-input mask (all True when no row
+    takes the belief input) at the (R, d) shape of the blocks:
 
         mu'   = keep1*mu + gain1*g
         zeta' = keep2*zeta + gain2*nu
@@ -235,7 +236,7 @@ class _DiscreteBatch:
         self.coef = _full(coefficients[[0, 0, 2, 4, 1, 1, 3, 5]], dim)
         self.gain_psi, self.epsilon, self.eta_gain = _full(coefficients[6:], dim)
         self.c_groups = _c_groups(cs)
-        self.squared = _full(np.logical_not(belief), dim, bool) if any(belief) else None
+        self.squared = _full(np.logical_not(belief), dim, bool)
         self.accumulate = _full(accumulate, dim, bool) if any(accumulate) else None
         self.divides = None if self.accumulate is None else ~self.accumulate
         # a row that leaves with an error is never stepped: its bias factors are 1

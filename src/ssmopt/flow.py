@@ -85,12 +85,13 @@ class _Batch:
 
     Every rate and mask has the full shape of the block it multiplies: the
     (8, R, d) coefficient stack of core.moment_rows, and (R, d) arrays for
-    lambda6, the squared-input mask and alpha. So each operation of a step
-    is one numpy call on contiguous operands of one shape, and every row
-    goes through exactly the scalar arithmetic of its own flow and matches
-    its solo run bitwise. alpha_g runs once per time for each group of rows
-    sharing its rates (lambda7 == 0, or lambda2, lambda6 and c), and nu ** c
-    once for each group of rows sharing c.
+    lambda6, alpha and the squared-input mask (all True when no row takes
+    the belief input). So each operation of a step is one numpy call on
+    contiguous operands of one shape, and every row goes through exactly
+    the scalar arithmetic of its own flow and matches its solo run bitwise.
+    alpha_g runs once per time for each group of rows sharing its rates
+    (lambda7 == 0, or lambda2, lambda6 and c), and nu ** c once for each
+    group of rows sharing c.
     """
 
     every_step = False
@@ -107,8 +108,7 @@ class _Batch:
         coef = [[p.lambda7, -p.lambda1, -p.lambda3, p.lambda4, p.lambda8, p.lambda2, p.lambda3, -p.lambda5] for p in ps]
         self.coef = _full(np.reshape(coef, (-1, 8)).T, dim)
         self.l6 = _full([p.lambda6 for p in ps], dim)
-        squared = [p.psi_kind is PsiKind.SQUARED_GRADIENT for p in ps]
-        self.squared = None if all(squared) else _full(squared, dim, bool)
+        self.squared = _full([p.psi_kind is PsiKind.SQUARED_GRADIENT for p in ps], dim, bool)
         self.c_groups = _c_groups([p.c for p in ps])
         keys = [p.lambda7 == 0 or (p.lambda2, p.lambda6, p.c) for p in ps]
         distinct = list(dict.fromkeys(keys))
@@ -438,11 +438,11 @@ def _run_rows(rule, s: np.ndarray, objective, n_steps: int, record_stride: int, 
     the final step and the step they end at. step takes the gradients at s
     when every row was evaluated at k, else None. A step that raises
     _RowsLeave is taken again without those rows. f and the gradients (one
-    Objective.f_grad) and their norms are one call each for all the rows
-    evaluated at a step; only recording goes row by row. A summarized step
-    writes one column of the store's blocks, folded into the reports every
-    RunStore.K columns and at the end: NaN cells are inert, and a tie, 0.0
-    against -0.0 included, keeps the earlier step.
+    objective.eval_f_grad) and their norms are one call each for all the
+    rows evaluated at a step; only recording goes row by row. A summarized
+    step writes one column of the store's blocks, folded into the reports
+    every RunStore.K columns and at the end: NaN cells are inert, and a
+    tie, 0.0 against -0.0 included, keeps the earlier step.
 
     Returns, in row order, each row's Trajectory and RunReport named from
     names, or the exception it left the batch with.
@@ -472,7 +472,7 @@ def _run_rows(rule, s: np.ndarray, objective, n_steps: int, record_stride: int, 
             # only the flows whose state is not finite, which end here
             ending = None if sound else ~np.isfinite(s).all(axis=(0, 2))
             rows, states = (live, s) if every else (live[ending], s.compress(ending, axis=1))
-            fs, grads = objective.f_grad(states[0])
+            fs, grads = objective.eval_f_grad(states[0])
             # per row the ddot of np.linalg.norm, bitwise; norm(axis=1) is not
             grad_norms = np.sqrt(np.vecdot(grads, grads))
             diverged = store.add(rows, k, states, fs, grad_norms)

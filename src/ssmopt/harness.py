@@ -53,7 +53,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Collection, Optional
@@ -445,14 +444,20 @@ def run_compare(config: ExperimentConfig, out_dir=None) -> list[RunReport]:
     return reports
 
 
+def flow_skipped(config: ExperimentConfig) -> list[int]:
+    """The indices of the entries with no flow counterpart (sgd_momentum),
+    which run_flows skips."""
+    return [i for i, spec in enumerate(config.optimizers) if spec.kind == "sgd_momentum"]
+
+
 def run_flows(config: ExperimentConfig, dt: float, t_end: float, out_dir=None) -> list[RunReport]:
     """Integrate the continuous-time counterpart of each flow-capable entry.
 
     All of them are integrated together, as one batch, by the reference
     (RK4) step rule with nu(0) = FLOW_NU0 in every coordinate; each equals
-    its solo run bitwise. sgd_momentum entries have no counterpart in this
-    family and are skipped with a note on stderr; a config with no other
-    entry is a ValidationError. The time column of
+    its solo run bitwise. The entries flow_skipped names have no counterpart
+    in this family and are skipped; a config with no other entry is a
+    ValidationError. The time column of
     flow_{index:02d}_{name}.csv is physical time; report epochs count
     integrator steps, and a report summarizes the recorded rows (see
     flow.RunStore): a non-finite one fails the flow, as does a state that
@@ -462,16 +467,8 @@ def run_flows(config: ExperimentConfig, dt: float, t_end: float, out_dir=None) -
     A grid that integrate_batch rejects is a ValueError before any output.
     """
     _check_grid(dt, t_end)
-    indices = []
-    for i, spec in enumerate(config.optimizers):
-        if spec.kind == "sgd_momentum":
-            print(
-                f"note: skipping optimizers[{i}] ({spec.name}): "
-                "sgd_momentum has no flow counterpart",
-                file=sys.stderr,
-            )
-        else:
-            indices.append(i)
+    skipped = flow_skipped(config)
+    indices = [i for i in range(len(config.optimizers)) if i not in skipped]
     if not indices:
         raise ValidationError(["optimizers: at least one entry with a flow counterpart"])
     nu0 = np.full(config.objective.dim, FLOW_NU0)

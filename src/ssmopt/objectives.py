@@ -29,28 +29,21 @@ class Objective:
     gradients, each entry bitwise equal to the result for that point alone.
     A single point gives a float and a (dim,) gradient.
 
-    eval_f_grad, when present, returns the pair (eval_f(x), eval_grad(x)),
-    bitwise, from one pass that shares the work of the two; f_grad calls
-    it, or eval_f and eval_grad when it is None. Rosenbrock and logistic
-    have one, and their eval_f is its f half; both keep a gradient-only
-    eval_grad for the flows' stages.
+    eval_f_grad returns the pair (eval_f(x), eval_grad(x)), bitwise, for a
+    point or a batch: the run loop's one objective call per evaluated step.
+    Rosenbrock and logistic compute it in one pass that shares the work of
+    the two, and their eval_f is its f half; both keep a gradient-only
+    eval_grad for the flows' stages. Quadratic's is its two functions.
     """
 
     dim: int
     eval_f: Callable[[np.ndarray], float | np.ndarray]
     eval_grad: Callable[[np.ndarray], np.ndarray]
+    eval_f_grad: Callable[[np.ndarray], tuple]
     known_min: Optional[tuple[np.ndarray, float]] = None
     hessian_bounded_hint: bool = True
     name: str = ""
     box: float = 5.0
-    eval_f_grad: Optional[Callable[[np.ndarray], tuple]] = None
-
-    def f_grad(self, x: np.ndarray) -> tuple:
-        """f and the gradient at x, a point or an (R, dim) batch."""
-        if self.eval_f_grad is not None:
-            return self.eval_f_grad(x)
-        grad = self.eval_grad(x)
-        return self.eval_f(x), grad
 
 
 def make_quadratic(d: int, condition_number: float) -> Objective:
@@ -75,7 +68,7 @@ def make_quadratic(d: int, condition_number: float) -> Objective:
         return eigs * x
 
     return Objective(
-        dim=d, eval_f=f, eval_grad=grad,
+        dim=d, eval_f=f, eval_grad=grad, eval_f_grad=lambda x: (f(x), grad(x)),
         known_min=(np.zeros(d), 0.0),
         hessian_bounded_hint=True,
         name=f"quadratic_d{d}_cond{condition_number:g}",
@@ -101,7 +94,9 @@ def make_rosenbrock(d: int) -> Objective:
         r, rest = tail - head ** 2, 1.0 - head
         g = np.zeros(x.shape)
         g[:-1] = -400.0 * head * r - 2.0 * rest
-        g[1:] += 200.0 * r
+        # through a view: g[1:] += ... would copy the sum back over itself
+        right = g[1:]
+        right += 200.0 * r
         return g, r, rest
 
     def grad(x):

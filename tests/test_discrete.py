@@ -593,7 +593,10 @@ class TestComponentMajorBatch:
         batch = _DiscreteBatch(specs, 3, ((20, 0.5),))
         # drop a gadagrad row and an adam row
         keep = np.array([spec.name not in ("gadagrad-c0.3", "adam-beta") for spec in specs])
-        for batch in (batch, batch.select(keep)):
+        # keep no belief row, but accumulator rows: the mask is all True, at full shape
+        no_belief = batch.select(np.array(["belief" not in spec.kind for spec in specs]))
+        assert no_belief.accumulate.any() and no_belief.squared.dtype == bool and no_belief.squared.all()
+        for batch in (batch, no_belief, batch.select(keep)):
             r = len(batch.specs)
             # the two (4, R, d) coefficient stacks of core.moment_rows, stacked, then the (R, d) rates and masks
             assert batch.coef.shape == (8, r, 3) and batch.coef.flags.c_contiguous
@@ -715,9 +718,10 @@ class TestBatchBookkeeping:
             return None if fn is None else wrapped
 
         n = 45
-        # both objectives evaluate f and the gradient in one fused pass, and
-        # the loop calls only that one
+        # every objective evaluates f and the gradient in one call, and the
+        # loop calls only that one
         for objective, want in [
+            ("quadratic", {"f": 0, "grad": 0, "f_grad": n + 1}),
             ("rosenbrock", {"f": 0, "grad": 0, "f_grad": n + 1}),
             ("logistic", {"f": 0, "grad": 0, "f_grad": n + 1}),
         ]:

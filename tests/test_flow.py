@@ -372,6 +372,10 @@ class TestComponentMajorBatch:
         obj = make_quadratic(3, 10.0)
         problems = mixed_rate_problems(obj, np.ones(3))
         batch = flow_module._Batch(problems, rk4_step, 0.01)
+        # keep no belief row: the mask is all True, at full shape
+        no_belief = batch.select(np.array([p.params.psi_kind is PsiKind.SQUARED_GRADIENT for p in problems]))
+        squared = no_belief.squared
+        assert squared.shape == (5, 3) and squared.flags.c_contiguous and squared.dtype == bool and squared.all()
         for keep in (None, np.array([True, False, True, True, True, True])):
             if keep is not None:
                 batch = batch.select(keep)

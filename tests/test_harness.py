@@ -1,6 +1,7 @@
 """Tests for config ingestion, batch execution, artifact emission, and the
 command-line interface."""
 
+import ast
 import dataclasses
 import importlib.util
 import json
@@ -29,6 +30,7 @@ from ssmopt.harness import (
     build_objective,
     default_x0,
     emit_summary,
+    flow_skipped,
     load_config,
     resolve_out_dir,
     run_compare,
@@ -796,11 +798,9 @@ class TestRunFlows:
         config = self.flow_config(tmp_path)
         out = tmp_path / "out"
         reports = run_flows(config, dt=0.01, t_end=1.0, out_dir=out)
-        err = capsys.readouterr().err
-        assert (
-            "note: skipping optimizers[2] (sgd_momentum): "
-            "sgd_momentum has no flow counterpart" in err
-        )
+        # the library skips the sgd_momentum entry silently; the CLI notes it
+        assert capsys.readouterr() == ("", "")
+        assert flow_skipped(config) == [2]
         assert len(reports) == 2
         assert (out / "flow_00_gadagrad.csv").exists()
         assert (out / "flow_01_adam.csv").exists()
@@ -1050,6 +1050,21 @@ class TestCli:
         assert capsys.readouterr().out.startswith("wrote 1 flow trajectories")
         assert (tmp_path / "out" / "flow_report.json").exists()
 
+    def test_flow_notes_each_skipped_entry(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("SSMOPT_OUT_DIR", str(tmp_path / "out"))
+        payload = base_payload()
+        payload["optimizers"] = [
+            {"kind": "sgd_momentum", "name": "hb", "eta": 0.01},
+            {"kind": "adam", "eta": 0.05},
+            {"kind": "sgd_momentum", "eta": 0.01},
+        ]
+        rc = cli.main(["flow", str(write_config(tmp_path, payload)), "--dt", "0.05", "--t-end", "0.5"])
+        assert rc == 0
+        assert capsys.readouterr().err == (
+            "note: skipping optimizers[0] (hb): sgd_momentum has no flow counterpart\n"
+            "note: skipping optimizers[2] (sgd_momentum): sgd_momentum has no flow counterpart\n"
+        )
+
     def test_flow_with_nothing_to_integrate_fails(self, capsys, tmp_path, monkeypatch):
         out = tmp_path / "out"
         monkeypatch.setenv("SSMOPT_OUT_DIR", str(out))
@@ -1096,3 +1111,21 @@ class TestCli:
         rc = cli.main(["run", str(path)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("runtime failure:")
+
+
+class TestLibraryNeverPrints:
+    def test_only_the_cli_writes_to_stdout_or_stderr(self):
+        # every print call, or use of sys.stdout or sys.stderr, in any module but cli.py
+        streams = {"stdout", "stderr", "__stdout__", "__stderr__"}
+        found = []
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            if path.name == "cli.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                printed = isinstance(node, ast.Name) and node.id == "print"
+                stream = isinstance(node, ast.Attribute) and node.attr in streams
+                imported = isinstance(node, ast.ImportFrom) and node.module == "sys"
+                imported = imported and not streams.isdisjoint(alias.name for alias in node.names)
+                if printed or stream or imported:
+                    found.append(f"{path.name}:{node.lineno}")
+        assert found == []

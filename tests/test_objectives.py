@@ -334,16 +334,16 @@ class TestEveryObjective:
     @pytest.mark.parametrize("dim", [2, 5])
     @pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
     def test_f_grad_is_f_and_grad_row_by_row(self, kind, dim, rng):
-        # Objective.f_grad is the run loop's one objective call per step: it
+        # Objective.eval_f_grad is the run loop's one objective call per step: it
         # must give eval_f and eval_grad bitwise, and each row of a batch (a
         # strided view, as the loop passes it) must be its point alone
         obj = build_objective(ObjectiveSpec(kind=kind, dim=dim))
         xs = rng.uniform(-2.0, 2.0, (7, 4, dim))[:, 0]
         xs[0] = -0.0
-        fs, gs = obj.f_grad(xs)
+        fs, gs = obj.eval_f_grad(xs)
         assert fs.shape == (7,) and fs.tobytes() == obj.eval_f(xs).tobytes()
         assert gs.shape == (7, dim) and gs.flags.c_contiguous and gs.tobytes() == obj.eval_grad(xs).tobytes()
         for x, f, g in zip(xs, fs, gs):
-            value, grad = obj.f_grad(x)
+            value, grad = obj.eval_f_grad(x)
             assert type(value) is float and repr(value) == repr(float(f))
             assert grad.tobytes() == g.tobytes()
