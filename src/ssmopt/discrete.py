@@ -20,7 +20,7 @@ import numpy as np
 from .core import (
     PresetKind, PresetParams, PsiKind, ValidationError, map_preset_to_general, moment_bias, moment_rows, validate_preset
 )
-from .flow import RunReport, Trajectory, _c_groups, _full, _only, _pow_rows, _RowsLeave, _run_rows
+from .flow import RunReport, Trajectory, _c_groups, _full, _only, _point_of, _pow_rows, _RowsLeave, _run_rows
 
 BIAS_MODES = ("paper", "beta", "continuous")
 
@@ -127,7 +127,7 @@ class LrSchedule:
             violations.append("milestone iterations strictly increasing")
         if any(it < 0 for it in iters):
             violations.append("milestone iterations nonnegative")
-        if any(m <= 0 for _, m in ms):
+        if not all(m > 0 for _, m in ms):
             violations.append("milestone multipliers positive")
         if violations:
             raise ValidationError(violations)
@@ -367,11 +367,12 @@ def run_discrete_batch(
     last one. A report summarizes every iteration, recorded or not (see
     flow.RunStore). A run that diverges stops at the first non-finite f or
     gradient norm, recorded last, and its report is a failure. The other
-    rows go on unchanged.
+    rows go on unchanged. Before any step, an x0 that is not a point of the
+    objective is a ValueError, and run settings that fail iterations >= 0,
+    record_stride >= 1 or threshold > 0 (NaN fails each) are one
+    ValidationError naming each, as load_config names them.
     """
-    if num_iters < 0:
-        raise ValueError("num_iters must be nonnegative")
-    s = np.repeat(initial_stepper_state(x0)[:, None], len(specs), axis=1)
+    s = np.repeat(initial_stepper_state(_point_of(objective, x0))[:, None], len(specs), axis=1)
     rule = _DiscreteBatch(specs, s.shape[2], milestones)
     return _run_rows(rule, s, objective, num_iters, record_stride, threshold, [spec.name for spec in specs])
 

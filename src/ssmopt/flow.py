@@ -23,8 +23,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
-    DomainError, OptimizerParams, PresetKind, PresetParams, PsiKind, alpha_g, map_preset_to_general, moment_rows,
-    validate_params, validate_preset,
+    DomainError, OptimizerParams, PresetKind, PresetParams, PsiKind, ValidationError, alpha_g, map_preset_to_general,
+    moment_rows, validate_params, validate_preset,
 )
 from .objectives import Objective
 
@@ -47,6 +47,14 @@ class PresetMismatch(ValueError):
     """Operation requires a specific preset structure the params do not have."""
 
 
+def _point_of(objective: Objective, x0) -> np.ndarray:
+    """x0 as a float array, or a ValueError unless it is a point of the objective."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (objective.dim,):
+        raise ValueError(f"x0 shape {x0.shape} does not match objective dimension {objective.dim}")
+    return x0
+
+
 @dataclass(frozen=True)
 class FlowProblem:
     """A flow to integrate: objective, validated params, x0 and a finite, positive nu0."""
@@ -57,12 +65,8 @@ class FlowProblem:
     nu0: np.ndarray
 
     def __post_init__(self):
-        x0 = np.asarray(self.x0, dtype=float)
+        x0 = _point_of(self.objective, self.x0)
         nu0 = np.asarray(self.nu0, dtype=float)
-        if x0.shape != (self.objective.dim,):
-            raise ValueError(
-                f"x0 shape {x0.shape} does not match objective dimension {self.objective.dim}"
-            )
         if nu0.shape != x0.shape:
             raise ValueError(f"nu0 shape {nu0.shape} != x0 shape {x0.shape}")
         if not (np.all(nu0 > 0) and np.isfinite(nu0).all()):
@@ -422,6 +426,13 @@ class _RowsLeave(Exception):
         super().__init__(f"{len(errors)} rows left the batch")
 
 
+def _check_run(n_steps: int, record_stride: int, threshold: float) -> None:
+    """Raise a ValidationError naming each failed run setting, in order; NaN fails each."""
+    holds = {"iterations >= 0": n_steps >= 0, "record_stride >= 1": record_stride >= 1, "threshold > 0": threshold > 0}
+    if not all(holds.values()):
+        raise ValidationError([name for name, ok in holds.items() if not ok])
+
+
 def _run_rows(rule, s: np.ndarray, objective, n_steps: int, record_stride: int, threshold: float, names) -> list:
     """Advance the rows of s, a packed (4, R, d) state, n_steps times with a
     step rule, recording and summarizing each row like its solo run in one
@@ -445,8 +456,10 @@ def _run_rows(rule, s: np.ndarray, objective, n_steps: int, record_stride: int, 
     tie, 0.0 against -0.0 included, keeps the earlier step.
 
     Returns, in row order, each row's Trajectory and RunReport named from
-    names, or the exception it left the batch with.
+    names, or the exception it left the batch with. Settings that fail
+    _check_run raise its ValidationError before any step.
     """
+    _check_run(n_steps, record_stride, threshold)
     n_records = len(range(0, n_steps + 1, record_stride)) + (n_steps % record_stride != 0)
     store = RunStore(s.shape[1], s.shape[2], n_records, threshold, objective.box)
     errors: dict[int, Exception] = {}
@@ -558,7 +571,8 @@ def integrate_batch(
     taken out of the batch before any arithmetic on it. A row that diverges,
     its state or f or gradient norm not finite, leaves the batch at that
     step with a StepFailure carrying the step's time and state and the
-    error of its failed run report. The other rows go on unchanged.
+    error of its failed run report. The other rows go on unchanged. A
+    record_stride below 1 is a ValidationError naming record_stride >= 1.
     """
     outcomes = _integrate_rows(problems, [""] * len(problems), step, dt, t_end, record_stride, 1e-4)
     return [out if isinstance(out, StepFailure) else _trajectory_or_failure(*out) for out in outcomes]

@@ -61,7 +61,7 @@ import numpy as np
 
 from .core import PresetKind, PresetParams, ValidationError
 from .discrete import BIAS_MODES, KIND_KEYS, LrSchedule, OptimizerSpec, run_discrete_batch
-from .flow import RunReport, _check_grid, _integrate_rows, gadagrad_energy_residual, preset_flow, rk4_step
+from .flow import RunReport, _check_grid, _check_run, _integrate_rows, gadagrad_energy_residual, preset_flow, rk4_step
 from .objectives import Objective, make_logistic, make_quadratic, make_rosenbrock
 
 SUMMARY_COLUMNS = ("optimizer", "best_f", "epoch_of_best", "final_grad_norm", "iters_to_threshold")
@@ -257,9 +257,10 @@ def load_config(path) -> ExperimentConfig:
 
     Raises ParseError for structural problems (bad JSON with line/column
     context, non-finite numbers, unknown or missing keys, wrong types) and
-    ValidationError, with every named violation across all optimizer
-    entries, for hyperparameters that fail the per-kind conditions, and
-    only then for an objective that its factory rejects.
+    ValidationError: first for run settings that fail the run loop's own
+    check (flow._check_run), then with every named violation across all
+    optimizer entries for hyperparameters that fail the per-kind
+    conditions, and only then for an objective that its factory rejects.
     """
     path = Path(path)
     try:
@@ -295,15 +296,7 @@ def load_config(path) -> ExperimentConfig:
         milestones=_parse_milestones(_expect_mapping(raw["schedule"], "schedule")) if "schedule" in raw else (),
         **_get_fields(raw, ExperimentConfig, ("output_dir",), "config"),
     )
-    schema_violations = []
-    if config.iterations < 0:
-        schema_violations.append("iterations >= 0")
-    if config.record_stride < 1:
-        schema_violations.append("record_stride >= 1")
-    if not config.threshold > 0:
-        schema_violations.append("threshold > 0")
-    if schema_violations:
-        raise ValidationError(schema_violations)
+    _check_run(config.iterations, config.record_stride, config.threshold)
     # Constructing a schedule validates milestone ordering and positivity.
     LrSchedule(base_eta=1.0, milestones=config.milestones)
     _validate_entries(optimizers)

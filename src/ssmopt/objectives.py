@@ -48,12 +48,15 @@ class Objective:
 
 def make_quadratic(d: int, condition_number: float) -> Objective:
     """Diagonal quadratic f(x) = x'Qx / 2 with eigenvalues spread geometrically
-    from 1 to condition_number. d = 1 uses the single eigenvalue 1.
+    from 1 to condition_number, a finite number >= 1. d = 1 uses the single
+    eigenvalue 1.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    if condition_number < 1:
+    if not condition_number >= 1:
         raise ValueError("condition_number must be >= 1")
+    if condition_number == np.inf:
+        raise ValueError("condition_number must be finite")
     eigs = np.ones(1) if d == 1 else np.geomspace(1.0, float(condition_number), d)
 
     def f(x):
@@ -229,7 +232,7 @@ def make_logistic(d: int, n_samples: int, seed: int) -> Objective:
 
 def finite_diff_grad(obj: Objective, x, h: float) -> np.ndarray:
     """Central-difference gradient of obj at x with step h."""
-    if h <= 0:
+    if not h > 0:
         raise ValueError("h must be positive")
     x = np.asarray(x, dtype=float)
     steps = h * np.eye(obj.dim)

@@ -279,9 +279,10 @@ class TestLrSchedule:
         assert err.value.violations == ["milestone iterations strictly increasing"]
 
     def test_multiplier_sign_validated(self):
-        with pytest.raises(ValidationError) as err:
-            LrSchedule(base_eta=1.0, milestones=((10, 0.0),))
-        assert err.value.violations == ["milestone multipliers positive"]
+        for multiplier in (0.0, math.nan):
+            with pytest.raises(ValidationError) as err:
+                LrSchedule(base_eta=1.0, milestones=((10, multiplier),))
+            assert err.value.violations == ["milestone multipliers positive"]
 
     def test_negative_milestone_iteration_rejected(self):
         with pytest.raises(ValidationError) as err:
@@ -322,6 +323,32 @@ class TestRunDiscrete:
     def test_negative_iterations_rejected(self):
         with pytest.raises(ValueError):
             run_discrete(self.quadratic_spec(), make_quadratic(1, 1.0), np.ones(1), -1)
+
+    @pytest.mark.parametrize(
+        "settings, failed",
+        [
+            pytest.param({"num_iters": -1}, ["iterations >= 0"], id="iterations-1"),
+            pytest.param({"record_stride": 0}, ["record_stride >= 1"], id="stride0"),
+            pytest.param({"record_stride": -1}, ["record_stride >= 1"], id="stride-1"),
+            pytest.param({"threshold": math.nan}, ["threshold > 0"], id="threshold-nan"),
+            pytest.param({"threshold": 0.0}, ["threshold > 0"], id="threshold0"),
+            pytest.param({"threshold": -1.0}, ["threshold > 0"], id="threshold-1"),
+            pytest.param(
+                {"num_iters": -1, "record_stride": 0, "threshold": math.nan},
+                ["iterations >= 0", "record_stride >= 1", "threshold > 0"],
+                id="all-three",
+            ),
+        ],
+    )
+    def test_run_settings_rejected_by_name(self, settings, failed):
+        # the conditions load_config names, raised before any step
+        with pytest.raises(ValidationError) as err:
+            run_discrete(self.quadratic_spec(), make_quadratic(2, 10.0), np.ones(2), **({"num_iters": 10} | settings))
+        assert err.value.violations == failed
+
+    def test_x0_of_another_dimension_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("x0 shape (3,) does not match objective dimension 2")):
+            run_discrete_batch([self.quadratic_spec()], make_quadratic(2, 10.0), np.ones(3), 5)
 
     def test_long_run_reaches_threshold(self):
         # constant learning rate, default rates: the gradient norm passes the

@@ -230,6 +230,14 @@ class TestIntegrators:
             with pytest.raises(ValueError, match="t_end must be a whole number of dt steps"):
                 integrate(problem, dt=0.3, t_end=1.0)
 
+    @pytest.mark.parametrize("record_stride", [0, -1])
+    def test_record_stride_rejected_by_name(self, record_stride):
+        problem = self.adam_problem()
+        for integrate in (integrate_euler, integrate_reference):
+            with pytest.raises(ValidationError) as err:
+                integrate(problem, dt=0.1, t_end=1.0, record_stride=record_stride)
+            assert err.value.violations == ["record_stride >= 1"]
+
     def test_reference_keeps_second_moment_positive(self):
         obj = make_quadratic(2, 100.0)
         problem = preset_flow(PresetKind.ADAMSSM, ADAMSSM, obj, np.ones(2), np.ones(2))

@@ -44,8 +44,12 @@ class TestQuadratic:
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             make_quadratic(0, 10.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="condition_number must be >= 1"):
             make_quadratic(2, 0.5)
+        with pytest.raises(ValueError, match="condition_number must be >= 1"):
+            make_quadratic(2, math.nan)
+        with pytest.raises(ValueError, match="condition_number must be finite"):
+            make_quadratic(2, math.inf)
 
 
 class TestRosenbrock:
@@ -326,8 +330,9 @@ class TestFiniteDiff:
                 assert rel < 1e-5
 
     def test_step_must_be_positive(self):
-        with pytest.raises(ValueError):
-            finite_diff_grad(make_quadratic(1, 1.0), np.array([1.0]), h=0.0)
+        for h in (0.0, math.nan):
+            with pytest.raises(ValueError, match="h must be positive"):
+                finite_diff_grad(make_quadratic(1, 1.0), np.array([1.0]), h=h)
 
 
 class TestEveryObjective:
