@@ -12,6 +12,7 @@ step_preset, step_sgd_momentum and run_discrete are the batch of one.
 from __future__ import annotations
 
 import bisect
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -109,8 +110,9 @@ class LrSchedule:
     """Base learning rate scaled by multipliers from given iterations onward.
 
     milestones is a sequence of (iteration, multiplier) pairs with strictly
-    increasing, nonnegative iterations and positive multipliers; all
-    milestones at or before the current iteration apply cumulatively.
+    increasing, nonnegative whole-number iterations and positive
+    multipliers; all milestones at or before the current iteration apply
+    cumulatively.
     base_eta is a float, or an (R, d) array of them for a batch of runs,
     each row at the shape of the block it scales.
     """
@@ -119,18 +121,22 @@ class LrSchedule:
     milestones: tuple[tuple[int, float], ...] = ()
 
     def __post_init__(self):
-        ms = tuple((int(it), float(m)) for it, m in self.milestones)
-        object.__setattr__(self, "milestones", ms)
-        iters = [it for it, _ in ms]
+        iters = [it for it, _ in self.milestones]
         violations = []
+        # an Integral needs no float, which a large int would overflow
+        if not all(isinstance(it, numbers.Integral) or float(it).is_integer() for it in iters):
+            violations.append("milestone iterations whole numbers")
         if any(b <= a for a, b in zip(iters, iters[1:])):
             violations.append("milestone iterations strictly increasing")
         if any(it < 0 for it in iters):
             violations.append("milestone iterations nonnegative")
-        if not all(m > 0 for _, m in ms):
+        if not all(m > 0 for _, m in self.milestones):
             violations.append("milestone multipliers positive")
         if violations:
             raise ValidationError(violations)
+        ms = tuple((int(it), float(m)) for it, m in self.milestones)
+        object.__setattr__(self, "milestones", ms)
+        iters = [it for it, _ in ms]
         # the rate after each number of passed milestones, multiplied in order
         etas = [self.base_eta]
         for _, m in ms:
@@ -152,8 +158,12 @@ def bias_denominators(preset: PresetParams, iteration: int, bias_mode: str) -> t
     beta:       t = k with the rates delta*b1 and delta*b2,
     continuous: t = k*delta with the rates b1 and b2, the flow's bias factor
                 sampled at physical time k*delta.
+
+    A negative or NaN iteration is a ValidationError naming iteration >= 0.
     """
     k = iteration
+    if not k >= 0:
+        raise ValidationError(["iteration >= 0"])
     if bias_mode == "paper":
         return moment_bias(k, preset.b1, preset.b2)
     if bias_mode == "beta":

@@ -552,6 +552,7 @@ def _integrate_rows(problems: list[FlowProblem], names, step, dt, t_end, record_
     if any(p.objective is not problems[0].objective for p in problems):
         raise ValueError("a batch integrates flows on one objective")
     if not problems:
+        _check_run(n_steps, record_stride, threshold)
         return []
     x0 = np.array([p.x0 for p in problems])
     s = np.array([x0, np.zeros_like(x0), np.zeros_like(x0), [p.nu0 for p in problems]])

@@ -1,7 +1,8 @@
-"""Experiment harness: strict JSON config ingestion, one function that runs
-every entry of a config in one batched call (the discrete runs, or their
-continuous-time counterparts), and artifact emission (per-run trajectory
-CSVs, report JSON, sorted comparison tables).
+"""Experiment harness: strict JSON config ingestion, one batched call that
+runs every entry of a config (the discrete runs, or their continuous-time
+counterparts), and one writer that emits its outcomes as artifacts (per-run
+trajectory CSVs, report JSON, sorted comparison tables). A batch that
+cannot start raises before any output; a run that fails is a failed report.
 
 Config schema (all keys optional unless marked required; unknown keys are
 errors):
@@ -55,13 +56,15 @@ import math
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Collection, Optional
+from typing import Collection, Optional
 
 import numpy as np
 
 from .core import PresetKind, PresetParams, ValidationError
 from .discrete import BIAS_MODES, KIND_KEYS, LrSchedule, OptimizerSpec, run_discrete_batch
-from .flow import RunReport, _check_grid, _check_run, _integrate_rows, gadagrad_energy_residual, preset_flow, rk4_step
+from .flow import (
+    RunReport, _check_grid, _check_run, _integrate_rows, _point_of, gadagrad_energy_residual, preset_flow, rk4_step
+)
 from .objectives import Objective, make_logistic, make_quadratic, make_rosenbrock
 
 SUMMARY_COLUMNS = ("optimizer", "best_f", "epoch_of_best", "final_grad_norm", "iters_to_threshold")
@@ -369,35 +372,19 @@ def _write_row(out: Path, prefix: str, i: int, spec: OptimizerSpec, outcome, dia
         return RunReport.failure(spec.name, f"{type(exc).__name__}: {exc}")
 
 
-def _run_entries(
-    config: ExperimentConfig,
-    out_dir,
-    indices: list[int],
-    run_batch: Callable,
-    prefix: str,
-    report_name: str,
-    diagnose: Optional[Callable] = None,
+def _write_outcomes(
+    config: ExperimentConfig, out_dir, outcomes: dict, prefix: str, report_name: str, diagnose=None
 ) -> list[RunReport]:
-    """Run the entries at indices in one batched call and write the artifacts.
-
-    run_batch(objective, x0, specs) returns, per entry, its Trajectory and
-    RunReport (see flow._run_rows) or the exception its solo run raises.
-    Each trajectory is written to {prefix}_{index:02d}_{name}.csv in turn;
-    diagnose(index, trajectory, report) may add diagnostics to a run that did
-    not fail. The reports land in report_name, in declaration order.
-    """
-    objective = config.built or build_objective(config.objective)
+    """Make the output directory and write the outcomes, each entry index's
+    Trajectory and RunReport or the exception its solo run raises (see
+    flow._run_rows): each trajectory to {prefix}_{index:02d}_{name}.csv,
+    after which diagnose(index, trajectory, report) may add diagnostics to
+    a run that did not fail, and the reports to report_name in declaration
+    order."""
     out = Path(out_dir) if out_dir is not None else resolve_out_dir(config)
     out.mkdir(parents=True, exist_ok=True)
-    specs = [config.optimizers[i] for i in indices]
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            outcomes = run_batch(objective, default_x0(config.objective), specs)
-    except Exception as exc:
-        outcomes = [exc] * len(specs)
     reports = [
-        _write_row(out, prefix, i, spec, outcome, diagnose)
-        for i, spec, outcome in zip(indices, specs, outcomes)
+        _write_row(out, prefix, i, config.optimizers[i], outcome, diagnose) for i, outcome in sorted(outcomes.items())
     ]
     _write_report_json(reports, out / report_name)
     return reports
@@ -411,16 +398,18 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> list[RunReport]:
     writes traj_{index:02d}_{name}.csv into the output directory; the full
     report list lands in report.json (declaration order). A failed run yields
     a report with NaN metrics and the error message in its diagnostics, and
-    the remaining runs still execute; a run that diverges is one of them.
+    the remaining runs still execute; a run that diverges is one of them. A
+    batch that cannot start (run settings that flow._check_run rejects, an
+    x0 that is not a point of the objective, a failed allocation) raises
+    before any output.
     """
-
-    def run_batch(objective, x0, specs):
-        return run_discrete_batch(
+    objective = config.built or build_objective(config.objective)
+    specs, x0 = list(config.optimizers), default_x0(config.objective)
+    with np.errstate(over="ignore", invalid="ignore"):
+        outcomes = run_discrete_batch(
             specs, objective, x0, config.iterations, config.milestones, config.threshold, config.record_stride
         )
-
-    indices = list(range(len(config.optimizers)))
-    return _run_entries(config, out_dir, indices, run_batch, "traj", "report.json")
+    return _write_outcomes(config, out_dir, dict(enumerate(outcomes)), "traj", "report.json")
 
 
 def run_compare(config: ExperimentConfig, out_dir=None) -> list[RunReport]:
@@ -457,35 +446,37 @@ def run_flows(config: ExperimentConfig, dt: float, t_end: float, out_dir=None) -
     turns non-finite, which ends the flow's CSV at that step. G-AdaGrad
     entries get an energy_residual_max_abs diagnostic; every report flags
     whether the recorded iterates stayed inside the objective's test box.
-    A grid that integrate_batch rejects is a ValueError before any output.
+    A grid that integrate_batch rejects (a ValueError), an x0 that is not a
+    point of the objective or any other batch that cannot start raises
+    before any output; an entry whose flow cannot be built is a failed run.
     """
     _check_grid(dt, t_end)
     skipped = flow_skipped(config)
     indices = [i for i in range(len(config.optimizers)) if i not in skipped]
     if not indices:
         raise ValidationError(["optimizers: at least one entry with a flow counterpart"])
+    objective = config.built or build_objective(config.objective)
+    x0 = _point_of(objective, default_x0(config.objective))
     nu0 = np.full(config.objective.dim, FLOW_NU0)
-    problems = {}
-
-    def run_batch(objective, x0, specs):
-        # per entry: its rows, or the exception its solo run would raise
-        outcomes = {}
-        for i, spec in zip(indices, specs):
+    # per entry: its flow, or the exception its solo run would raise
+    problems, outcomes = {}, {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in indices:
+            spec = config.optimizers[i]
             try:
                 problems[i] = preset_flow(PresetKind(spec.kind), spec.preset, objective, x0, nu0)
             except Exception as exc:
                 outcomes[i] = exc
         names = [config.optimizers[i].name for i in problems]
         rows = _integrate_rows([*problems.values()], names, rk4_step, dt, t_end, config.record_stride, config.threshold)
-        outcomes.update(zip(problems, rows))
-        return [outcomes[i] for i in indices]
+    outcomes.update(zip(problems, rows))
 
     def diagnose(i, traj, report):
         if config.optimizers[i].kind == "gadagrad":
             residual = gadagrad_energy_residual(traj, problems[i])
             report.diagnostics["energy_residual_max_abs"] = float(np.max(np.abs(residual)))
 
-    return _run_entries(config, out_dir, indices, run_batch, "flow", "flow_report.json", diagnose)
+    return _write_outcomes(config, out_dir, outcomes, "flow", "flow_report.json", diagnose)
 
 
 def _rank_reports(reports: list[RunReport]) -> list[RunReport]:

@@ -252,6 +252,19 @@ class TestBiasCorrection:
         b1, b2 = bias_denominators(ADAMSSM, 7, "paper")
         assert bias_alpha(ADAMSSM, 7, "paper") == b1 / b2 ** 0.5
 
+    def test_negative_or_nan_iteration_rejected(self):
+        # before the mode is read: an unknown mode does not hide the iteration
+        for k in (-1, -2, math.nan):
+            for mode in (*BIAS_MODES, "classic"):
+                with pytest.raises(ValidationError) as err:
+                    bias_denominators(ADAMSSM, k, mode)
+                assert err.value.violations == ["iteration >= 0"]
+        with pytest.raises(ValidationError, match=re.escape("iteration >= 0")):
+            bias_alpha(PresetParams(), -2, "paper")
+        state = initial_stepper_state(np.ones(2))
+        with pytest.raises(ValidationError, match=re.escape("iteration >= 0")):
+            step_preset(state, np.ones(2), 0.1, -1, PresetKind.ADAM, PresetParams())
+
 
 class TestLrSchedule:
     def test_multipliers_apply_cumulatively(self):
@@ -288,6 +301,24 @@ class TestLrSchedule:
         with pytest.raises(ValidationError) as err:
             LrSchedule(base_eta=1.0, milestones=((-5, 0.1),))
         assert err.value.violations == ["milestone iterations nonnegative"]
+
+    def test_milestone_iterations_whole_numbers(self):
+        for iteration in (3, 3.0, np.int64(3)):
+            (milestone,) = LrSchedule(base_eta=1.0, milestones=((iteration, 0.5),)).milestones
+            assert milestone == (3, 0.5) and type(milestone[0]) is int
+        for iteration in (2.7, math.nan, math.inf):
+            with pytest.raises(ValidationError) as err:
+                LrSchedule(base_eta=1.0, milestones=((iteration, 0.5),))
+            assert err.value.violations == ["milestone iterations whole numbers"]
+        # named in one error with the other milestone conditions
+        with pytest.raises(ValidationError) as err:
+            LrSchedule(base_eta=1.0, milestones=((5, 0.5), (-1.5, 0.0)))
+        assert err.value.violations == [
+            "milestone iterations whole numbers",
+            "milestone iterations strictly increasing",
+            "milestone iterations nonnegative",
+            "milestone multipliers positive",
+        ]
 
     def test_schedule_reaches_stepper(self):
         sched = LrSchedule(base_eta=1.0, milestones=((1, 0.0001),))

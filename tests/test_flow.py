@@ -238,6 +238,13 @@ class TestIntegrators:
                 integrate(problem, dt=0.1, t_end=1.0, record_stride=record_stride)
             assert err.value.violations == ["record_stride >= 1"]
 
+    @pytest.mark.parametrize("record_stride", [0, -1])
+    def test_empty_batch_checks_its_run_settings(self, record_stride):
+        # as run_discrete_batch does on no entries
+        with pytest.raises(ValidationError) as err:
+            integrate_batch([], rk4_step, 0.1, 1.0, record_stride=record_stride)
+        assert err.value.violations == ["record_stride >= 1"]
+
     def test_reference_keeps_second_moment_positive(self):
         obj = make_quadratic(2, 100.0)
         problem = preset_flow(PresetKind.ADAMSSM, ADAMSSM, obj, np.ones(2), np.ones(2))

@@ -905,6 +905,35 @@ class TestRunFlows:
         assert (tmp_path / "out" / "flow_01_gadagrad.csv").exists()
 
 
+class TestBatchThatCannotStart:
+    """A batch that cannot start raises before any output, from each run
+    function; a failed run inside a batch is still a report."""
+
+    RUNS = [
+        pytest.param(run_experiment, id="run"),
+        pytest.param(run_compare, id="compare"),
+        pytest.param(lambda config, out_dir: run_flows(config, 0.1, 1.0, out_dir), id="flow"),
+    ]
+
+    @pytest.mark.parametrize("run", RUNS)
+    def test_bad_run_settings_raise_before_any_output(self, run, tmp_path):
+        config = dataclasses.replace(load_config(write_config(tmp_path, base_payload())), record_stride=0)
+        out = tmp_path / "out"
+        with pytest.raises(ValidationError) as err:
+            run(config, out_dir=out)
+        assert err.value.violations == ["record_stride >= 1"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("run", RUNS)
+    def test_x0_off_the_objective_raises_before_any_output(self, run, tmp_path):
+        config = load_config(write_config(tmp_path, base_payload()))
+        config = dataclasses.replace(config, objective=dataclasses.replace(config.objective, x0=(1.0, 2.0, 3.0)))
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=re.escape("x0 shape (3,) does not match objective dimension 2")):
+            run(config, out_dir=out)
+        assert not out.exists()
+
+
 class TestCli:
     def test_analyze_prints_pole_payload(self, capsys):
         rc = cli.main(["analyze", "--b2", "0.0067", "--b3", "0.02"])
