@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ValidationError
+from .core import require
 
 
 class DegreeError(ValueError):
@@ -59,18 +59,13 @@ def adamssm_tf(b2: float, b3: float) -> RationalTF:
     whose (2*b2 + b3)^2 overflows are a ValidationError: the closed-form
     poles, p and the DC gain are not representable there.
     """
-    if not b2 > 0:
-        raise ValidationError(["0 < b2"])
-    if not b3 >= 0:
-        raise ValidationError(["b3 >= 0"])
+    require({"0 < b2": b2 > 0})
+    require({"b3 >= 0": b3 >= 0})
     b = 2.0 * b2 + b3
-    v = []
-    if not b2 * b2 > 0.0:
-        v.append("b2*b2 > 0 in floating point")
-    if not math.isfinite(b * b):
-        v.append("(2*b2 + b3)**2 finite in floating point")
-    if v:
-        raise ValidationError(v)
+    require({
+        "b2*b2 > 0 in floating point": b2 * b2 > 0.0,
+        "(2*b2 + b3)**2 finite in floating point": math.isfinite(b * b),
+    })
     return RationalTF(num=np.array([b2, b2 * b2]), den=np.array([1.0, b, b2 * b2]))
 
 
@@ -128,13 +123,7 @@ class SecondMomentLTI:
     lambda5: float
 
     def __post_init__(self):
-        v = []
-        if not self.lambda3 > 0:
-            v.append("lambda3 > 0")
-        if not self.lambda4 >= 0:
-            v.append("lambda4 >= 0")
-        if v:
-            raise ValidationError(v)
+        require({"lambda3 > 0": self.lambda3 > 0, "lambda4 >= 0": self.lambda4 >= 0})
 
     @property
     def A(self) -> np.ndarray:
@@ -152,8 +141,7 @@ def stability_quantity_p(lti: SecondMomentLTI) -> float:
     """
     d = lti.lambda3 - lti.lambda5
     radicand = d * d + 4.0 * lti.lambda3 * lti.lambda4
-    if not math.isfinite(radicand):
-        raise ValidationError(["(lambda3 - lambda5)**2 + 4*lambda3*lambda4 finite in floating point"])
+    require({"(lambda3 - lambda5)**2 + 4*lambda3*lambda4 finite in floating point": math.isfinite(radicand)})
     return math.sqrt(radicand)
 
 
@@ -265,12 +253,11 @@ def alpha_decay_condition(lambda2: float, lambda6: float, c: float, t: float) ->
         (g2/g1)^(t+1) * (1 - g1^(t+1)) / (1 - g2^(t+1)) > (1/c) * log(g1)/log(g2).
 
     Evaluating this on a time grid locates the settling point after which the
-    factor is monotonically non-increasing.
+    factor is monotonically non-increasing. The rates outside (0, 1) and a
+    negative or NaN time are one ValidationError naming each.
     """
-    conditions = {"0 < lambda2 < 1": lambda2, "0 < lambda6 < 1": lambda6, "0 < c < 1": c}
-    v = [name for name, value in conditions.items() if not 0.0 < value < 1.0]
-    if v:
-        raise ValidationError(v)
+    rates = {"0 < lambda2 < 1": lambda2, "0 < lambda6 < 1": lambda6, "0 < c < 1": c}
+    require({**{name: 0.0 < rate < 1.0 for name, rate in rates.items()}, "t >= 0": t >= 0})
     g1 = 1.0 - lambda2
     g2 = 1.0 - lambda6
     e = t + 1.0

@@ -7,8 +7,10 @@ first-moment estimate mu, an auxiliary state zeta, and a second-moment estimate
 nu. Named optimizers (gadagrad, adam, adabelief, adamssm, adabeliefssm) are
 presets that map a small set of hyperparameters (b1, b2, b3) onto the general
 parameterization. map_preset_to_general alone decides which kinds couple nu
-to zeta (b3) and which take the belief input; validate_preset states their
-entry conditions.
+to zeta (b3) and which take the belief input; preset_conditions states their
+entry conditions. Validators state their conditions as ordered dicts of
+name to truth value, and require raises the one ValidationError naming each
+that fails.
 
 A state is one float array with rows x, mu, zeta and nu: shaped (4, d) for
 one state and (N, 4, d) for a trajectory of N records. A batch of R runs is
@@ -127,12 +129,23 @@ def alpha_g(t: float, params: OptimizerParams) -> float:
     Both moment estimates start at zero, which biases them toward zero early
     on; the x update divides by this factor to compensate. When the x update
     does not use the moment estimate (lambda7 == 0) no correction is needed
-    and the factor is exactly 1.
+    and the factor is exactly 1. A negative or NaN time is a ValidationError
+    naming t >= 0.
     """
+    if not t >= 0:
+        raise ValidationError(["t >= 0"])
     if params.lambda7 == 0:
         return 1.0
     num, den = moment_bias(float(t), params.lambda2, params.lambda6)
     return num / den ** params.c
+
+
+def require(conditions: dict[str, bool]) -> None:
+    """Raise one ValidationError naming, in order, every condition of
+    conditions (name: whether it holds) that does not hold."""
+    failed = [name for name, holds in conditions.items() if not holds]
+    if failed:
+        raise ValidationError(failed)
 
 
 def validate_params(raw: OptimizerParams) -> OptimizerParams:
@@ -142,37 +155,22 @@ def validate_params(raw: OptimizerParams) -> OptimizerParams:
     rejected. Raises ValidationError naming every violated condition. The
     lambda5 bound is skipped when c <= 0 since it is not evaluable then.
     """
-    v: list[str] = []
-    if not raw.lambda1 >= 0:
-        v.append("lambda1 >= 0")
-    if not raw.lambda2 > 0:
-        v.append("lambda2 > 0")
-    if not raw.lambda3 > 0:
-        v.append("lambda3 > 0")
-    if not raw.lambda4 >= 0:
-        v.append("lambda4 >= 0")
-    if not raw.lambda4 <= raw.lambda5:
-        v.append("lambda4 <= lambda5")
-    if raw.c > 0 and not raw.lambda5 < 2.0 * raw.lambda1 / raw.c:
-        v.append("lambda5 < 2*lambda1/c")
-    if not raw.lambda6 > 0:
-        v.append("lambda6 > 0")
-    if not raw.lambda7 >= 0:
-        v.append("lambda7 >= 0")
-    if not raw.lambda8 >= 0:
-        v.append("lambda8 >= 0")
-    if not raw.lambda7 + raw.lambda8 > 0:
-        v.append("lambda7 + lambda8 > 0")
-    if not 0.0 < raw.c < 1.0:
-        v.append("0 < c < 1")
-    if raw.lambda7 > 0:
-        # moment-weighted updates additionally need 0 < lambda6 < lambda2 < 1
-        if not raw.lambda6 < raw.lambda2:
-            v.append("lambda6 < lambda2")
-        if not raw.lambda2 < 1:
-            v.append("lambda2 < 1")
-    if v:
-        raise ValidationError(v)
+    moment = raw.lambda7 > 0  # moment-weighted updates additionally need 0 < lambda6 < lambda2 < 1
+    require({
+        "lambda1 >= 0": raw.lambda1 >= 0,
+        "lambda2 > 0": raw.lambda2 > 0,
+        "lambda3 > 0": raw.lambda3 > 0,
+        "lambda4 >= 0": raw.lambda4 >= 0,
+        "lambda4 <= lambda5": raw.lambda4 <= raw.lambda5,
+        "lambda5 < 2*lambda1/c": not raw.c > 0 or raw.lambda5 < 2.0 * raw.lambda1 / raw.c,
+        "lambda6 > 0": raw.lambda6 > 0,
+        "lambda7 >= 0": raw.lambda7 >= 0,
+        "lambda8 >= 0": raw.lambda8 >= 0,
+        "lambda7 + lambda8 > 0": raw.lambda7 + raw.lambda8 > 0,
+        "0 < c < 1": 0.0 < raw.c < 1.0,
+        "lambda6 < lambda2": not moment or raw.lambda6 < raw.lambda2,
+        "lambda2 < 1": not moment or raw.lambda2 < 1,
+    })
     return raw
 
 
@@ -221,38 +219,27 @@ class PresetParams:
         return 1.0 - self.delta * self.b2
 
 
-def validate_preset(preset: PresetParams, kind: PresetKind) -> PresetParams:
-    """Enforce the convergence conditions of the named optimizer.
+def preset_conditions(preset: PresetParams, kind: PresetKind) -> dict[str, bool]:
+    """The convergence conditions of the named optimizer, by name, and
+    whether each holds, in the order validate_preset names them.
 
     adam/adabelief need 0 < b2 < b1 < 1; the ...ssm variants additionally
     b3 > 0 and b2 + b3 < 4*b1; gadagrad only needs 0 < c < 1. All kinds need
     delta > 0, epsilon > 0 and eta > 0. Strict inequalities are checked
     exactly, so NaN fails every one of them.
     """
-    v: list[str] = []
-    if not preset.delta > 0:
-        v.append("delta > 0")
-    if not preset.epsilon > 0:
-        v.append("epsilon > 0")
-    if not preset.eta > 0:
-        v.append("eta > 0")
+    conditions = {"delta > 0": preset.delta > 0, "epsilon > 0": preset.epsilon > 0, "eta > 0": preset.eta > 0}
     if kind is PresetKind.GADAGRAD:
-        if not 0.0 < preset.c < 1.0:
-            v.append("0 < c < 1")
-    else:
-        if not 0 < preset.b2:
-            v.append("0 < b2")
-        if not preset.b2 < preset.b1:
-            v.append("b2 < b1")
-        if not preset.b1 < 1:
-            v.append("b1 < 1")
-        if kind in (PresetKind.ADAMSSM, PresetKind.ADABELIEFSSM):
-            if not preset.b3 > 0:
-                v.append("b3 > 0")
-            if not preset.b2 + preset.b3 < 4.0 * preset.b1:
-                v.append("b2 + b3 < 4*b1")
-    if v:
-        raise ValidationError(v)
+        return {**conditions, "0 < c < 1": 0.0 < preset.c < 1.0}
+    conditions.update({"0 < b2": 0 < preset.b2, "b2 < b1": preset.b2 < preset.b1, "b1 < 1": preset.b1 < 1})
+    if kind in (PresetKind.ADAMSSM, PresetKind.ADABELIEFSSM):
+        conditions.update({"b3 > 0": preset.b3 > 0, "b2 + b3 < 4*b1": preset.b2 + preset.b3 < 4.0 * preset.b1})
+    return conditions
+
+
+def validate_preset(preset: PresetParams, kind: PresetKind) -> PresetParams:
+    """Enforce preset_conditions: a ValidationError names each that fails."""
+    require(preset_conditions(preset, kind))
     return preset
 
 

@@ -19,7 +19,8 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (
-    PresetKind, PresetParams, PsiKind, ValidationError, map_preset_to_general, moment_bias, moment_rows, validate_preset
+    PresetKind, PresetParams, PsiKind, ValidationError, map_preset_to_general, moment_bias, moment_rows,
+    preset_conditions, require,
 )
 from .flow import RunReport, Trajectory, _c_groups, _full, _only, _point_of, _pow_rows, _RowsLeave, _run_rows
 
@@ -52,7 +53,8 @@ class OptimizerSpec:
     kind is a PresetKind value or "sgd_momentum". preset carries the rates
     for the adaptive kinds and the base learning rate eta of every kind;
     beta is the heavy-ball momentum factor. KIND_KEYS[kind] lists the keys
-    it reads and violations() names the entry conditions it fails.
+    it reads, conditions() its entry conditions and violations() those it
+    fails.
     """
 
     kind: str
@@ -67,28 +69,27 @@ class OptimizerSpec:
         if self.bias_mode not in BIAS_MODES:
             raise ValueError(f"bias_mode must be one of {BIAS_MODES}, got {self.bias_mode!r}")
 
-    def violations(self) -> list[str]:
-        """The entry conditions this spec fails, by name: 0 <= beta < 1, then
-        eta > 0, for sgd_momentum; validate_preset's for the presets, then
-        for the moment kinds the sampling-time conditions 1 - delta*b1 >= 0
+    def conditions(self) -> dict[str, bool]:
+        """The entry conditions, by name, and whether each holds: 0 <= beta < 1
+        and eta > 0 for sgd_momentum; core.preset_conditions for the presets,
+        then for the moment kinds the sampling-time conditions 1 - delta*b1 >= 0
         and 1 - delta*b2 - delta*b3 >= 0 on _row's keep1 and keep_nu."""
+        p = self.preset
         if self.kind == "sgd_momentum":
-            failed = [] if 0.0 <= self.beta < 1.0 else ["0 <= beta < 1"]
-            return failed if self.preset.eta > 0 else failed + ["eta > 0"]
-        try:
-            validate_preset(self.preset, PresetKind(self.kind))
-            failed = []
-        except ValidationError as exc:
-            failed = exc.violations
+            return {"0 <= beta < 1": 0.0 <= self.beta < 1.0, "eta > 0": p.eta > 0}
+        conditions = preset_conditions(p, PresetKind(self.kind))
         if self.kind in _MOMENT_KINDS:
-            p = self.preset
             keep1, _, _, _, _, keep_nu, *_ = _row(self)[0]
-            if keep1 < 0.0:
-                failed.append(f"1 - delta*b1 >= 0 required (delta={p.delta:g}, b1={p.b1:g})")
-            if keep_nu < 0.0:
-                b3 = map_preset_to_general(p, PresetKind(self.kind)).lambda4
-                failed.append(f"1 - delta*b2 - delta*b3 >= 0 required (delta={p.delta:g}, b2={p.b2:g}, b3={b3:g})")
-        return failed
+            b3 = map_preset_to_general(p, PresetKind(self.kind)).lambda4
+            conditions.update({
+                f"1 - delta*b1 >= 0 required (delta={p.delta:g}, b1={p.b1:g})": not keep1 < 0.0,
+                f"1 - delta*b2 - delta*b3 >= 0 required (delta={p.delta:g}, b2={p.b2:g}, b3={b3:g})": not keep_nu < 0.0,
+            })
+        return conditions
+
+    def violations(self) -> list[str]:
+        """The entry conditions this spec fails, by name, in order."""
+        return [name for name, holds in self.conditions().items() if not holds]
 
 
 _MOMENT_KEYS = ("b1", "b2", "delta", "epsilon", "eta", "bias_mode")
@@ -122,18 +123,14 @@ class LrSchedule:
 
     def __post_init__(self):
         iters = [it for it, _ in self.milestones]
-        violations = []
         # an Integral needs no float, which a large int would overflow
-        if not all(isinstance(it, numbers.Integral) or float(it).is_integer() for it in iters):
-            violations.append("milestone iterations whole numbers")
-        if any(b <= a for a, b in zip(iters, iters[1:])):
-            violations.append("milestone iterations strictly increasing")
-        if any(it < 0 for it in iters):
-            violations.append("milestone iterations nonnegative")
-        if not all(m > 0 for _, m in self.milestones):
-            violations.append("milestone multipliers positive")
-        if violations:
-            raise ValidationError(violations)
+        whole = all(isinstance(it, numbers.Integral) or float(it).is_integer() for it in iters)
+        require({
+            "milestone iterations whole numbers": whole,
+            "milestone iterations strictly increasing": not any(b <= a for a, b in zip(iters, iters[1:])),
+            "milestone iterations nonnegative": not any(it < 0 for it in iters),
+            "milestone multipliers positive": all(m > 0 for _, m in self.milestones),
+        })
         ms = tuple((int(it), float(m)) for it, m in self.milestones)
         object.__setattr__(self, "milestones", ms)
         iters = [it for it, _ in ms]

@@ -23,8 +23,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
-    DomainError, OptimizerParams, PresetKind, PresetParams, PsiKind, ValidationError, alpha_g, map_preset_to_general,
-    moment_rows, validate_params, validate_preset,
+    DomainError, OptimizerParams, PresetKind, PresetParams, PsiKind, alpha_g, map_preset_to_general, moment_rows,
+    require, validate_params, validate_preset,
 )
 from .objectives import Objective
 
@@ -89,7 +89,7 @@ class _Batch:
 
     Every rate and mask has the full shape of the block it multiplies: the
     (8, R, d) coefficient stack of core.moment_rows, and (R, d) arrays for
-    lambda6, alpha and the squared-input mask (all True when no row takes
+    lambda6, -alpha and the squared-input mask (all True when no row takes
     the belief input). So each operation of a step is one numpy call on
     contiguous operands of one shape, and every row goes through exactly
     the scalar arithmetic of its own flow and matches its solo run bitwise.
@@ -125,13 +125,13 @@ class _Batch:
         return _Batch([p for p, kept in zip(self.problems, keep) if kept], self.scheme, self.dt)
 
     def alpha_block(self, t: float) -> np.ndarray:
-        """alpha_g at time t of every row, spread to (R, d): read only."""
+        """-alpha_g at time t of every row, spread to (R, d): read only."""
         if self.alpha_at[0] != t:
-            self.alpha_at = t, np.array([alpha_g(t, p) for p in self.alpha_params]).take(self.alpha_of)
+            self.alpha_at = t, np.array([-alpha_g(t, p) for p in self.alpha_params]).take(self.alpha_of)
         return self.alpha_at[1]
 
     def alpha(self, rows, k: int) -> np.ndarray:
-        return self.alpha_block(k * self.dt)[rows, 0]
+        return -self.alpha_block(k * self.dt)[rows, 0]
 
     def step(self, s: np.ndarray, g, k: int) -> np.ndarray:
         """One step of the scheme from t = k*dt, g being the gradients at s
@@ -161,11 +161,10 @@ class _Batch:
             raise _LeftDomain(np.any(nu <= 0, axis=1), t)
         if g is None:
             g = self.grad(s[0])
-        # a - b is a + (-b) and (-a)*b is -(a*b), bitwise
+        # a - b is a + (-b), (-a)*b is -(a*b) and a/(-b) is -(a/b), bitwise
         d = moment_rows(self.coef, self.l6, self.squared, s, g, step=False)
         # dx = -d[0] / (alpha * nu**c), in place
-        dx = np.negative(d[0], out=d[0])
-        dx /= self.alpha_block(t) * _pow_rows(nu, self.c_groups)
+        d[0] /= self.alpha_block(t) * _pow_rows(nu, self.c_groups)
         return d
 
 
@@ -428,9 +427,7 @@ class _RowsLeave(Exception):
 
 def _check_run(n_steps: int, record_stride: int, threshold: float) -> None:
     """Raise a ValidationError naming each failed run setting, in order; NaN fails each."""
-    holds = {"iterations >= 0": n_steps >= 0, "record_stride >= 1": record_stride >= 1, "threshold > 0": threshold > 0}
-    if not all(holds.values()):
-        raise ValidationError([name for name, ok in holds.items() if not ok])
+    require({"iterations >= 0": n_steps >= 0, "record_stride >= 1": record_stride >= 1, "threshold > 0": threshold > 0})
 
 
 def _run_rows(rule, s: np.ndarray, objective, n_steps: int, record_stride: int, threshold: float, names) -> list:

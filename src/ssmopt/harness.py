@@ -38,7 +38,7 @@ discrete.KIND_KEYS: each kind's factory, its own keys and its default x0.
 
 An entry takes only the keys its kind reads besides kind and name, those
 of discrete.KIND_KEYS; any other key is a ParseError. The conditions an
-entry must meet are OptimizerSpec.violations.
+entry must meet are OptimizerSpec.conditions.
 
 An ssm-kind entry with b3 exactly 0 is canonicalized to the matching
 non-ssm kind before validation: the dynamics coincide exactly at b3 = 0, so
@@ -60,7 +60,7 @@ from typing import Collection, Optional
 
 import numpy as np
 
-from .core import PresetKind, PresetParams, ValidationError
+from .core import PresetKind, PresetParams, ValidationError, require
 from .discrete import BIAS_MODES, KIND_KEYS, LrSchedule, OptimizerSpec, run_discrete_batch
 from .flow import (
     RunReport, _check_grid, _check_run, _integrate_rows, _point_of, gadagrad_energy_residual, preset_flow, rk4_step
@@ -239,11 +239,10 @@ def _parse_milestones(raw: dict) -> tuple[tuple[int, float], ...]:
 
 
 def _validate_entries(optimizers: tuple[OptimizerSpec, ...]):
-    """Every entry's failed conditions (see OptimizerSpec.violations), named
-    by the entry, in one ValidationError."""
-    violations = [f"optimizers[{i}]: {name}" for i, spec in enumerate(optimizers) for name in spec.violations()]
-    if violations:
-        raise ValidationError(violations)
+    """Every entry's conditions (see OptimizerSpec.conditions), named by the
+    entry: one ValidationError names each that fails."""
+    entries = enumerate(optimizers)
+    require({f"optimizers[{i}]: {name}": holds for i, spec in entries for name, holds in spec.conditions().items()})
 
 
 def _finite_number(token: str) -> float:
@@ -453,8 +452,7 @@ def run_flows(config: ExperimentConfig, dt: float, t_end: float, out_dir=None) -
     _check_grid(dt, t_end)
     skipped = flow_skipped(config)
     indices = [i for i in range(len(config.optimizers)) if i not in skipped]
-    if not indices:
-        raise ValidationError(["optimizers: at least one entry with a flow counterpart"])
+    require({"optimizers: at least one entry with a flow counterpart": bool(indices)})
     objective = config.built or build_objective(config.objective)
     x0 = _point_of(objective, default_x0(config.objective))
     nu0 = np.full(config.objective.dim, FLOW_NU0)

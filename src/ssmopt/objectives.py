@@ -231,9 +231,11 @@ def make_logistic(d: int, n_samples: int, seed: int) -> Objective:
 
 
 def finite_diff_grad(obj: Objective, x, h: float) -> np.ndarray:
-    """Central-difference gradient of obj at x with step h."""
+    """Central-difference gradient of obj at x with a positive, finite step h."""
     if not h > 0:
         raise ValueError("h must be positive")
+    if h == np.inf:
+        raise ValueError("h must be finite")
     x = np.asarray(x, dtype=float)
     steps = h * np.eye(obj.dim)
     f = obj.eval_f(np.concatenate([x + steps, x - steps]))

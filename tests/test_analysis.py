@@ -401,3 +401,14 @@ class TestAlphaDecayCondition:
             with pytest.raises(ValidationError) as err:
                 alpha_decay_condition(l2, l6, c, 1.0)
             assert err.value.violations == violations
+
+    def test_time_validated(self):
+        for t in (-1.0, -0.5, math.nan):
+            with pytest.raises(ValidationError) as err:
+                alpha_decay_condition(0.67, 0.0067, 0.5, t)
+            assert err.value.violations == ["t >= 0"], t
+        with pytest.raises(ValidationError) as err:
+            alpha_decay_condition(1.2, 0.0067, 0.5, -1.0)
+        assert err.value.violations == ["0 < lambda2 < 1", "t >= 0"]
+        # t = 0 is accepted: the default factor still rises there
+        assert alpha_decay_condition(0.67, 0.0067, 0.5, 0.0) is False

@@ -64,6 +64,16 @@ class TestAlphaG:
             tail = values[np.argmax(values):]
             assert np.all(np.diff(tail) <= 1e-12)
 
+    def test_negative_or_nan_time_rejected(self):
+        # before the lambda7 == 0 shortcut; at t = -1 the bias denominator is 0,
+        # below it the factor is complex or NaN
+        gadagrad = map_preset_to_general(PresetParams(), PresetKind.GADAGRAD)
+        for params in (adam_params(), gadagrad):
+            for t in (-1.0, -2.0, -1e-300, float("nan"), -float("inf")):
+                with pytest.raises(ValidationError) as err:
+                    alpha_g(t, params)
+                assert err.value.violations == ["t >= 0"], (params, t)
+
 
 class TestValidateParams:
     def test_adam_mapping_accepted(self):

@@ -150,6 +150,15 @@ class TestRhsGeneral:
         with pytest.raises(DomainError):
             rhs_general(bad, 0.0, problem)
 
+    def test_negative_or_nan_time_rejected(self):
+        obj = make_quadratic(2, 10.0)
+        problem = FlowProblem(obj, map_preset_to_general(PresetParams(), PresetKind.ADAM), np.ones(2), np.ones(2))
+        state = np.array((np.ones(2), np.zeros(2), np.zeros(2), np.ones(2)))
+        for t in (-2.0, -1.0, float("nan")):
+            with pytest.raises(ValidationError) as err:
+                rhs_general(state, t, problem)
+            assert err.value.violations == ["t >= 0"], t
+
 
 class TestIntegrators:
     def adam_problem(self, dim=2, cond=10.0):

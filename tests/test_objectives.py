@@ -334,6 +334,11 @@ class TestFiniteDiff:
             with pytest.raises(ValueError, match="h must be positive"):
                 finite_diff_grad(make_quadratic(1, 1.0), np.array([1.0]), h=h)
 
+    def test_step_must_be_finite(self):
+        # inf passes h > 0, and inf * eye(d) is NaN off the diagonal
+        with pytest.raises(ValueError, match="h must be finite"):
+            finite_diff_grad(make_quadratic(1, 1.0), np.array([1.0]), h=math.inf)
+
 
 class TestEveryObjective:
     @pytest.mark.parametrize("dim", [2, 5])

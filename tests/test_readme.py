@@ -1,9 +1,12 @@
 """The quick tour in README.md runs as written, its config schema lists
-every kind, and its table of each optimizer kind's keys is KIND_KEYS."""
+every kind, its table of each optimizer kind's keys is KIND_KEYS, and its
+entry conditions are the names OptimizerSpec.conditions gives each kind."""
 
 import re
 from pathlib import Path
 
+from ssmopt import OptimizerSpec, PresetKind, PresetParams
+from ssmopt.core import preset_conditions
 from ssmopt.discrete import KIND_KEYS
 from ssmopt.harness import OBJECTIVE_KINDS
 
@@ -35,3 +38,25 @@ def test_keys_table_matches_kind_keys():
         keys = (keys if "the same" in cell else []) + re.findall(r"`(\w+)`", cell)
         rows += [(kind, tuple(keys)) for kind in re.findall(r"`(\w+)`", kinds)]
     assert rows == list(KIND_KEYS.items())
+
+
+def test_entry_conditions_match_the_conditions_of_each_kind():
+    # the clauses after "`OptimizerSpec.violations` lists:", up to the sentence on `run`
+    text = README.read_text().split("`OptimizerSpec.violations` lists:")[1].split(". `run`")[0]
+    sgd, gadagrad, moment = " ".join(text.split()).split(";")
+    before, sampling = moment.split("sampling-time conditions")
+
+    def names(clause):
+        return [name for name in re.findall(r"`([^`]+)`", clause) if name not in KIND_KEYS]
+
+    one_state = names(before.split("for the ssm kinds also")[0]) + names(sampling)
+    ssm = names(before) + names(sampling)
+    listed = {"gadagrad": names(gadagrad), "adam": one_state, "adabelief": one_state}
+    listed.update({"adamssm": ssm, "adabeliefssm": ssm, "sgd_momentum": names(sgd)})
+    for kind, conditions in listed.items():
+        given = OptimizerSpec(kind, "entry", PresetParams()).conditions()
+        # a sampling-time condition's name ends with the rates it was given
+        assert [name.split(" required (")[0] for name in given] == conditions, kind
+        if kind != "sgd_momentum":
+            preset = list(preset_conditions(PresetParams(), PresetKind(kind)))
+            assert preset == conditions[: len(preset)], kind
