@@ -116,14 +116,16 @@ def poles_zeros(tf: RationalTF) -> tuple[list[complex], list[complex]]:
 @dataclass(frozen=True)
 class SecondMomentLTI:
     """Two-state linear dynamic (zeta, nu) with state matrix
-    [[-lambda3, lambda3], [lambda4, -lambda5]]."""
+    [[-lambda3, lambda3], [lambda4, -lambda5]], stable: lambda3 > 0 and
+    lambda5 >= lambda4 >= 0 keep both poles in the closed left half-plane."""
 
     lambda3: float
     lambda4: float
     lambda5: float
 
     def __post_init__(self):
-        require({"lambda3 > 0": self.lambda3 > 0, "lambda4 >= 0": self.lambda4 >= 0})
+        require({"lambda3 > 0": self.lambda3 > 0, "lambda4 >= 0": self.lambda4 >= 0,
+                 "lambda5 >= lambda4": self.lambda5 >= self.lambda4})
 
     @property
     def A(self) -> np.ndarray:

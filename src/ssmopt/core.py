@@ -83,11 +83,6 @@ class OptimizerParams:
     c: float
     psi_kind: PsiKind = PsiKind.SQUARED_GRADIENT
 
-    @property
-    def bias_correction(self) -> bool:
-        """True iff the x update uses the first-moment estimate (lambda7 > 0)."""
-        return self.lambda7 > 0
-
 
 def moment_bias(t: float, rate1: float, rate2: float) -> tuple[float, float]:
     """Bias of the first and second moment estimates at time t: the share
@@ -226,8 +221,11 @@ def preset_conditions(preset: PresetParams, kind: PresetKind) -> dict[str, bool]
     adam/adabelief need 0 < b2 < b1 < 1; the ...ssm variants additionally
     b3 > 0 and b2 + b3 < 4*b1; gadagrad only needs 0 < c < 1. All kinds need
     delta > 0, epsilon > 0 and eta > 0. Strict inequalities are checked
-    exactly, so NaN fails every one of them.
+    exactly, so NaN fails every one of them. A kind that is not a
+    PresetKind is a ValueError, as in map_preset_to_general.
     """
+    if not isinstance(kind, PresetKind):
+        raise ValueError(f"unknown preset kind: {kind!r}")
     conditions = {"delta > 0": preset.delta > 0, "epsilon > 0": preset.epsilon > 0, "eta > 0": preset.eta > 0}
     if kind is PresetKind.GADAGRAD:
         return {**conditions, "0 < c < 1": 0.0 < preset.c < 1.0}

@@ -360,6 +360,7 @@ def step_sgd_momentum(state: np.ndarray, grad, eta: float, k: int, beta: float) 
     return _step_one(state, grad, eta, k, "sgd_momentum", "sgd_momentum", PresetParams(), beta=beta)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_discrete_batch(
     specs: list[OptimizerSpec], objective, x0, num_iters: int, milestones=(), threshold=1e-4, record_stride=1
 ) -> list[tuple[Trajectory, RunReport] | Exception]:
@@ -374,10 +375,11 @@ def run_discrete_batch(
     last one. A report summarizes every iteration, recorded or not (see
     flow.RunStore). A run that diverges stops at the first non-finite f or
     gradient norm, recorded last, and its report is a failure. The other
-    rows go on unchanged. Before any step, an x0 that is not a point of the
-    objective is a ValueError, and run settings that fail iterations >= 0,
-    record_stride >= 1 or threshold > 0 (NaN fails each) are one
-    ValidationError naming each, as load_config names them.
+    rows go on unchanged. A run's overflow and invalid operations surface
+    only as its failure, never as a RuntimeWarning. Before any step, an x0
+    that is not a point of the objective is a ValueError, and run settings
+    that fail iterations >= 0, record_stride >= 1 or threshold > 0 (NaN
+    fails each) are one ValidationError naming each, as in load_config.
     """
     s = np.repeat(initial_stepper_state(_point_of(objective, x0))[:, None], len(specs), axis=1)
     rule = _DiscreteBatch(specs, s.shape[2], milestones)

@@ -323,7 +323,7 @@ class RunStore:
         if not np.maximum.reduce(np.abs(states[0]), None) <= self.box:
             self.stayed_in_box[rows[~(np.abs(states[0]) <= self.box).all(axis=1)]] = False
         # sum(f * grad_norm) is finite when both are, unless it overflows: then
-        # the exact check finds none. vdot, unlike dot, sets no warning
+        # the exact check finds none
         if math.isfinite(np.vdot(f, grad_norm)):
             return None
         diverged = ~(np.isfinite(f) & np.isfinite(grad_norm))
@@ -542,6 +542,7 @@ def rk4_step(batch: _Batch, s: np.ndarray, k: int, dt: float, g: Optional[np.nda
     return s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _integrate_rows(problems: list[FlowProblem], names, step, dt, t_end, record_stride, threshold) -> list:
     """_run_rows on the flows of one objective: each row's Trajectory and
     RunReport or the StepFailure its solo run raises."""
@@ -568,9 +569,11 @@ def integrate_batch(
     whose nu leaves the positive domain, at an RK4 stage or after a step, is
     taken out of the batch before any arithmetic on it. A row that diverges,
     its state or f or gradient norm not finite, leaves the batch at that
-    step with a StepFailure carrying the step's time and state and the
-    error of its failed run report. The other rows go on unchanged. A
-    record_stride below 1 is a ValidationError naming record_stride >= 1.
+    step with a StepFailure carrying the step's time and state and the error
+    of its failed run report. The other rows go on unchanged. A flow's
+    overflow and invalid operations surface only as its failure, never as a
+    RuntimeWarning. A record_stride below 1 is a ValidationError naming
+    record_stride >= 1.
     """
     outcomes = _integrate_rows(problems, [""] * len(problems), step, dt, t_end, record_stride, 1e-4)
     return [out if isinstance(out, StepFailure) else _trajectory_or_failure(*out) for out in outcomes]

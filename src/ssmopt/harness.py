@@ -2,7 +2,8 @@
 runs every entry of a config (the discrete runs, or their continuous-time
 counterparts), and one writer that emits its outcomes as artifacts (per-run
 trajectory CSVs, report JSON, sorted comparison tables). A batch that
-cannot start raises before any output; a run that fails is a failed report.
+cannot start raises before any output; a run that fails is a failed report,
+its overflow and invalid operations included, never a RuntimeWarning.
 
 Config schema (all keys optional unless marked required; unknown keys are
 errors):
@@ -404,10 +405,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> list[RunReport]:
     """
     objective = config.built or build_objective(config.objective)
     specs, x0 = list(config.optimizers), default_x0(config.objective)
-    with np.errstate(over="ignore", invalid="ignore"):
-        outcomes = run_discrete_batch(
-            specs, objective, x0, config.iterations, config.milestones, config.threshold, config.record_stride
-        )
+    outcomes = run_discrete_batch(
+        specs, objective, x0, config.iterations, config.milestones, config.threshold, config.record_stride
+    )
     return _write_outcomes(config, out_dir, dict(enumerate(outcomes)), "traj", "report.json")
 
 
@@ -458,15 +458,14 @@ def run_flows(config: ExperimentConfig, dt: float, t_end: float, out_dir=None) -
     nu0 = np.full(config.objective.dim, FLOW_NU0)
     # per entry: its flow, or the exception its solo run would raise
     problems, outcomes = {}, {}
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in indices:
-            spec = config.optimizers[i]
-            try:
-                problems[i] = preset_flow(PresetKind(spec.kind), spec.preset, objective, x0, nu0)
-            except Exception as exc:
-                outcomes[i] = exc
-        names = [config.optimizers[i].name for i in problems]
-        rows = _integrate_rows([*problems.values()], names, rk4_step, dt, t_end, config.record_stride, config.threshold)
+    for i in indices:
+        spec = config.optimizers[i]
+        try:
+            problems[i] = preset_flow(PresetKind(spec.kind), spec.preset, objective, x0, nu0)
+        except Exception as exc:
+            outcomes[i] = exc
+    names = [config.optimizers[i].name for i in problems]
+    rows = _integrate_rows([*problems.values()], names, rk4_step, dt, t_end, config.record_stride, config.threshold)
     outcomes.update(zip(problems, rows))
 
     def diagnose(i, traj, report):

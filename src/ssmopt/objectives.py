@@ -19,10 +19,9 @@ import numpy as np
 class Objective:
     """Evaluation surface f with analytic gradient.
 
-    known_min, when present, is the pair (argmin, min value). The
-    hessian_bounded_hint flag marks objectives whose curvature is bounded on
-    the test box [-box, box]^dim; convergence assertions should be restricted
-    to trajectories staying inside that box.
+    known_min, when present, is the pair (argmin, min value), and box the
+    half-width of the test box [-box, box]^dim whose stay a run report
+    flags (stayed_in_box).
 
     eval_f and eval_grad also take a batch of points shaped (R, dim): eval_f
     returns an (R,) array of values and eval_grad an (R, dim) array of
@@ -41,7 +40,6 @@ class Objective:
     eval_grad: Callable[[np.ndarray], np.ndarray]
     eval_f_grad: Callable[[np.ndarray], tuple]
     known_min: Optional[tuple[np.ndarray, float]] = None
-    hessian_bounded_hint: bool = True
     name: str = ""
     box: float = 5.0
 
@@ -73,7 +71,6 @@ def make_quadratic(d: int, condition_number: float) -> Objective:
     return Objective(
         dim=d, eval_f=f, eval_grad=grad, eval_f_grad=lambda x: (f(x), grad(x)),
         known_min=(np.zeros(d), 0.0),
-        hessian_bounded_hint=True,
         name=f"quadratic_d{d}_cond{condition_number:g}",
     )
 
@@ -118,7 +115,6 @@ def make_rosenbrock(d: int) -> Objective:
     return Objective(
         dim=d, eval_f=lambda x: f_grad(x)[0], eval_grad=grad, eval_f_grad=f_grad,
         known_min=(np.ones(d), 0.0),
-        hessian_bounded_hint=False,
         name=f"rosenbrock_d{d}",
     )
 
@@ -225,7 +221,6 @@ def make_logistic(d: int, n_samples: int, seed: int) -> Objective:
     return Objective(
         dim=d, eval_f=lambda w: f_grad(w)[0], eval_grad=grad, eval_f_grad=f_grad,
         known_min=None,
-        hessian_bounded_hint=True,
         name=f"logistic_d{d}_n{n_samples}_s{seed}",
     )
 

@@ -136,6 +136,13 @@ class TestSecondMomentLTI:
             SecondMomentLTI(lambda3=0.0, lambda4=-1.0, lambda5=0.1)
         assert err.value.violations == ["lambda3 > 0", "lambda4 >= 0"]
 
+    @pytest.mark.parametrize("lambda5", [math.nan, 0.001])
+    def test_second_moment_decays_at_least_as_fast_as_it_couples(self, lambda5):
+        # lambda5 < lambda4 puts a pole in the right half-plane; NaN fails the bound too
+        with pytest.raises(ValidationError) as err:
+            SecondMomentLTI(lambda3=0.0067, lambda4=0.02, lambda5=lambda5)
+        assert err.value.violations == ["lambda5 >= lambda4"]
+
 
 class TestOneSystem:
     def test_transfer_function_matches_lti_closed_forms(self, rng):

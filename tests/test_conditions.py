@@ -80,8 +80,8 @@ def test_sgd_momentum_entry():
 
 def test_second_moment_lti():
     assert violations(lambda: SecondMomentLTI(NAN, 0.02, 0.0267)) == ["lambda3 > 0"]
-    assert violations(lambda: SecondMomentLTI(0.0067, NAN, 0.0267)) == ["lambda4 >= 0"]
-    assert violations(lambda: SecondMomentLTI(0.0067, 0.02, NAN)) == []
+    assert violations(lambda: SecondMomentLTI(0.0067, NAN, 0.0267)) == ["lambda4 >= 0", "lambda5 >= lambda4"]
+    assert violations(lambda: SecondMomentLTI(0.0067, 0.02, NAN)) == ["lambda5 >= lambda4"]
 
 
 def test_lr_schedule():

@@ -220,7 +220,6 @@ class TestPresetMapping:
         assert params.lambda5 == params.lambda6 == 0.0067
         assert (params.lambda7, params.lambda8) == (1.0, 0.0)
         assert params.c == 0.5
-        assert params.bias_correction
 
     def test_belief_kinds_use_belief_input(self):
         for kind in (PresetKind.ADABELIEF, PresetKind.ADABELIEFSSM):
@@ -231,6 +230,12 @@ class TestPresetMapping:
         for kind in ("adam", None, 3):
             with pytest.raises(ValueError, match="unknown preset kind"):
                 map_preset_to_general(ADAM_DEFAULTS, kind)
+
+    def test_unknown_kind_rejected_by_its_conditions(self):
+        # "adamssm" is no PresetKind: checked as one, b3 = 100 fails b2 + b3 < 4*b1
+        for kind in ("adamssm", None, 3):
+            with pytest.raises(ValueError, match="unknown preset kind"):
+                validate_preset(PresetParams(b3=100.0), kind)
 
     def test_one_state_kinds_ignore_the_coupling_rate_bit_for_bit(self):
         for b2 in (0.0067, 0.1, 1e-300):
@@ -251,7 +256,6 @@ class TestPresetMapping:
 
     def test_gadagrad_mapping_is_uncorrected(self):
         params = map_preset_to_general(PresetParams(c=0.3), PresetKind.GADAGRAD)
-        assert not params.bias_correction
         assert (params.lambda7, params.lambda8) == (0.0, 1.0)
         assert params.c == 0.3
         validate_params(params)

@@ -345,8 +345,7 @@ class TestRunDiscrete:
     def test_clean_report_can_flag_a_negative_accumulator(self):
         # a negative sampling time drains nu: no step fails, the report flags it
         spec = OptimizerSpec("gadagrad", "drained", PresetParams(delta=-0.1))
-        with np.errstate(invalid="ignore"):
-            ((traj, report),) = run_discrete_batch([spec], make_quadratic(2, 10.0), np.ones(2), 5)
+        ((traj, report),) = run_discrete_batch([spec], make_quadratic(2, 10.0), np.ones(2), 5)
         assert "error" not in report.diagnostics
         assert report.diagnostics == {"nu_nonnegative": False, "stayed_in_box": True}
         assert (traj.states[1:, 3] < 0).all()
@@ -415,8 +414,7 @@ class TestRunDiscrete:
         obj = make_quadratic(2, 100.0)
 
         diverging = OptimizerSpec("sgd_momentum", "sgd", PresetParams(eta=0.5), beta=0.9)
-        with np.errstate(over="ignore", invalid="ignore"):
-            traj, report = run_discrete(diverging, obj, np.ones(2), 200, record_stride=10)
+        traj, report = run_discrete(diverging, obj, np.ones(2), 200, record_stride=10)
         k = report.diagnostics["diverged_at"]
         assert report.diagnostics == {
             "error": f"diverged at iteration {k}: f or the gradient norm is not finite",
@@ -561,11 +559,16 @@ class TestRunDiscreteBatch:
         # f is not finite at the start: the run diverges before its first step
         obj, x0 = make_quadratic(2, 100.0), np.array([1e200, 1e200])
         unstable = OptimizerSpec("adamssm", "unstable", PresetParams(b3=0.02, delta=100.0))
-        with np.errstate(over="ignore"):
-            (got,) = run_discrete_batch([unstable], obj, x0, 60)
-            assert_same_run(got, run_discrete(unstable, obj, x0, 60))
+        (got,) = run_discrete_batch([unstable], obj, x0, 60)
+        assert_same_run(got, run_discrete(unstable, obj, x0, 60))
         assert got[1].diagnostics["diverged_at"] == 0
         assert len(got[0]) == 1
+
+    def test_schedule_whose_rates_overflow_fails_its_run(self):
+        # the rate after the 1e10 milestone overflows as the batch is built; the run diverges before it
+        spec = OptimizerSpec("adam", "adam", PresetParams(eta=1e300))
+        (got,) = run_discrete_batch([spec], make_quadratic(2, 100.0), np.ones(2), 20, ((10, 1e10),))
+        assert got[1].diagnostics["error"] == "diverged at iteration 1: f or the gradient norm is not finite"
 
     def test_unknown_bias_mode_rejected_at_construction(self):
         # a bad entry cannot reach a batch, so it cannot sink the others
@@ -581,9 +584,8 @@ class TestRunDiscreteBatch:
         obj, x0 = discrete_objective("quadratic")
         diverging = OptimizerSpec("sgd_momentum", "diverging", PresetParams(eta=1e6), beta=0.9)
         specs = [diverging, *mixed_specs()]
-        with np.errstate(over="ignore", invalid="ignore"):
-            results = run_discrete_batch(specs, obj, x0, 200, self.MILESTONES, record_stride=7)
-            solos = [run_discrete(spec, obj, x0, 200, self.MILESTONES, record_stride=7) for spec in specs]
+        results = run_discrete_batch(specs, obj, x0, 200, self.MILESTONES, record_stride=7)
+        solos = [run_discrete(spec, obj, x0, 200, self.MILESTONES, record_stride=7) for spec in specs]
         traj, report = results[0]
         k = report.diagnostics["diverged_at"]
         assert k < 200 and traj.times[-1] == k

@@ -349,10 +349,9 @@ class TestIntegrateBatch:
             preset_flow(PresetKind.ADABELIEF, PresetParams(), obj, [x, x], [1.0, 1.0]) for x in (x0, 1.0)
         )
         message = f"diverged at iteration {k}: the state is not finite"
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(StepFailure) as solo:
-                integrate(diverging, 10.0, 500.0)
-            got, failure = integrate_batch([kept, diverging], step, 10.0, 500.0)
+        with pytest.raises(StepFailure) as solo:
+            integrate(diverging, 10.0, 500.0)
+        got, failure = integrate_batch([kept, diverging], step, 10.0, 500.0)
         assert str(solo.value) == message
         assert solo.value.t == k * 10.0
         assert np.isfinite(solo.value.state[0]).all() and not np.isfinite(solo.value.state).all()
@@ -368,10 +367,9 @@ class TestIntegrateBatch:
             preset_flow(PresetKind.GADAGRAD, PresetParams(), obj, [x], [1.0]) for x in (1e155, 1.0)
         )
         message = "diverged at iteration 0: f or the gradient norm is not finite"
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(StepFailure) as solo:
-                integrate_reference(diverging, 0.01, 1.0, stride)
-            got, failure = integrate_batch([kept, diverging], rk4_step, 0.01, 1.0, stride)
+        with pytest.raises(StepFailure) as solo:
+            integrate_reference(diverging, 0.01, 1.0, stride)
+        got, failure = integrate_batch([kept, diverging], rk4_step, 0.01, 1.0, stride)
         for raised in (solo.value, failure):
             assert isinstance(raised, StepFailure) and str(raised) == message
             assert raised.t == 0.0
@@ -443,8 +441,7 @@ class TestComponentMajorBatch:
     def test_a_diverging_row_owns_its_failure_state(self):
         obj = make_quadratic(2, 100.0)
         problems = [preset_flow(PresetKind.ADABELIEF, PresetParams(), obj, [x, x], [1.0, 1.0]) for x in (1.0, 1e80)]
-        with np.errstate(over="ignore", invalid="ignore"):
-            _, failure = integrate_batch(problems, rk4_step, 10.0, 500.0)
+        _, failure = integrate_batch(problems, rk4_step, 10.0, 500.0)
         assert_owned_state(failure, 2)
 
 
@@ -508,10 +505,9 @@ class TestRateGroups:
         problems = mixed_rate_problems(obj, np.array([-1.2, 1.0]))
         accumulator = validate_params(OptimizerParams(1.0, 1.0, 0.01, 0.0, 0.0, 1.0, 0.0, 1.0, 0.5))
         leaving = FlowProblem(obj, accumulator, np.array([2e50, 1.0]), np.full(2, 1.75e308))
-        with np.errstate(over="ignore", invalid="ignore"):
-            results = integrate_batch([problems[0], leaving, *problems[1:]], step, 0.01, 1.0, record_stride=7)
-            with pytest.raises(StepFailure) as solo:
-                integrate(leaving, 0.01, 1.0, record_stride=7)
+        results = integrate_batch([problems[0], leaving, *problems[1:]], step, 0.01, 1.0, record_stride=7)
+        with pytest.raises(StepFailure) as solo:
+            integrate(leaving, 0.01, 1.0, record_stride=7)
         failure = results.pop(1)
         assert isinstance(failure, StepFailure) and str(failure) == str(solo.value)
         assert failure.t == solo.value.t == 47 * 0.01
@@ -689,8 +685,7 @@ class TestSummaryOracle:
             for r, (kind, preset) in enumerate([FIVE_PRESETS[0], FIVE_PRESETS[1]] * 2 + [FIVE_PRESETS[0]] * 2)
         ]
         names = [f"flow{r}" for r in range(len(problems))]
-        with np.errstate(over="ignore"):
-            outcomes = flow_module._integrate_rows(problems, names, euler_step, 2.0, 2.0 * n, stride, 1e-4)
+        outcomes = flow_module._integrate_rows(problems, names, euler_step, 2.0, 2.0 * n, stride, 1e-4)
         wants = assert_reports_equal_the_oracle(outcomes, FLOW_SCRIPT, 1e-4, 5.0, dt=2.0, flow=True)
         evaluated = [*range(0, n, stride), n]
         assert wants[2]["diagnostics"].get("diverged_at") == (evaluated[4] if len(evaluated) > 4 else None)

@@ -904,6 +904,24 @@ class TestRunFlows:
         assert not (tmp_path / "out" / "flow_00_adamssm.csv").exists()
         assert (tmp_path / "out" / "flow_01_gadagrad.csv").exists()
 
+    def test_entry_whose_flow_cannot_be_built_is_isolated(self, tmp_path):
+        config = self.flow_config(tmp_path)
+        # load_config rejects b3 < 0, so the entry is built in code; its preset_flow raises
+        unbuildable = OptimizerSpec("adamssm", "unbuildable", PresetParams(b3=-1.0))
+        config = dataclasses.replace(config, optimizers=(config.optimizers[0], unbuildable, *config.optimizers[1:]))
+        out = tmp_path / "out"
+        gadagrad, failed, adam = run_flows(config, dt=0.01, t_end=1.0, out_dir=out)
+        assert failed.optimizer == "unbuildable" and math.isnan(failed.best_f)
+        assert failed.diagnostics == {"error": "ValidationError: invalid parameters: b3 > 0"}
+        written = sorted(path.name for path in out.iterdir())
+        assert written == ["flow_00_gadagrad.csv", "flow_02_adam.csv", "flow_report.json"]
+        records = json.loads((out / "flow_report.json").read_text())
+        assert [r["optimizer"] for r in records] == ["gadagrad", "unbuildable", "adam"]
+        # the other entries are the flows of the config without it
+        want = run_flows(self.flow_config(tmp_path), dt=0.01, t_end=1.0, out_dir=tmp_path / "want")
+        assert [gadagrad, adam] == want
+        assert (out / "flow_02_adam.csv").read_bytes() == (tmp_path / "want" / "flow_01_adam.csv").read_bytes()
+
 
 class TestBatchThatCannotStart:
     """A batch that cannot start raises before any output, from each run
@@ -1158,3 +1176,16 @@ class TestLibraryNeverPrints:
                 if printed or stream or imported:
                     found.append(f"{path.name}:{node.lineno}")
         assert found == []
+
+    def test_errstate_only_at_the_batch_entry_points(self):
+        # a run's overflow and invalid operations are its failure, never a RuntimeWarning on
+        # stderr, by one policy at the two batch entry points: every np.errstate or np.seterr,
+        # as an attribute, a name or an import, listed with its top-level definition
+        attrs = {ast.Attribute: "attr", ast.Name: "id", ast.alias: "name"}
+        found = []
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            for top in ast.parse(path.read_text(), str(path)).body:
+                for node in ast.walk(top):
+                    if getattr(node, attrs.get(type(node), ""), None) in ("errstate", "seterr"):
+                        found.append(f"{path.name}:{getattr(top, 'name', top.lineno)}")
+        assert found == ["discrete.py:run_discrete_batch", "flow.py:_integrate_rows"]

@@ -67,9 +67,6 @@ class TestRosenbrock:
             x = rng.uniform(-obj.box, obj.box, size=4)
             assert obj.eval_f(x) >= 0.0
 
-    def test_curvature_hint_cleared(self):
-        assert make_rosenbrock(2).hessian_bounded_hint is False
-
     def test_dimension_check(self):
         with pytest.raises(ValueError):
             make_rosenbrock(1)
