@@ -19,7 +19,6 @@ run, when its state turns non-finite; its nu0 must be finite and positive.
 """
 
 from .analysis import (
-    DegreeError,
     RationalTF,
     SecondMomentLTI,
     adamssm_tf,
@@ -46,7 +45,6 @@ from .core import (
 )
 from .discrete import (
     BIAS_MODES,
-    InstabilityError,
     LrSchedule,
     OptimizerSpec,
     bias_alpha,
@@ -58,7 +56,6 @@ from .discrete import (
 )
 from .flow import (
     FlowProblem,
-    PresetMismatch,
     RunReport,
     StepFailure,
     Trajectory,

@@ -20,10 +20,6 @@ import numpy as np
 from .core import require
 
 
-class DegreeError(ValueError):
-    """Polynomial degree outside the supported closed-form range."""
-
-
 @dataclass(frozen=True)
 class RationalTF:
     """Proper rational transfer function with a monic denominator.
@@ -80,28 +76,28 @@ def _roots_closed_form(coeffs: np.ndarray) -> list[complex]:
     """Roots of a real polynomial of degree <= 2, in closed form.
 
     Uses the numerically stable quadratic formula (no subtraction of nearly
-    equal quantities). Raises DegreeError above degree 2.
+    equal quantities). A higher degree is a ValidationError naming
+    degree <= 2.
     """
     c = np.trim_zeros(np.atleast_1d(np.asarray(coeffs, dtype=float)), "f")
     deg = len(c) - 1
+    require({"degree <= 2": deg <= 2})
     if deg <= 0:
         return []
     if deg == 1:
         return [complex(-c[1] / c[0])]
-    if deg == 2:
-        a, b, c0 = float(c[0]), float(c[1]), float(c[2])
-        disc = b * b - 4.0 * a * c0
-        if disc >= 0.0:
-            sq = math.sqrt(disc)
-            q = -0.5 * (b + math.copysign(sq, b))
-            if q == 0.0:
-                # b == 0 and disc == 0, double root at the origin
-                return [complex(0.0), complex(0.0)]
-            return [complex(q / a), complex(c0 / q)]
-        re = -b / (2.0 * a)
-        im = math.sqrt(-disc) / (2.0 * a)
-        return [complex(re, im), complex(re, -im)]
-    raise DegreeError(f"closed-form roots support degree <= 2, got {deg}")
+    a, b, c0 = float(c[0]), float(c[1]), float(c[2])
+    disc = b * b - 4.0 * a * c0
+    if disc >= 0.0:
+        sq = math.sqrt(disc)
+        q = -0.5 * (b + math.copysign(sq, b))
+        if q == 0.0:
+            # b == 0 and disc == 0, double root at the origin
+            return [complex(0.0), complex(0.0)]
+        return [complex(q / a), complex(c0 / q)]
+    re = -b / (2.0 * a)
+    im = math.sqrt(-disc) / (2.0 * a)
+    return [complex(re, im), complex(re, -im)]
 
 
 def _sorted_roots(roots: list[complex]) -> list[complex]:

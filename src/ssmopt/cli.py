@@ -11,15 +11,17 @@ Subcommands:
                                       integrator
 
 The environment variable SSMOPT_OUT_DIR overrides the config's output
-directory. Exit codes: 0 success, 1 validation failure (bad config or
-hyperparameters), 2 runtime failure (a run or the command itself failed).
+directory. Exit codes: 0 success, 1 validation failure (bad config,
+hyperparameters or arguments), 2 runtime failure (a run or the command
+itself failed). main alone turns rejected input into exit 1: a command
+raises its ParseError, or the ValidationError or DomainError naming the
+failed condition, and main prints it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .analysis import SecondMomentLTI, adamssm_tf, dc_gain, poles_zeros, stability_quantity_p
@@ -57,11 +59,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_flow(args) -> int:
-    try:
-        _check_grid(args.dt, args.t_end, "--dt", "--t-end")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    _check_grid(args.dt, args.t_end, "--dt", "--t-end")
     config = load_config(args.config)
     out = resolve_out_dir(config)
     for i in flow_skipped(config):
@@ -73,9 +71,6 @@ def _cmd_flow(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    if not (math.isfinite(args.b2) and math.isfinite(args.b3)):
-        print("error: --b2 and --b3 must be finite", file=sys.stderr)
-        return 1
     tf = adamssm_tf(args.b2, args.b3)
     poles, zeros = poles_zeros(tf)
     lti = SecondMomentLTI(lambda3=args.b2, lambda4=args.b3, lambda5=args.b2 + args.b3)

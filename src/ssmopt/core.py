@@ -32,7 +32,8 @@ import numpy as np
 
 
 class ValidationError(ValueError):
-    """Parameter values violate the stability conditions.
+    """Input fails named conditions: the one error of every failed
+    condition the library states, through require.
 
     Attributes
     ----------

@@ -27,14 +27,6 @@ from .flow import RunReport, Trajectory, _c_groups, _full, _only, _point_of, _po
 BIAS_MODES = ("paper", "beta", "continuous")
 
 
-class InstabilityError(ValueError):
-    """The sampling time is too large for the moment updates: the message
-    names each failed condition of 1 - delta*b1 >= 0 (else mu, and under
-    bias_mode "beta" the bias factor, changes sign every step) and
-    1 - delta*b2 - delta*b3 >= 0 (else nu can turn negative), as
-    OptimizerSpec.violations does; load_config rejects such an entry."""
-
-
 def initial_stepper_state(x0, nu0=None) -> np.ndarray:
     """State before the first step, as a (4, d) array with rows x, mu, zeta
     and nu: the moments start at zero unless nu0 is given."""
@@ -104,6 +96,13 @@ KIND_KEYS = {
     "sgd_momentum": ("eta", "beta"),
 }
 _MOMENT_KINDS = tuple(kind for kind, keys in KIND_KEYS.items() if "b1" in keys)
+# per kind, the conditions of OptimizerSpec.conditions its first step needs;
+# a stepper may take b3 = 0 or epsilon = 0
+_STEP_NEEDS = {
+    "gadagrad": ("0 < c < 1",),
+    **dict.fromkeys(_MOMENT_KINDS, ("delta > 0", "0 < b2", "b2 < b1", "b1 < 1")),
+    "sgd_momentum": ("0 <= beta < 1",),
+}
 
 
 @dataclass(frozen=True)
@@ -176,19 +175,17 @@ def bias_alpha(preset: PresetParams, iteration: int, bias_mode: str) -> float:
     return b1_corr / b2_corr ** 0.5
 
 
-def _first_step_error(spec: OptimizerSpec) -> Exception | None:
-    """The error the entry's first step raises, if any, sorted out of
-    OptimizerSpec.violations: a ValidationError naming the rates the row
-    needs (a stepper may take b3 = 0 or epsilon = 0), else an
-    InstabilityError naming the failed sampling-time conditions."""
-    needs = {"sgd_momentum": ("0 <= beta < 1",), "gadagrad": ("0 < c < 1",)}
-    needed = needs.get(spec.kind, ("delta > 0", "0 < b2", "b2 < b1", "b1 < 1"))
+def _first_step_error(spec: OptimizerSpec) -> ValidationError | None:
+    """The ValidationError the entry's first step raises, if any, sorted out
+    of OptimizerSpec.violations: it names the failed conditions of
+    _STEP_NEEDS, else the failed sampling-time conditions 1 - delta*b1 >= 0
+    (else mu, and under bias_mode "beta" the bias factor, changes sign
+    every step) and 1 - delta*b2 - delta*b3 >= 0 (else nu can turn
+    negative); load_config rejects such an entry."""
     violations = spec.violations()
-    failed = [condition for condition in violations if condition in needed]
-    if failed:
-        return ValidationError(failed)
-    unstable = [condition for condition in violations if condition.startswith("1 - delta*")]
-    return InstabilityError("; ".join(unstable)) if unstable else None
+    failed = [condition for condition in violations if condition in _STEP_NEEDS[spec.kind]]
+    failed = failed or [condition for condition in violations if condition.startswith("1 - delta*")]
+    return ValidationError(failed) if failed else None
 
 
 def _row(spec: OptimizerSpec) -> tuple:
@@ -339,10 +336,10 @@ def step_preset(
     belief kinds and g^2 otherwise, and mu_hat, nu_hat corrected by
     bias_denominators at iteration k under bias_mode. Every kind is a row of
     coefficients of one update (see _DiscreteBatch), so kinds that differ
-    only by an inert parameter agree bitwise. Raises InstabilityError when
-    1 - delta*b1 < 0 or 1 - delta*b2 - delta*b3 < 0 (the moment kinds), and
-    ValidationError for rates outside delta > 0 and 0 < b2 < b1 < 1 (or
-    0 < c < 1 for gadagrad).
+    only by an inert parameter agree bitwise. Rates outside delta > 0 and
+    0 < b2 < b1 < 1 (or 0 < c < 1 for gadagrad), else a sampling time with
+    1 - delta*b1 < 0 or 1 - delta*b2 - delta*b3 < 0 (the moment kinds),
+    are a ValidationError naming each that fails (see _first_step_error).
     """
     name = kind.value
     return _step_one(state, grad, eta, k, name, name, preset, bias_mode)
@@ -369,8 +366,9 @@ def run_discrete_batch(
 
     Returns, in the order of specs, each run's Trajectory and RunReport
     (named spec.name), or the exception its solo run raises: a row whose
-    first step is unstable or invalid leaves the batch with that error after
-    its iteration-0 evaluation. The time column is the iteration count; rows
+    first step is unstable or invalid leaves the batch after its iteration-0
+    evaluation with the ValidationError naming the failed conditions (see
+    _first_step_error). The time column is the iteration count; rows
     are recorded at iteration 0, every record_stride-th iteration and the
     last one. A report summarizes every iteration, recorded or not (see
     flow.RunStore). A run that diverges stops at the first non-finite f or

@@ -43,10 +43,6 @@ class StepFailure(RuntimeError):
         super().__init__(message or f"integration failed at t={t:g}: nu lost positivity")
 
 
-class PresetMismatch(ValueError):
-    """Operation requires a specific preset structure the params do not have."""
-
-
 def _point_of(objective: Objective, x0) -> np.ndarray:
     """x0 as a float array, or a ValueError unless it is a point of the objective."""
     x0 = np.asarray(x0, dtype=float)
@@ -513,14 +509,19 @@ def _run_rows(rule, s: np.ndarray, objective, n_steps: int, record_stride: int, 
 
 
 def _check_grid(dt: float, t_end: float, dt_name: str = "dt", t_end_name: str = "t_end") -> int:
-    """The steps of dt in t_end, or a ValueError naming the two as given."""
-    if not dt > 0:
-        raise ValueError(f"{dt_name} must be positive")
-    if not t_end >= dt:
-        raise ValueError(f"{t_end_name} must be at least {dt_name}")
-    n_steps = t_end / dt
-    if not (math.isfinite(n_steps) and abs(round(n_steps) * dt - t_end) <= 1e-9 * t_end):
-        raise ValueError(f"{t_end_name} must be a whole number of {dt_name} steps")
+    """The steps of dt in t_end. A ValidationError names the first of
+    dt > 0, t_end >= dt and t_end a whole number of dt steps that fails,
+    under the names given; NaN fails the first that reads it."""
+    positive = dt > 0
+    reaches = positive and t_end >= dt
+    n_steps = t_end / dt if reaches else math.nan
+    whole = math.isfinite(n_steps) and abs(round(n_steps) * dt - t_end) <= 1e-9 * t_end
+    # each condition holds where an earlier one fails, so only the first failure is named
+    require({
+        f"{dt_name} > 0": positive,
+        f"{t_end_name} >= {dt_name}": reaches or not positive,
+        f"{t_end_name} a whole number of {dt_name} steps": whole or not reaches,
+    })
     return round(n_steps)
 
 
@@ -632,18 +633,17 @@ def gadagrad_energy_residual(traj: Trajectory, problem: FlowProblem) -> np.ndarr
     with nu(0) the initial accumulator value. The integral is accumulated by
     the trapezoid rule on the recorded grid (gradients are recomputed from the
     recorded iterates), and the returned series is the left side minus the
-    right side at every record. Entry 0 is exactly zero.
+    right side at every record. Entry 0 is exactly zero. Params off the
+    gadagrad mapping are a ValidationError naming, in order, each of
+    lambda4 == 0.0 through lambda8 == 1.0, psi squared gradient and
+    0 < c < 1 that fails.
     """
     p = problem.params
-    for field_name, expected in _ACCUMULATOR_PATTERN.items():
-        if getattr(p, field_name) != expected:
-            raise PresetMismatch(
-                f"energy residual needs the gadagrad mapping ({field_name} must be {expected})"
-            )
-    if p.psi_kind is not PsiKind.SQUARED_GRADIENT:
-        raise PresetMismatch("energy residual needs the squared-gradient input")
-    if not 0.0 < p.c < 1.0:
-        raise PresetMismatch("energy residual needs c in (0, 1)")
+    require({
+        **{f"{name} == {value}": getattr(p, name) == value for name, value in _ACCUMULATOR_PATTERN.items()},
+        "psi squared gradient": p.psi_kind is PsiKind.SQUARED_GRADIENT,
+        "0 < c < 1": 0.0 < p.c < 1.0,
+    })
 
     times = np.asarray(traj.times, dtype=float)
     grads_sq = problem.objective.eval_grad(traj.x_matrix()) ** 2

@@ -31,7 +31,7 @@ errors):
       "record_stride": int,        default 1
       "threshold": float,          default 1e-4 (grad-norm success cut)
       "schedule": {"milestones": [[iteration, multiplier], ...]},
-      "output_dir": str            default "runs"; SSMOPT_OUT_DIR overrides
+      "output_dir": str            non-empty, default "runs"; SSMOPT_OUT_DIR overrides
     }
 
 Objective kinds are one table, OBJECTIVE_KINDS, as optimizer kinds are
@@ -261,7 +261,8 @@ def load_config(path) -> ExperimentConfig:
     Raises ParseError for structural problems (bad JSON with line/column
     context, non-finite numbers, unknown or missing keys, wrong types) and
     ValidationError: first for run settings that fail the run loop's own
-    check (flow._check_run), then with every named violation across all
+    check (flow._check_run), then for an empty output_dir (Path("") is the
+    current directory), then with every named violation across all
     optimizer entries for hyperparameters that fail the per-kind
     conditions, and only then for an objective that its factory rejects.
     """
@@ -300,6 +301,7 @@ def load_config(path) -> ExperimentConfig:
         **_get_fields(raw, ExperimentConfig, ("output_dir",), "config"),
     )
     _check_run(config.iterations, config.record_stride, config.threshold)
+    require({"output_dir non-empty": config.output_dir != ""})
     # Constructing a schedule validates milestone ordering and positivity.
     LrSchedule(base_eta=1.0, milestones=config.milestones)
     _validate_entries(optimizers)
@@ -445,8 +447,8 @@ def run_flows(config: ExperimentConfig, dt: float, t_end: float, out_dir=None) -
     turns non-finite, which ends the flow's CSV at that step. G-AdaGrad
     entries get an energy_residual_max_abs diagnostic; every report flags
     whether the recorded iterates stayed inside the objective's test box.
-    A grid that integrate_batch rejects (a ValueError), an x0 that is not a
-    point of the objective or any other batch that cannot start raises
+    A grid that integrate_batch rejects (a ValidationError), an x0 that is
+    not a point of the objective or any other batch that cannot start raises
     before any output; an entry whose flow cannot be built is a failed run.
     """
     _check_grid(dt, t_end)

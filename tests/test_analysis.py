@@ -7,7 +7,6 @@ import pytest
 import scipy.linalg
 
 from ssmopt import (
-    DegreeError,
     RationalTF,
     SecondMomentLTI,
     ValidationError,
@@ -122,8 +121,9 @@ class TestPolesZeros:
 
     def test_degree_three_unsupported(self):
         tf = RationalTF(num=[1.0], den=[1.0, 0.0, 0.0, 1.0])
-        with pytest.raises(DegreeError):
+        with pytest.raises(ValidationError) as err:
             poles_zeros(tf)
+        assert err.value.violations == ["degree <= 2"]
 
 
 class TestSecondMomentLTI:

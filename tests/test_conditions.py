@@ -1,17 +1,27 @@
 """NaN fails every named condition that tests it and no other: set one field
 to NaN on valid input, and each validator names exactly the conditions that
 read the field, in their order, the guarded ones only where their guard
-holds."""
+holds. Every failed named condition is one ValidationError: the flow grid,
+the energy diagnostic's mapping and a discrete row's first step name theirs
+the way load_config does."""
 
 import dataclasses
+import json
 import math
 
+import numpy as np
 import pytest
 
 from ssmopt import (
-    LrSchedule, OptimizerParams, OptimizerSpec, PresetKind, PresetParams, SecondMomentLTI, ValidationError,
-    map_preset_to_general, validate_params, validate_preset,
+    FlowProblem, LrSchedule, OptimizerParams, OptimizerSpec, PresetKind, PresetParams, SecondMomentLTI,
+    ValidationError, gadagrad_energy_residual, initial_stepper_state, integrate_reference, load_config,
+    make_quadratic, map_preset_to_general, preset_flow, run_discrete, step_preset, validate_params,
+    validate_preset,
 )
+from ssmopt.discrete import _STEP_NEEDS, KIND_KEYS, _first_step_error, run_discrete_batch
+from ssmopt.flow import _check_grid
+
+INF = math.inf
 
 NAN = math.nan
 PRESET = PresetParams(b3=0.02)
@@ -89,3 +99,91 @@ def test_lr_schedule():
     # a NaN iteration is no whole number, and compares as neither out of order nor negative
     for milestones in (((NAN, 0.5),), ((10, 0.5), (NAN, 0.5)), ((NAN, 0.5), (10, 0.5))):
         assert violations(lambda: LrSchedule(1e-3, milestones)) == ["milestone iterations whole numbers"]
+
+
+# (dt, t_end): the one condition of _check_grid named, the first that fails
+GRID = {
+    (0.0, 1.0): "dt > 0",
+    (-0.1, 1.0): "dt > 0",
+    (0.1, 0.05): "t_end >= dt",
+    (0.3, 1.0): "t_end a whole number of dt steps",
+    # a dt that is not > 0 is all the grid names, whatever t_end
+    (-1.0, -2.0): "dt > 0",
+    (0.0, 0.5): "dt > 0",
+    (NAN, 1.0): "dt > 0",
+    (INF, 1.0): "t_end >= dt",
+    (-INF, 1.0): "dt > 0",
+    (0.1, NAN): "t_end >= dt",
+    (0.1, INF): "t_end a whole number of dt steps",
+    (0.1, -INF): "t_end >= dt",
+    (INF, INF): "t_end a whole number of dt steps",
+}
+
+
+@pytest.mark.parametrize("dt, t_end", list(GRID), ids=[f"{dt}-{t_end}" for dt, t_end in GRID])
+def test_flow_grid(dt, t_end):
+    assert violations(lambda: _check_grid(dt, t_end)) == [GRID[dt, t_end]]
+    named = GRID[dt, t_end].replace("t_end", "--t-end").replace("dt", "--dt")
+    assert violations(lambda: _check_grid(dt, t_end, "--dt", "--t-end")) == [named]
+
+
+# per preset kind: the conditions of the accumulator mapping its flow fails
+_MOMENT_MAPPING = ["lambda5 == 0.0", "lambda6 == 1.0", "lambda7 == 0.0", "lambda8 == 1.0"]
+ENERGY = {
+    PresetKind.ADAM: _MOMENT_MAPPING,
+    PresetKind.ADABELIEF: [*_MOMENT_MAPPING, "psi squared gradient"],
+    PresetKind.ADAMSSM: ["lambda4 == 0.0", *_MOMENT_MAPPING],
+    PresetKind.ADABELIEFSSM: ["lambda4 == 0.0", *_MOMENT_MAPPING, "psi squared gradient"],
+}
+
+
+@pytest.mark.parametrize("kind", list(ENERGY))
+def test_energy_residual_needs_the_accumulator_mapping(kind):
+    problem = preset_flow(kind, PRESET, make_quadratic(2, 10.0), np.ones(2), np.ones(2))
+    traj = integrate_reference(problem, dt=0.1, t_end=0.2)
+    assert violations(lambda: gadagrad_energy_residual(traj, problem)) == ENERGY[kind]
+
+
+def test_energy_residual_of_a_gadagrad_flow():
+    problem = preset_flow(PresetKind.GADAGRAD, PresetParams(c=0.3), make_quadratic(1, 1.0), np.ones(1), np.ones(1))
+    traj = integrate_reference(problem, dt=0.01, t_end=1.0)
+    residual = gadagrad_energy_residual(traj, problem)
+    # the trapezoid rule on the recorded grid bounds the residual, not the flow
+    assert residual[0] == 0.0 and np.max(np.abs(residual)) < 1e-4
+    off = FlowProblem(problem.objective, dataclasses.replace(problem.params, c=NAN), problem.x0, problem.nu0)
+    assert violations(lambda: gadagrad_energy_residual(traj, off)) == ["0 < c < 1"]
+
+
+# rates that fail every condition the first step of each kind needs, with a NaN beta for sgd_momentum
+FAILING = PresetParams(b1=NAN, b2=NAN, b3=0.02, delta=NAN, c=NAN)
+
+
+@pytest.mark.parametrize("kind", list(KIND_KEYS))
+def test_first_step_names_entry_conditions(kind):
+    # a condition renamed in preset_conditions or OptimizerSpec.conditions but not
+    # in _STEP_NEEDS would let a row with bad rates take its step
+    spec = OptimizerSpec(kind, "entry", FAILING, beta=NAN)
+    assert set(_STEP_NEEDS[kind]) <= set(spec.conditions())
+    assert _first_step_error(spec).violations == list(_STEP_NEEDS[kind])
+    if kind in ("gadagrad", "sgd_momentum"):
+        assert not any(name.startswith("1 - delta*") for name in spec.conditions())
+        return
+    # past delta = 1/b1 and 1/(b2 + b3), with rates that pass, the first step names both sampling-time conditions
+    unstable = OptimizerSpec(kind, "entry", dataclasses.replace(PRESET, delta=200.0))
+    failed = _first_step_error(unstable).violations
+    assert set(failed) <= set(unstable.conditions())
+    assert [name.split(" required (")[0] for name in failed] == ["1 - delta*b1 >= 0", "1 - delta*b2 - delta*b3 >= 0"]
+
+
+def test_same_condition_same_error(tmp_path):
+    preset = PresetParams(delta=2.0)
+    failed = ["1 - delta*b1 >= 0 required (delta=2, b1=0.67)"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"objective": {"kind": "quadratic"}, "optimizers": [{"kind": "adam", "delta": 2.0}]}))
+    assert violations(lambda: load_config(path)) == [f"optimizers[0]: {failed[0]}"]
+    spec, objective, x0 = OptimizerSpec("adam", "adam", preset), make_quadratic(2, 10.0), np.ones(2)
+    (outcome,) = run_discrete_batch([spec], objective, x0, 5)
+    assert isinstance(outcome, ValidationError) and outcome.violations == failed
+    assert violations(lambda: run_discrete(spec, objective, x0, 5)) == failed
+    state = initial_stepper_state(x0)
+    assert violations(lambda: step_preset(state, x0, preset.eta, 0, PresetKind.ADAM, preset)) == failed

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from ssmopt import (
-    InstabilityError,
     LrSchedule,
     OptimizerSpec,
     PresetKind,
@@ -95,13 +94,15 @@ class TestAdamssmStep:
     def test_sampling_time_guard(self):
         bad = PresetParams(b1=0.9, b2=0.3, b3=0.8, delta=1.0)
         state = initial_stepper_state(np.array([1.0]))
-        with pytest.raises(InstabilityError, match="1 - delta\\*b2 - delta\\*b3"):
+        with pytest.raises(ValidationError) as err:
             step_preset(state, np.array([1.0]), bad.eta, 0, PresetKind.ADAMSSM, bad)
+        assert err.value.violations == ["1 - delta*b2 - delta*b3 >= 0 required (delta=1, b2=0.3, b3=0.8)"]
         # the one-state member ignores the coupling rate and stays stable here
         step_preset(state, np.array([1.0]), bad.eta, 0, PresetKind.ADAM, bad)
         # past delta = 1/b1 the first-moment retention is negative for every moment kind
-        with pytest.raises(InstabilityError, match=re.escape("1 - delta*b1 >= 0")):
+        with pytest.raises(ValidationError) as err:
             step_preset(state, np.array([1.0]), bad.eta, 0, PresetKind.ADAM, PresetParams(delta=100.0))
+        assert err.value.violations == ["1 - delta*b1 >= 0 required (delta=100, b1=0.67)"]
 
 
 class TestAdabeliefStep:
@@ -488,10 +489,13 @@ class TestRunDiscreteBatch:
         unstable = OptimizerSpec("adamssm", "unstable", PresetParams(b3=0.02, delta=100.0))
         specs = [*mixed_specs(), unstable]
         *kept, failure = run_discrete_batch(specs, obj, x0, 60, self.MILESTONES, record_stride=7)
-        with pytest.raises(InstabilityError) as solo:
+        with pytest.raises(ValidationError) as solo:
             self.solo(unstable, obj, x0, 60)
-        assert isinstance(failure, InstabilityError)
-        assert str(failure) == str(solo.value)
+        assert isinstance(failure, ValidationError)
+        assert failure.violations == solo.value.violations == [
+            "1 - delta*b1 >= 0 required (delta=100, b1=0.67)",
+            "1 - delta*b2 - delta*b3 >= 0 required (delta=100, b2=0.0067, b3=0.02)",
+        ]
         for spec, got in zip(specs, kept):
             assert_same_run(got, self.solo(spec, obj, x0, 60))
         # no step, no error: the run is its iteration-0 evaluation
@@ -499,35 +503,37 @@ class TestRunDiscreteBatch:
         assert_same_run(alone, self.solo(unstable, obj, x0, 0))
 
     @pytest.mark.parametrize(
-        "kind, preset, message",
+        "kind, preset, failed",
         [
             # beta1 = 1 - delta*b1 < 0: mu, and under "beta" the bias factor, flip sign every step
-            ("adam", PresetParams(delta=3.0, eta=0.01), "1 - delta*b1 >= 0 required (delta=3, b1=0.67)"),
+            ("adam", PresetParams(delta=3.0, eta=0.01), ["1 - delta*b1 >= 0 required (delta=3, b1=0.67)"]),
             (
                 "adamssm",
                 PresetParams(b3=0.02, delta=100.0),
-                "1 - delta*b1 >= 0 required (delta=100, b1=0.67); "
-                "1 - delta*b2 - delta*b3 >= 0 required (delta=100, b2=0.0067, b3=0.02)",
+                [
+                    "1 - delta*b1 >= 0 required (delta=100, b1=0.67)",
+                    "1 - delta*b2 - delta*b3 >= 0 required (delta=100, b2=0.0067, b3=0.02)",
+                ],
             ),
-            # the nu condition alone keeps its message
+            # the nu condition alone keeps its name
             (
                 "adabeliefssm",
                 PresetParams(b1=0.9, b2=0.3, b3=0.8, delta=1.0),
-                "1 - delta*b2 - delta*b3 >= 0 required (delta=1, b2=0.3, b3=0.8)",
+                ["1 - delta*b2 - delta*b3 >= 0 required (delta=1, b2=0.3, b3=0.8)"],
             ),
         ],
         ids=["b1", "b1-and-nu", "nu"],
     )
     @pytest.mark.parametrize("mode", BIAS_MODES)
-    def test_unstable_rates_name_their_conditions(self, kind, preset, message, mode):
+    def test_unstable_rates_name_their_conditions(self, kind, preset, failed, mode):
         obj, x0 = make_quadratic(2, 10.0), np.ones(2)
         unstable = OptimizerSpec(kind, "unstable", preset, mode)
         ok = OptimizerSpec("adam", "ok", PresetParams())
         failure, got = run_discrete_batch([unstable, ok], obj, x0, 6)
-        assert isinstance(failure, InstabilityError) and str(failure) == message
-        with pytest.raises(InstabilityError) as solo:
+        assert isinstance(failure, ValidationError) and failure.violations == failed
+        with pytest.raises(ValidationError) as solo:
             run_discrete(unstable, obj, x0, 6)
-        assert str(solo.value) == message
+        assert solo.value.violations == failed
         assert_same_run(got, run_discrete(ok, obj, x0, 6))
         # a zero retention is stable: mu' = g
         edge = OptimizerSpec(kind, "edge", dataclasses.replace(preset, b1=0.5, delta=2.0, b3=min(preset.b3, 0.02)))

@@ -13,7 +13,6 @@ from ssmopt import (
     OptimizerParams,
     PresetKind,
     PresetParams,
-    PresetMismatch,
     PsiKind,
     StepFailure,
     Trajectory,
@@ -231,13 +230,16 @@ class TestIntegrators:
 
     def test_grid_validation(self):
         problem = self.adam_problem()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError) as err:
             integrate_euler(problem, dt=0.0, t_end=1.0)
-        with pytest.raises(ValueError):
+        assert err.value.violations == ["dt > 0"]
+        with pytest.raises(ValidationError) as err:
             integrate_reference(problem, dt=1.0, t_end=0.5)
+        assert err.value.violations == ["t_end >= dt"]
         for integrate in (integrate_euler, integrate_reference):
-            with pytest.raises(ValueError, match="t_end must be a whole number of dt steps"):
+            with pytest.raises(ValidationError) as err:
                 integrate(problem, dt=0.3, t_end=1.0)
+            assert err.value.violations == ["t_end a whole number of dt steps"]
 
     @pytest.mark.parametrize("record_stride", [0, -1])
     def test_record_stride_rejected_by_name(self, record_stride):
@@ -838,8 +840,9 @@ class TestEnergyResidual:
         adam_params = map_preset_to_general(PresetParams(), PresetKind.ADAM)
         problem = FlowProblem(obj, adam_params, np.array([1.0]), np.array([1.0]))
         traj = integrate_reference(problem, dt=0.1, t_end=1.0)
-        with pytest.raises(PresetMismatch):
+        with pytest.raises(ValidationError) as err:
             gadagrad_energy_residual(traj, problem)
+        assert err.value.violations == ["lambda5 == 0.0", "lambda6 == 1.0", "lambda7 == 0.0", "lambda8 == 1.0"]
 
     def test_requires_squared_gradient_input(self):
         obj = make_quadratic(1, 1.0)
@@ -849,8 +852,9 @@ class TestEnergyResidual:
         )
         problem = FlowProblem(obj, params, np.array([1.0]), np.array([1.0]))
         traj = integrate_euler(problem, dt=0.1, t_end=1.0)
-        with pytest.raises(PresetMismatch):
+        with pytest.raises(ValidationError) as err:
             gadagrad_energy_residual(traj, problem)
+        assert err.value.violations == ["psi squared gradient"]
 
     def test_requires_fractional_exponent(self):
         obj = make_quadratic(1, 1.0)
@@ -860,8 +864,9 @@ class TestEnergyResidual:
         )
         problem = FlowProblem(obj, params, np.array([1.0]), np.array([1.0]))
         traj = integrate_euler(problem, dt=0.1, t_end=1.0)
-        with pytest.raises(PresetMismatch):
+        with pytest.raises(ValidationError) as err:
             gadagrad_energy_residual(traj, problem)
+        assert err.value.violations == ["0 < c < 1"]
 
 
 class TestInitialState:

@@ -2,6 +2,7 @@
 command-line interface."""
 
 import ast
+import builtins
 import dataclasses
 import importlib.util
 import json
@@ -419,6 +420,21 @@ class TestLoadConfig:
             assert captured.out == "" and captured.err == f"error: {err.value}\n", argv
             assert not out.exists(), argv
 
+    def test_empty_output_dir_rejected(self, tmp_path, monkeypatch, capsys):
+        # Path("") is the current directory, where every artifact would land
+        payload = {**base_payload(), "output_dir": ""}
+        path = write_config(tmp_path, payload)
+        with pytest.raises(ValidationError) as err:
+            load_config(path)
+        assert err.value.violations == ["output_dir non-empty"]
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        monkeypatch.delenv("SSMOPT_OUT_DIR", raising=False)
+        assert cli.main(["compare", str(path)]) == 1
+        assert capsys.readouterr() == ("", "error: invalid parameters: output_dir non-empty\n")
+        assert list(cwd.iterdir()) == []
+
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(ParseError, match="cannot read config file"):
             load_config(tmp_path / "missing.json")
@@ -631,7 +647,7 @@ class TestRunExperiment:
         out = tmp_path / "out"
         reports = run_experiment(config, out_dir=out)
         assert math.isnan(reports[0].best_f)
-        assert reports[0].diagnostics["error"].startswith("InstabilityError")
+        assert reports[0].diagnostics["error"].startswith("ValidationError")
         assert not math.isnan(reports[1].best_f)
         assert "error" not in reports[1].diagnostics
         assert not (out / "traj_00_unstable.csv").exists()
@@ -810,14 +826,15 @@ class TestRunFlows:
         assert [r["optimizer"] for r in records] == ["gadagrad", "adam"]
 
     @pytest.mark.parametrize(
-        "dt, t_end, message",
-        [(-1.0, 1.0, "dt must be positive"), (0.01, 0.001, "t_end must be at least dt"), (0.3, 1.0, "whole number")],
+        "dt, t_end, failed",
+        [(-1.0, 1.0, "dt > 0"), (0.01, 0.001, "t_end >= dt"), (0.3, 1.0, "t_end a whole number of dt steps")],
     )
-    def test_bad_grid_raises_before_any_output(self, tmp_path, dt, t_end, message):
+    def test_bad_grid_raises_before_any_output(self, tmp_path, dt, t_end, failed):
         config = self.flow_config(tmp_path)
         out = tmp_path / "out"
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValidationError) as err:
             run_flows(config, dt=dt, t_end=t_end, out_dir=out)
+        assert err.value.violations == [failed]
         assert not out.exists()
 
     def test_flow_reports_diagnose_energy_and_box(self, tmp_path):
@@ -1081,13 +1098,29 @@ class TestCli:
     def test_flow_argument_checks_precede_config_loading(self, capsys, tmp_path):
         rc = cli.main(["flow", str(tmp_path / "nope.json"), "--dt", "0", "--t-end", "1"])
         assert rc == 1
-        assert "--dt must be positive" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: invalid parameters: --dt > 0\n"
         rc = cli.main(["flow", str(tmp_path / "nope.json"), "--dt", "0.01", "--t-end", "0.005"])
         assert rc == 1
-        assert "--t-end must be at least --dt" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: invalid parameters: --t-end >= --dt\n"
         rc = cli.main(["flow", str(tmp_path / "nope.json"), "--dt", "0.3", "--t-end", "1.0"])
         assert rc == 1
-        assert "--t-end must be a whole number of --dt steps" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: invalid parameters: --t-end a whole number of --dt steps\n"
+
+    @pytest.mark.parametrize(
+        "argv, failed",
+        [
+            (["flow", "nope.json", "--dt", "-1", "--t-end", "1"], "--dt > 0"),
+            (["flow", "nope.json", "--dt", "0.3", "--t-end", "1"], "--t-end a whole number of --dt steps"),
+            (["analyze", "--b2", "nan"], "0 < b2"),
+            (["analyze", "--b2", "0.0067", "--b3", "nan"], "b3 >= 0"),
+            (["analyze", "--b2", "inf"], "(2*b2 + b3)**2 finite in floating point"),
+        ],
+        ids=["dt", "whole-steps", "nan-b2", "nan-b3", "inf-b2"],
+    )
+    def test_bad_arguments_exit_1_naming_their_condition(self, capsys, tmp_path, argv, failed):
+        # the flow grid is checked before the (missing) config is read
+        assert cli.main([str(tmp_path / arg) if arg == "nope.json" else arg for arg in argv]) == 1
+        assert capsys.readouterr() == ("", f"error: invalid parameters: {failed}\n")
 
     def test_flow_happy_path(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("SSMOPT_OUT_DIR", str(tmp_path / "out"))
@@ -1189,3 +1222,35 @@ class TestLibraryNeverPrints:
                     if getattr(node, attrs.get(type(node), ""), None) in ("errstate", "seterr"):
                         found.append(f"{path.name}:{getattr(top, 'name', top.lineno)}")
         assert found == ["discrete.py:run_discrete_batch", "flow.py:_integrate_rows"]
+
+
+class TestErrorVocabulary:
+    # the exception classes of the package: a failed named condition is always a ValidationError
+    VOCABULARY = ["DomainError", "ParseError", "StepFailure", "ValidationError", "_LeftDomain", "_RowsLeave"]
+
+    def test_exception_classes_are_the_vocabulary(self):
+        # a class is an exception class when a base is a builtin exception or one of the package's
+        builtin = {name for name, value in vars(builtins).items() if isinstance(value, type)}
+        builtin = {name for name in builtin if issubclass(getattr(builtins, name), BaseException)}
+        classes = {}
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.ClassDef):
+                    classes[node.name] = {getattr(base, "id", getattr(base, "attr", None)) for base in node.bases}
+        errors, grown = set(), True
+        while grown:
+            found = {name for name, bases in classes.items() if not bases.isdisjoint(builtin | errors)}
+            errors, grown = found, found != errors
+        assert sorted(errors) == self.VOCABULARY
+
+    def test_only_main_turns_rejected_input_into_an_error(self):
+        # every try, and every "error:" string, in cli.py outside main, listed with its function
+        found = []
+        for top in ast.parse(Path(cli.__file__).read_text()).body:
+            if getattr(top, "name", None) == "main":
+                continue
+            for node in ast.walk(top):
+                said = isinstance(node, ast.Constant) and isinstance(node.value, str) and "error:" in node.value
+                if said or isinstance(node, ast.Try):
+                    found.append(f"{getattr(top, 'name', top.lineno)}:{node.lineno}")
+        assert found == []
