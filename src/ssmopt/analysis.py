@@ -199,15 +199,19 @@ def second_moment_response(
     input_series : input samples on the uniform grid with spacing dt.
     nu_init : second-moment value at the anchor index.
     lower_index : grid index where the solution is anchored.
+
+    A ValidationError names each of dt finite and positive and 0 <=
+    lower_index < len(input_series) that fails; an input_series that is not
+    one-dimensional is a ValueError.
     """
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError("dt must be finite and positive")
     u = np.asarray(input_series, dtype=float)
     if u.ndim != 1:
         raise ValueError("input_series must be one-dimensional")
     n = len(u)
-    if not 0 <= lower_index < n:
-        raise ValueError(f"lower_index {lower_index} outside grid of length {n}")
+    require({
+        "dt finite and positive": math.isfinite(dt) and dt > 0,
+        "0 <= lower_index < len(input_series)": 0 <= lower_index < n,
+    })
     m = n - lower_index
     _, phi22 = state_transition_entries(lti, np.arange(m) * dt)
     seg = u[lower_index:]

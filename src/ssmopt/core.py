@@ -45,6 +45,9 @@ class ValidationError(ValueError):
         self.violations = list(violations)
         super().__init__("invalid parameters: " + "; ".join(self.violations))
 
+    def __reduce__(self):
+        return type(self), (self.violations,)
+
 
 class DomainError(ValueError):
     """An evaluation left the domain where the dynamics are defined."""

@@ -42,6 +42,9 @@ class StepFailure(RuntimeError):
         self.state = state
         super().__init__(message or f"integration failed at t={t:g}: nu lost positivity")
 
+    def __reduce__(self):
+        return type(self), (self.t, self.state, str(self))
+
 
 def _point_of(objective: Objective, x0) -> np.ndarray:
     """x0 as a float array, or a ValueError unless it is a point of the objective."""

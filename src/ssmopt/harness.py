@@ -1,9 +1,11 @@
 """Experiment harness: strict JSON config ingestion, one batched call that
 runs every entry of a config (the discrete runs, or their continuous-time
 counterparts), and one writer that emits its outcomes as artifacts (per-run
-trajectory CSVs, report JSON, sorted comparison tables). A batch that
-cannot start raises before any output; a run that fails is a failed report,
-its overflow and invalid operations included, never a RuntimeWarning.
+trajectory CSVs, report JSON, sorted comparison tables). A heavy batch runs
+as blocks of entries in forked workers, each of which writes its own rows
+(see _run_blocks). A batch that cannot start raises before any output; a
+run that fails is a failed report, its overflow and invalid operations
+included, never a RuntimeWarning.
 
 Config schema (all keys optional unless marked required; unknown keys are
 errors):
@@ -73,6 +75,10 @@ SUMMARY_COLUMNS = ("optimizer", "best_f", "epoch_of_best", "final_grad_norm", "i
 # nu(0) used when integrating the continuous-time counterpart of an entry.
 # The discrete steppers start at nu = 0, but the flows require nu(0) > 0.
 FLOW_NU0 = 1.0
+
+# A batch whose per-step objective work, its entries times Objective.work,
+# reaches this runs as blocks in forked workers (see _run_blocks).
+SPLIT_WORK = 2 ** 16
 
 
 class ParseError(ValueError):
@@ -327,12 +333,13 @@ def default_x0(spec: ObjectiveSpec) -> np.ndarray:
 
 
 def build_objective(spec: ObjectiveSpec) -> Objective:
-    """Materialize the objective named by a spec."""
+    """Materialize the objective named by a spec: the ValidationError of a
+    factory names each violation as objective: <name>."""
     factory, keys, _ = _objective_kind(spec)
     try:
         return factory(spec.dim, *(getattr(spec, key) for key in keys))
-    except ValueError as exc:
-        raise ValidationError([f"objective: {exc}"]) from exc
+    except ValidationError as exc:
+        raise ValidationError([f"objective: {name}" for name in exc.violations]) from exc
 
 
 def _safe_name(name: str) -> str:
@@ -340,8 +347,12 @@ def _safe_name(name: str) -> str:
 
 
 def resolve_out_dir(config: ExperimentConfig) -> Path:
-    """Output directory: SSMOPT_OUT_DIR wins over the config value."""
-    return Path(os.environ.get("SSMOPT_OUT_DIR") or config.output_dir)
+    """Output directory: SSMOPT_OUT_DIR wins over the config value. Without
+    it, an empty output_dir (Path("") is the current directory) is a
+    ValidationError naming output_dir non-empty."""
+    env = os.environ.get("SSMOPT_OUT_DIR")
+    require({"output_dir non-empty": bool(env) or config.output_dir != ""})
+    return Path(env or config.output_dir)
 
 
 def _json_value(value):
@@ -360,7 +371,9 @@ def _write_report_json(reports: list[RunReport], path: Path):
 
 
 def _write_row(out: Path, prefix: str, i: int, spec: OptimizerSpec, outcome, diagnose) -> RunReport:
-    """Write and report the outcome of one entry of a batch."""
+    """Write and report the outcome of one entry of a batch: its Trajectory
+    to {prefix}_{i:02d}_{name}.csv, after which diagnose(i, trajectory,
+    report), when given, may add diagnostics to a run that did not fail."""
     try:
         if isinstance(outcome, Exception):
             raise outcome
@@ -374,43 +387,115 @@ def _write_row(out: Path, prefix: str, i: int, spec: OptimizerSpec, outcome, dia
         return RunReport.failure(spec.name, f"{type(exc).__name__}: {exc}")
 
 
-def _write_outcomes(
-    config: ExperimentConfig, out_dir, outcomes: dict, prefix: str, report_name: str, diagnose=None
-) -> list[RunReport]:
-    """Make the output directory and write the outcomes, each entry index's
-    Trajectory and RunReport or the exception its solo run raises (see
-    flow._run_rows): each trajectory to {prefix}_{index:02d}_{name}.csv,
-    after which diagnose(index, trajectory, report) may add diagnostics to
-    a run that did not fail, and the reports to report_name in declaration
-    order."""
-    out = Path(out_dir) if out_dir is not None else resolve_out_dir(config)
-    out.mkdir(parents=True, exist_ok=True)
-    reports = [
-        _write_row(out, prefix, i, config.optimizers[i], outcome, diagnose) for i, outcome in sorted(outcomes.items())
-    ]
+def _run_blocks(indices: list[int], work: int, run, write, out: Path, report_name: str) -> list[RunReport]:
+    """Run the entries at indices, run(block) giving the outcomes of a list
+    of them (see flow._run_rows), then make out, write each outcome,
+    write(i, outcome) giving entry i's RunReport, and write the reports to
+    report_name in the order of indices.
+
+    When the batch's per-step objective work, len(indices) * work, reaches
+    SPLIT_WORK and the process can fork (Linux, no other thread running),
+    the entries run as contiguous blocks, one per usable CPU and at most one
+    per entry: the first here, each other in a forked worker. Every row is
+    bitwise its solo run, so the artifacts do not depend on the blocks.
+    Nothing is written until every block has run; then each block writes
+    its own rows, and a worker hands back only their reports. If a block
+    raises, every worker is stopped, nothing is written and the exception
+    of the first such block is raised with its type and message. Every
+    worker ends in os._exit, and every one is reaped.
+    """
+    import pickle
+    import signal
+    import threading
+
+    heavy = len(indices) * work >= SPLIT_WORK and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    n = min(len(os.sched_getaffinity(0)), len(indices)) if heavy and threading.active_count() == 1 else 1
+    blocks = [indices[len(indices) * b // n : len(indices) * (b + 1) // n] for b in range(n)]
+    go_r, go_w = os.pipe()  # the go-ahead to write: one byte for each worker
+    workers = []  # per worker: its pid and the reader of what it sends
+
+    def receive(pid, results):
+        try:
+            return pickle.load(results)
+        except (EOFError, pickle.UnpicklingError):
+            raise RuntimeError(f"batch worker {pid} ended without its outcome") from None
+
+    finished = False
+    try:
+        for block in blocks[1:]:
+            results_r, results_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    # the parent holds the only write end: if it dies, the read below ends
+                    os.close(go_w)
+                    with open(results_w, "wb") as results:
+                        try:
+                            outcomes, error = run(block), None
+                        except Exception as exc:
+                            error = exc
+                        results.write(pickle.dumps(error))
+                        results.flush()
+                        if error is None and os.read(go_r, 1):
+                            results.write(pickle.dumps([write(i, outcome) for i, outcome in zip(block, outcomes)]))
+                finally:
+                    os._exit(0)
+            os.close(results_w)
+            workers.append((pid, open(results_r, "rb")))
+        outcomes = run(blocks[0])
+        for pid, results in workers:
+            error = receive(pid, results)
+            if error is not None:
+                raise error
+        out.mkdir(parents=True, exist_ok=True)
+        os.write(go_w, b"w" * len(workers))
+        reports = [write(i, outcome) for i, outcome in zip(blocks[0], outcomes)]
+        for pid, results in workers:
+            reports += receive(pid, results)
+        finished = True
+    finally:
+        os.close(go_r)
+        os.close(go_w)
+        for pid, results in workers:
+            if not finished:
+                os.kill(pid, signal.SIGKILL)
+            results.close()
+            os.waitpid(pid, 0)
     _write_report_json(reports, out / report_name)
     return reports
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None) -> list[RunReport]:
     """Run every optimizer entry on the configured objective, all of them
-    together as one batch (see discrete.run_discrete_batch).
+    together as one batch (see discrete.run_discrete_batch), a heavy one as
+    blocks in forked workers (see _run_blocks).
 
     All runs share the same objective instance and starting point. Each run
     writes traj_{index:02d}_{name}.csv into the output directory; the full
     report list lands in report.json (declaration order). A failed run yields
     a report with NaN metrics and the error message in its diagnostics, and
     the remaining runs still execute; a run that diverges is one of them. A
-    batch that cannot start (run settings that flow._check_run rejects, an
-    x0 that is not a point of the objective, a failed allocation) raises
-    before any output.
+    batch that cannot start (an output directory that resolve_out_dir
+    rejects, an x0 that is not a point of the objective, milestones or run
+    settings that load_config rejects, a failed allocation) raises before
+    any output.
     """
+    out = Path(out_dir) if out_dir is not None else resolve_out_dir(config)
     objective = config.built or build_objective(config.objective)
-    specs, x0 = list(config.optimizers), default_x0(config.objective)
-    outcomes = run_discrete_batch(
-        specs, objective, x0, config.iterations, config.milestones, config.threshold, config.record_stride
-    )
-    return _write_outcomes(config, out_dir, dict(enumerate(outcomes)), "traj", "report.json")
+    specs, x0 = config.optimizers, _point_of(objective, default_x0(config.objective))
+    LrSchedule(base_eta=1.0, milestones=config.milestones)
+    _check_run(config.iterations, config.record_stride, config.threshold)
+
+    def run(block):
+        return run_discrete_batch(
+            [specs[i] for i in block], objective, x0, config.iterations, config.milestones, config.threshold,
+            config.record_stride,
+        )
+
+    def write(i, outcome):
+        return _write_row(out, "traj", i, specs[i], outcome, None)
+
+    return _run_blocks(list(range(len(specs))), objective.work, run, write, out, "report.json")
 
 
 def run_compare(config: ExperimentConfig, out_dir=None) -> list[RunReport]:
@@ -437,8 +522,9 @@ def run_flows(config: ExperimentConfig, dt: float, t_end: float, out_dir=None) -
     """Integrate the continuous-time counterpart of each flow-capable entry.
 
     All of them are integrated together, as one batch, by the reference
-    (RK4) step rule with nu(0) = FLOW_NU0 in every coordinate; each equals
-    its solo run bitwise. The entries flow_skipped names have no counterpart
+    (RK4) step rule with nu(0) = FLOW_NU0 in every coordinate, a heavy
+    batch as blocks in forked workers (see _run_blocks); each equals its
+    solo run bitwise. The entries flow_skipped names have no counterpart
     in this family and are skipped; a config with no other entry is a
     ValidationError. The time column of
     flow_{index:02d}_{name}.csv is physical time; report epochs count
@@ -447,35 +533,46 @@ def run_flows(config: ExperimentConfig, dt: float, t_end: float, out_dir=None) -
     turns non-finite, which ends the flow's CSV at that step. G-AdaGrad
     entries get an energy_residual_max_abs diagnostic; every report flags
     whether the recorded iterates stayed inside the objective's test box.
-    A grid that integrate_batch rejects (a ValidationError), an x0 that is
-    not a point of the objective or any other batch that cannot start raises
-    before any output; an entry whose flow cannot be built is a failed run.
+    A grid that integrate_batch rejects (a ValidationError), an output
+    directory that resolve_out_dir rejects, an x0 that is not a point of
+    the objective or any other batch that cannot start raises before any
+    output; an entry whose flow cannot be built is a failed run.
     """
-    _check_grid(dt, t_end)
+    n_steps = _check_grid(dt, t_end)
     skipped = flow_skipped(config)
     indices = [i for i in range(len(config.optimizers)) if i not in skipped]
     require({"optimizers: at least one entry with a flow counterpart": bool(indices)})
+    out = Path(out_dir) if out_dir is not None else resolve_out_dir(config)
     objective = config.built or build_objective(config.objective)
     x0 = _point_of(objective, default_x0(config.objective))
+    _check_run(n_steps, config.record_stride, config.threshold)
     nu0 = np.full(config.objective.dim, FLOW_NU0)
     # per entry: its flow, or the exception its solo run would raise
-    problems, outcomes = {}, {}
+    problems, unbuilt = {}, {}
     for i in indices:
         spec = config.optimizers[i]
         try:
             problems[i] = preset_flow(PresetKind(spec.kind), spec.preset, objective, x0, nu0)
         except Exception as exc:
-            outcomes[i] = exc
-    names = [config.optimizers[i].name for i in problems]
-    rows = _integrate_rows([*problems.values()], names, rk4_step, dt, t_end, config.record_stride, config.threshold)
-    outcomes.update(zip(problems, rows))
+            unbuilt[i] = exc
+
+    def run(block):
+        built = [i for i in block if i in problems]
+        names = [config.optimizers[i].name for i in built]
+        flows = [problems[i] for i in built]
+        rows = _integrate_rows(flows, names, rk4_step, dt, t_end, config.record_stride, config.threshold)
+        outcomes = {**unbuilt, **dict(zip(built, rows))}
+        return [outcomes[i] for i in block]
 
     def diagnose(i, traj, report):
         if config.optimizers[i].kind == "gadagrad":
             residual = gadagrad_energy_residual(traj, problems[i])
             report.diagnostics["energy_residual_max_abs"] = float(np.max(np.abs(residual)))
 
-    return _write_outcomes(config, out_dir, outcomes, "flow", "flow_report.json", diagnose)
+    def write(i, outcome):
+        return _write_row(out, "flow", i, config.optimizers[i], outcome, diagnose)
+
+    return _run_blocks(indices, objective.work, run, write, out, "flow_report.json")
 
 
 def _rank_reports(reports: list[RunReport]) -> list[RunReport]:

@@ -14,6 +14,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .core import require
+
 
 @dataclass(frozen=True)
 class Objective:
@@ -33,6 +35,10 @@ class Objective:
     Rosenbrock and logistic compute it in one pass that shares the work of
     the two, and their eval_f is its f half; both keep a gradient-only
     eval_grad for the flows' stages. Quadratic's is its two functions.
+
+    work is the multiply-adds of one point's eval_f_grad (0 when unknown):
+    dim for the quadratic and Rosenbrock, 2*n_samples*dim for logistic. It
+    sizes a batch for harness, which splits a heavy one across processes.
     """
 
     dim: int
@@ -42,19 +48,20 @@ class Objective:
     known_min: Optional[tuple[np.ndarray, float]] = None
     name: str = ""
     box: float = 5.0
+    work: int = 0
 
 
 def make_quadratic(d: int, condition_number: float) -> Objective:
     """Diagonal quadratic f(x) = x'Qx / 2 with eigenvalues spread geometrically
     from 1 to condition_number, a finite number >= 1. d = 1 uses the single
-    eigenvalue 1.
+    eigenvalue 1. A ValidationError names each of d >= 1, condition_number
+    >= 1 and condition_number finite that fails.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if not condition_number >= 1:
-        raise ValueError("condition_number must be >= 1")
-    if condition_number == np.inf:
-        raise ValueError("condition_number must be finite")
+    require({
+        "d >= 1": d >= 1,
+        "condition_number >= 1": condition_number >= 1,
+        "condition_number finite": np.isfinite(condition_number),
+    })
     eigs = np.ones(1) if d == 1 else np.geomspace(1.0, float(condition_number), d)
 
     def f(x):
@@ -72,6 +79,7 @@ def make_quadratic(d: int, condition_number: float) -> Objective:
         dim=d, eval_f=f, eval_grad=grad, eval_f_grad=lambda x: (f(x), grad(x)),
         known_min=(np.zeros(d), 0.0),
         name=f"quadratic_d{d}_cond{condition_number:g}",
+        work=d,
     )
 
 
@@ -82,9 +90,9 @@ def make_rosenbrock(d: int) -> Objective:
     convergence checks only apply to trajectories that stay inside it.
     eval_f_grad computes r = x[i+1] - x[i]^2 and 1 - x[i] once for f and the
     gradient; eval_f is its f half, and eval_grad computes the gradient alone.
+    d < 2 is a ValidationError naming d >= 2.
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    require({"d >= 2": d >= 2})
 
     def grad_parts(x):
         # A batch (R, d) is computed on a contiguous (d, R) copy, so the
@@ -116,6 +124,7 @@ def make_rosenbrock(d: int) -> Objective:
         dim=d, eval_f=lambda x: f_grad(x)[0], eval_grad=grad, eval_f_grad=f_grad,
         known_min=(np.ones(d), 0.0),
         name=f"rosenbrock_d{d}",
+        work=d,
     )
 
 
@@ -176,10 +185,10 @@ def make_logistic(d: int, n_samples: int, seed: int) -> Objective:
     numpy's logaddexp gives log(1 + exp(-m)) as max(-m, 0) + L and log(1 +
     exp(m)) as max(m, 0) + L, bitwise (a NaN margin gives NaN either way).
     eval_f is its f half; eval_grad takes log(1 + exp(m)) as logaddexp(0,
-    m) alone, bitwise the same, and both end in one gradient tail.
+    m) alone, bitwise the same, and both end in one gradient tail. A
+    ValidationError names each of d >= 1 and n_samples >= 1 that fails.
     """
-    if d < 1 or n_samples < 1:
-        raise ValueError("d and n_samples must be >= 1")
+    require({"d >= 1": d >= 1, "n_samples >= 1": n_samples >= 1})
     reg = 5e-4
     draws = _lcg_draws(n_samples * d + d, seed)
     Z = draws[: n_samples * d].reshape(n_samples, d)
@@ -222,15 +231,14 @@ def make_logistic(d: int, n_samples: int, seed: int) -> Objective:
         dim=d, eval_f=lambda w: f_grad(w)[0], eval_grad=grad, eval_f_grad=f_grad,
         known_min=None,
         name=f"logistic_d{d}_n{n_samples}_s{seed}",
+        work=2 * n_samples * d,
     )
 
 
 def finite_diff_grad(obj: Objective, x, h: float) -> np.ndarray:
-    """Central-difference gradient of obj at x with a positive, finite step h."""
-    if not h > 0:
-        raise ValueError("h must be positive")
-    if h == np.inf:
-        raise ValueError("h must be finite")
+    """Central-difference gradient of obj at x with a positive, finite step
+    h: a ValidationError names each of h > 0 and h finite that fails."""
+    require({"h > 0": h > 0, "h finite": np.isfinite(h)})
     x = np.asarray(x, dtype=float)
     steps = h * np.eye(obj.dim)
     f = obj.eval_f(np.concatenate([x + steps, x - steps]))

@@ -317,12 +317,15 @@ class TestSecondMomentResponse:
     def test_argument_validation(self):
         lti = self.lti()
         for dt in (0.0, -0.1, math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match="dt must be finite and positive"):
+            with pytest.raises(ValidationError) as err:
                 second_moment_response(lti, B2, np.ones(5), dt=dt)
+            assert err.value.violations == ["dt finite and positive"]
         with pytest.raises(ValueError):
             second_moment_response(lti, B2, np.ones((5, 2)), dt=0.1)
-        with pytest.raises(ValueError):
-            second_moment_response(lti, B2, np.ones(5), dt=0.1, lower_index=5)
+        for lower_index in (5, -1):
+            with pytest.raises(ValidationError) as err:
+                second_moment_response(lti, B2, np.ones(5), dt=0.1, lower_index=lower_index)
+            assert err.value.violations == ["0 <= lower_index < len(input_series)"]
 
 
 class TestTimeResponses:

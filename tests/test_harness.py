@@ -8,6 +8,7 @@ import importlib.util
 import json
 import math
 import os
+import pickle
 import re
 import runpy
 import subprocess
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import discrete_entry_run
-from ssmopt import PresetKind, PresetParams, RunReport, ValidationError, cli
+from ssmopt import DomainError, PresetKind, PresetParams, RunReport, StepFailure, ValidationError, cli, harness
 from ssmopt.discrete import BIAS_MODES, OptimizerSpec
 from ssmopt.harness import (
     OBJECTIVE_KINDS,
@@ -45,10 +46,10 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 # objectives that parse but that their factory rejects, with the message
 UNBUILDABLE_OBJECTIVES = [
-    pytest.param({"kind": "quadratic", "dim": 0}, "objective: d must be >= 1", id="dim"),
-    pytest.param({"kind": "quadratic", "cond": 0.5}, "objective: condition_number must be >= 1", id="cond"),
-    pytest.param({"kind": "logistic", "n_samples": 0}, "objective: d and n_samples must be >= 1", id="n_samples"),
-    pytest.param({"kind": "rosenbrock", "dim": 1}, "objective: d must be >= 2", id="rosenbrock-dim"),
+    pytest.param({"kind": "quadratic", "dim": 0}, "objective: d >= 1", id="dim"),
+    pytest.param({"kind": "quadratic", "cond": 0.5}, "objective: condition_number >= 1", id="cond"),
+    pytest.param({"kind": "logistic", "n_samples": 0}, "objective: n_samples >= 1", id="n_samples"),
+    pytest.param({"kind": "rosenbrock", "dim": 1}, "objective: d >= 2", id="rosenbrock-dim"),
 ]
 
 
@@ -968,6 +969,140 @@ class TestBatchThatCannotStart:
             run(config, out_dir=out)
         assert not out.exists()
 
+    @pytest.mark.parametrize("run", RUNS)
+    def test_empty_output_dir_raises_before_any_output(self, run, tmp_path, monkeypatch):
+        # Path("") is the current directory: a config built in code must not write into it
+        config = dataclasses.replace(load_config(write_config(tmp_path, base_payload())), output_dir="")
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        monkeypatch.chdir(empty)
+        monkeypatch.delenv("SSMOPT_OUT_DIR", raising=False)
+        with pytest.raises(ValidationError) as err:
+            run(config, out_dir=None)
+        assert err.value.violations == ["output_dir non-empty"]
+        assert list(empty.iterdir()) == []
+
+
+def heavy_payload():
+    """Six entries on logistic regression with n_samples 2000 and dim 100:
+    work enough per step that the batch splits into blocks."""
+    moment = {"eta": 0.05, "b1": 0.67, "b2": 0.0067, "delta": 0.15}
+    return {
+        "objective": {"kind": "logistic", "dim": 100, "n_samples": 2000, "seed": 5},
+        "optimizers": [
+            {"kind": "gadagrad", "eta": 0.5},
+            {"kind": "adam", **moment},
+            {"kind": "adabelief", **moment},
+            {"kind": "adamssm", "b3": 0.02, **moment},
+            {"kind": "adabeliefssm", "b3": 0.02, **moment},
+            {"kind": "sgd_momentum", "eta": 0.5, "beta": 0.9},
+        ],
+        "iterations": 20,
+        "record_stride": 3,
+        "threshold": 1e-4,
+    }
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestBlocks:
+    """A heavy batch runs as blocks in forked workers, each of which writes
+    its own rows: the artifacts are those of each entry's solo run."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        # three usable CPUs, whatever the host has, and a count of the workers forked
+        forked = []
+        fork = os.fork
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(os, "fork", counted_fork)
+        return forked
+
+    @pytest.mark.parametrize(
+        "command, prefix, report",
+        [
+            pytest.param(run_compare, "traj", "report.json", id="compare"),
+            pytest.param(lambda config, out: run_flows(config, 0.05, 0.5, out), "flow", "flow_report.json", id="flow"),
+        ],
+    )
+    def test_every_row_is_its_solo_run(self, tmp_path, forks, command, prefix, report):
+        config = load_config(write_config(tmp_path, heavy_payload()))
+        assert len(config.optimizers) * config.built.work >= harness.SPLIT_WORK
+        command(config, tmp_path / "split")
+        assert len(forks) == 2
+        assert_no_child_left()
+        records = json.loads((tmp_path / "split" / report).read_text())
+        solo_records = []
+        for i, spec in enumerate(config.optimizers):
+            if prefix == "flow" and spec.kind == "sgd_momentum":
+                continue
+            solo = tmp_path / f"solo{i}"
+            command(dataclasses.replace(config, optimizers=(spec,)), solo)
+            (split_csv,) = (tmp_path / "split").glob(f"{prefix}_{i:02d}_*.csv")
+            assert split_csv.read_bytes() == (solo / f"{prefix}_00_{spec.name}.csv").read_bytes()
+            solo_records += json.loads((solo / report).read_text())
+        assert len(forks) == 2
+        assert records == solo_records
+        assert_no_child_left()
+
+    def test_a_batch_that_cannot_allocate_exits_2_with_no_output(self, tmp_path, monkeypatch, capsys, forks):
+        out = tmp_path / "out"
+        monkeypatch.setenv("SSMOPT_OUT_DIR", str(out))
+        payload = heavy_payload()
+        payload["iterations"] = 10 ** 15
+        assert cli.main(["compare", str(write_config(tmp_path, payload))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("runtime failure: MemoryError: ")
+        assert not out.exists()
+        assert len(forks) == 2
+        assert_no_child_left()
+
+    def test_a_workers_exception_is_raised_with_its_type_and_message(self, tmp_path, forks):
+        # only the last of three blocks raises: the parent stops the other worker and writes nothing
+        def run(block):
+            if 2 in block:
+                raise ValidationError(["a > 0", "b < 1"])
+            return [ValueError("not run")] * len(block)
+
+        def write(i, outcome):
+            raise AssertionError("a block wrote")
+
+        out = tmp_path / "out"
+        with pytest.raises(ValidationError) as err:
+            harness._run_blocks([0, 1, 2], harness.SPLIT_WORK, run, write, out, "report.json")
+        assert err.value.violations == ["a > 0", "b < 1"]
+        assert str(err.value) == "invalid parameters: a > 0; b < 1"
+        assert not out.exists()
+        assert len(forks) == 2
+        assert_no_child_left()
+
+    def test_a_light_batch_is_one_block(self, tmp_path, forks):
+        config = load_config(write_config(tmp_path, base_payload()))
+        run_compare(config, tmp_path / "out")
+        run_flows(config, 0.1, 1.0, tmp_path / "flow")
+        assert forks == []
+
+    def test_fork_only_in_the_block_runner(self):
+        # fork, _exit and sched_getaffinity, as an attribute, a name or an import, by top-level definition
+        attrs = {ast.Attribute: "attr", ast.Name: "id", ast.alias: "name"}
+        found = set()
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            for top in ast.parse(path.read_text(), str(path)).body:
+                for node in ast.walk(top):
+                    if getattr(node, attrs.get(type(node), ""), None) in ("fork", "_exit", "sched_getaffinity"):
+                        found.add(f"{path.name}:{getattr(top, 'name', top.lineno)}")
+        assert sorted(found) == ["harness.py:_run_blocks"]
+
 
 class TestCli:
     def test_analyze_prints_pole_payload(self, capsys):
@@ -1180,7 +1315,7 @@ class TestCli:
         payload["optimizers"] = [{"kind": "sgd_momentum"}]
         rc = cli.main(["flow", str(write_config(tmp_path, payload)), "--dt", "0.05", "--t-end", "0.5"])
         assert rc == 1
-        assert capsys.readouterr().err == "error: invalid parameters: objective: d must be >= 2\n"
+        assert capsys.readouterr().err == "error: invalid parameters: objective: d >= 2\n"
         assert not out.exists()
 
     def test_runtime_failures_exit_2(self, capsys, tmp_path, monkeypatch):
@@ -1242,6 +1377,17 @@ class TestErrorVocabulary:
             found = {name for name, bases in classes.items() if not bases.isdisjoint(builtin | errors)}
             errors, grown = found, found != errors
         assert sorted(errors) == self.VOCABULARY
+
+    def test_exceptions_survive_pickling(self):
+        # a batch worker hands its exception back pickled: type, message and attributes intact
+        failure = StepFailure(0.5, np.arange(8.0).reshape(4, 2))
+        for exc in (DomainError("nu0 must be positive"), ParseError("bad"), failure, ValidationError(["a > 0", "b < 1"])):
+            back = pickle.loads(pickle.dumps(exc))
+            assert type(back) is type(exc) and str(back) == str(exc)
+            assert back.args == exc.args
+        back = pickle.loads(pickle.dumps(failure))
+        assert back.t == 0.5 and back.state.tobytes() == failure.state.tobytes()
+        assert pickle.loads(pickle.dumps(ValidationError(["a > 0", "b < 1"]))).violations == ["a > 0", "b < 1"]
 
     def test_only_main_turns_rejected_input_into_an_error(self):
         # every try, and every "error:" string, in cli.py outside main, listed with its function

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ssmopt import finite_diff_grad, make_logistic, make_quadratic, make_rosenbrock
+from ssmopt import ValidationError, finite_diff_grad, make_logistic, make_quadratic, make_rosenbrock
 from ssmopt.harness import OBJECTIVE_KINDS, ObjectiveSpec, build_objective
 from ssmopt.objectives import _lcg_draws
 from oracles import lcg_uniform, logistic_problem, pairwise_sum, rosenbrock_f, rosenbrock_grad
@@ -42,14 +42,16 @@ class TestQuadratic:
         assert np.allclose(diag, [1.0, 10.0, 100.0], rtol=1e-12)
 
     def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            make_quadratic(0, 10.0)
-        with pytest.raises(ValueError, match="condition_number must be >= 1"):
-            make_quadratic(2, 0.5)
-        with pytest.raises(ValueError, match="condition_number must be >= 1"):
-            make_quadratic(2, math.nan)
-        with pytest.raises(ValueError, match="condition_number must be finite"):
-            make_quadratic(2, math.inf)
+        cases = [
+            ((0, 10.0), ["d >= 1"]),
+            ((2, 0.5), ["condition_number >= 1"]),
+            ((2, math.nan), ["condition_number >= 1", "condition_number finite"]),
+            ((2, math.inf), ["condition_number finite"]),
+        ]
+        for args, violations in cases:
+            with pytest.raises(ValidationError) as err:
+                make_quadratic(*args)
+            assert err.value.violations == violations
 
 
 class TestRosenbrock:
@@ -68,8 +70,9 @@ class TestRosenbrock:
             assert obj.eval_f(x) >= 0.0
 
     def test_dimension_check(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError) as err:
             make_rosenbrock(1)
+        assert err.value.violations == ["d >= 2"]
 
     @pytest.mark.parametrize("d", [2, 3, 10])
     def test_gradient_equals_the_oracle(self, d, rng):
@@ -167,10 +170,10 @@ class TestLogistic:
         assert np.all(np.isfinite(obj.eval_grad(w)))
 
     def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            make_logistic(0, 10, seed=0)
-        with pytest.raises(ValueError):
-            make_logistic(3, 0, seed=0)
+        for args, violations in (((0, 10), ["d >= 1"]), ((3, 0), ["n_samples >= 1"]), ((0, 0), ["d >= 1", "n_samples >= 1"])):
+            with pytest.raises(ValidationError) as err:
+                make_logistic(*args, seed=0)
+            assert err.value.violations == violations
 
     @pytest.mark.parametrize("n", [2000, 20_000])
     def test_build_holds_one_dataset_buffer(self, n):
@@ -327,17 +330,24 @@ class TestFiniteDiff:
                 assert rel < 1e-5
 
     def test_step_must_be_positive(self):
-        for h in (0.0, math.nan):
-            with pytest.raises(ValueError, match="h must be positive"):
+        for h, violations in ((0.0, ["h > 0"]), (math.nan, ["h > 0", "h finite"])):
+            with pytest.raises(ValidationError) as err:
                 finite_diff_grad(make_quadratic(1, 1.0), np.array([1.0]), h=h)
+            assert err.value.violations == violations
 
     def test_step_must_be_finite(self):
         # inf passes h > 0, and inf * eye(d) is NaN off the diagonal
-        with pytest.raises(ValueError, match="h must be finite"):
+        with pytest.raises(ValidationError) as err:
             finite_diff_grad(make_quadratic(1, 1.0), np.array([1.0]), h=math.inf)
+        assert err.value.violations == ["h finite"]
 
 
 class TestEveryObjective:
+    def test_work_is_the_multiply_adds_of_one_point(self):
+        assert make_quadratic(7, 10.0).work == 7
+        assert make_rosenbrock(5).work == 5
+        assert make_logistic(100, 2000, seed=1).work == 2 * 2000 * 100
+
     @pytest.mark.parametrize("dim", [2, 5])
     @pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
     def test_f_grad_is_f_and_grad_row_by_row(self, kind, dim, rng):
