@@ -39,6 +39,7 @@ from .core import (
     PsiKind,
     ValidationError,
     alpha_g,
+    initial_stepper_state,
     map_preset_to_general,
     validate_params,
     validate_preset,
@@ -49,7 +50,6 @@ from .discrete import (
     OptimizerSpec,
     bias_alpha,
     bias_denominators,
-    initial_stepper_state,
     run_discrete,
     step_preset,
     step_sgd_momentum,

@@ -16,8 +16,8 @@ A state is one float array with rows x, mu, zeta and nu: shaped (4, d) for
 one state and (N, 4, d) for a trajectory of N records. A batch of R runs is
 component-major, (4, R, d), so that the x, mu, zeta and nu of all its rows
 are each one contiguous (R, d) block. Its time (physical time for a flow,
-the iteration count for a discrete run) travels beside it. moment_rows is
-the moment dynamics of such a batch for a flow and a discrete step alike.
+the iteration count for a discrete run) travels beside it. A flow and a
+discrete run alike start at initial_stepper_state and step by moment_rows.
 
 All types here are immutable after construction and safe to share between
 concurrently running experiments.
@@ -94,6 +94,17 @@ def moment_bias(t: float, rate1: float, rate2: float) -> tuple[float, float]:
     gathered, for each of the two rates."""
     e = t + 1
     return 1.0 - (1.0 - rate1) ** e, 1.0 - (1.0 - rate2) ** e
+
+
+def initial_stepper_state(x0, nu0=None) -> np.ndarray:
+    """State before the first step of a flow or discrete run, a (4, d) array
+    of rows x, mu, zeta, nu: moments at zero, nu at nu0 (x0's shape) if given."""
+    x0 = np.asarray(x0, dtype=float)
+    zero = np.zeros_like(x0)
+    nu = zero if nu0 is None else np.asarray(nu0, dtype=float)
+    if nu.shape != x0.shape:
+        raise ValueError(f"nu0 shape {nu.shape} != x0 shape {x0.shape}")
+    return np.array((x0, zero, zero, nu))
 
 
 # the rows the two coefficient stacks take: mu, mu, zeta, zeta, then g, g, nu, nu

@@ -19,23 +19,12 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (
-    PresetKind, PresetParams, PsiKind, ValidationError, map_preset_to_general, moment_bias, moment_rows,
-    preset_conditions, require,
+    PresetKind, PresetParams, PsiKind, ValidationError, initial_stepper_state, map_preset_to_general, moment_bias,
+    moment_rows, preset_conditions, require,
 )
 from .flow import RunReport, Trajectory, _c_groups, _full, _only, _point_of, _pow_rows, _RowsLeave, _run_rows
 
 BIAS_MODES = ("paper", "beta", "continuous")
-
-
-def initial_stepper_state(x0, nu0=None) -> np.ndarray:
-    """State before the first step, as a (4, d) array with rows x, mu, zeta
-    and nu: the moments start at zero unless nu0 is given."""
-    x0 = np.asarray(x0, dtype=float)
-    zero = np.zeros_like(x0)
-    nu = zero if nu0 is None else np.asarray(nu0, dtype=float)
-    if nu.shape != x0.shape:
-        raise ValueError(f"nu0 shape {nu.shape} != x0 shape {x0.shape}")
-    return np.array((x0, zero, zero, nu))
 
 
 @dataclass(frozen=True)
@@ -46,7 +35,7 @@ class OptimizerSpec:
     for the adaptive kinds and the base learning rate eta of every kind;
     beta is the heavy-ball momentum factor. KIND_KEYS[kind] lists the keys
     it reads, conditions() its entry conditions and violations() those it
-    fails.
+    fails; a name with a comma, double quote, CR or LF is a ValidationError.
     """
 
     kind: str
@@ -60,6 +49,7 @@ class OptimizerSpec:
             raise ValueError(f"kind must be one of {tuple(KIND_KEYS)}, got {self.kind!r}")
         if self.bias_mode not in BIAS_MODES:
             raise ValueError(f"bias_mode must be one of {BIAS_MODES}, got {self.bias_mode!r}")
+        require({"name without comma, double quote, CR or LF": not any(ch in self.name for ch in ',"\r\n')})
 
     def conditions(self) -> dict[str, bool]:
         """The entry conditions, by name, and whether each holds: 0 <= beta < 1
@@ -374,10 +364,10 @@ def run_discrete_batch(
     flow.RunStore). A run that diverges stops at the first non-finite f or
     gradient norm, recorded last, and its report is a failure. The other
     rows go on unchanged. A run's overflow and invalid operations surface
-    only as its failure, never as a RuntimeWarning. Before any step, an x0
-    that is not a point of the objective is a ValueError, and run settings
-    that fail iterations >= 0, record_stride >= 1 or threshold > 0 (NaN
-    fails each) are one ValidationError naming each, as in load_config.
+    only as its failure, never as a RuntimeWarning. Before any step, in
+    this order, an x0 that is not a point of the objective is a ValueError,
+    and milestones that LrSchedule rejects or run settings that fail
+    flow._check_run are a ValidationError naming each, as in load_config.
     """
     s = np.repeat(initial_stepper_state(_point_of(objective, x0))[:, None], len(specs), axis=1)
     rule = _DiscreteBatch(specs, s.shape[2], milestones)

@@ -17,14 +17,15 @@ energy-balance diagnostic.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import (
-    DomainError, OptimizerParams, PresetKind, PresetParams, PsiKind, alpha_g, map_preset_to_general, moment_rows,
-    require, validate_params, validate_preset,
+    DomainError, OptimizerParams, PresetKind, PresetParams, PsiKind, alpha_g, initial_stepper_state,
+    map_preset_to_general, moment_rows, require, validate_params, validate_preset,
 )
 from .objectives import Objective
 
@@ -56,7 +57,7 @@ def _point_of(objective: Objective, x0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FlowProblem:
-    """A flow to integrate: objective, validated params, x0 and a finite, positive nu0."""
+    """A flow to integrate: objective, validated params, x0 and a finite, positive nu0 (initial_stepper_state rows)."""
 
     objective: Objective
     params: OptimizerParams
@@ -64,10 +65,7 @@ class FlowProblem:
     nu0: np.ndarray
 
     def __post_init__(self):
-        x0 = _point_of(self.objective, self.x0)
-        nu0 = np.asarray(self.nu0, dtype=float)
-        if nu0.shape != x0.shape:
-            raise ValueError(f"nu0 shape {nu0.shape} != x0 shape {x0.shape}")
+        x0, _, _, nu0 = initial_stepper_state(_point_of(self.objective, self.x0), self.nu0)
         if not (np.all(nu0 > 0) and np.isfinite(nu0).all()):
             raise DomainError("nu0 must be finite and positive componentwise")
         object.__setattr__(self, "x0", x0)
@@ -426,7 +424,14 @@ class _RowsLeave(Exception):
 
 def _check_run(n_steps: int, record_stride: int, threshold: float) -> None:
     """Raise a ValidationError naming each failed run setting, in order; NaN fails each."""
-    require({"iterations >= 0": n_steps >= 0, "record_stride >= 1": record_stride >= 1, "threshold > 0": threshold > 0})
+    # an integer condition is named only where its range condition holds
+    require({
+        "iterations >= 0": n_steps >= 0,
+        "iterations an integer": isinstance(n_steps, numbers.Integral) or not n_steps >= 0,
+        "record_stride >= 1": record_stride >= 1,
+        "record_stride an integer": isinstance(record_stride, numbers.Integral) or not record_stride >= 1,
+        "threshold > 0": threshold > 0,
+    })
 
 
 def _run_rows(rule, s: np.ndarray, objective, n_steps: int, record_stride: int, threshold: float, names) -> list:
@@ -556,8 +561,7 @@ def _integrate_rows(problems: list[FlowProblem], names, step, dt, t_end, record_
     if not problems:
         _check_run(n_steps, record_stride, threshold)
         return []
-    x0 = np.array([p.x0 for p in problems])
-    s = np.array([x0, np.zeros_like(x0), np.zeros_like(x0), [p.nu0 for p in problems]])
+    s = np.stack([initial_stepper_state(p.x0, p.nu0) for p in problems], axis=1)
     return _run_rows(_Batch(problems, step, dt), s, problems[0].objective, n_steps, record_stride, threshold, names)
 
 

@@ -65,9 +65,7 @@ import numpy as np
 
 from .core import PresetKind, PresetParams, ValidationError, require
 from .discrete import BIAS_MODES, KIND_KEYS, LrSchedule, OptimizerSpec, run_discrete_batch
-from .flow import (
-    RunReport, _check_grid, _check_run, _integrate_rows, _point_of, gadagrad_energy_residual, preset_flow, rk4_step
-)
+from .flow import RunReport, _check_run, _integrate_rows, _point_of, gadagrad_energy_residual, preset_flow, rk4_step
 from .objectives import Objective, make_logistic, make_quadratic, make_rosenbrock
 
 SUMMARY_COLUMNS = ("optimizer", "best_f", "epoch_of_best", "final_grad_norm", "iters_to_threshold")
@@ -476,15 +474,13 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> list[RunReport]:
     a report with NaN metrics and the error message in its diagnostics, and
     the remaining runs still execute; a run that diverges is one of them. A
     batch that cannot start (an output directory that resolve_out_dir
-    rejects, an x0 that is not a point of the objective, milestones or run
-    settings that load_config rejects, a failed allocation) raises before
-    any output.
+    rejects, or what run_discrete_batch raises before any step: an x0 that
+    is not a point of the objective, milestones or run settings that
+    load_config rejects, a failed allocation) raises before any output.
     """
     out = Path(out_dir) if out_dir is not None else resolve_out_dir(config)
     objective = config.built or build_objective(config.objective)
-    specs, x0 = config.optimizers, _point_of(objective, default_x0(config.objective))
-    LrSchedule(base_eta=1.0, milestones=config.milestones)
-    _check_run(config.iterations, config.record_stride, config.threshold)
+    specs, x0 = config.optimizers, default_x0(config.objective)
 
     def run(block):
         return run_discrete_batch(
@@ -533,19 +529,17 @@ def run_flows(config: ExperimentConfig, dt: float, t_end: float, out_dir=None) -
     turns non-finite, which ends the flow's CSV at that step. G-AdaGrad
     entries get an energy_residual_max_abs diagnostic; every report flags
     whether the recorded iterates stayed inside the objective's test box.
-    A grid that integrate_batch rejects (a ValidationError), an output
-    directory that resolve_out_dir rejects, an x0 that is not a point of
-    the objective or any other batch that cannot start raises before any
-    output; an entry whose flow cannot be built is a failed run.
+    An output directory that resolve_out_dir rejects, an x0 that is not a
+    point of the objective, a grid or run settings that integrate_batch
+    rejects (a ValidationError) or any other batch that cannot start raises
+    before any output; an entry whose flow cannot be built is a failed run.
     """
-    n_steps = _check_grid(dt, t_end)
     skipped = flow_skipped(config)
     indices = [i for i in range(len(config.optimizers)) if i not in skipped]
     require({"optimizers: at least one entry with a flow counterpart": bool(indices)})
     out = Path(out_dir) if out_dir is not None else resolve_out_dir(config)
     objective = config.built or build_objective(config.objective)
     x0 = _point_of(objective, default_x0(config.objective))
-    _check_run(n_steps, config.record_stride, config.threshold)
     nu0 = np.full(config.objective.dim, FLOW_NU0)
     # per entry: its flow, or the exception its solo run would raise
     problems, unbuilt = {}, {}

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from ssmopt import (
-    FlowProblem, LrSchedule, OptimizerParams, OptimizerSpec, PresetKind, PresetParams, SecondMomentLTI,
-    ValidationError, gadagrad_energy_residual, initial_stepper_state, integrate_reference, load_config,
-    make_quadratic, map_preset_to_general, preset_flow, run_discrete, step_preset, validate_params,
-    validate_preset,
+    ExperimentConfig, FlowProblem, LrSchedule, ObjectiveSpec, OptimizerParams, OptimizerSpec, PresetKind,
+    PresetParams, SecondMomentLTI, ValidationError, gadagrad_energy_residual, initial_stepper_state,
+    integrate_reference, load_config, make_quadratic, map_preset_to_general, preset_flow, run_discrete,
+    run_experiment, step_preset, validate_params, validate_preset,
 )
 from ssmopt.discrete import _STEP_NEEDS, KIND_KEYS, _first_step_error, run_discrete_batch
 from ssmopt.flow import _check_grid
@@ -125,6 +125,33 @@ def test_flow_grid(dt, t_end):
     assert violations(lambda: _check_grid(dt, t_end)) == [GRID[dt, t_end]]
     named = GRID[dt, t_end].replace("t_end", "--t-end").replace("dt", "--dt")
     assert violations(lambda: _check_grid(dt, t_end, "--dt", "--t-end")) == [named]
+
+
+# (iterations, record_stride) given in code: the conditions named, an integer
+# condition only where its range condition holds
+RUN_SETTINGS = {
+    (10.0, 1): ["iterations an integer"],
+    (INF, 1): ["iterations an integer"],
+    (10, 2.0): ["record_stride an integer"],
+    (10, 1.5): ["record_stride an integer"],
+    (10.5, 1.5): ["iterations an integer", "record_stride an integer"],
+    (-1.5, 0.5): ["iterations >= 0", "record_stride >= 1"],
+    (NAN, NAN): ["iterations >= 0", "record_stride >= 1"],
+}
+
+
+@pytest.mark.parametrize("iterations, record_stride", list(RUN_SETTINGS), ids=[f"{a}-{b}" for a, b in RUN_SETTINGS])
+def test_run_settings_given_in_code(tmp_path, iterations, record_stride):
+    expected = RUN_SETTINGS[iterations, record_stride]
+    spec, objective, x0 = OptimizerSpec("adam", "adam", PRESET), make_quadratic(2, 10.0), np.ones(2)
+    assert violations(lambda: run_discrete(spec, objective, x0, iterations, record_stride=record_stride)) == expected
+    config = ExperimentConfig(ObjectiveSpec("quadratic"), (spec,), iterations, record_stride)
+    assert violations(lambda: run_experiment(config, tmp_path / "out")) == expected
+    assert not (tmp_path / "out").exists()
+    # a flow's steps come from its grid, its record_stride from the caller
+    problem = preset_flow(PresetKind.ADAM, PRESET, objective, x0, np.ones(2))
+    stride = [name for name in expected if name.startswith("record_stride")]
+    assert violations(lambda: integrate_reference(problem, 0.1, 1.0, record_stride=record_stride)) == stride
 
 
 # per preset kind: the conditions of the accumulator mapping its flow fails

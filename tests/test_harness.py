@@ -357,6 +357,13 @@ class TestLoadConfig:
         payload["optimizers"] = [{"kind": "adamssm", "b3": 0.01, "name": "adamssm-b30.01-eta0.01"}]
         assert load_config(write_config(tmp_path, payload)).optimizers[0].name == "adamssm-b30.01-eta0.01"
 
+    def test_code_built_entry_name_that_breaks_the_summary_csv_rejected(self):
+        # the entry itself names the condition, so no code-built config can write such a row
+        for bad in ("a,b", 'the "fast" one', "line\nbreak", "carriage\rreturn"):
+            with pytest.raises(ValidationError) as err:
+                OptimizerSpec("adam", bad, PresetParams())
+            assert err.value.violations == ["name without comma, double quote, CR or LF"]
+
     def test_valid_milestones_parsed(self, tmp_path):
         payload = base_payload()
         payload["schedule"] = {"milestones": [[5, 0.5], [9, 0.1]]}
@@ -1084,6 +1091,62 @@ class TestBlocks:
         assert str(err.value) == "invalid parameters: a > 0; b < 1"
         assert not out.exists()
         assert len(forks) == 2
+        assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "command, change, error, message",
+        [
+            pytest.param(run_compare, {"record_stride": 0}, ValidationError, "record_stride >= 1", id="compare-stride"),
+            pytest.param(
+                run_compare, {"x0": (1.0, 2.0, 3.0)}, ValueError,
+                "x0 shape (3,) does not match objective dimension 100", id="compare-x0",
+            ),
+            pytest.param(
+                run_compare, {"milestones": ((9, 0.5), (5, 0.5))}, ValidationError,
+                "milestone iterations strictly increasing", id="compare-milestones",
+            ),
+            pytest.param(
+                lambda config, out: run_flows(config, 0.05, 0.5, out), {"record_stride": 0}, ValidationError,
+                "record_stride >= 1", id="flow-stride",
+            ),
+            pytest.param(
+                lambda config, out: run_flows(config, 0.05, 0.5, out), {"x0": (1.0, 2.0, 3.0)}, ValueError,
+                "x0 shape (3,) does not match objective dimension 100", id="flow-x0",
+            ),
+            pytest.param(
+                lambda config, out: run_flows(config, -1.0, 0.5, out), {}, ValidationError, "dt > 0", id="flow-dt"
+            ),
+        ],
+    )
+    def test_a_heavy_batch_that_cannot_start_raises_with_no_output(
+        self, tmp_path, forks, command, change, error, message
+    ):
+        # the batch's own checks raise, in the parent or a worker, before anything is written
+        config = load_config(write_config(tmp_path, heavy_payload()))
+        objective = dataclasses.replace(config.objective, x0=change.get("x0"))
+        config = dataclasses.replace(config, objective=objective, **{k: v for k, v in change.items() if k != "x0"})
+        out = tmp_path / "out"
+        with pytest.raises(error, match=re.escape(message)):
+            command(config, out)
+        assert not out.exists()
+        assert_no_child_left()
+
+    def test_a_worker_that_ends_without_its_outcome_is_a_runtime_error(self, tmp_path, forks):
+        # the first block runs here; each other ends its worker before it hands anything back
+        def run(block):
+            if 0 not in block:
+                os._exit(3)
+            return [ValueError("not run")] * len(block)
+
+        def write(i, outcome):
+            raise AssertionError("a block wrote")
+
+        out = tmp_path / "out"
+        with pytest.raises(RuntimeError, match=r"^batch worker (\d+) ended without its outcome$") as err:
+            harness._run_blocks([0, 1, 2], harness.SPLIT_WORK, run, write, out, "report.json")
+        assert int(re.search(r"\d+", str(err.value)).group()) in forks
+        assert len(forks) == 2
+        assert not out.exists()
         assert_no_child_left()
 
     def test_a_light_batch_is_one_block(self, tmp_path, forks):
