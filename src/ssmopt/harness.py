@@ -368,17 +368,14 @@ def _write_report_json(reports: list[RunReport], path: Path):
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _write_row(out: Path, prefix: str, i: int, spec: OptimizerSpec, outcome, diagnose) -> RunReport:
-    """Write and report the outcome of one entry of a batch: its Trajectory
-    to {prefix}_{i:02d}_{name}.csv, after which diagnose(i, trajectory,
-    report), when given, may add diagnostics to a run that did not fail."""
+def _write_row(out: Path, prefix: str, i: int, spec: OptimizerSpec, outcome) -> RunReport:
+    """Write entry i's Trajectory to {prefix}_{i:02d}_{name}.csv and return its
+    finished report, or the failure of an outcome that raised or cannot be written."""
     try:
         if isinstance(outcome, Exception):
             raise outcome
         traj, report = outcome
         traj.to_csv(out / f"{prefix}_{i:02d}_{_safe_name(spec.name)}.csv")
-        if diagnose is not None and "error" not in report.diagnostics:
-            diagnose(i, traj, report)
         return report
     except Exception as exc:
         # Per-run isolation: one failure must not stop the comparison.
@@ -473,11 +470,12 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> list[RunReport]:
     report list lands in report.json (declaration order). A failed run yields
     a report with NaN metrics and the error message in its diagnostics, and
     the remaining runs still execute; a run that diverges is one of them. A
-    batch that cannot start (an output directory that resolve_out_dir
-    rejects, or what run_discrete_batch raises before any step: an x0 that
-    is not a point of the objective, milestones or run settings that
+    batch that cannot start (no entry, named first, an output directory that
+    resolve_out_dir rejects, or what run_discrete_batch raises before any
+    step: an x0 off the objective, milestones or run settings that
     load_config rejects, a failed allocation) raises before any output.
     """
+    require({"optimizers: at least one entry": bool(config.optimizers)})
     out = Path(out_dir) if out_dir is not None else resolve_out_dir(config)
     objective = config.built or build_objective(config.objective)
     specs, x0 = config.optimizers, default_x0(config.objective)
@@ -489,7 +487,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> list[RunReport]:
         )
 
     def write(i, outcome):
-        return _write_row(out, "traj", i, specs[i], outcome, None)
+        return _write_row(out, "traj", i, specs[i], outcome)
 
     return _run_blocks(list(range(len(specs))), objective.work, run, write, out, "report.json")
 
@@ -501,8 +499,8 @@ def run_compare(config: ExperimentConfig, out_dir=None) -> list[RunReport]:
     best objective value, failed runs last. Returns the reports in
     declaration order.
     """
+    reports = run_experiment(config, out_dir=out_dir)
     out = Path(out_dir) if out_dir is not None else resolve_out_dir(config)
-    reports = run_experiment(config, out_dir=out)
     emit_summary(reports, out / "summary.csv")
     _write_report_json(_rank_reports(reports), out / "summary.json")
     return reports
@@ -522,49 +520,50 @@ def run_flows(config: ExperimentConfig, dt: float, t_end: float, out_dir=None) -
     batch as blocks in forked workers (see _run_blocks); each equals its
     solo run bitwise. The entries flow_skipped names have no counterpart
     in this family and are skipped; a config with no other entry is a
-    ValidationError. The time column of
-    flow_{index:02d}_{name}.csv is physical time; report epochs count
-    integrator steps, and a report summarizes the recorded rows (see
-    flow.RunStore): a non-finite one fails the flow, as does a state that
-    turns non-finite, which ends the flow's CSV at that step. G-AdaGrad
-    entries get an energy_residual_max_abs diagnostic; every report flags
-    whether the recorded iterates stayed inside the objective's test box.
+    ValidationError. The time column of flow_{index:02d}_{name}.csv is
+    physical time; report epochs count integrator steps, and a report
+    summarizes the recorded rows (see flow.RunStore): a non-finite one
+    fails the flow, as does a state that turns non-finite, which ends the
+    flow's CSV at that step. Each block finishes its reports before any
+    output: a G-AdaGrad flow that did not fail gets its
+    energy_residual_max_abs diagnostic there (one that raises fails only
+    its entry), and every report flags whether the recorded iterates
+    stayed inside the objective's test box.
     An output directory that resolve_out_dir rejects, an x0 that is not a
     point of the objective, a grid or run settings that integrate_batch
     rejects (a ValidationError) or any other batch that cannot start raises
     before any output; an entry whose flow cannot be built is a failed run.
     """
-    skipped = flow_skipped(config)
-    indices = [i for i in range(len(config.optimizers)) if i not in skipped]
+    specs, skipped = config.optimizers, flow_skipped(config)
+    indices = [i for i in range(len(specs)) if i not in skipped]
     require({"optimizers: at least one entry with a flow counterpart": bool(indices)})
     out = Path(out_dir) if out_dir is not None else resolve_out_dir(config)
     objective = config.built or build_objective(config.objective)
     x0 = _point_of(objective, default_x0(config.objective))
     nu0 = np.full(config.objective.dim, FLOW_NU0)
-    # per entry: its flow, or the exception its solo run would raise
-    problems, unbuilt = {}, {}
+    # per entry: its flow, or the exception its build raised, which is its outcome
+    flows = {}
     for i in indices:
-        spec = config.optimizers[i]
         try:
-            problems[i] = preset_flow(PresetKind(spec.kind), spec.preset, objective, x0, nu0)
+            flows[i] = preset_flow(PresetKind(specs[i].kind), specs[i].preset, objective, x0, nu0)
         except Exception as exc:
-            unbuilt[i] = exc
+            flows[i] = exc
 
     def run(block):
-        built = [i for i in block if i in problems]
-        names = [config.optimizers[i].name for i in built]
-        flows = [problems[i] for i in built]
-        rows = _integrate_rows(flows, names, rk4_step, dt, t_end, config.record_stride, config.threshold)
-        outcomes = {**unbuilt, **dict(zip(built, rows))}
-        return [outcomes[i] for i in block]
-
-    def diagnose(i, traj, report):
-        if config.optimizers[i].kind == "gadagrad":
-            residual = gadagrad_energy_residual(traj, problems[i])
-            report.diagnostics["energy_residual_max_abs"] = float(np.max(np.abs(residual)))
+        built = [i for i in block if not isinstance(flows[i], Exception)]
+        rows = dict(zip(built, _integrate_rows([flows[i] for i in built], [specs[i].name for i in built], rk4_step,
+                                               dt, t_end, config.record_stride, config.threshold)))
+        for i, row in rows.items():
+            if specs[i].kind == "gadagrad" and not isinstance(row, Exception) and "error" not in row[1].diagnostics:
+                try:
+                    residual = gadagrad_energy_residual(row[0], flows[i])
+                    row[1].diagnostics["energy_residual_max_abs"] = float(np.max(np.abs(residual)))
+                except Exception as exc:
+                    rows[i] = exc  # a residual that raises fails only its own entry
+        return [rows.get(i, flows[i]) for i in block]
 
     def write(i, outcome):
-        return _write_row(out, "flow", i, config.optimizers[i], outcome, diagnose)
+        return _write_row(out, "flow", i, specs[i], outcome)
 
     return _run_blocks(indices, objective.work, run, write, out, "flow_report.json")
 

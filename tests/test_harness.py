@@ -21,8 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import discrete_entry_run
-from ssmopt import DomainError, PresetKind, PresetParams, RunReport, StepFailure, ValidationError, cli, harness
-from ssmopt.discrete import BIAS_MODES, OptimizerSpec
+from ssmopt import (
+    DomainError, PresetKind, PresetParams, RunReport, StepFailure, ValidationError, cli, gadagrad_energy_residual,
+    harness, integrate_reference, preset_flow,
+)
+from ssmopt.discrete import BIAS_MODES, OptimizerSpec, run_discrete_batch
 from ssmopt.harness import (
     OBJECTIVE_KINDS,
     SUMMARY_COLUMNS,
@@ -667,6 +670,19 @@ class TestRunExperiment:
         assert records[1]["best_f"] is not None
         assert "wall_time" not in (out / "report.json").read_text()
 
+    def test_a_negative_accumulator_is_a_clean_report_but_a_failed_entry(self, tmp_path):
+        # the library and the harness disagree on a drained nu; a later change picks one side
+        config = load_config(write_config(tmp_path, base_payload()))
+        # load_config rejects delta < 0; gadagrad's first step needs only 0 < c < 1
+        spec = OptimizerSpec("gadagrad", "drained", PresetParams(delta=-0.15))
+        ((_, library),) = run_discrete_batch([spec], config.built, default_x0(config.objective), config.iterations)
+        assert library.diagnostics == {"nu_nonnegative": False, "stayed_in_box": True}
+        out = tmp_path / "out"
+        (report,) = run_experiment(dataclasses.replace(config, optimizers=(spec,)), out_dir=out)
+        assert math.isnan(report.best_f)
+        assert report.diagnostics == {"error": "ValueError: recorded state 1 has negative nu"}
+        assert [path.name for path in out.iterdir()] == ["report.json"]
+
     def test_report_summarizes_every_iteration_not_only_records(self, tmp_path):
         payload = base_payload()
         payload.update(iterations=300, threshold=1e-2)
@@ -858,6 +874,33 @@ class TestRunFlows:
             assert 0 <= report.epoch_of_best <= 100
 
 
+    def test_energy_diagnostic_is_the_library_residual_of_the_solo_flow(self, tmp_path):
+        config = dataclasses.replace(self.flow_config(tmp_path), record_stride=3)
+        gad, _ = run_flows(config, dt=0.01, t_end=1.0, out_dir=tmp_path / "out")
+        nu0 = np.full(config.objective.dim, harness.FLOW_NU0)
+        problem = preset_flow(
+            PresetKind.GADAGRAD, config.optimizers[0].preset, build_objective(config.objective),
+            default_x0(config.objective), nu0,
+        )
+        traj = integrate_reference(problem, 0.01, 1.0, record_stride=3)
+        residual = gadagrad_energy_residual(traj, problem)
+        assert gad.diagnostics["energy_residual_max_abs"] == float(np.max(np.abs(residual)))
+
+    def test_energy_diagnostic_is_finished_before_any_output(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+
+        def residual(traj, problem):
+            assert not out.exists()
+            raise ArithmeticError("no residual")
+
+        monkeypatch.setattr(harness, "gadagrad_energy_residual", residual)
+        gad, adam = run_flows(self.flow_config(tmp_path), dt=0.01, t_end=1.0, out_dir=out)
+        # a residual that raises fails only its own entry, which writes no CSV
+        assert math.isnan(gad.best_f)
+        assert gad.diagnostics == {"error": "ArithmeticError: no residual"}
+        assert "error" not in adam.diagnostics
+        assert sorted(path.name for path in out.iterdir()) == ["flow_01_adam.csv", "flow_report.json"]
+
     def test_report_epochs_count_steps_at_record_stride(self, tmp_path):
         payload = base_payload()
         payload["threshold"] = 1e-2
@@ -988,6 +1031,30 @@ class TestBatchThatCannotStart:
             run(config, out_dir=None)
         assert err.value.violations == ["output_dir non-empty"]
         assert list(empty.iterdir()) == []
+
+
+    @pytest.mark.parametrize(
+        "run, failed",
+        [
+            pytest.param(run_experiment, "optimizers: at least one entry", id="run"),
+            pytest.param(run_compare, "optimizers: at least one entry", id="compare"),
+            pytest.param(
+                lambda config, out_dir: run_flows(config, 0.1, 1.0, out_dir),
+                "optimizers: at least one entry with a flow counterpart",
+                id="flow",
+            ),
+        ],
+    )
+    def test_a_config_with_no_entry_raises_before_any_output(self, run, failed, tmp_path, monkeypatch):
+        # load_config rejects an empty optimizers list, so the config is built in code
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("SSMOPT_OUT_DIR", raising=False)
+        # named before the output directory is checked
+        for output_dir in ("out", ""):
+            with pytest.raises(ValidationError) as err:
+                run(ExperimentConfig(ObjectiveSpec("quadratic"), (), output_dir=output_dir), out_dir=None)
+            assert err.value.violations == [failed]
+        assert list(tmp_path.iterdir()) == []
 
 
 def heavy_payload():
