@@ -54,19 +54,13 @@ class OptimizerSpec:
     def conditions(self) -> dict[str, bool]:
         """The entry conditions, by name, and whether each holds: 0 <= beta < 1
         and eta > 0 for sgd_momentum; core.preset_conditions for the presets,
-        then for the moment kinds the sampling-time conditions 1 - delta*b1 >= 0
-        and 1 - delta*b2 - delta*b3 >= 0 on _row's keep1 and keep_nu."""
+        then _positivity's two sampling-time conditions (b3 > 0 states its
+        third). They imply the first step's: the entry's runs keep nu >= 0."""
         p = self.preset
         if self.kind == "sgd_momentum":
             return {"0 <= beta < 1": 0.0 <= self.beta < 1.0, "eta > 0": p.eta > 0}
         conditions = preset_conditions(p, PresetKind(self.kind))
-        if self.kind in _MOMENT_KINDS:
-            keep1, _, _, _, _, keep_nu, *_ = _row(self)[0]
-            b3 = map_preset_to_general(p, PresetKind(self.kind)).lambda4
-            conditions.update({
-                f"1 - delta*b1 >= 0 required (delta={p.delta:g}, b1={p.b1:g})": not keep1 < 0.0,
-                f"1 - delta*b2 - delta*b3 >= 0 required (delta={p.delta:g}, b2={p.b2:g}, b3={b3:g})": not keep_nu < 0.0,
-            })
+        conditions.update(list(_positivity(self).items())[:2])
         return conditions
 
     def violations(self) -> list[str]:
@@ -86,10 +80,10 @@ KIND_KEYS = {
     "sgd_momentum": ("eta", "beta"),
 }
 _MOMENT_KINDS = tuple(kind for kind, keys in KIND_KEYS.items() if "b1" in keys)
-# per kind, the conditions of OptimizerSpec.conditions its first step needs;
-# a stepper may take b3 = 0 or epsilon = 0
+# per kind, the conditions of OptimizerSpec.conditions its first step needs
+# (gadagrad's gain_psi is delta); a stepper may take b3 = 0 or epsilon = 0
 _STEP_NEEDS = {
-    "gadagrad": ("0 < c < 1",),
+    "gadagrad": ("delta > 0", "0 < c < 1"),
     **dict.fromkeys(_MOMENT_KINDS, ("delta > 0", "0 < b2", "b2 < b1", "b1 < 1")),
     "sgd_momentum": ("0 <= beta < 1",),
 }
@@ -166,16 +160,29 @@ def bias_alpha(preset: PresetParams, iteration: int, bias_mode: str) -> float:
 
 
 def _first_step_error(spec: OptimizerSpec) -> ValidationError | None:
-    """The ValidationError the entry's first step raises, if any, sorted out
-    of OptimizerSpec.violations: it names the failed conditions of
-    _STEP_NEEDS, else the failed sampling-time conditions 1 - delta*b1 >= 0
-    (else mu, and under bias_mode "beta" the bias factor, changes sign
-    every step) and 1 - delta*b2 - delta*b3 >= 0 (else nu can turn
-    negative); load_config rejects such an entry."""
-    violations = spec.violations()
-    failed = [condition for condition in violations if condition in _STEP_NEEDS[spec.kind]]
-    failed = failed or [condition for condition in violations if condition.startswith("1 - delta*")]
+    """The ValidationError the entry's first step raises, if any, naming the
+    failed conditions of _STEP_NEEDS, else those of _positivity. Together
+    they are the positivity rule: each coefficient of _row that feeds zeta or
+    nu is nonnegative, so nu, from 0 and driven by a square, stays >= 0."""
+    failed = [condition for condition in spec.violations() if condition in _STEP_NEEDS[spec.kind]]
+    failed = failed or [condition for condition, holds in _positivity(spec).items() if not holds]
     return ValidationError(failed) if failed else None
+
+
+def _positivity(spec: OptimizerSpec) -> dict[str, bool]:
+    """A moment row's coefficients that _STEP_NEEDS leaves open, named by
+    their rates: keep1 (else mu, and under bias_mode "beta" the bias factor,
+    changes sign every step), keep_nu and couple are not negative (a NaN is
+    left to the conditions on its rates). Empty for the other kinds."""
+    if spec.kind not in _MOMENT_KINDS:
+        return {}
+    p, (keep1, _, _, _, couple, keep_nu, *_) = spec.preset, _row(spec)[0]
+    b3 = map_preset_to_general(p, PresetKind(spec.kind)).lambda4
+    return {
+        f"1 - delta*b1 >= 0 required (delta={p.delta:g}, b1={p.b1:g})": not keep1 < 0.0,
+        f"1 - delta*b2 - delta*b3 >= 0 required (delta={p.delta:g}, b2={p.b2:g}, b3={b3:g})": not keep_nu < 0.0,
+        f"delta*b3 >= 0 required (delta={p.delta:g}, b3={b3:g})": not couple < 0.0,
+    }
 
 
 def _row(spec: OptimizerSpec) -> tuple:
@@ -326,10 +333,9 @@ def step_preset(
     belief kinds and g^2 otherwise, and mu_hat, nu_hat corrected by
     bias_denominators at iteration k under bias_mode. Every kind is a row of
     coefficients of one update (see _DiscreteBatch), so kinds that differ
-    only by an inert parameter agree bitwise. Rates outside delta > 0 and
-    0 < b2 < b1 < 1 (or 0 < c < 1 for gadagrad), else a sampling time with
-    1 - delta*b1 < 0 or 1 - delta*b2 - delta*b3 < 0 (the moment kinds),
-    are a ValidationError naming each that fails (see _first_step_error).
+    only by an inert parameter agree bitwise. Rates that fail the first
+    step's conditions, the positivity rule that keeps nu' >= 0 among them,
+    are a ValidationError naming each (see _first_step_error).
     """
     name = kind.value
     return _step_one(state, grad, eta, k, name, name, preset, bias_mode)
@@ -356,18 +362,19 @@ def run_discrete_batch(
 
     Returns, in the order of specs, each run's Trajectory and RunReport
     (named spec.name), or the exception its solo run raises: a row whose
-    first step is unstable or invalid leaves the batch after its iteration-0
-    evaluation with the ValidationError naming the failed conditions (see
-    _first_step_error). The time column is the iteration count; rows
-    are recorded at iteration 0, every record_stride-th iteration and the
-    last one. A report summarizes every iteration, recorded or not (see
-    flow.RunStore). A run that diverges stops at the first non-finite f or
-    gradient norm, recorded last, and its report is a failure. The other
-    rows go on unchanged. A run's overflow and invalid operations surface
-    only as its failure, never as a RuntimeWarning. Before any step, in
-    this order, an x0 that is not a point of the objective is a ValueError,
-    and milestones that LrSchedule rejects or run settings that fail
-    flow._check_run are a ValidationError naming each, as in load_config.
+    rates fail its first step's conditions leaves the batch after its
+    iteration-0 evaluation with the ValidationError naming them (see
+    _first_step_error, under which no recorded nu is negative). The time
+    column is the iteration count; rows are recorded at iteration 0, every
+    record_stride-th iteration and the last one. A report summarizes every
+    iteration, recorded or not (see flow.RunStore). A run that diverges
+    stops at the first non-finite f or gradient norm, recorded last, and its
+    report is a failure. The other rows go on unchanged. A run's overflow
+    and invalid operations surface only as its failure, never as a
+    RuntimeWarning. Before any step, in this order, an x0 that is not a
+    point of the objective is a ValueError, and milestones that LrSchedule
+    rejects or run settings that fail flow._check_run are a ValidationError
+    naming each, as in load_config.
     """
     s = np.repeat(initial_stepper_state(_point_of(objective, x0))[:, None], len(specs), axis=1)
     rule = _DiscreteBatch(specs, s.shape[2], milestones)

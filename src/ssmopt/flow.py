@@ -187,9 +187,8 @@ class Trajectory:
 
     states is one (N, 4, d) array with rows x, mu, zeta and nu; times are
     strictly increasing; times, f_values, grad_norms, and alpha_values all
-    have length N; every recorded state has nu >= 0 componentwise. Flow
-    integrators additionally keep nu strictly positive step by step; discrete
-    runs start at nu = 0, so the shared writer checks nonnegativity.
+    have length N; every recorded state has nu >= 0 componentwise: a run
+    keeps it (see discrete._first_step_error), to_csv checks a hand-built one.
     """
 
     times: np.ndarray
@@ -262,11 +261,11 @@ class RunStore:
 
     The summary holds one (R,) array per quantity: per row the best f and
     the first step that reached it, the first step whose gradient norm fell
-    below threshold (-1 for none yet), and whether nu stayed nonnegative and
-    x inside the box; the final gradient norm is the row's last record. A
-    summarized step writes its rows' f values and gradient norms into column
-    j of two (R, K) blocks, and its step into a (K,) array; nu and x are
-    checked whole, and rows are told apart only on a step where one fails.
+    below threshold (-1 for none yet), and whether x stayed inside the box;
+    the final gradient norm is the row's last record. A summarized step
+    writes its rows' f values and gradient norms into column j of two (R, K)
+    blocks, and its step into a (K,) array; x is checked whole, and rows are
+    told apart only on a step where one leaves the box.
     One vectorized fold reduces the blocks into the summary when they are
     full and before the first outcome, so rows that left mid-block are
     folded too, with the rules of a scan of one step at a time: a cell not
@@ -293,7 +292,6 @@ class RunStore:
         self.best_f = np.full(n_rows, math.inf)
         self.epoch_of_best = np.zeros(n_rows, int)
         self.iters_to_threshold = np.full(n_rows, -1)
-        self.nu_nonnegative = np.ones(n_rows, bool)
         self.stayed_in_box = np.ones(n_rows, bool)
         self.diverged_at = np.full(n_rows, -1)
         self.state_diverged = np.zeros(n_rows, bool)
@@ -314,9 +312,7 @@ class RunStore:
         self.column = j + 1
         if self.column == self.K:
             self.fold()
-        # fmin skips NaN as nu < 0 does; maximum propagates it as NaN <= box fails
-        if np.fmin.reduce(states[3], None) < 0:
-            self.nu_nonnegative[rows[(states[3] < 0).any(axis=1)]] = False
+        # maximum propagates NaN as NaN <= box fails
         if not np.maximum.reduce(np.abs(states[0]), None) <= self.box:
             self.stayed_in_box[rows[~(np.abs(states[0]) <= self.box).all(axis=1)]] = False
         # sum(f * grad_norm) is finite when both are, unless it overflows: then
@@ -374,10 +370,6 @@ class RunStore:
             what = "the state" if self.state_diverged[row] else "f or the gradient norm"
             return traj, RunReport.failure(name, f"diverged at iteration {k}: {what} is not finite", diverged_at=k)
         itt = int(self.iters_to_threshold[row])
-        diagnostics = {
-            "nu_nonnegative": bool(self.nu_nonnegative[row]),
-            "stayed_in_box": bool(self.stayed_in_box[row]),
-        }
         return traj, RunReport(
             optimizer=name,
             best_f=float(self.best_f[row]),
@@ -385,7 +377,7 @@ class RunStore:
             # a run that did not fail ends with a record of its last step
             final_grad_norm=float(grad_norms[-1]),
             iters_to_threshold=itt if itt >= 0 else None,
-            diagnostics=diagnostics,
+            diagnostics={"stayed_in_box": bool(self.stayed_in_box[row])},
         )
 
 

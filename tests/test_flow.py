@@ -674,7 +674,7 @@ class TestSummaryOracle:
         assert [repr(w["best_f"]) for w in wants[1:4]] == ["0.0", "0.0", "-0.0"]
         assert [w["iters_to_threshold"] for w in wants[:3]] == [None, 3, 2]
         assert [w["diagnostics"].get("diverged_at") for w in wants[4:6]] == [4, 7]
-        assert wants[6]["diagnostics"] == {"nu_nonnegative": True, "stayed_in_box": False}
+        assert wants[6]["diagnostics"] == {"stayed_in_box": False}
 
     @pytest.mark.parametrize("n", [8, 9, 10])
     @pytest.mark.parametrize("stride", [1, 3])

@@ -670,18 +670,37 @@ class TestRunExperiment:
         assert records[1]["best_f"] is not None
         assert "wall_time" not in (out / "report.json").read_text()
 
-    def test_a_negative_accumulator_is_a_clean_report_but_a_failed_entry(self, tmp_path):
-        # the library and the harness disagree on a drained nu; a later change picks one side
-        config = load_config(write_config(tmp_path, base_payload()))
-        # load_config rejects delta < 0; gadagrad's first step needs only 0 < c < 1
-        spec = OptimizerSpec("gadagrad", "drained", PresetParams(delta=-0.15))
-        ((_, library),) = run_discrete_batch([spec], config.built, default_x0(config.objective), config.iterations)
-        assert library.diagnostics == {"nu_nonnegative": False, "stayed_in_box": True}
+    def test_rates_that_would_turn_nu_negative_fail_as_in_the_library(self, tmp_path):
+        # load_config rejects delta < 0 and b3 < 0, so these entries are built in
+        # code: each fails its first step with the library's named error, and no
+        # CSV is written for it, while b3 = 0 still steps
+        payload = base_payload()
+        payload.update(objective={"kind": "quadratic", "dim": 3, "cond": 10.0}, iterations=3000, record_stride=100)
+        config = load_config(write_config(tmp_path, payload))
+        drained = OptimizerSpec("gadagrad", "drained", PresetParams(delta=-0.15))
+        coupled = [OptimizerSpec("adamssm", f"coupled{b3:g}", PresetParams(b3=b3, eta=0.05)) for b3 in (-0.005, -0.02)]
+        failed = {
+            drained: "delta > 0",
+            coupled[0]: "delta*b3 >= 0 required (delta=0.15, b3=-0.005)",
+            coupled[1]: "delta*b3 >= 0 required (delta=0.15, b3=-0.02)",
+        }
+        uncoupled = OptimizerSpec("adamssm", "uncoupled", PresetParams(b3=0.0))
+        specs = [drained, config.optimizers[0], coupled[0], uncoupled, coupled[1]]
         out = tmp_path / "out"
-        (report,) = run_experiment(dataclasses.replace(config, optimizers=(spec,)), out_dir=out)
-        assert math.isnan(report.best_f)
-        assert report.diagnostics == {"error": "ValueError: recorded state 1 has negative nu"}
-        assert [path.name for path in out.iterdir()] == ["report.json"]
+        reports = run_experiment(dataclasses.replace(config, optimizers=tuple(specs)), out_dir=out)
+        x0 = default_x0(config.objective)
+        for i, (spec, report) in enumerate(zip(specs, reports)):
+            (solo,) = run_discrete_batch([spec], config.built, x0, config.iterations, record_stride=config.record_stride)
+            if spec in failed:
+                assert isinstance(solo, ValidationError) and solo.violations == [failed[spec]]
+                assert math.isnan(report.best_f)
+                assert report.diagnostics == {"error": f"ValidationError: invalid parameters: {failed[spec]}"}
+                continue
+            traj, want = solo
+            assert repr(report) == repr(want)
+            traj.to_csv(tmp_path / "solo.csv")
+            assert (out / f"traj_{i:02d}_{spec.name}.csv").read_bytes() == (tmp_path / "solo.csv").read_bytes()
+        assert sorted(path.name for path in out.iterdir()) == ["report.json", "traj_01_adam.csv", "traj_03_uncoupled.csv"]
 
     def test_report_summarizes_every_iteration_not_only_records(self, tmp_path):
         payload = base_payload()
