@@ -15,7 +15,7 @@ The package has three layers:
 Flows and discrete runs share one run loop (flow), which advances many runs
 on one objective as a packed (4, R, d) batch and keeps one store of every
 row's records and summary per batch. A flow fails, like a diverging discrete
-run, when its state turns non-finite; its nu0 must be finite and positive.
+run, when its state turns non-finite. A failed condition is a ValidationError.
 """
 
 from .analysis import (
@@ -32,7 +32,6 @@ from .analysis import (
     step_response,
 )
 from .core import (
-    DomainError,
     OptimizerParams,
     PresetKind,
     PresetParams,

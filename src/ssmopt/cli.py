@@ -14,8 +14,8 @@ The environment variable SSMOPT_OUT_DIR overrides the config's output
 directory. Exit codes: 0 success, 1 validation failure (bad config,
 hyperparameters or arguments), 2 runtime failure (a run or the command
 itself failed). main alone turns rejected input into exit 1: a command
-raises its ParseError, or the ValidationError or DomainError naming the
-failed condition, and main prints it.
+raises its ParseError, or the one ValidationError naming every failed
+condition, and main prints it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import json
 import sys
 
 from .analysis import SecondMomentLTI, adamssm_tf, dc_gain, poles_zeros, stability_quantity_p
-from .core import DomainError, ValidationError
+from .core import ValidationError
 from .flow import _check_grid
 from .harness import ParseError, flow_skipped, load_config, resolve_out_dir, run_compare, run_experiment, run_flows
 
@@ -116,7 +116,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError, DomainError) as exc:
+    except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:

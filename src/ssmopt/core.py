@@ -49,10 +49,6 @@ class ValidationError(ValueError):
         return type(self), (self.violations,)
 
 
-class DomainError(ValueError):
-    """An evaluation left the domain where the dynamics are defined."""
-
-
 class PsiKind(Enum):
     """Input function driving the second-moment dynamic."""
 

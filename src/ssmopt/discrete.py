@@ -35,7 +35,8 @@ class OptimizerSpec:
     for the adaptive kinds and the base learning rate eta of every kind;
     beta is the heavy-ball momentum factor. KIND_KEYS[kind] lists the keys
     it reads, conditions() its entry conditions and violations() those it
-    fails; a name with a comma, double quote, CR or LF is a ValidationError.
+    fails. A ValidationError names each of a kind or bias_mode off KIND_KEYS
+    or BIAS_MODES and a name with a comma, double quote, CR or LF.
     """
 
     kind: str
@@ -45,11 +46,11 @@ class OptimizerSpec:
     beta: float = 0.9
 
     def __post_init__(self):
-        if self.kind not in KIND_KEYS:
-            raise ValueError(f"kind must be one of {tuple(KIND_KEYS)}, got {self.kind!r}")
-        if self.bias_mode not in BIAS_MODES:
-            raise ValueError(f"bias_mode must be one of {BIAS_MODES}, got {self.bias_mode!r}")
-        require({"name without comma, double quote, CR or LF": not any(ch in self.name for ch in ',"\r\n')})
+        require({
+            f"kind one of {tuple(KIND_KEYS)}": self.kind in KIND_KEYS,
+            f"bias_mode one of {BIAS_MODES}": self.bias_mode in BIAS_MODES,
+            "name without comma, double quote, CR or LF": not any(ch in self.name for ch in ',"\r\n'),
+        })
 
     def conditions(self) -> dict[str, bool]:
         """The entry conditions, by name, and whether each holds: 0 <= beta < 1
@@ -139,7 +140,8 @@ def bias_denominators(preset: PresetParams, iteration: int, bias_mode: str) -> t
     continuous: t = k*delta with the rates b1 and b2, the flow's bias factor
                 sampled at physical time k*delta.
 
-    A negative or NaN iteration is a ValidationError naming iteration >= 0.
+    A negative or NaN iteration is a ValidationError naming iteration >= 0,
+    a mode outside BIAS_MODES one naming it as OptimizerSpec does.
     """
     k = iteration
     if not k >= 0:
@@ -150,7 +152,7 @@ def bias_denominators(preset: PresetParams, iteration: int, bias_mode: str) -> t
         return moment_bias(k, preset.delta * preset.b1, preset.delta * preset.b2)
     if bias_mode == "continuous":
         return moment_bias(k * preset.delta, preset.b1, preset.b2)
-    raise ValueError(f"bias_mode must be one of {BIAS_MODES}, got {bias_mode!r}")
+    raise ValidationError([f"bias_mode one of {BIAS_MODES}"])
 
 
 def bias_alpha(preset: PresetParams, iteration: int, bias_mode: str) -> float:
@@ -172,8 +174,9 @@ def _first_step_error(spec: OptimizerSpec) -> ValidationError | None:
 def _positivity(spec: OptimizerSpec) -> dict[str, bool]:
     """A moment row's coefficients that _STEP_NEEDS leaves open, named by
     their rates: keep1 (else mu, and under bias_mode "beta" the bias factor,
-    changes sign every step), keep_nu and couple are not negative (a NaN is
-    left to the conditions on its rates). Empty for the other kinds."""
+    changes sign every step), keep_nu and couple are not negative: a NaN
+    keep1 or keep_nu is left to the conditions on its rates, a NaN b3 fails
+    couple's, and b3 = 0 meets it at any delta. Empty for the other kinds."""
     if spec.kind not in _MOMENT_KINDS:
         return {}
     p, (keep1, _, _, _, couple, keep_nu, *_) = spec.preset, _row(spec)[0]
@@ -181,7 +184,7 @@ def _positivity(spec: OptimizerSpec) -> dict[str, bool]:
     return {
         f"1 - delta*b1 >= 0 required (delta={p.delta:g}, b1={p.b1:g})": not keep1 < 0.0,
         f"1 - delta*b2 - delta*b3 >= 0 required (delta={p.delta:g}, b2={p.b2:g}, b3={b3:g})": not keep_nu < 0.0,
-        f"delta*b3 >= 0 required (delta={p.delta:g}, b3={b3:g})": not couple < 0.0,
+        f"delta*b3 >= 0 required (delta={p.delta:g}, b3={b3:g})": couple >= 0.0 or b3 == 0.0,
     }
 
 

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
-    DomainError, OptimizerParams, PresetKind, PresetParams, PsiKind, alpha_g, initial_stepper_state,
+    OptimizerParams, PresetKind, PresetParams, PsiKind, ValidationError, alpha_g, initial_stepper_state,
     map_preset_to_general, moment_rows, require, validate_params, validate_preset,
 )
 from .objectives import Objective
@@ -57,7 +57,8 @@ def _point_of(objective: Objective, x0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FlowProblem:
-    """A flow to integrate: objective, validated params, x0 and a finite, positive nu0 (initial_stepper_state rows)."""
+    """A flow to integrate: objective, validated params, x0 and nu0 (initial_stepper_state
+    rows). A ValidationError names nu0 finite and positive componentwise if it fails."""
 
     objective: Objective
     params: OptimizerParams
@@ -66,18 +67,17 @@ class FlowProblem:
 
     def __post_init__(self):
         x0, _, _, nu0 = initial_stepper_state(_point_of(self.objective, self.x0), self.nu0)
-        if not (np.all(nu0 > 0) and np.isfinite(nu0).all()):
-            raise DomainError("nu0 must be finite and positive componentwise")
+        require({"nu0 finite and positive componentwise": np.all(nu0 > 0) and np.isfinite(nu0).all()})
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "nu0", nu0)
 
 
-class _LeftDomain(DomainError):
+class _LeftDomain(ValidationError):
     """Rows of a batch (a boolean mask) have a nonpositive nu component."""
 
     def __init__(self, rows: np.ndarray, t: float):
         self.rows = rows
-        super().__init__(f"nu must be positive componentwise at t={t:g}")
+        super().__init__([f"nu must be positive componentwise at t={t:g}"])
 
 
 class _Batch:
@@ -138,7 +138,7 @@ class _Batch:
         try:
             s_new = self.scheme(self, s, k, self.dt, g)
         except _LeftDomain as exc:
-            message = f"stage evaluation left the domain: {exc}"
+            message = f"stage evaluation left the domain: {exc.violations[0]}"
             failures = [StepFailure(k * self.dt, s[:, i].copy(), message) for i in np.flatnonzero(exc.rows)]
             raise _RowsLeave(exc.rows, failures)
         if np.fmin.reduce(s_new[3], None) <= 0:
@@ -175,8 +175,8 @@ def rhs_general(state: np.ndarray, t: float, problem: FlowProblem) -> np.ndarray
         dnu   = lambda4*zeta - lambda5*nu + lambda6*psi(grad, mu)
 
     psi is (grad - mu)**2 for the belief input and grad**2 otherwise, as
-    problem.params.psi_kind selects. Requires nu > 0 componentwise
-    (DomainError otherwise).
+    problem.params.psi_kind selects. Requires nu > 0 componentwise: a
+    ValidationError names it otherwise.
     """
     return _Batch([problem]).deriv(np.asarray(state, dtype=float)[:, None], t)[:, 0]
 

@@ -344,13 +344,13 @@ def _safe_name(name: str) -> str:
     return "".join(ch if ch.isalnum() or ch in "-_" else "_" for ch in name)
 
 
-def resolve_out_dir(config: ExperimentConfig) -> Path:
-    """Output directory: SSMOPT_OUT_DIR wins over the config value. Without
-    it, an empty output_dir (Path("") is the current directory) is a
-    ValidationError naming output_dir non-empty."""
-    env = os.environ.get("SSMOPT_OUT_DIR")
-    require({"output_dir non-empty": bool(env) or config.output_dir != ""})
-    return Path(env or config.output_dir)
+def resolve_out_dir(config: ExperimentConfig, out_dir=None) -> Path:
+    """Output directory: out_dir if given, else SSMOPT_OUT_DIR if set and
+    non-empty, else the config's output_dir. An empty choice (Path("") is
+    the current directory) is a ValidationError naming output_dir non-empty."""
+    out = out_dir if out_dir is not None else os.environ.get("SSMOPT_OUT_DIR") or config.output_dir
+    require({"output_dir non-empty": out != ""})
+    return Path(out)
 
 
 def _json_value(value):
@@ -471,12 +471,12 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> list[RunReport]:
     a report with NaN metrics and the error message in its diagnostics, and
     the remaining runs still execute; a run that diverges is one of them. A
     batch that cannot start (no entry, named first, an output directory that
-    resolve_out_dir rejects, or what run_discrete_batch raises before any
-    step: an x0 off the objective, milestones or run settings that
+    resolve_out_dir(config, out_dir) rejects, or what run_discrete_batch raises
+    before any step: an x0 off the objective, milestones or run settings that
     load_config rejects, a failed allocation) raises before any output.
     """
     require({"optimizers: at least one entry": bool(config.optimizers)})
-    out = Path(out_dir) if out_dir is not None else resolve_out_dir(config)
+    out = resolve_out_dir(config, out_dir)
     objective = config.built or build_objective(config.objective)
     specs, x0 = config.optimizers, default_x0(config.objective)
 
@@ -493,14 +493,14 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> list[RunReport]:
 
 
 def run_compare(config: ExperimentConfig, out_dir=None) -> list[RunReport]:
-    """run_experiment plus the sorted comparison table.
+    """run_experiment plus the sorted comparison table in the same directory.
 
     Writes summary.csv (see emit_summary) and summary.json, both ordered by
     best objective value, failed runs last. Returns the reports in
     declaration order.
     """
     reports = run_experiment(config, out_dir=out_dir)
-    out = Path(out_dir) if out_dir is not None else resolve_out_dir(config)
+    out = resolve_out_dir(config, out_dir)
     emit_summary(reports, out / "summary.csv")
     _write_report_json(_rank_reports(reports), out / "summary.json")
     return reports
@@ -529,15 +529,15 @@ def run_flows(config: ExperimentConfig, dt: float, t_end: float, out_dir=None) -
     energy_residual_max_abs diagnostic there (one that raises fails only
     its entry), and every report flags whether the recorded iterates
     stayed inside the objective's test box.
-    An output directory that resolve_out_dir rejects, an x0 that is not a
-    point of the objective, a grid or run settings that integrate_batch
-    rejects (a ValidationError) or any other batch that cannot start raises
-    before any output; an entry whose flow cannot be built is a failed run.
+    An output directory that resolve_out_dir(config, out_dir) rejects, an x0
+    off the objective, a grid or run settings that integrate_batch rejects (a
+    ValidationError) or any other batch that cannot start raises before any
+    output; an entry whose flow cannot be built is a failed run.
     """
     specs, skipped = config.optimizers, flow_skipped(config)
     indices = [i for i in range(len(specs)) if i not in skipped]
     require({"optimizers: at least one entry with a flow counterpart": bool(indices)})
-    out = Path(out_dir) if out_dir is not None else resolve_out_dir(config)
+    out = resolve_out_dir(config, out_dir)
     objective = config.built or build_objective(config.objective)
     x0 = _point_of(objective, default_x0(config.objective))
     nu0 = np.full(config.objective.dim, FLOW_NU0)

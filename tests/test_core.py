@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssmopt import (
-    DomainError,
     FlowProblem,
     OptimizerParams,
     PresetKind,
@@ -301,13 +300,16 @@ class TestInitialFlowState:
 
     def test_nonpositive_nu0_rejected(self):
         # flows need nu0 > 0; discrete runs may start at nu0 = 0
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError) as err:
             FlowProblem(make_quadratic(1, 1.0), adam_params(), [1.0], [0.0])
-        with pytest.raises(DomainError):
+        assert err.value.violations == ["nu0 finite and positive componentwise"]
+        with pytest.raises(ValidationError) as err:
             FlowProblem(make_quadratic(2, 1.0), adam_params(), [1.0, 1.0], [1.0, -1.0])
+        assert err.value.violations == ["nu0 finite and positive componentwise"]
         for bad in (np.nan, np.inf):
-            with pytest.raises(DomainError):
+            with pytest.raises(ValidationError) as err:
                 FlowProblem(make_quadratic(2, 1.0), adam_params(), [1.0, 1.0], [bad, 1.0])
+            assert err.value.violations == ["nu0 finite and positive componentwise"]
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -355,14 +355,14 @@ class TestRunDiscrete:
                     [f"delta*b3 >= 0 required (delta=0.15, b3={b3:g})"],
                     id=f"b3={b3:g}",
                 )
-                for b3 in (-0.005, -0.02)
+                for b3 in (-0.005, -0.02, math.nan)
             ),
         ],
     )
     def test_rates_that_would_turn_nu_negative_fail_the_first_step(self, spec, failed):
-        # a negative sampling time would drain gadagrad's nu, and a negative b3
-        # would feed zeta into nu at a negative rate until the run diverges:
-        # every entry point names the rate at the first step instead
+        # a negative sampling time would drain gadagrad's nu, and a negative or
+        # NaN b3 would feed zeta into nu at a negative or NaN rate until the run
+        # diverges: every entry point names the rate at the first step instead
         obj, x0 = make_quadratic(3, 10.0), np.ones(3)
         (outcome,) = run_discrete_batch([spec], obj, x0, 3000)
         assert isinstance(outcome, ValidationError) and outcome.violations == failed

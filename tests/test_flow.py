@@ -8,7 +8,6 @@ import pytest
 
 import ssmopt.flow as flow_module
 from ssmopt import (
-    DomainError,
     FlowProblem,
     OptimizerParams,
     PresetKind,
@@ -146,8 +145,9 @@ class TestRhsGeneral:
         params = map_preset_to_general(PresetParams(), PresetKind.ADAM)
         problem = FlowProblem(obj, params, np.array([1.0]), np.array([1.0]))
         bad = np.array(([1.0], [0.0], [0.0], [0.0]))
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError) as err:
             rhs_general(bad, 0.0, problem)
+        assert err.value.violations == ["nu must be positive componentwise at t=0"]
 
     def test_negative_or_nan_time_rejected(self):
         obj = make_quadratic(2, 10.0)
@@ -273,8 +273,9 @@ class TestIntegrators:
         params = map_preset_to_general(PresetParams(), PresetKind.ADAM)
         with pytest.raises(ValueError):
             FlowProblem(obj, params, np.ones(3), np.ones(3))
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError) as err:
             FlowProblem(obj, params, np.ones(2), np.zeros(2))
+        assert err.value.violations == ["nu0 finite and positive componentwise"]
 
 
 @pytest.mark.parametrize("objective", ["quadratic", "rosenbrock", "logistic"])

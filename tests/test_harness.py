@@ -22,10 +22,10 @@ from hypothesis import strategies as st
 
 from oracles import discrete_entry_run
 from ssmopt import (
-    DomainError, PresetKind, PresetParams, RunReport, StepFailure, ValidationError, cli, gadagrad_energy_residual,
-    harness, integrate_reference, preset_flow,
+    FlowProblem, PresetKind, PresetParams, RunReport, StepFailure, ValidationError, cli, gadagrad_energy_residual,
+    harness, integrate_reference, map_preset_to_general, preset_flow, rhs_general,
 )
-from ssmopt.discrete import BIAS_MODES, OptimizerSpec, run_discrete_batch
+from ssmopt.discrete import BIAS_MODES, OptimizerSpec, bias_denominators, run_discrete_batch
 from ssmopt.harness import (
     OBJECTIVE_KINDS,
     SUMMARY_COLUMNS,
@@ -42,7 +42,7 @@ from ssmopt.harness import (
     run_experiment,
     run_flows,
 )
-from ssmopt.objectives import make_logistic
+from ssmopt.objectives import make_logistic, make_quadratic
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -671,21 +671,24 @@ class TestRunExperiment:
         assert "wall_time" not in (out / "report.json").read_text()
 
     def test_rates_that_would_turn_nu_negative_fail_as_in_the_library(self, tmp_path):
-        # load_config rejects delta < 0 and b3 < 0, so these entries are built in
-        # code: each fails its first step with the library's named error, and no
-        # CSV is written for it, while b3 = 0 still steps
+        # load_config rejects delta < 0 and a b3 < 0 or NaN, so these entries are
+        # built in code: each fails its first step with the library's named
+        # error, and no CSV is written for it, while b3 = 0 still steps
         payload = base_payload()
         payload.update(objective={"kind": "quadratic", "dim": 3, "cond": 10.0}, iterations=3000, record_stride=100)
         config = load_config(write_config(tmp_path, payload))
         drained = OptimizerSpec("gadagrad", "drained", PresetParams(delta=-0.15))
-        coupled = [OptimizerSpec("adamssm", f"coupled{b3:g}", PresetParams(b3=b3, eta=0.05)) for b3 in (-0.005, -0.02)]
+        coupled = [
+            OptimizerSpec("adamssm", f"coupled{b3:g}", PresetParams(b3=b3, eta=0.05)) for b3 in (-0.005, -0.02, math.nan)
+        ]
         failed = {
             drained: "delta > 0",
             coupled[0]: "delta*b3 >= 0 required (delta=0.15, b3=-0.005)",
             coupled[1]: "delta*b3 >= 0 required (delta=0.15, b3=-0.02)",
+            coupled[2]: "delta*b3 >= 0 required (delta=0.15, b3=nan)",
         }
         uncoupled = OptimizerSpec("adamssm", "uncoupled", PresetParams(b3=0.0))
-        specs = [drained, config.optimizers[0], coupled[0], uncoupled, coupled[1]]
+        specs = [drained, config.optimizers[0], coupled[0], uncoupled, coupled[1], coupled[2]]
         out = tmp_path / "out"
         reports = run_experiment(dataclasses.replace(config, optimizers=tuple(specs)), out_dir=out)
         x0 = default_x0(config.objective)
@@ -1040,16 +1043,18 @@ class TestBatchThatCannotStart:
 
     @pytest.mark.parametrize("run", RUNS)
     def test_empty_output_dir_raises_before_any_output(self, run, tmp_path, monkeypatch):
-        # Path("") is the current directory: a config built in code must not write into it
-        config = dataclasses.replace(load_config(write_config(tmp_path, base_payload())), output_dir="")
+        # Path("") is the current directory: neither a config built in code nor
+        # an out_dir given to the run may write into it
+        config = load_config(write_config(tmp_path, base_payload()))
         empty = tmp_path / "empty"
         empty.mkdir()
         monkeypatch.chdir(empty)
         monkeypatch.delenv("SSMOPT_OUT_DIR", raising=False)
-        with pytest.raises(ValidationError) as err:
-            run(config, out_dir=None)
-        assert err.value.violations == ["output_dir non-empty"]
-        assert list(empty.iterdir()) == []
+        for output_dir, out_dir in (("", None), ("runs", "")):
+            with pytest.raises(ValidationError) as err:
+                run(dataclasses.replace(config, output_dir=output_dir), out_dir=out_dir)
+            assert err.value.violations == ["output_dir non-empty"]
+            assert list(empty.iterdir()) == []
 
 
     @pytest.mark.parametrize(
@@ -1510,7 +1515,7 @@ class TestLibraryNeverPrints:
 
 class TestErrorVocabulary:
     # the exception classes of the package: a failed named condition is always a ValidationError
-    VOCABULARY = ["DomainError", "ParseError", "StepFailure", "ValidationError", "_LeftDomain", "_RowsLeave"]
+    VOCABULARY = ["ParseError", "StepFailure", "ValidationError", "_LeftDomain", "_RowsLeave"]
 
     def test_exception_classes_are_the_vocabulary(self):
         # a class is an exception class when a base is a builtin exception or one of the package's
@@ -1530,13 +1535,63 @@ class TestErrorVocabulary:
     def test_exceptions_survive_pickling(self):
         # a batch worker hands its exception back pickled: type, message and attributes intact
         failure = StepFailure(0.5, np.arange(8.0).reshape(4, 2))
-        for exc in (DomainError("nu0 must be positive"), ParseError("bad"), failure, ValidationError(["a > 0", "b < 1"])):
+        for exc in (ParseError("bad"), failure, ValidationError(["a > 0", "b < 1"])):
             back = pickle.loads(pickle.dumps(exc))
             assert type(back) is type(exc) and str(back) == str(exc)
             assert back.args == exc.args
         back = pickle.loads(pickle.dumps(failure))
         assert back.t == 0.5 and back.state.tobytes() == failure.state.tobytes()
         assert pickle.loads(pickle.dumps(ValidationError(["a > 0", "b < 1"]))).violations == ["a > 0", "b < 1"]
+
+    def test_each_call_names_every_failed_condition(self):
+        # one ValidationError per call, naming each condition it fails
+        objective = make_quadratic(2, 1.0)
+        params = map_preset_to_general(PresetParams(), PresetKind.ADAM)
+        with pytest.raises(ValidationError) as err:
+            FlowProblem(objective, params, [1.0, 1.0], [1.0, 0.0])
+        assert err.value.violations == ["nu0 finite and positive componentwise"]
+        problem = FlowProblem(objective, params, [1.0, 1.0], [1.0, 1.0])
+        with pytest.raises(ValidationError) as err:
+            rhs_general(np.array(([1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 1.0])), 0.0, problem)
+        assert err.value.violations == ["nu must be positive componentwise at t=0"]
+        with pytest.raises(ValidationError) as err:
+            OptimizerSpec("nope", "x", PresetParams(), bias_mode="Paper")
+        kinds = ("gadagrad", "adam", "adabelief", "adamssm", "adabeliefssm", "sgd_momentum")
+        assert err.value.violations == [f"kind one of {kinds}", f"bias_mode one of {BIAS_MODES}"]
+        with pytest.raises(ValidationError) as mode:
+            bias_denominators(PresetParams(), 0, "Paper")
+        assert mode.value.violations == err.value.violations[1:]
+
+    def test_free_text_value_errors_are_the_shape_and_structure_checks(self):
+        # every raise ValueError(...) in the package, by module and enclosing
+        # function, in source order: a named condition goes through require
+        found = []
+
+        def visit(node, where):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    visit(child, where + [child.name])
+                    continue
+                call = child.exc if isinstance(child, ast.Raise) else None
+                if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "ValueError":
+                    found.append(".".join(where))
+                visit(child, where)
+
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            visit(ast.parse(path.read_text(), str(path)), [path.stem])
+        assert found == [
+            "analysis.RationalTF.__post_init__",
+            "analysis.RationalTF.__post_init__",
+            "analysis.second_moment_response",
+            "core.initial_stepper_state",
+            "core.preset_conditions",
+            "core.map_preset_to_general",
+            "flow._point_of",
+            "flow.Trajectory.to_csv",
+            "flow.Trajectory.to_csv",
+            "flow.Trajectory.to_csv",
+            "flow._integrate_rows",
+        ]
 
     def test_only_main_turns_rejected_input_into_an_error(self):
         # every try, and every "error:" string, in cli.py outside main, listed with its function
