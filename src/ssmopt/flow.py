@@ -72,12 +72,16 @@ class FlowProblem:
         object.__setattr__(self, "nu0", nu0)
 
 
-class _LeftDomain(ValidationError):
-    """Rows of a batch (a boolean mask) have a nonpositive nu component."""
+class _RowsLeave(Exception):
+    """The one way rows of a batch (a boolean mask) leave before their step:
+    a discrete row's first-step error, or a flow row whose nu is not
+    positive at a stage of its scheme or after the step. errors holds, in
+    row order, the exception each of them leaves with."""
 
-    def __init__(self, rows: np.ndarray, t: float):
+    def __init__(self, rows: np.ndarray, errors: list[Exception]):
         self.rows = rows
-        super().__init__([f"nu must be positive componentwise at t={t:g}"])
+        self.errors = errors
+        super().__init__(f"{len(errors)} rows left the batch")
 
 
 class _Batch:
@@ -137,8 +141,8 @@ class _Batch:
         run."""
         try:
             s_new = self.scheme(self, s, k, self.dt, g)
-        except _LeftDomain as exc:
-            message = f"stage evaluation left the domain: {exc.violations[0]}"
+        except _RowsLeave as exc:
+            message = f"stage evaluation left the domain: {exc.errors[0].violations[0]}"
             failures = [StepFailure(k * self.dt, s[:, i].copy(), message) for i in np.flatnonzero(exc.rows)]
             raise _RowsLeave(exc.rows, failures)
         if np.fmin.reduce(s_new[3], None) <= 0:
@@ -150,12 +154,14 @@ class _Batch:
         """Right-hand side of every row at time t, shaped like s, from the
         gradients g at s (evaluated here when None).
 
-        Raises _LeftDomain, before any arithmetic, when a row has nu <= 0.
+        Raises _RowsLeave of ValidationErrors, before any arithmetic, for the rows with nu <= 0.
         """
         nu = s[3]
         # (nu <= 0).any() in one call: fmin skips NaN as the comparison does
         if np.fmin.reduce(nu, None) <= 0:
-            raise _LeftDomain(np.any(nu <= 0, axis=1), t)
+            rows = np.any(nu <= 0, axis=1)
+            condition = f"nu must be positive componentwise at t={t:g}"
+            raise _RowsLeave(rows, [ValidationError([condition]) for _ in np.flatnonzero(rows)])
         if g is None:
             g = self.grad(s[0])
         # a - b is a + (-b), (-a)*b is -(a*b) and a/(-b) is -(a/b), bitwise
@@ -175,10 +181,13 @@ def rhs_general(state: np.ndarray, t: float, problem: FlowProblem) -> np.ndarray
         dnu   = lambda4*zeta - lambda5*nu + lambda6*psi(grad, mu)
 
     psi is (grad - mu)**2 for the belief input and grad**2 otherwise, as
-    problem.params.psi_kind selects. Requires nu > 0 componentwise: a
-    ValidationError names it otherwise.
+    problem.params.psi_kind selects. Requires nu > 0 componentwise: a plain
+    ValidationError, which pickles, names it otherwise.
     """
-    return _Batch([problem]).deriv(np.asarray(state, dtype=float)[:, None], t)[:, 0]
+    try:
+        return _Batch([problem]).deriv(np.asarray(state, dtype=float)[:, None], t)[:, 0]
+    except _RowsLeave as exc:
+        raise exc.errors[0] from None
 
 
 @dataclass
@@ -402,16 +411,6 @@ def _pow_rows(base: np.ndarray, groups: list[tuple[float, list[int]]]) -> np.nda
     for c, rows in groups:
         out[rows] = base[rows] ** c
     return out
-
-
-class _RowsLeave(Exception):
-    """Rows of a batch (a boolean mask) cannot take the next step; errors
-    holds, in row order, the exception each of them leaves with."""
-
-    def __init__(self, rows: np.ndarray, errors: list[Exception]):
-        self.rows = rows
-        self.errors = errors
-        super().__init__(f"{len(errors)} rows left the batch")
 
 
 def _check_run(n_steps: int, record_stride: int, threshold: float) -> None:

@@ -342,6 +342,31 @@ class TestIntegrateBatch:
         for row in range(4):
             assert np.array_equal(failure.state[row], solo.value.state[row])
 
+    def test_stage_and_after_step_exits_in_one_batch(self):
+        # zero gradient at x0 = 0: one RK4 stage takes nu below zero in the first step;
+        # from x0 = 3 nu lasts until t = 576 and goes below zero after that step
+        obj = make_quadratic(1, 1.0)
+        problems = [
+            preset_flow(kind, preset, obj, np.array([x0]), np.array([1.0]))
+            for kind, preset, x0 in [
+                (PresetKind.ADAMSSM, ADAMSSM, 0.0), (PresetKind.ADAMSSM, ADAMSSM, 3.0),
+                (PresetKind.GADAGRAD, PresetParams(), 1.0),
+            ]
+        ]
+        stage, after, kept = integrate_batch(problems, rk4_step, 96.0, 1920.0)
+        for failure, problem, message, t in [
+            (stage, problems[0], "stage evaluation left the domain: nu must be positive componentwise at t=48", 0.0),
+            (after, problems[1], "integration failed at t=576: nu lost positivity", 576.0),
+        ]:
+            with pytest.raises(StepFailure) as solo:
+                integrate_reference(problem, 96.0, 1920.0)
+            assert isinstance(failure, StepFailure)
+            assert str(failure) == str(solo.value) == message
+            assert failure.t == solo.value.t == t
+            assert failure.state.tobytes() == solo.value.state.tobytes()
+        assert isinstance(kept, Trajectory) and len(kept) == 21
+        assert_same_trajectory(kept, integrate_reference(problems[2], 96.0, 1920.0))
+
     @pytest.mark.parametrize(
         "integrate, step, x0, k", [(integrate_euler, euler_step, 1e150, 4), (integrate_reference, rk4_step, 1e80, 43)]
     )
