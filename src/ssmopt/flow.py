@@ -27,7 +27,7 @@ from .core import (
     OptimizerParams, PresetKind, PresetParams, PsiKind, ValidationError, alpha_g, initial_stepper_state,
     map_preset_to_general, moment_rows, require, validate_params, validate_preset,
 )
-from .objectives import Objective
+from .objectives import BOX, Objective
 
 
 class StepFailure(RuntimeError):
@@ -209,9 +209,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.times)
 
-    def x_matrix(self) -> np.ndarray:
-        return self.states[:, 0]
-
     def to_csv(self, path) -> None:
         """Write the trajectory with columns
         t, f, grad_norm, alpha, x_0.., mu_0.., zeta_0.., nu_0..
@@ -270,7 +267,7 @@ class RunStore:
 
     The summary holds one (R,) array per quantity: per row the best f and
     the first step that reached it, the first step whose gradient norm fell
-    below threshold (-1 for none yet), and whether x stayed inside the box;
+    below threshold (-1 for none yet), and whether x stayed inside [-BOX, BOX]^d;
     the final gradient norm is the row's last record. A summarized step
     writes its rows' f values and gradient norms into column j of two (R, K)
     blocks, and its step into a (K,) array; x is checked whole, and rows are
@@ -288,12 +285,11 @@ class RunStore:
 
     K = 256
 
-    def __init__(self, n_rows: int, dim: int, n_records: int, threshold: float, box: float):
+    def __init__(self, n_rows: int, dim: int, n_records: int, threshold: float):
         self.states = [np.empty((n_records, 4, dim)) for _ in range(n_rows)]
         self.series = np.empty((4, n_rows, n_records))
         self.n_recorded = np.zeros(n_rows, int)
         self.threshold = threshold
-        self.box = box
         self.f_block = np.full((n_rows, self.K), math.nan)
         self.norm_block = np.full((n_rows, self.K), math.nan)
         self.steps = np.zeros(self.K, int)
@@ -321,9 +317,9 @@ class RunStore:
         self.column = j + 1
         if self.column == self.K:
             self.fold()
-        # maximum propagates NaN as NaN <= box fails
-        if not np.maximum.reduce(np.abs(states[0]), None) <= self.box:
-            self.stayed_in_box[rows[~(np.abs(states[0]) <= self.box).all(axis=1)]] = False
+        # maximum propagates NaN as NaN <= BOX fails
+        if not np.maximum.reduce(np.abs(states[0]), None) <= BOX:
+            self.stayed_in_box[rows[~(np.abs(states[0]) <= BOX).all(axis=1)]] = False
         # sum(f * grad_norm) is finite when both are, unless it overflows: then
         # the exact check finds none
         if math.isfinite(np.vdot(f, grad_norm)):
@@ -453,7 +449,7 @@ def _run_rows(rule, s: np.ndarray, objective, n_steps: int, record_stride: int, 
     """
     _check_run(n_steps, record_stride, threshold)
     n_records = len(range(0, n_steps + 1, record_stride)) + (n_steps % record_stride != 0)
-    store = RunStore(s.shape[1], s.shape[2], n_records, threshold, objective.box)
+    store = RunStore(s.shape[1], s.shape[2], n_records, threshold)
     errors: dict[int, Exception] = {}
     live = np.arange(s.shape[1])
     g = None
@@ -644,7 +640,7 @@ def gadagrad_energy_residual(traj: Trajectory, problem: FlowProblem) -> np.ndarr
     })
 
     times = np.asarray(traj.times, dtype=float)
-    grads_sq = problem.objective.eval_grad(traj.x_matrix()) ** 2
+    grads_sq = problem.objective.eval_grad(traj.states[:, 0]) ** 2
     nu0 = traj.states[0, 3]
     # per-coordinate cumulative trapezoid of grad^2 over the recorded grid
     dt_seg = np.diff(times)[:, None]

@@ -528,7 +528,7 @@ def run_flows(config: ExperimentConfig, dt: float, t_end: float, out_dir=None) -
     output: a G-AdaGrad flow that did not fail gets its
     energy_residual_max_abs diagnostic there (one that raises fails only
     its entry), and every report flags whether the recorded iterates
-    stayed inside the objective's test box.
+    stayed inside the test box (objectives.BOX).
     An output directory that resolve_out_dir(config, out_dir) rejects, an x0
     off the objective, a grid or run settings that integrate_batch rejects (a
     ValidationError) or any other batch that cannot start raises before any

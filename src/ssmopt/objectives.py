@@ -1,29 +1,28 @@
 """Desk-scale test objectives with analytic gradients and a finite-difference
 gradient oracle.
 
-Every objective is bounded below on its test box, evaluation is reentrant,
-and construction is deterministic (the logistic dataset is generated by a
-fixed linear congruential generator so the same seed gives bit-identical
-data on any platform).
+Every objective is bounded below on the test box [-BOX, BOX]^dim, the one
+box of every run, whose stay a run report flags (stayed_in_box). Evaluation
+is reentrant, and construction is deterministic (the logistic dataset is
+generated by a fixed linear congruential generator so the same seed gives
+bit-identical data on any platform).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .core import require
 
+BOX = 5.0
+
 
 @dataclass(frozen=True)
 class Objective:
     """Evaluation surface f with analytic gradient.
-
-    known_min, when present, is the pair (argmin, min value), and box the
-    half-width of the test box [-box, box]^dim whose stay a run report
-    flags (stayed_in_box).
 
     eval_f and eval_grad also take a batch of points shaped (R, dim): eval_f
     returns an (R,) array of values and eval_grad an (R, dim) array of
@@ -45,9 +44,7 @@ class Objective:
     eval_f: Callable[[np.ndarray], float | np.ndarray]
     eval_grad: Callable[[np.ndarray], np.ndarray]
     eval_f_grad: Callable[[np.ndarray], tuple]
-    known_min: Optional[tuple[np.ndarray, float]] = None
     name: str = ""
-    box: float = 5.0
     work: int = 0
 
 
@@ -77,7 +74,6 @@ def make_quadratic(d: int, condition_number: float) -> Objective:
 
     return Objective(
         dim=d, eval_f=f, eval_grad=grad, eval_f_grad=lambda x: (f(x), grad(x)),
-        known_min=(np.zeros(d), 0.0),
         name=f"quadratic_d{d}_cond{condition_number:g}",
         work=d,
     )
@@ -122,7 +118,6 @@ def make_rosenbrock(d: int) -> Objective:
 
     return Objective(
         dim=d, eval_f=lambda x: f_grad(x)[0], eval_grad=grad, eval_f_grad=f_grad,
-        known_min=(np.ones(d), 0.0),
         name=f"rosenbrock_d{d}",
         work=d,
     )
@@ -229,7 +224,6 @@ def make_logistic(d: int, n_samples: int, seed: int) -> Objective:
 
     return Objective(
         dim=d, eval_f=lambda w: f_grad(w)[0], eval_grad=grad, eval_f_grad=f_grad,
-        known_min=None,
         name=f"logistic_d{d}_n{n_samples}_s{seed}",
         work=2 * n_samples * d,
     )

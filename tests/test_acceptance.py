@@ -47,6 +47,7 @@ from ssmopt import (
     validate_preset,
 )
 from ssmopt.discrete import BIAS_MODES
+from ssmopt.objectives import BOX
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -328,7 +329,7 @@ def test_c09_gradients_match_finite_differences(rng):
     objectives = [make_quadratic(3, 50.0), make_rosenbrock(2), make_logistic(5, 40, 0)]
     for obj in objectives:
         for _ in range(100):
-            x = rng.uniform(-obj.box, obj.box, obj.dim)
+            x = rng.uniform(-BOX, BOX, obj.dim)
             g = obj.eval_grad(x)
             fd = finite_diff_grad(obj, x, 1e-5)
             rel = float(np.linalg.norm(fd - g) / (np.linalg.norm(g) + 1e-12))

@@ -296,7 +296,7 @@ class TestSecondMomentResponse:
         problem = preset_flow(PresetKind.ADAMSSM, preset, obj, [1.0], [1.0])
         dt = 0.01
         traj = integrate_reference(problem, dt=dt, t_end=20.0)
-        u = traj.x_matrix()[:, 0] ** 2
+        u = traj.states[:, 0, 0] ** 2
         predicted = second_moment_response(self.lti(), B2, u, dt, nu_init=1.0)
         recorded = traj.states[:, 3, 0]
         assert float(np.max(np.abs(predicted - recorded))) < 1e-6
@@ -308,7 +308,7 @@ class TestSecondMomentResponse:
         for dt in (0.02, 0.01):
             problem = preset_flow(PresetKind.ADAMSSM, preset, obj, [1.0], [1.0])
             traj = integrate_reference(problem, dt=dt, t_end=20.0)
-            u = traj.x_matrix()[:, 0] ** 2
+            u = traj.states[:, 0, 0] ** 2
             predicted = second_moment_response(self.lti(), B2, u, dt, nu_init=1.0)
             recorded = traj.states[:, 3, 0]
             errors.append(float(np.max(np.abs(predicted - recorded))))

@@ -33,6 +33,7 @@ from ssmopt import (
 )
 from ssmopt.discrete import run_discrete_batch
 from ssmopt.flow import euler_step, integrate_batch, rk4_step
+from ssmopt.objectives import BOX
 from samplers import random_valid_adamssm_preset, random_valid_params
 from oracles import adam_rhs, general_alpha, general_flow_run, general_rhs, rosenbrock_grad, run_summary
 
@@ -171,10 +172,10 @@ class TestIntegrators:
         obj = make_quadratic(2, 10.0)
         problem = preset_flow(PresetKind.ADAM, PresetParams(), obj, np.zeros(2), np.ones(2))
         traj = integrate_euler(problem, dt=0.1, t_end=5.0)
-        for x in traj.x_matrix():
+        for x in traj.states[:, 0]:
             assert np.array_equal(x, np.zeros(2))
         traj = integrate_reference(problem, dt=0.1, t_end=5.0)
-        for x in traj.x_matrix():
+        for x in traj.states[:, 0]:
             assert np.array_equal(x, np.zeros(2))
 
     def test_accumulator_flow_descends(self):
@@ -748,11 +749,24 @@ class TestOneReductionCheck:
             n = int(rng.integers(1, 40))
             f = rng.choice(values, n)
             grad_norm = np.abs(rng.choice(values, n))
-            store = flow_module.RunStore(n, 1, 1, 1e-4, 5.0)
+            store = flow_module.RunStore(n, 1, 1, 1e-4)
             got = store.add(np.arange(n), 3, np.zeros((4, n, 1)), f, grad_norm)
             want = ~(np.isfinite(f) & np.isfinite(grad_norm))
             assert (None if got is None else got.tolist()) == (want.tolist() if want.any() else None)
             assert store.diverged_at.tolist() == np.where(want, 3, -1).tolist()
+
+
+class TestClosedBox:
+    """RunStore.add flags a row whose x leaves the closed box [-BOX, BOX]^d:
+    a coordinate at the edge stays in, one ulp past it or NaN does not."""
+
+    def test_edge_stays_in_and_past_or_nan_leaves(self):
+        past = np.nextafter(BOX, np.inf)
+        states = np.zeros((4, 4, 2))
+        states[0] = [[BOX, -BOX], [past, 0.0], [0.0, np.nan], [-past, 1.0]]
+        store = flow_module.RunStore(4, 2, 1, 1e-4)
+        assert store.add(np.arange(4), 1, states, np.ones(4), np.ones(4)) is None
+        assert store.stayed_in_box.tolist() == [True, False, False, False]
 
 
 class TestTrajectoryCsv:
@@ -798,7 +812,7 @@ class TestTrajectoryCsv:
         traj.to_csv(path)
         rows = np.loadtxt(path, delimiter=",", skiprows=1)
         assert np.array_equal(rows[:, 0], traj.times)
-        assert np.array_equal(rows[:, 4:6], traj.x_matrix())
+        assert np.array_equal(rows[:, 4:6], traj.states[:, 0])
 
     def test_negative_nu_rejected(self, tmp_path):
         traj = self.small_trajectory()
@@ -831,7 +845,6 @@ class TestTrajectoryCsv:
     def test_helpers(self):
         traj = self.small_trajectory()
         assert len(traj) == 2
-        assert traj.x_matrix().shape == (2, 2)
 
 
 class TestEnergyResidual:

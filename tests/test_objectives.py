@@ -8,7 +8,7 @@ import pytest
 
 from ssmopt import ValidationError, finite_diff_grad, make_logistic, make_quadratic, make_rosenbrock
 from ssmopt.harness import OBJECTIVE_KINDS, ObjectiveSpec, build_objective
-from ssmopt.objectives import _lcg_draws
+from ssmopt.objectives import BOX, _lcg_draws
 from oracles import lcg_uniform, logistic_problem, pairwise_sum, rosenbrock_f, rosenbrock_grad
 
 
@@ -29,11 +29,10 @@ class TestQuadratic:
         assert obj.eval_f(np.array([2.0])) == 2.0
         assert obj.eval_grad(np.array([2.0]))[0] == 2.0
 
-    def test_known_minimum(self):
+    def test_minimum_at_zero(self):
         obj = make_quadratic(4, 10.0)
-        argmin, fmin = obj.known_min
-        assert fmin == 0.0
-        assert np.array_equal(obj.eval_grad(argmin), np.zeros(4))
+        assert obj.eval_f(np.zeros(4)) == 0.0
+        assert np.array_equal(obj.eval_grad(np.zeros(4)), np.zeros(4))
 
     def test_geometric_eigenvalue_spread(self):
         obj = make_quadratic(3, 100.0)
@@ -66,7 +65,7 @@ class TestRosenbrock:
     def test_nonnegative_on_box(self, rng):
         obj = make_rosenbrock(4)
         for _ in range(100):
-            x = rng.uniform(-obj.box, obj.box, size=4)
+            x = rng.uniform(-BOX, BOX, size=4)
             assert obj.eval_f(x) >= 0.0
 
     def test_dimension_check(self):
@@ -264,7 +263,7 @@ class TestLogisticOracle:
     "obj", [make_quadratic(3, 50.0), make_rosenbrock(4), make_logistic(5, 40, 0)], ids=lambda o: o.name
 )
 def test_batched_gradient_rows_equal_single_points(obj, rng):
-    xs = rng.uniform(-obj.box, obj.box, (6, obj.dim))
+    xs = rng.uniform(-BOX, BOX, (6, obj.dim))
     batch = obj.eval_grad(xs)
     assert batch.shape == xs.shape
     for x, g in zip(xs, batch):
@@ -285,7 +284,7 @@ def objectives_at_every_dim():
 @pytest.mark.parametrize("obj", list(objectives_at_every_dim()), ids=lambda o: o.name)
 def test_batched_values_equal_single_points_bitwise(obj, rng):
     # rows of mixed magnitude, so that the per-row sums round differently
-    xs = rng.standard_normal((64, obj.dim)) * rng.uniform(0.01, obj.box, (64, 1))
+    xs = rng.standard_normal((64, obj.dim)) * rng.uniform(0.01, BOX, (64, 1))
     batch = obj.eval_f(xs)
     assert batch.shape == (64,) and batch.dtype == np.float64
     single = [obj.eval_f(x) for x in xs]
@@ -323,7 +322,7 @@ class TestFiniteDiff:
         ]
         for obj in objectives:
             for _ in range(100):
-                x = rng.uniform(-obj.box, obj.box, size=obj.dim)
+                x = rng.uniform(-BOX, BOX, size=obj.dim)
                 fd = finite_diff_grad(obj, x, h=1e-5)
                 g = obj.eval_grad(x)
                 rel = float(np.linalg.norm(fd - g) / (np.linalg.norm(g) + 1e-12))
