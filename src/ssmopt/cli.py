@@ -27,7 +27,9 @@ import sys
 from .analysis import SecondMomentLTI, adamssm_tf, dc_gain, poles_zeros, stability_quantity_p
 from .core import ValidationError
 from .flow import _check_grid
-from .harness import ParseError, flow_skipped, load_config, resolve_out_dir, run_compare, run_experiment, run_flows
+from .harness import (
+    ParseError, emit_summary, flow_skipped, load_config, resolve_out_dir, run_compare, run_experiment, run_flows,
+)
 
 
 def _complex_pairs(roots) -> list[list[float]]:
@@ -54,7 +56,7 @@ def _cmd_compare(args) -> int:
     config = load_config(args.config)
     out = resolve_out_dir(config)
     reports = run_compare(config)
-    print((out / "summary.csv").read_text(), end="")
+    print(emit_summary(reports), end="")
     return _finish(reports, out / "report.json")
 
 

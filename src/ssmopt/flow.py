@@ -214,8 +214,8 @@ class Trajectory:
         t, f, grad_norm, alpha, x_0.., mu_0.., zeta_0.., nu_0..
 
         Re-validates the series lengths, the time ordering and nu
-        nonnegativity before writing, then writes one row at a time, each
-        float in repr form.
+        nonnegativity before writing, then writes the rows of one float64
+        table, each float in repr form.
         """
         times = np.asarray(self.times, dtype=float)
         series_lengths = {len(times), len(self.f_values), len(self.grad_norms), len(self.alpha_values)}
@@ -229,12 +229,11 @@ class Trajectory:
         header = ["t", "f", "grad_norm", "alpha"]
         for tag in ("x", "mu", "zeta", "nu"):
             header.extend(f"{tag}_{i}" for i in range(self.states.shape[2]))
-        series = zip(times.tolist(), self.f_values, self.grad_norms, self.alpha_values, self.states)
-        with open(path, "w", newline="\n") as fh:
+        columns = [times, self.f_values, self.grad_norms, self.alpha_values, *self.states.swapaxes(0, 1)]
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
-            for t, f, grad_norm, alpha, s in series:
-                row = [t, float(f), float(grad_norm), float(alpha), *s.ravel().tolist()]
-                fh.write(",".join(map(repr, row)) + "\n")
+            for row in np.column_stack([np.asarray(c, dtype=float) for c in columns]):
+                fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 @dataclass

@@ -259,11 +259,23 @@ def _finite_number(token: str) -> float:
     return value
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    # json.loads would keep the last of a repeated key and drop the others unread
+    mapping = {}
+    for key, value in pairs:
+        if key in mapping:
+            raise ParseError(f"duplicate key {key!r}")
+        mapping[key] = value
+    return mapping
+
+
 def load_config(path) -> ExperimentConfig:
     """Read, strictly parse, and validate a JSON experiment config.
 
-    Raises ParseError for structural problems (bad JSON with line/column
-    context, non-finite numbers, unknown or missing keys, wrong types) and
+    The file is read as UTF-8 whatever the locale. Raises ParseError for
+    structural problems (a file that cannot be read or is not UTF-8, bad
+    JSON with line/column context, a key repeated in one object, non-finite
+    numbers, unknown or missing keys, wrong types) and
     ValidationError: first for run settings that fail the run loop's own
     check (flow._check_run), then for an empty output_dir (Path("") is the
     current directory), then with every named violation across all
@@ -272,11 +284,13 @@ def load_config(path) -> ExperimentConfig:
     """
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read config file {path}: {exc}") from exc
     try:
-        raw = json.loads(text, parse_constant=_finite_number, parse_float=_finite_number)
+        raw = json.loads(
+            text, object_pairs_hook=_unique_keys, parse_constant=_finite_number, parse_float=_finite_number
+        )
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -365,7 +379,7 @@ def _report_record(report: RunReport) -> dict:
 
 def _write_report_json(reports: list[RunReport], path: Path):
     payload = [_report_record(r) for r in reports]
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8", newline="\n")
 
 
 def _write_row(out: Path, prefix: str, i: int, spec: OptimizerSpec, outcome) -> RunReport:
@@ -592,5 +606,5 @@ def emit_summary(reports: list[RunReport], path=None) -> str:
     rows = [SUMMARY_COLUMNS] + [[_format_cell(getattr(r, c)) for c in SUMMARY_COLUMNS] for r in _rank_reports(reports)]
     text = "".join(",".join(row) + "\n" for row in rows)
     if path is not None:
-        Path(path).write_text(text)
+        Path(path).write_text(text, encoding="utf-8", newline="\n")
     return text

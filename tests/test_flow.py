@@ -769,6 +769,20 @@ class TestClosedBox:
         assert store.stayed_in_box.tolist() == [True, False, False, False]
 
 
+def per_row_csv(traj: Trajectory) -> str:
+    """The CSV text of traj as the row-at-a-time formatter wrote it: each
+    row's floats gathered one by one, then written in repr form."""
+    lines = ["t,f,grad_norm,alpha," + ",".join(
+        f"{tag}_{i}" for tag in ("x", "mu", "zeta", "nu") for i in range(traj.states.shape[2])
+    )]
+    times = np.asarray(traj.times, dtype=float).tolist()
+    series = zip(times, traj.f_values, traj.grad_norms, traj.alpha_values, traj.states)
+    for t, f, grad_norm, alpha, s in series:
+        row = [t, float(f), float(grad_norm), float(alpha), *s.ravel().tolist()]
+        lines.append(",".join(map(repr, row)))
+    return "".join(line + "\n" for line in lines)
+
+
 class TestTrajectoryCsv:
     def small_trajectory(self) -> Trajectory:
         states = np.array([
@@ -803,6 +817,25 @@ class TestTrajectoryCsv:
             "2.0,0.30000000000000004,1.5e+16,-0.0,-0.0,1e-300,1.5e+16,0.30000000000000004,0.0,-0.0,1e-300,0.0\n"
         )
         assert path.read_text() == expected
+
+    @pytest.mark.parametrize("rows", [3, 0])
+    def test_bytes_equal_the_per_row_formatter(self, tmp_path, rows):
+        # int times, list series, float32 states, -0.0, nan and inf; and no rows at all
+        states = np.array([
+            [[1.0, -0.0], [0.1, np.inf], [np.nan, -2.5], [0.0, 3.0]],
+            [[2.0, 1e-40], [-np.inf, 0.2], [1e30, 0.0], [np.nan, 0.5]],
+            [[-0.0, 7.0], [0.3, -0.1], [0.0, 1.0], [np.inf, 1e-45]],
+        ], dtype=np.float32)[:rows]
+        traj = Trajectory(
+            times=[0, 1, 3][:rows],
+            states=states,
+            f_values=[1.5, -0.0, np.nan][:rows],
+            grad_norms=[np.inf, 2, 0.1 + 0.2][:rows],
+            alpha_values=[np.float32(0.9), 1.0, -np.inf][:rows],
+        )
+        path = tmp_path / "traj.csv"
+        traj.to_csv(path)
+        assert path.read_bytes() == per_row_csv(traj).encode("utf-8")
 
     def test_round_trip_precision(self, tmp_path):
         obj = make_quadratic(2, 10.0)

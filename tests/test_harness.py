@@ -450,6 +450,51 @@ class TestLoadConfig:
         with pytest.raises(ParseError, match="cannot read config file"):
             load_config(tmp_path / "missing.json")
 
+    def test_file_that_is_not_utf8_exits_1(self, tmp_path, capsys):
+        payload = base_payload()
+        payload["optimizers"][0]["name"] = "adam-\u00e9"
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps(payload, ensure_ascii=False).encode("latin-1"))
+        with pytest.raises(ParseError, match="cannot read config file .*can't decode byte 0xe9"):
+            load_config(path)
+        assert cli.main(["run", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read config file {path}: ")
+
+    def test_utf8_file_read_whatever_the_locale(self, tmp_path):
+        # an ASCII locale with neither locale coercion nor UTF-8 mode: open's default is ASCII
+        payload = base_payload()
+        payload["optimizers"][0]["name"] = "adam-\u00e9"
+        path = tmp_path / "utf8.json"
+        path.write_bytes(json.dumps(payload, ensure_ascii=False).encode("utf-8"))
+        code = "import sys, ssmopt.harness as h; print(ascii(h.load_config(sys.argv[1]).optimizers[0].name))"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUTF8"}
+        env.update(PYTHONPATH=str(REPO_ROOT / "src"), PYTHONCOERCECLOCALE="0", LC_ALL="C", LANG="C")
+        done = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-c", code, str(path)], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == ascii("adam-\u00e9") + "\n"
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            pytest.param('{"objective": {"kind": "quadratic"}, "optimizers": [{"kind": "adam"}], '
+                         '"iterations": 10, "iterations": 20}', "iterations", id="top-level"),
+            pytest.param('{"objective": {"kind": "quadratic", "dim": 2, "dim": 3}, '
+                         '"optimizers": [{"kind": "adam"}]}', "dim", id="objective"),
+            pytest.param('{"objective": {"kind": "quadratic"}, '
+                         '"optimizers": [{"kind": "adam", "eta": 0.1, "eta": 5.0}]}', "eta", id="optimizer"),
+        ],
+    )
+    def test_duplicate_key_exits_1(self, tmp_path, capsys, text, key):
+        # json.loads alone would keep the last value and run with it
+        path = tmp_path / "duplicate.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=f"^duplicate key '{key}'$"):
+            load_config(path)
+        assert cli.main(["run", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: duplicate key '{key}'\n")
+
 
 def _perfbench_workloads():
     # perfbench/workloads.py by its path, without putting perfbench on sys.path
@@ -1344,6 +1389,7 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert out.startswith("optimizer,best_f,epoch_of_best,final_grad_norm,iters_to_threshold")
+        assert out == (tmp_path / "out" / "summary.csv").read_text(encoding="utf-8")
 
     def test_compare_reports_failed_runs_with_exit_2(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("SSMOPT_OUT_DIR", str(tmp_path / "out"))
@@ -1511,6 +1557,28 @@ class TestLibraryNeverPrints:
                     if getattr(node, attrs.get(type(node), ""), None) in ("errstate", "seterr"):
                         found.append(f"{path.name}:{getattr(top, 'name', top.lineno)}")
         assert found == ["discrete.py:run_discrete_batch", "flow.py:_integrate_rows"]
+
+
+class TestTextFiles:
+    def test_every_text_file_names_its_encoding(self):
+        # every open, read_text and write_text in text mode passes encoding=, so no config or
+        # artifact depends on the locale; binary opens ("rb", "wb") are exempt
+        found = []
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name not in ("open", "read_text", "write_text"):
+                    continue
+                # open(file, mode) or path.open(mode); read_text and write_text take no mode
+                modes = [k.value for k in node.keywords if k.arg == "mode"]
+                if name == "open":
+                    modes += node.args[1:2] if isinstance(node.func, ast.Name) else node.args[:1]
+                binary = any(isinstance(m, ast.Constant) and "b" in str(m.value) for m in modes)
+                if not binary and "encoding" not in {k.arg for k in node.keywords}:
+                    found.append(f"{path.name}:{node.lineno}")
+        assert found == []
 
 
 class TestErrorVocabulary:
