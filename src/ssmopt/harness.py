@@ -23,7 +23,8 @@ errors):
         {
           "kind": "gadagrad" | "adam" | "adabelief" | "adamssm"
                   | "adabeliefssm" | "sgd_momentum",        required
-          "name": str,             default: the kind; no comma, '"', CR, LF
+          "name": str,             default: the kind; no comma, '"', CR, LF,
+                                   and a creatable artifact name (_name_conditions)
           "b1", "b2", "b3", "delta", "epsilon", "eta", "c": floats,
           "bias_mode": "paper" | "beta" | "continuous",     default "paper"
           "beta": float            default 0.9
@@ -127,13 +128,19 @@ def _expect_mapping(value, path: str) -> dict:
 
 
 def _check_keys(mapping: dict, allowed: Collection[str], required: tuple[str, ...], path: str):
-    for key in mapping:
+    """A ParseError naming the path of the first key of mapping that is repeated
+    (see _unique_keys) or not allowed, else of the first required key missing."""
+    def where(key):
+        return f"{path}.{key}" if path else key
+
+    for key, value in mapping.items():
+        if value is _REPEATED:
+            raise ParseError(f"duplicate key '{where(key)}'")
         if key not in allowed:
-            raise ParseError(f"unknown key '{path}.{key}'" if path else f"unknown key '{key}'")
+            raise ParseError(f"unknown key '{where(key)}'")
     for key in required:
         if key not in mapping:
-            where = f"{path}.{key}" if path else key
-            raise ParseError(f"missing required key '{where}'")
+            raise ParseError(f"missing required key '{where(key)}'")
 
 
 def _as_float(value, where: str) -> float:
@@ -245,9 +252,14 @@ def _parse_milestones(raw: dict) -> tuple[tuple[int, float], ...]:
 
 def _validate_entries(optimizers: tuple[OptimizerSpec, ...]):
     """Every entry's conditions (see OptimizerSpec.conditions), named by the
-    entry: one ValidationError names each that fails."""
-    entries = enumerate(optimizers)
-    require({f"optimizers[{i}]: {name}": holds for i, spec in entries for name, holds in spec.conditions().items()})
+    entry, then those of its artifact name (see _name_conditions): one
+    ValidationError names each that fails."""
+    entries = list(enumerate(optimizers))
+    require({
+        **{f"optimizers[{i}]: {name}": holds for i, spec in entries for name, holds in spec.conditions().items()},
+        # a flow_ name is as long as its traj_ name: both prefixes are four ASCII letters
+        **{name: holds for i, spec in entries for name, holds in _name_conditions("traj", i, spec.name).items()},
+    })
 
 
 def _finite_number(token: str) -> float:
@@ -259,13 +271,15 @@ def _finite_number(token: str) -> float:
     return value
 
 
+# The value of a key repeated in one JSON object, which _check_keys names with its path.
+_REPEATED = object()
+
+
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     # json.loads would keep the last of a repeated key and drop the others unread
     mapping = {}
     for key, value in pairs:
-        if key in mapping:
-            raise ParseError(f"duplicate key {key!r}")
-        mapping[key] = value
+        mapping[key] = _REPEATED if key in mapping else value
     return mapping
 
 
@@ -280,7 +294,9 @@ def load_config(path) -> ExperimentConfig:
     check (flow._check_run), then for an empty output_dir (Path("") is the
     current directory), then with every named violation across all
     optimizer entries for hyperparameters that fail the per-kind
-    conditions, and only then for an objective that its factory rejects.
+    conditions and names whose artifact file cannot be created, and only
+    then for an objective that its factory rejects. A repeated key is named
+    with its path when its object is checked, so an earlier fault comes first.
     """
     path = Path(path)
     try:
@@ -354,8 +370,24 @@ def build_objective(spec: ObjectiveSpec) -> Objective:
         raise ValidationError([f"objective: {name}" for name in exc.violations]) from exc
 
 
-def _safe_name(name: str) -> str:
-    return "".join(ch if ch.isalnum() or ch in "-_" else "_" for ch in name)
+def _artifact_name(prefix: str, i: int, name: str) -> str:
+    """Entry i's trajectory CSV, each character of name but a letter, digit, - or _ as _."""
+    return f"{prefix}_{i:02d}_{''.join(ch if ch.isalnum() or ch in '-_' else '_' for ch in name)}.csv"
+
+
+def _name_conditions(prefix: str, i: int, name: str) -> dict[str, bool]:
+    """The conditions under which entry i's artifact file can be created, named
+    by the entry: its name encodable in the file-system encoding (os.fsencode)
+    and at most 255 bytes there, the NAME_MAX of Linux file systems."""
+    try:
+        size = len(os.fsencode(_artifact_name(prefix, i, name)))
+    except UnicodeEncodeError:
+        size = None
+    where = f"optimizers[{i}].name: artifact file name"
+    return {
+        f"{where} encodable in the file-system encoding": size is not None,
+        f"{where} at most 255 bytes": size is None or size <= 255,
+    }
 
 
 def resolve_out_dir(config: ExperimentConfig, out_dir=None) -> Path:
@@ -383,41 +415,50 @@ def _write_report_json(reports: list[RunReport], path: Path):
 
 
 def _write_row(out: Path, prefix: str, i: int, spec: OptimizerSpec, outcome) -> RunReport:
-    """Write entry i's Trajectory to {prefix}_{i:02d}_{name}.csv and return its
-    finished report, or the failure of an outcome that raised or cannot be written."""
+    """Write entry i's Trajectory to out / _artifact_name(prefix, i, spec.name) and
+    return its finished report, or the failure of an outcome that raised or cannot be written."""
     try:
         if isinstance(outcome, Exception):
             raise outcome
         traj, report = outcome
-        traj.to_csv(out / f"{prefix}_{i:02d}_{_safe_name(spec.name)}.csv")
+        traj.to_csv(out / _artifact_name(prefix, i, spec.name))
         return report
     except Exception as exc:
         # Per-run isolation: one failure must not stop the comparison.
         return RunReport.failure(spec.name, f"{type(exc).__name__}: {exc}")
 
 
-def _run_blocks(indices: list[int], work: int, run, write, out: Path, report_name: str) -> list[RunReport]:
-    """Run the entries at indices, run(block) giving the outcomes of a list
-    of them (see flow._run_rows), then make out, write each outcome,
-    write(i, outcome) giving entry i's RunReport, and write the reports to
-    report_name in the order of indices.
+def _run_blocks(config: ExperimentConfig, out_dir, indices, run, prefix: str, report_name: str) -> list[RunReport]:
+    """The one path from a config to its artifacts. Before any output, in this
+    order: each entry's _name_conditions, resolve_out_dir(config, out_dir), the
+    objective (config.built or build_objective's) and x0 on it (_point_of).
+    Then run(block, objective, x0) gives the outcomes of the entries at a list
+    of indices, _write_row writes each, report_name the reports in order.
 
-    When the batch's per-step objective work, len(indices) * work, reaches
-    SPLIT_WORK and the process can fork (Linux, no other thread running),
-    the entries run as contiguous blocks, one per usable CPU and at most one
-    per entry: the first here, each other in a forked worker. Every row is
-    bitwise its solo run, so the artifacts do not depend on the blocks.
-    Nothing is written until every block has run; then each block writes
-    its own rows, and a worker hands back only their reports. If a block
-    raises, every worker is stopped, nothing is written and the exception
-    of the first such block is raised with its type and message. Every
-    worker ends in os._exit, and every one is reaped.
+    When the batch's per-step objective work, len(indices) * objective.work,
+    reaches SPLIT_WORK and the process can fork (Linux, no other thread
+    running), the entries run as contiguous blocks, one per usable CPU and at
+    most one per entry: the first here, each other in a forked worker. Every
+    row is bitwise its solo run, so the artifacts do not depend on the
+    blocks. Nothing is written until every block has run; then each block
+    writes its own rows, and a worker hands back only their reports. If a
+    block raises, every worker is stopped, nothing is written and the
+    exception of the first such block is raised with its type and message.
+    Every worker ends in os._exit, and every one is reaped.
     """
     import pickle
     import signal
     import threading
 
-    heavy = len(indices) * work >= SPLIT_WORK and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    require({c: h for i in indices for c, h in _name_conditions(prefix, i, config.optimizers[i].name).items()})
+    out = resolve_out_dir(config, out_dir)
+    objective = config.built or build_objective(config.objective)
+    x0 = _point_of(objective, default_x0(config.objective))
+
+    def write(i, outcome):
+        return _write_row(out, prefix, i, config.optimizers[i], outcome)
+
+    heavy = len(indices) * objective.work >= SPLIT_WORK and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
     n = min(len(os.sched_getaffinity(0)), len(indices)) if heavy and threading.active_count() == 1 else 1
     blocks = [indices[len(indices) * b // n : len(indices) * (b + 1) // n] for b in range(n)]
     go_r, go_w = os.pipe()  # the go-ahead to write: one byte for each worker
@@ -440,7 +481,7 @@ def _run_blocks(indices: list[int], work: int, run, write, out: Path, report_nam
                     os.close(go_w)
                     with open(results_w, "wb") as results:
                         try:
-                            outcomes, error = run(block), None
+                            outcomes, error = run(block, objective, x0), None
                         except Exception as exc:
                             error = exc
                         results.write(pickle.dumps(error))
@@ -451,7 +492,7 @@ def _run_blocks(indices: list[int], work: int, run, write, out: Path, report_nam
                     os._exit(0)
             os.close(results_w)
             workers.append((pid, open(results_r, "rb")))
-        outcomes = run(blocks[0])
+        outcomes = run(blocks[0], objective, x0)
         for pid, results in workers:
             error = receive(pid, results)
             if error is not None:
@@ -484,26 +525,21 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> list[RunReport]:
     report list lands in report.json (declaration order). A failed run yields
     a report with NaN metrics and the error message in its diagnostics, and
     the remaining runs still execute; a run that diverges is one of them. A
-    batch that cannot start (no entry, named first, an output directory that
-    resolve_out_dir(config, out_dir) rejects, or what run_discrete_batch raises
-    before any step: an x0 off the objective, milestones or run settings that
-    load_config rejects, a failed allocation) raises before any output.
+    batch that cannot start (no entry, named first, then what _run_blocks
+    checks, then what run_discrete_batch raises before any step: milestones
+    or run settings that load_config rejects, a failed allocation) raises
+    before any output.
     """
-    require({"optimizers: at least one entry": bool(config.optimizers)})
-    out = resolve_out_dir(config, out_dir)
-    objective = config.built or build_objective(config.objective)
-    specs, x0 = config.optimizers, default_x0(config.objective)
+    specs = config.optimizers
+    require({"optimizers: at least one entry": bool(specs)})
 
-    def run(block):
+    def run(block, objective, x0):
         return run_discrete_batch(
             [specs[i] for i in block], objective, x0, config.iterations, config.milestones, config.threshold,
             config.record_stride,
         )
 
-    def write(i, outcome):
-        return _write_row(out, "traj", i, specs[i], outcome)
-
-    return _run_blocks(list(range(len(specs))), objective.work, run, write, out, "report.json")
+    return _run_blocks(config, out_dir, list(range(len(specs))), run, "traj", "report.json")
 
 
 def run_compare(config: ExperimentConfig, out_dir=None) -> list[RunReport]:
@@ -543,27 +579,23 @@ def run_flows(config: ExperimentConfig, dt: float, t_end: float, out_dir=None) -
     energy_residual_max_abs diagnostic there (one that raises fails only
     its entry), and every report flags whether the recorded iterates
     stayed inside the test box (objectives.BOX).
-    An output directory that resolve_out_dir(config, out_dir) rejects, an x0
-    off the objective, a grid or run settings that integrate_batch rejects (a
-    ValidationError) or any other batch that cannot start raises before any
-    output; an entry whose flow cannot be built is a failed run.
+    What _run_blocks checks, a grid or run settings that integrate_batch
+    rejects (a ValidationError) or any other batch that cannot start raises
+    before any output; an entry whose flow cannot be built is a failed run.
     """
     specs, skipped = config.optimizers, flow_skipped(config)
     indices = [i for i in range(len(specs)) if i not in skipped]
     require({"optimizers: at least one entry with a flow counterpart": bool(indices)})
-    out = resolve_out_dir(config, out_dir)
-    objective = config.built or build_objective(config.objective)
-    x0 = _point_of(objective, default_x0(config.objective))
-    nu0 = np.full(config.objective.dim, FLOW_NU0)
-    # per entry: its flow, or the exception its build raised, which is its outcome
-    flows = {}
-    for i in indices:
-        try:
-            flows[i] = preset_flow(PresetKind(specs[i].kind), specs[i].preset, objective, x0, nu0)
-        except Exception as exc:
-            flows[i] = exc
 
-    def run(block):
+    def run(block, objective, x0):
+        nu0 = np.full(objective.dim, FLOW_NU0)
+        # per entry: its flow, or the exception its build raised, which is its outcome
+        flows = {}
+        for i in block:
+            try:
+                flows[i] = preset_flow(PresetKind(specs[i].kind), specs[i].preset, objective, x0, nu0)
+            except Exception as exc:
+                flows[i] = exc
         built = [i for i in block if not isinstance(flows[i], Exception)]
         rows = dict(zip(built, _integrate_rows([flows[i] for i in built], [specs[i].name for i in built], rk4_step,
                                                dt, t_end, config.record_stride, config.threshold)))
@@ -576,10 +608,7 @@ def run_flows(config: ExperimentConfig, dt: float, t_end: float, out_dir=None) -
                     rows[i] = exc  # a residual that raises fails only its own entry
         return [rows.get(i, flows[i]) for i in block]
 
-    def write(i, outcome):
-        return _write_row(out, "flow", i, specs[i], outcome)
-
-    return _run_blocks(indices, objective.work, run, write, out, "flow_report.json")
+    return _run_blocks(config, out_dir, indices, run, "flow", "flow_report.json")
 
 
 def _rank_reports(reports: list[RunReport]) -> list[RunReport]:

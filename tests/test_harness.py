@@ -71,6 +71,14 @@ def write_config(tmp_path, payload, name="config.json"):
     return path
 
 
+def run_under_ascii_locale(args, **env):
+    """python -X utf8=0 with args, in an ASCII locale with neither locale
+    coercion nor UTF-8 mode: open's default and the file-system encoding are ASCII."""
+    env = {**{k: v for k, v in os.environ.items() if k != "PYTHONUTF8"}, **env}
+    env.update(PYTHONPATH=str(REPO_ROOT / "src"), PYTHONCOERCECLOCALE="0", LC_ALL="C", LANG="C")
+    return subprocess.run([sys.executable, "-X", "utf8=0", *args], env=env, capture_output=True, text=True, timeout=60)
+
+
 class TestLoadConfig:
     def test_minimal_config_fills_defaults(self, tmp_path):
         path = write_config(
@@ -367,6 +375,47 @@ class TestLoadConfig:
                 OptimizerSpec("adam", bad, PresetParams())
             assert err.value.violations == ["name without comma, double quote, CR or LF"]
 
+    def test_name_too_long_for_a_file_rejected_before_any_output(self, tmp_path, monkeypatch, capsys):
+        # traj_00_ and .csv take 12 of a file name's 255 bytes, and an e-acute takes two in UTF-8
+        out = tmp_path / "out"
+        monkeypatch.setenv("SSMOPT_OUT_DIR", str(out))
+        too_long = "optimizers[1].name: artifact file name at most 255 bytes"
+        for name in ("a" * 300, "a" * 244, "\u00e9" * 122):
+            payload = base_payload()
+            payload["optimizers"] = [{"kind": "adam", "name": "ok"}, {"kind": "adam", "name": name}]
+            path = write_config(tmp_path, payload)
+            with pytest.raises(ValidationError) as err:
+                load_config(path)
+            assert err.value.violations == [too_long]
+            assert cli.main(["compare", str(path)]) == 1
+            assert capsys.readouterr() == ("", f"error: invalid parameters: {too_long}\n")
+            assert not out.exists()
+        # a config built in code is checked by the run, before any output
+        config = load_config(write_config(tmp_path, base_payload()))
+        long_entry = dataclasses.replace(config, optimizers=(OptimizerSpec("adam", "a" * 300, PresetParams()),))
+        for run in (run_compare, lambda config, out_dir: run_flows(config, 0.1, 1.0, out_dir)):
+            with pytest.raises(ValidationError) as err:
+                run(long_entry, out)
+            assert err.value.violations == [too_long.replace("[1]", "[0]")]
+            assert not out.exists()
+        # the longest names that fit run and are written under them
+        payload["optimizers"] = [{"kind": "adam", "name": "a" * 243}, {"kind": "adam", "name": "\u00e9" * 121 + "a"}]
+        assert cli.main(["compare", str(write_config(tmp_path, payload))]) == 0
+        written = sorted(p.name for p in out.glob("traj_*.csv"))
+        assert written == ["traj_00_" + "a" * 243 + ".csv", "traj_01_" + "\u00e9" * 121 + "a.csv"]
+
+    def test_name_the_file_system_cannot_encode_rejected_before_any_output(self, tmp_path):
+        payload = base_payload()
+        payload["optimizers"] = [{"kind": "adam", "name": "ok"}, {"kind": "adam", "name": "adam-\u00e9"}]
+        path = tmp_path / "ascii.json"
+        path.write_bytes(json.dumps(payload, ensure_ascii=False).encode("utf-8"))
+        out = tmp_path / "out"
+        done = run_under_ascii_locale(["-m", "ssmopt", "compare", str(path)], SSMOPT_OUT_DIR=str(out))
+        assert (done.returncode, done.stdout) == (1, "")
+        failed = "optimizers[1].name: artifact file name encodable in the file-system encoding"
+        assert done.stderr == f"error: invalid parameters: {failed}\n"
+        assert not out.exists()
+
     def test_valid_milestones_parsed(self, tmp_path):
         payload = base_payload()
         payload["schedule"] = {"milestones": [[5, 0.5], [9, 0.1]]}
@@ -461,19 +510,16 @@ class TestLoadConfig:
         assert capsys.readouterr().err.startswith(f"error: cannot read config file {path}: ")
 
     def test_utf8_file_read_whatever_the_locale(self, tmp_path):
-        # an ASCII locale with neither locale coercion nor UTF-8 mode: open's default is ASCII
+        # an ASCII locale with neither locale coercion nor UTF-8 mode: open's default is ASCII;
+        # an en dash is no letter, so the artifact name is ASCII and the entry is valid there
         payload = base_payload()
-        payload["optimizers"][0]["name"] = "adam-\u00e9"
+        payload["optimizers"][0]["name"] = "adam\u2013ssm"
         path = tmp_path / "utf8.json"
         path.write_bytes(json.dumps(payload, ensure_ascii=False).encode("utf-8"))
         code = "import sys, ssmopt.harness as h; print(ascii(h.load_config(sys.argv[1]).optimizers[0].name))"
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUTF8"}
-        env.update(PYTHONPATH=str(REPO_ROOT / "src"), PYTHONCOERCECLOCALE="0", LC_ALL="C", LANG="C")
-        done = subprocess.run(
-            [sys.executable, "-X", "utf8=0", "-c", code, str(path)], env=env, capture_output=True, text=True, timeout=60
-        )
+        done = run_under_ascii_locale(["-c", code, str(path)])
         assert (done.returncode, done.stderr) == (0, "")
-        assert done.stdout == ascii("adam-\u00e9") + "\n"
+        assert done.stdout == ascii("adam\u2013ssm") + "\n"
 
     @pytest.mark.parametrize(
         "text, key",
@@ -481,16 +527,22 @@ class TestLoadConfig:
             pytest.param('{"objective": {"kind": "quadratic"}, "optimizers": [{"kind": "adam"}], '
                          '"iterations": 10, "iterations": 20}', "iterations", id="top-level"),
             pytest.param('{"objective": {"kind": "quadratic", "dim": 2, "dim": 3}, '
-                         '"optimizers": [{"kind": "adam"}]}', "dim", id="objective"),
+                         '"optimizers": [{"kind": "adam"}]}', "objective.dim", id="objective"),
             pytest.param('{"objective": {"kind": "quadratic"}, '
-                         '"optimizers": [{"kind": "adam", "eta": 0.1, "eta": 5.0}]}', "eta", id="optimizer"),
+                         '"optimizers": [{"kind": "adam", "eta": 0.1, "eta": 5.0}]}', "optimizers[0].eta",
+                         id="optimizer"),
+            pytest.param('{"objective": {"kind": "quadratic"}, "optimizers": [{"kind": "adam", "eta": 0.1}, '
+                         '{"kind": "adam", "eta": 0.1, "eta": 0.2}]}', "optimizers[1].eta", id="second-entry"),
+            pytest.param('{"objective": {"kind": "quadratic"}, "optimizers": [{"kind": "adam"}], '
+                         '"schedule": {"milestones": [], "milestones": [[5, 0.1]]}}', "schedule.milestones",
+                         id="schedule"),
         ],
     )
     def test_duplicate_key_exits_1(self, tmp_path, capsys, text, key):
-        # json.loads alone would keep the last value and run with it
+        # json.loads alone would keep the last value and run with it; the message names the key's path
         path = tmp_path / "duplicate.json"
         path.write_text(text, encoding="utf-8")
-        with pytest.raises(ParseError, match=f"^duplicate key '{key}'$"):
+        with pytest.raises(ParseError, match=f"^duplicate key '{re.escape(key)}'$"):
             load_config(path)
         assert cli.main(["run", str(path)]) == 1
         assert capsys.readouterr() == ("", f"error: duplicate key '{key}'\n")
@@ -786,6 +838,28 @@ class TestRunExperiment:
         out = tmp_path / "out"
         run_experiment(config, out_dir=out)
         assert (out / "traj_00_weird_name_1.csv").exists()
+
+    def test_artifact_names_formed_in_one_place(self):
+        # every f-string, + or % ending in ".csv", and every str.format, with_suffix or with_name
+        # of one, by top-level definition (a fixed name such as summary.csv is none of these):
+        # an artifact name checked before a run is the one it writes
+        def csv(node):
+            return isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.endswith(".csv")
+
+        found = set()
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            for top in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+                for node in ast.walk(top):
+                    formed = isinstance(node, ast.JoinedStr) and csv(node.values[-1])
+                    formed |= isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Mod)) and (
+                        csv(node.left) or csv(node.right)
+                    )
+                    formed |= isinstance(node, ast.Call) and getattr(node.func, "attr", None) in (
+                        "format", "with_suffix", "with_name"
+                    ) and any(csv(n) for n in [getattr(node.func, "value", None), *node.args])
+                    if formed:
+                        found.add(f"{path.name}:{getattr(top, 'name', top.lineno)}")
+        assert sorted(found) == ["harness.py:_artifact_name"]
 
     def test_every_row_matches_the_discrete_oracle_bitwise(self, tmp_path):
         moment_rates = {"b1": 0.67, "b2": 0.0067, "delta": 0.15, "epsilon": 1e-8, "eta": 0.05}
@@ -1212,17 +1286,15 @@ class TestBlocks:
 
     def test_a_workers_exception_is_raised_with_its_type_and_message(self, tmp_path, forks):
         # only the last of three blocks raises: the parent stops the other worker and writes nothing
-        def run(block):
+        def run(block, objective, x0):
             if 2 in block:
                 raise ValidationError(["a > 0", "b < 1"])
             return [ValueError("not run")] * len(block)
 
-        def write(i, outcome):
-            raise AssertionError("a block wrote")
-
+        config = load_config(write_config(tmp_path, heavy_payload()))
         out = tmp_path / "out"
         with pytest.raises(ValidationError) as err:
-            harness._run_blocks([0, 1, 2], harness.SPLIT_WORK, run, write, out, "report.json")
+            harness._run_blocks(config, out, [0, 1, 2], run, "traj", "report.json")
         assert err.value.violations == ["a > 0", "b < 1"]
         assert str(err.value) == "invalid parameters: a > 0; b < 1"
         assert not out.exists()
@@ -1269,17 +1341,15 @@ class TestBlocks:
 
     def test_a_worker_that_ends_without_its_outcome_is_a_runtime_error(self, tmp_path, forks):
         # the first block runs here; each other ends its worker before it hands anything back
-        def run(block):
+        def run(block, objective, x0):
             if 0 not in block:
                 os._exit(3)
             return [ValueError("not run")] * len(block)
 
-        def write(i, outcome):
-            raise AssertionError("a block wrote")
-
+        config = load_config(write_config(tmp_path, heavy_payload()))
         out = tmp_path / "out"
         with pytest.raises(RuntimeError, match=r"^batch worker (\d+) ended without its outcome$") as err:
-            harness._run_blocks([0, 1, 2], harness.SPLIT_WORK, run, write, out, "report.json")
+            harness._run_blocks(config, out, [0, 1, 2], run, "traj", "report.json")
         assert int(re.search(r"\d+", str(err.value)).group()) in forks
         assert len(forks) == 2
         assert not out.exists()
