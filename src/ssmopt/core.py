@@ -154,6 +154,10 @@ def require(conditions: dict[str, bool]) -> None:
         raise ValidationError(failed)
 
 
+# The most float64s one numpy array holds: numpy rejects one of more than np.iinfo(np.intp).max bytes.
+MAX_FLOATS = np.iinfo(np.intp).max // 8
+
+
 def validate_params(raw: OptimizerParams) -> OptimizerParams:
     """Check the stability conditions, returning the value unchanged if all hold.
 

@@ -36,7 +36,8 @@ class OptimizerSpec:
     beta is the heavy-ball momentum factor. KIND_KEYS[kind] lists the keys
     it reads, conditions() its entry conditions and violations() those it
     fails. A ValidationError names each of a kind or bias_mode off KIND_KEYS
-    or BIAS_MODES and a name with a comma, double quote, CR or LF.
+    or BIAS_MODES, a name with a comma, double quote, CR or LF and a name
+    not encodable as UTF-8, which would break summary.csv.
     """
 
     kind: str
@@ -50,6 +51,8 @@ class OptimizerSpec:
             f"kind one of {tuple(KIND_KEYS)}": self.kind in KIND_KEYS,
             f"bias_mode one of {BIAS_MODES}": self.bias_mode in BIAS_MODES,
             "name without comma, double quote, CR or LF": not any(ch in self.name for ch in ',"\r\n'),
+            # lone surrogates are the only code points UTF-8 cannot encode
+            "name encodable as UTF-8": not any("\ud800" <= ch <= "\udfff" for ch in self.name),
         })
 
     def conditions(self) -> dict[str, bool]:

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
-    OptimizerParams, PresetKind, PresetParams, PsiKind, ValidationError, alpha_g, initial_stepper_state,
+    MAX_FLOATS, OptimizerParams, PresetKind, PresetParams, PsiKind, ValidationError, alpha_g, initial_stepper_state,
     map_preset_to_general, moment_rows, require, validate_params, validate_preset,
 )
 from .objectives import BOX, Objective
@@ -259,10 +259,10 @@ class RunReport:
 
 class RunStore:
     """The one store of a batch, flow or discrete: the records and reports
-    of its R rows. Each row's states go in an (n_records, 4, d) array of its
-    own, its times, f values, gradient norms and alphas in its row of the
-    four (R, n_records) arrays of series; outcome(row, name) hands them back
-    as a Trajectory of views, with the row's RunReport.
+    of its R rows. Each row's records go in one (n_records, 4 + 4d) table of
+    its own, whose columns are its CSV's (t, f, grad_norm, alpha, then its
+    state's x, mu, zeta and nu); outcome(row, name) hands them back as a
+    Trajectory of views, with the row's RunReport.
 
     The summary holds one (R,) array per quantity: per row the best f and
     the first step that reached it, the first step whose gradient norm fell
@@ -285,8 +285,7 @@ class RunStore:
     K = 256
 
     def __init__(self, n_rows: int, dim: int, n_records: int, threshold: float):
-        self.states = [np.empty((n_records, 4, dim)) for _ in range(n_rows)]
-        self.series = np.empty((4, n_rows, n_records))
+        self.tables = [np.empty((n_records, 4 + 4 * dim)) for _ in range(n_rows)]
         self.n_recorded = np.zeros(n_rows, int)
         self.threshold = threshold
         self.f_block = np.full((n_rows, self.K), math.nan)
@@ -357,18 +356,17 @@ class RunStore:
         """Append one record at time t to each of the given rows: their
         (4, n, d) states and n f values, gradient norms and alphas."""
         at = self.n_recorded[rows]
-        self.series[0, rows, at] = t
-        self.series[1:, rows, at] = f, grad_norm, alpha
-        for row, i, state in zip(rows, at, states.swapaxes(0, 1)):
-            self.states[row][i] = state
+        columns = rows.tolist(), at.tolist(), f.tolist(), grad_norm.tolist(), alpha.tolist()
+        for row, i, *scalars, state in zip(*columns, states.swapaxes(0, 1).reshape(len(at), -1)):
+            self.tables[row][i, :4] = t, *scalars
+            self.tables[row][i, 4:] = state
         self.n_recorded[rows] = at + 1
 
     def outcome(self, row: int, name: str) -> tuple[Trajectory, RunReport]:
         if self.column:
             self.fold()
-        n = self.n_recorded[row]
-        times, f_values, grad_norms, alpha_values = self.series[:, row, :n]
-        traj = Trajectory(times, self.states[row][:n], f_values, grad_norms, alpha_values)
+        table = self.tables[row][: self.n_recorded[row]]
+        traj = Trajectory(table[:, 0], table[:, 4:].reshape(len(table), 4, -1), *table[:, 1:4].T)
         k = int(self.diverged_at[row])
         if k >= 0:
             what = "the state" if self.state_diverged[row] else "f or the gradient norm"
@@ -379,7 +377,7 @@ class RunStore:
             best_f=float(self.best_f[row]),
             epoch_of_best=int(self.epoch_of_best[row]),
             # a run that did not fail ends with a record of its last step
-            final_grad_norm=float(grad_norms[-1]),
+            final_grad_norm=float(traj.grad_norms[-1]),
             iters_to_threshold=itt if itt >= 0 else None,
             diagnostics={"stayed_in_box": bool(self.stayed_in_box[row])},
         )
@@ -408,16 +406,25 @@ def _pow_rows(base: np.ndarray, groups: list[tuple[float, list[int]]]) -> np.nda
     return out
 
 
-def _check_run(n_steps: int, record_stride: int, threshold: float) -> None:
-    """Raise a ValidationError naming each failed run setting, in order; NaN fails each."""
-    # an integer condition is named only where its range condition holds
+def _check_run(n_steps: int, record_stride: int, threshold: float, dim: int) -> int:
+    """Raise a ValidationError naming each failed run setting, in order
+    (NaN fails each), the last that one row's records, ceil(n_steps /
+    record_stride) + 1 of 4 + 4*dim floats (see RunStore), fit one numpy
+    array; else return that record count."""
+    # an integer condition is named only where its range condition holds, the size only where all four do
+    counts = isinstance(n_steps, numbers.Integral) and n_steps >= 0
+    counts &= isinstance(record_stride, numbers.Integral) and record_stride >= 1
+    n_records = -(-int(n_steps) // int(record_stride)) + 1 if counts else 0
     require({
         "iterations >= 0": n_steps >= 0,
         "iterations an integer": isinstance(n_steps, numbers.Integral) or not n_steps >= 0,
         "record_stride >= 1": record_stride >= 1,
         "record_stride an integer": isinstance(record_stride, numbers.Integral) or not record_stride >= 1,
         "threshold > 0": threshold > 0,
+        "(ceil(iterations / record_stride) + 1) * (4 + 4*dim) floats within numpy's array size limit":
+            n_records * (4 + 4 * dim) <= MAX_FLOATS,
     })
+    return n_records
 
 
 def _run_rows(rule, s: np.ndarray, objective, n_steps: int, record_stride: int, threshold: float, names) -> list:
@@ -446,9 +453,7 @@ def _run_rows(rule, s: np.ndarray, objective, n_steps: int, record_stride: int, 
     names, or the exception it left the batch with. Settings that fail
     _check_run raise its ValidationError before any step.
     """
-    _check_run(n_steps, record_stride, threshold)
-    n_records = len(range(0, n_steps + 1, record_stride)) + (n_steps % record_stride != 0)
-    store = RunStore(s.shape[1], s.shape[2], n_records, threshold)
+    store = RunStore(s.shape[1], s.shape[2], _check_run(n_steps, record_stride, threshold, s.shape[2]), threshold)
     errors: dict[int, Exception] = {}
     live = np.arange(s.shape[1])
     g = None
@@ -545,7 +550,7 @@ def _integrate_rows(problems: list[FlowProblem], names, step, dt, t_end, record_
     if any(p.objective is not problems[0].objective for p in problems):
         raise ValueError("a batch integrates flows on one objective")
     if not problems:
-        _check_run(n_steps, record_stride, threshold)
+        _check_run(n_steps, record_stride, threshold, 0)
         return []
     s = np.stack([initial_stepper_state(p.x0, p.nu0) for p in problems], axis=1)
     return _run_rows(_Batch(problems, step, dt), s, problems[0].objective, n_steps, record_stride, threshold, names)

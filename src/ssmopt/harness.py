@@ -24,7 +24,8 @@ errors):
           "kind": "gadagrad" | "adam" | "adabelief" | "adamssm"
                   | "adabeliefssm" | "sgd_momentum",        required
           "name": str,             default: the kind; no comma, '"', CR, LF,
-                                   and a creatable artifact name (_name_conditions)
+                                   encodable as UTF-8, and a creatable artifact
+                                   name (_name_conditions)
           "b1", "b2", "b3", "delta", "epsilon", "eta", "c": floats,
           "bias_mode": "paper" | "beta" | "continuous",     default "paper"
           "beta": float            default 0.9
@@ -36,6 +37,9 @@ errors):
       "schedule": {"milestones": [[iteration, multiplier], ...]},
       "output_dir": str            non-empty, default "runs"; SSMOPT_OUT_DIR overrides
     }
+
+Sizes must give arrays numpy can hold: one row's records (flow._check_run)
+and the logistic data buffer (objectives.make_logistic).
 
 Objective kinds are one table, OBJECTIVE_KINDS, as optimizer kinds are
 discrete.KIND_KEYS: each kind's factory, its own keys and its default x0.
@@ -215,6 +219,9 @@ def _parse_optimizer(raw: dict, index: int) -> OptimizerSpec:
     name = _get_str(raw, "name", kind, path)
     if any(ch in name for ch in ',"\r\n'):
         raise ParseError(f"{path}.name: a comma, double quote, CR or LF would break summary.csv, got {name!r}")
+    # lone surrogates are the only code points UTF-8 cannot encode
+    if any("\ud800" <= ch <= "\udfff" for ch in name):
+        raise ParseError(f"{path}.name: a name not encodable as UTF-8 would break summary.csv, got {name!r}")
     # An ssm entry with the coupling rate at exactly zero has the same
     # dynamics as its one-state counterpart; validate and run it as such.
     if "b3" in KIND_KEYS[kind] and preset.b3 == 0.0:
@@ -291,7 +298,8 @@ def load_config(path) -> ExperimentConfig:
     JSON with line/column context, a key repeated in one object, non-finite
     numbers, unknown or missing keys, wrong types) and
     ValidationError: first for run settings that fail the run loop's own
-    check (flow._check_run), then for an empty output_dir (Path("") is the
+    check (flow._check_run, the size of one row's records at the
+    objective's dim included), then for an empty output_dir (Path("") is the
     current directory), then with every named violation across all
     optimizer entries for hyperparameters that fail the per-kind
     conditions and names whose artifact file cannot be created, and only
@@ -334,7 +342,7 @@ def load_config(path) -> ExperimentConfig:
         milestones=_parse_milestones(_expect_mapping(raw["schedule"], "schedule")) if "schedule" in raw else (),
         **_get_fields(raw, ExperimentConfig, ("output_dir",), "config"),
     )
-    _check_run(config.iterations, config.record_stride, config.threshold)
+    _check_run(config.iterations, config.record_stride, config.threshold, objective.dim)
     require({"output_dir non-empty": config.output_dir != ""})
     # Constructing a schedule validates milestone ordering and positivity.
     LrSchedule(base_eta=1.0, milestones=config.milestones)

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import require
+from .core import MAX_FLOATS, require
 
 BOX = 5.0
 
@@ -181,9 +181,14 @@ def make_logistic(d: int, n_samples: int, seed: int) -> Objective:
     exp(m)) as max(m, 0) + L, bitwise (a NaN margin gives NaN either way).
     eval_f is its f half; eval_grad takes log(1 + exp(m)) as logaddexp(0,
     m) alone, bitwise the same, and both end in one gradient tail. A
-    ValidationError names each of d >= 1 and n_samples >= 1 that fails.
+    ValidationError names each of d >= 1, n_samples >= 1 and the buffer's
+    (n_samples + 1) * d floats within numpy's array size limit that fails.
     """
-    require({"d >= 1": d >= 1, "n_samples >= 1": n_samples >= 1})
+    require({
+        "d >= 1": d >= 1,
+        "n_samples >= 1": n_samples >= 1,
+        "(n_samples + 1) * d floats within numpy's array size limit": (n_samples + 1) * d <= MAX_FLOATS,
+    })
     reg = 5e-4
     draws = _lcg_draws(n_samples * d + d, seed)
     Z = draws[: n_samples * d].reshape(n_samples, d)

@@ -609,17 +609,26 @@ class TestRunDiscreteBatch:
         with pytest.raises(ValueError, match=re.escape(str(tuple(KIND_KEYS)))):
             OptimizerSpec("adamw", "bad", PresetParams(eta=0.01))
 
-    def test_diverging_row_leaves_at_its_own_iteration(self):
+    def test_diverging_row_leaves_at_its_own_iteration(self, tmp_path):
+        # the rows end at three record counts: 1 (the first-step error), the diverging row's and 30
         obj, x0 = discrete_objective("quadratic")
         diverging = OptimizerSpec("sgd_momentum", "diverging", PresetParams(eta=1e6), beta=0.9)
+        unstable = OptimizerSpec("adamssm", "unstable", PresetParams(b3=0.02, delta=100.0))
         specs = [diverging, *mixed_specs()]
-        results = run_discrete_batch(specs, obj, x0, 200, self.MILESTONES, record_stride=7)
+        *results, failure = run_discrete_batch([*specs, unstable], obj, x0, 200, self.MILESTONES, record_stride=7)
         solos = [run_discrete(spec, obj, x0, 200, self.MILESTONES, record_stride=7) for spec in specs]
+        with pytest.raises(ValidationError) as solo:
+            self.solo(unstable, obj, x0, 200)
+        assert isinstance(failure, ValidationError) and str(failure) == str(solo.value)
         traj, report = results[0]
         k = report.diagnostics["diverged_at"]
         assert k < 200 and traj.times[-1] == k
+        assert {len(got[0]) for got in results} == {len(traj), 30}
         for got, want in zip(results, solos):
             assert_same_run(got, want)
+            got[0].to_csv(tmp_path / "got.csv")
+            want[0].to_csv(tmp_path / "want.csv")
+            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 class TestBatchEqualsTheOracle:

@@ -371,7 +371,7 @@ class TestIntegrateBatch:
     @pytest.mark.parametrize(
         "integrate, step, x0, k", [(integrate_euler, euler_step, 1e150, 4), (integrate_reference, rk4_step, 1e80, 43)]
     )
-    def test_non_finite_state_raises(self, integrate, step, x0, k):
+    def test_non_finite_state_raises(self, tmp_path, integrate, step, x0, k):
         # f and the gradient norm stay finite while nu overflows at step k
         obj = make_quadratic(2, 100.0)
         diverging, kept = (
@@ -387,6 +387,17 @@ class TestIntegrateBatch:
         assert isinstance(failure, StepFailure) and str(failure) == message and failure.t == solo.value.t
         assert failure.state.tobytes() == solo.value.state.tobytes()
         assert_same_trajectory(got, integrate(kept, 10.0, 500.0))
+        # as the harness sees them, the rows end at k + 1 and 51 records, each its solo run's
+        rows = flow_module._integrate_rows([kept, diverging], ["kept", "diverging"], step, 10.0, 500.0, 1, 1e-4)
+        assert [len(traj) for traj, _ in rows] == [51, k + 1]
+        for (traj, report), problem, name in zip(rows, [kept, diverging], ["kept", "diverging"]):
+            ((want, want_report),) = flow_module._integrate_rows([problem], [name], step, 10.0, 500.0, 1, 1e-4)
+            for series in ("times", "states", "f_values", "grad_norms", "alpha_values"):
+                assert getattr(traj, series).tobytes() == getattr(want, series).tobytes(), series
+            assert repr(report) == repr(want_report)
+            traj.to_csv(tmp_path / "got.csv")
+            want.to_csv(tmp_path / "want.csv")
+            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     @pytest.mark.parametrize("stride", [1, 10])
     def test_non_finite_f_leaves_at_that_record(self, stride):

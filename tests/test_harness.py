@@ -56,6 +56,11 @@ UNBUILDABLE_OBJECTIVES = [
 ]
 
 
+# the conditions on the arrays a config sizes, each within numpy's byte limit
+RECORD_TABLE = "(ceil(iterations / record_stride) + 1) * (4 + 4*dim) floats within numpy's array size limit"
+LOGISTIC_BUFFER = "objective: (n_samples + 1) * d floats within numpy's array size limit"
+
+
 def base_payload():
     return {
         "objective": {"kind": "quadratic", "dim": 2, "cond": 10.0},
@@ -358,12 +363,20 @@ class TestLoadConfig:
             load_config(write_config(tmp_path, payload))
         assert err.value.violations == ["milestone iterations nonnegative"]
 
-    def test_names_that_break_the_summary_csv_rejected(self, tmp_path):
-        for bad in ("adam, fast", 'the "fast" one', "line\nbreak", "carriage\rreturn"):
+    def test_names_that_break_the_summary_csv_rejected(self, tmp_path, monkeypatch, capsys):
+        # a lone surrogate passes every other name rule, but summary.csv cannot hold it as UTF-8
+        out = tmp_path / "out"
+        monkeypatch.setenv("SSMOPT_OUT_DIR", str(out))
+        for bad in ("adam, fast", 'the "fast" one', "line\nbreak", "carriage\rreturn", "a\udce9"):
             payload = base_payload()
             payload["optimizers"] = [{"kind": "adam"}, {"kind": "adam", "name": bad}]
+            path = write_config(tmp_path, payload)
             with pytest.raises(ParseError, match="optimizers\\[1\\].name: "):
-                load_config(write_config(tmp_path, payload))
+                load_config(path)
+            assert cli.main(["compare", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: optimizers[1].name: ")
+            assert not out.exists()
         payload = base_payload()
         payload["optimizers"] = [{"kind": "adamssm", "b3": 0.01, "name": "adamssm-b30.01-eta0.01"}]
         assert load_config(write_config(tmp_path, payload)).optimizers[0].name == "adamssm-b30.01-eta0.01"
@@ -374,6 +387,9 @@ class TestLoadConfig:
             with pytest.raises(ValidationError) as err:
                 OptimizerSpec("adam", bad, PresetParams())
             assert err.value.violations == ["name without comma, double quote, CR or LF"]
+        with pytest.raises(ValidationError) as err:
+            OptimizerSpec("adam", "a,\udce9", PresetParams())
+        assert err.value.violations == ["name without comma, double quote, CR or LF", "name encodable as UTF-8"]
 
     def test_name_too_long_for_a_file_rejected_before_any_output(self, tmp_path, monkeypatch, capsys):
         # traj_00_ and .csv take 12 of a file name's 255 bytes, and an e-acute takes two in UTF-8
@@ -414,6 +430,30 @@ class TestLoadConfig:
         assert (done.returncode, done.stdout) == (1, "")
         failed = "optimizers[1].name: artifact file name encodable in the file-system encoding"
         assert done.stderr == f"error: invalid parameters: {failed}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"objective": {"kind": "quadratic", "dim": 10 ** 20}}, RECORD_TABLE),
+            # numpy: array is too big
+            ({"objective": {"kind": "quadratic", "dim": 2 ** 61}}, RECORD_TABLE),
+            ({"objective": {"kind": "logistic", "n_samples": 10 ** 20}}, LOGISTIC_BUFFER),
+            ({"iterations": 10 ** 20}, RECORD_TABLE),
+        ],
+        ids=["dim", "dim-2**61", "n_samples", "iterations"],
+    )
+    def test_size_no_array_can_hold_rejected_before_any_output(self, tmp_path, monkeypatch, capsys, change, message):
+        # each size is beyond numpy's byte limit, so nothing is allocated; one that fits but
+        # cannot be allocated is a MemoryError (TestBlocks)
+        out = tmp_path / "out"
+        monkeypatch.setenv("SSMOPT_OUT_DIR", str(out))
+        path = write_config(tmp_path, {**base_payload(), **change})
+        with pytest.raises(ValidationError) as err:
+            load_config(path)
+        assert err.value.violations == [message]
+        assert cli.main(["compare", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: invalid parameters: {message}\n")
         assert not out.exists()
 
     def test_valid_milestones_parsed(self, tmp_path):
